@@ -16,7 +16,7 @@ import numpy as np
 from .config import RunConfig, load_env_config
 from .model import (ProblemFormatError, SimplexPoint, parse_matrix,
                     parse_problem, shift_to_feasible)
-from .oracle import ReducedRegion, exclusion_radius, is_copositive
+from .oracle import ReducedRegion, is_copositive
 from .regularize import (FaceLedgerEntry, Record, RegularizedProblem,
                          feasibility_equiv_sample, minimal_face,
                          one_step_regularize, regularize, verify_ledger)
@@ -99,21 +99,7 @@ def build_report(result, prog, cfg):
         })
     regularized = None
     if result.regularized is not None:
-        reg = result.regularized
-        omega_doc = None
-        if not reg.omega_empty and reg.omega is not None:
-            omega_doc = {"W": [v.coords.tolist() for v in reg.omega.V],
-                         "sigma": reg.omega.sigma, "empty": False}
-        elif reg.omega_empty:
-            omega_doc = {"W": [r.tau.coords.tolist() for r in reg.records],
-                         "sigma": None, "empty": True}
-        regularized = {
-            "eq_rows": [[i + 1, k + 1] for i, k in reg.eq_rows],
-            "ineq_rows": [[i + 1, k + 1] for i, k in reg.ineq_rows],
-            "omega": omega_doc,
-            "witness": reg.witness.tolist(),
-            "margin": reg.margin,
-        }
+        regularized = _regularized_doc(result.regularized)
     compressed = None
     if result.compressed is not None:
         compressed = {"core": list(result.compressed.mapping),
@@ -132,6 +118,24 @@ def build_report(result, prog, cfg):
     }
     jsonschema.validate(report, REPORT_SCHEMA)
     return report
+
+
+def _regularized_doc(reg):
+    """The ``regularized`` block of a report: rows, region, witness."""
+    omega_doc = None
+    if reg.omega_empty:
+        omega_doc = {"W": [r.tau.coords.tolist() for r in reg.records],
+                     "sigma": None, "empty": True}
+    elif reg.omega is not None:
+        omega_doc = {"W": [v.coords.tolist() for v in reg.omega.V],
+                     "sigma": reg.omega.sigma, "empty": False}
+    return {
+        "eq_rows": [[i + 1, k + 1] for i, k in reg.eq_rows],
+        "ineq_rows": [[i + 1, k + 1] for i, k in reg.ineq_rows],
+        "omega": omega_doc,
+        "witness": reg.witness.tolist(),
+        "margin": reg.margin,
+    }
 
 
 def _jsonable(obj):
@@ -189,11 +193,12 @@ def regularized_from_report(report, prog, cfg):
                               float(doc["margin"]), omega_empty=empty)
 
 
-def _write_report(report, path):
-    jsonschema.validate(report, REPORT_SCHEMA)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+def _write_json(doc, path):
+    """Write an ``--out`` document; nothing when no path was given."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(_jsonable(doc), fh, indent=2)
+            fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +223,6 @@ def _add_common(parser):
     parser.add_argument("--samples", type=int, default=None)
     parser.add_argument("--out", type=str, default=None,
                         help="write the JSON report here")
-    parser.add_argument("-v", "--verbose", action="count", default=0)
 
 
 def _config_from_args(args):
@@ -229,13 +233,11 @@ def _config_from_args(args):
         if v is not None:
             overrides[name] = v
     mapping = {"h": "h", "cap": "iteration_cap", "box": "box_r",
-               "p_max": "p_max", "seed": "seed", "samples": "samples",
-               "out": "out"}
+               "p_max": "p_max", "seed": "seed", "samples": "samples"}
     for arg_name, cfg_name in mapping.items():
         v = getattr(args, arg_name, None)
         if v is not None:
             overrides[cfg_name] = v
-    overrides["verbosity"] = args.verbose
     return load_env_config(overrides)
 
 
@@ -267,6 +269,21 @@ def _load_points(path, p):
     return pts
 
 
+def _driver_result(prog, cfg, regular_note=None):
+    """The driver's result for a subcommand that queries it, or the exit
+    code when nothing is left to do: 1 after a failed run, and 0 after a
+    regular one when ``regular_note`` (printed) says why."""
+    result = regularize(prog, cfg)
+    if result.status == "failed":
+        print(f"regularization failed: {result.diagnostics.get('reason')}",
+              file=sys.stderr)
+        return 1
+    if result.status == "regular" and regular_note:
+        print(regular_note)
+        return 0
+    return result
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -274,9 +291,7 @@ def _cmd_regularize(args):
     cfg = _config_from_args(args)
     prog = _load_problem(args, cfg)
     result = regularize(prog, cfg)
-    report = build_report(result, prog, cfg)
-    if cfg.out:
-        _write_report(report, cfg.out)
+    _write_json(build_report(result, prog, cfg), args.out)
     print(f"status: {result.status}")
     if result.status == "regular":
         print(f"witness: {result.witness.x.tolist()}")
@@ -302,11 +317,9 @@ def _cmd_check_copositive(args):
     else:
         print(f"not copositive, witness {res.witness.coords.tolist()} "
               f"(value {res.margin})")
-    if cfg.out:
-        doc = {"copositive": bool(res.copositive), "margin": res.margin,
-               "witness": res.witness.coords.tolist() if res.witness else None}
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
+    _write_json({"copositive": bool(res.copositive), "margin": res.margin,
+                 "witness": res.witness.coords.tolist() if res.witness else None},
+                args.out)
     return 0
 
 
@@ -315,36 +328,21 @@ def _cmd_one_step(args):
     prog = _load_problem(args, cfg)
     W = _load_points(args.W, prog.p)
     reg = one_step_regularize(prog, W, cfg, strict=not args.loose)
-    sigma = None if reg.omega_empty else exclusion_radius(W, cfg.tol_support)
+    sigma = None if reg.omega_empty else reg.omega.sigma
     print(f"witness: {reg.witness.tolist()} (margin {reg.margin:.6g})")
     print(f"rows: {len(reg.eq_rows)} equalities, {len(reg.ineq_rows)} inequalities"
           + ("" if sigma is None else f"; sigma {sigma:.6g}"))
-    if cfg.out:
-        doc = {
-            "eq_rows": [[i + 1, k + 1] for i, k in reg.eq_rows],
-            "ineq_rows": [[i + 1, k + 1] for i, k in reg.ineq_rows],
-            "omega": {"W": [t.coords.tolist() for t in W], "sigma": sigma,
-                      "empty": reg.omega_empty},
-            "witness": reg.witness.tolist(),
-            "margin": reg.margin,
-        }
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
+    _write_json(_regularized_doc(reg), args.out)
     return 0
 
 
 def _cmd_minimal_face(args):
     cfg = _config_from_args(args)
     prog = _load_problem(args, cfg)
-    result = regularize(prog, cfg)
-    if result.status == "regular":
-        print("program satisfies the strict feasibility condition; the "
-              "minimal face is the full cone")
-        return 0
-    if result.status != "regularized":
-        print(f"regularization failed: {result.diagnostics.get('reason')}",
-              file=sys.stderr)
-        return 1
+    result = _driver_result(prog, cfg, "program satisfies the strict "
+                            "feasibility condition; the minimal face is the full cone")
+    if isinstance(result, int):
+        return result
     if args.W:
         W = _load_points(args.W, prog.p)
     else:
@@ -357,14 +355,11 @@ def _cmd_minimal_face(args):
               f"{sorted(k + 1 for k in face.M[j])}  flags = {face.flags.get(j, {})}")
     print(f"form agreement: {check['checked']} samples, "
           f"{check['members']} members, 0 disagreements")
-    if cfg.out:
-        doc = {"vertices": [t.coords.tolist() for t in face.vertices],
-               "M": {str(j + 1): sorted(k + 1 for k in face.M[j])
-                     for j in face.M},
-               "flags": {str(j + 1): face.flags[j] for j in face.flags},
-               "cross_check": check}
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
+    _write_json({"vertices": [t.coords.tolist() for t in face.vertices],
+                 "M": {str(j + 1): sorted(k + 1 for k in face.M[j])
+                       for j in face.M},
+                 "flags": {str(j + 1): face.flags[j] for j in face.flags},
+                 "cross_check": check}, args.out)
     return 0
 
 
@@ -376,44 +371,33 @@ def _cmd_verify_ledger(args):
         jsonschema.validate(report, REPORT_SCHEMA)
         entries = ledger_from_report(report, prog)
     else:
-        result = regularize(prog, cfg)
-        if result.status == "failed":
-            print(f"regularization failed: {result.diagnostics.get('reason')}",
-                  file=sys.stderr)
-            return 1
+        result = _driver_result(prog, cfg)
+        if isinstance(result, int):
+            return result
         entries = result.ledger
-    rep = verify_ledger(entries, prog, cfg, n_samples=cfg.samples or 200,
-                        seed=cfg.seed)
+    rep = verify_ledger(entries, prog, cfg, n_samples=cfg.samples, seed=cfg.seed)
     for e in rep["entries"]:
         print(f"entry {e['index']}: kernel residual {e['kernel_residual']:.2e}, "
               f"members {e['members_sampled']}, "
               f"monotonicity violations {e['monotonicity_violations']}, "
               f"orthogonality violations {e['orthogonality_violations']}")
     print("ledger ok" if rep["ok"] else "ledger FAILED")
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            json.dump(_jsonable(rep), fh, indent=2)
+    _write_json(rep, args.out)
     return 0 if rep["ok"] else 1
 
 
 def _cmd_equiv_check(args):
     cfg = _config_from_args(args)
     prog = _load_problem(args, cfg)
-    result = regularize(prog, cfg)
-    if result.status == "regular":
-        print("program is strictly feasible; equivalence is trivial")
-        return 0
-    if result.status != "regularized":
-        print(f"regularization failed: {result.diagnostics.get('reason')}",
-              file=sys.stderr)
-        return 1
+    result = _driver_result(prog, cfg, "program is strictly feasible; "
+                            "equivalence is trivial")
+    if isinstance(result, int):
+        return result
     rep = feasibility_equiv_sample(prog, result.regularized,
                                    cfg.samples, cfg.seed, cfg)
     print(f"{rep['samples']} samples: {rep['agreements']} agreements, "
           f"{rep['ties']} ties, {rep['n_disagreements']} disagreements")
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            json.dump(_jsonable(rep), fh, indent=2)
+    _write_json(rep, args.out)
     return 0 if rep["n_disagreements"] == 0 else 1
 
 
@@ -477,10 +461,7 @@ def main(argv=None):
         return e.code if e.code is not None else 2
     try:
         return args.func(args)
-    except (ProblemFormatError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except RuntimeError as e:
+    except (ValueError, RuntimeError) as e:  # ProblemFormatError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 1
 

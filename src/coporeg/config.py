@@ -2,7 +2,7 @@
 
 import json
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,6 @@ class RunConfig:
     max_grid_points: int = 3_000_000
     seed: int = 0
     samples: int = 1000          # default sample count for equivalence checks
-    out: str | None = None
-    verbosity: int = 0
 
     def __post_init__(self):
         for f in fields(self):
@@ -51,6 +49,8 @@ class RunConfig:
             raise ValueError("iteration_cap must be >= 1")
         if self.box_r <= 0 or self.p_max < 2:
             raise ValueError("box_r must be positive and p_max >= 2")
+        if self.samples < 1:
+            raise ValueError(f"samples must be >= 1, got {self.samples}")
 
     def cap_for(self, n):
         return self.iteration_cap if self.iteration_cap is not None else 2 * n + 2

@@ -9,42 +9,12 @@ stays feasible.
 
 import numpy as np
 
-from .model import CopositiveProgram, SimplexPoint
+from .model import (CopositiveProgram, SimplexPoint, project_to_zero_rows,
+                    row_functionals)
 
 
 class GeneratorError(RuntimeError):
     """The planting constraints admit no nonzero constraint matrices."""
-
-
-def _zero_row_basis(p, planted):
-    """Constraint rows (upper-triangle coordinates) forcing (D t)_k = 0 for
-    every planted t and k in its positive support."""
-    iu, ju = np.triu_indices(p)
-    rows = []
-    for t in planted:
-        tc = t.coords
-        for k in t.support_plus():
-            row = np.zeros(iu.size)
-            for pos in range(iu.size):
-                a, b = int(iu[pos]), int(ju[pos])
-                if a == b:
-                    row[pos] = tc[a] if a == k else 0.0
-                else:
-                    v = 0.0
-                    if a == k:
-                        v += tc[b]
-                    if b == k:
-                        v += tc[a]
-                    row[pos] = v
-            rows.append(row)
-    return np.array(rows) if rows else np.zeros((0, iu.size))
-
-
-def _project(vec, C):
-    if C.shape[0] == 0:
-        return vec
-    corr = C.T @ np.linalg.lstsq(C @ C.T, C @ vec, rcond=None)[0]
-    return vec - corr
 
 
 def generate_instance(seed, p, n, planted=()):
@@ -57,7 +27,6 @@ def generate_instance(seed, p, n, planted=()):
             raise ValueError("planted points must be SimplexPoints of dimension p")
     rng = np.random.default_rng(seed)
     c = rng.normal(size=n)
-    tri = np.triu_indices(p)
 
     if not planted:
         mats = [np.eye(p)]
@@ -66,7 +35,8 @@ def generate_instance(seed, p, n, planted=()):
             mats.append(0.5 * (U + U.T))
         return CopositiveProgram(c, mats)
 
-    C = _zero_row_basis(p, planted)
+    # rows (D t)_k = 0 for every planted t and k in its positive support
+    C = np.vstack([row_functionals(t, t.support_plus()) for t in planted])
     span = np.array([t.coords for t in planted])
     # Gram part of A_0 from an orthonormal basis of the planted complement,
     # so the zero set of t' A_0 t meets the simplex only inside the span
@@ -81,13 +51,10 @@ def generate_instance(seed, p, n, planted=()):
     mats = [A0]
     for _ in range(n):
         U = rng.normal(size=(p, p))
-        vec = _project((0.5 * (U + U.T))[tri], C)
-        if float(np.max(np.abs(vec))) <= 1e-12:
+        M = project_to_zero_rows(0.5 * (U + U.T), C)
+        if float(np.max(np.abs(M))) <= 1e-12:
             raise GeneratorError("planting constraints force the constraint "
                                  "matrices to zero")
-        M = np.zeros((p, p))
-        M[tri] = vec
-        M = M + M.T - np.diag(np.diag(M))
         M = M / float(np.max(np.abs(M)))
         mats.append(M)
     return CopositiveProgram(c, mats)

@@ -1,4 +1,5 @@
-"""Problem data model: symmetric matrices, programs, simplex points, file I/O.
+"""Problem data model: symmetric matrices, programs, simplex points, zero
+rows, file I/O.
 
 All matrices are dense numpy arrays validated symmetric on entry; all model
 objects are immutable after construction, so they are safe to share across
@@ -193,6 +194,75 @@ def sym_functional_row(M):
     iu = np.triu_indices(p)
     w = np.where(iu[0] == iu[1], 1.0, 2.0)
     return M[iu] * w
+
+
+def kernel_residual(prog, Y):
+    """max_j |A_j . Y|: how far Y lies from the constraint kernel."""
+    return max(abs(float(np.sum(Aj * Y))) for Aj in prog.A)
+
+
+# ---------------------------------------------------------------------------
+# Zero rows.  A record pairs a simplex point tau with a set L of row indices;
+# it pins the rows (D tau)_k: equalities for k in L, inequalities (>= 0) off
+# L.  Records are any objects with attributes ``tau`` and ``L``.
+
+def row_functionals(tau, ks):
+    """Coefficients of D -> (D tau)_k over the upper-triangle coordinates of
+    D, one row per (0-based) k in ``ks``.
+
+    Row k equals ``sym_functional_row((tau e_k' + e_k tau') / 2)``.
+    """
+    t = _coords(tau)
+    iu, ju = np.triu_indices(t.size)
+    k = np.asarray(ks, dtype=int).reshape(-1, 1)
+    return (np.where(iu == k, t[ju], 0.0)
+            + np.where((ju == k) & (iu != ju), t[iu], 0.0))
+
+
+def zero_row_matrix(records):
+    """Stacked row functionals of every equality row of the records, each
+    record's rows in increasing k."""
+    return np.array([row for rec in records
+                     for row in row_functionals(rec.tau, sorted(rec.L))])
+
+
+def project_to_zero_rows(D, C):
+    """Orthogonal projection, in upper-triangle coordinates, of the
+    symmetric matrix D onto {D : C D_triu = 0}; D itself when C has no
+    rows."""
+    if len(C) == 0:
+        return D
+    D = np.asarray(D, dtype=float)
+    iu = np.triu_indices(D.shape[0])
+    vec = D[iu]
+    vec = vec - C.T @ np.linalg.lstsq(C @ C.T, C @ vec, rcond=None)[0]
+    out = np.zeros(D.shape)
+    out[iu] = vec
+    return out + out.T - np.diag(np.diag(out))
+
+
+def row_pairs(records, p):
+    """(equality, inequality) rows as (record index, k) pairs."""
+    eq, ineq = [], []
+    for i, rec in enumerate(records):
+        for k in range(p):
+            (eq if k in rec.L else ineq).append((i, k))
+    return tuple(eq), tuple(ineq)
+
+
+def row_residuals(D, records):
+    """(max |(D tau)_k| over equality rows, min (D tau)_k over inequality
+    rows); 0.0 and inf where there is no row of that kind."""
+    if not records:
+        return 0.0, np.inf
+    D = np.asarray(D, dtype=float)
+    T = np.array([_coords(rec.tau) for rec in records])
+    vals = (D @ T[:, :, None])[:, :, 0]   # row i is D @ tau_i
+    on_L = np.zeros(vals.shape, dtype=bool)
+    for i, rec in enumerate(records):
+        on_L[i, list(rec.L)] = True
+    return (float(np.max(np.abs(vals[on_L]), initial=0.0)),
+            float(np.min(vals[~on_L], initial=np.inf)))
 
 
 def kernel_dimension(prog, tol_rank=1e-10):

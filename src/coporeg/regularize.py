@@ -14,11 +14,11 @@ import numpy as np
 from .config import DEFAULT
 from .lp import REL_EQ, REL_GE, LinearProgram, solve_lp
 from .model import (SimplexPoint, eval_constraint, kernel_dimension,
-                    quad_form)
+                    kernel_residual, project_to_zero_rows, quad_form,
+                    row_pairs, row_residuals, zero_row_matrix)
 from .oracle import (ReducedRegion, is_copositive, min_quad_over_omega,
                      min_quad_over_simplex, stationary_candidates)
-from .sip import (CertificateError, SipInstance, cut_row_data,
-                  linear_row_data, solve_sip)
+from .sip import SipInstance, cut_row_data, linear_row_data, solve_sip
 
 
 class LedgerError(RuntimeError):
@@ -66,15 +66,8 @@ class IterationState:
     def measure(self):
         return len(self.records) + sum(len(r.L) for r in self.records)
 
-    def row_pairs(self, p):
-        eq, ineq = [], []
-        for i, rec in enumerate(self.records):
-            for k in range(p):
-                (eq if k in rec.L else ineq).append((i, k))
-        return tuple(eq), tuple(ineq)
-
     def sip_instance(self, prog, omega):
-        eq, ineq = self.row_pairs(prog.p)
+        eq, ineq = row_pairs(self.records, prog.p)
         return SipInstance(prog, tuple(r.tau for r in self.records), eq, ineq,
                            omega=omega)
 
@@ -128,24 +121,15 @@ class RegularizedProblem:
 
     @property
     def eq_rows(self):
-        return IterationState(0, self.records).row_pairs(self.prog.p)[0]
+        return row_pairs(self.records, self.prog.p)[0]
 
     @property
     def ineq_rows(self):
-        return IterationState(0, self.records).row_pairs(self.prog.p)[1]
+        return row_pairs(self.records, self.prog.p)[1]
 
     def row_margins(self, x):
         """(worst equality residual, worst inequality margin) at x."""
-        ax = eval_constraint(self.prog, x)
-        eq_res, ineq_margin = 0.0, np.inf
-        for i, rec in enumerate(self.records):
-            vals = ax @ rec.tau.coords
-            for k in range(self.prog.p):
-                if k in rec.L:
-                    eq_res = max(eq_res, abs(float(vals[k])))
-                else:
-                    ineq_margin = min(ineq_margin, float(vals[k]))
-        return eq_res, ineq_margin
+        return row_residuals(eval_constraint(self.prog, x), self.records)
 
 
 class RegularizationResult:
@@ -220,7 +204,7 @@ def reducing_matrix(cert, state_old, prog, tol_cert=1e-7):
     for i, lam in cert.lam.items():
         tc = state_old.records[i].tau.coords
         Y += np.outer(tc, lam) + np.outer(lam, tc)
-    worst = max(abs(float(np.sum(Aj * Y))) for Aj in prog.A)
+    worst = kernel_residual(prog, Y)
     if worst > tol_cert:
         raise LedgerError(f"reducing matrix leaves the constraint kernel: "
                           f"max |A_j . Y| = {worst:.3e} > {tol_cert:.0e}")
@@ -230,18 +214,10 @@ def reducing_matrix(cert, state_old, prog, tol_cert=1e-7):
 def face_membership(entry, D, cfg=DEFAULT):
     """D lies in the face: copositive, zero rows on each L, nonnegative
     rows elsewhere."""
-    D = np.asarray(D, dtype=float)
     if not is_copositive(D, cfg.tol_cop, cfg.p_max).copositive:
         return False
-    for rec in entry.records:
-        vals = D @ rec.tau.coords
-        for k in range(D.shape[0]):
-            if k in rec.L:
-                if abs(float(vals[k])) > cfg.tol_feas:
-                    return False
-            elif float(vals[k]) < -cfg.tol_feas:
-                return False
-    return True
+    eq_res, ineq_margin = row_residuals(D, entry.records)
+    return eq_res <= cfg.tol_feas and ineq_margin >= -cfg.tol_feas
 
 
 def sample_copositive(p, rng, scale=1.0):
@@ -250,42 +226,6 @@ def sample_copositive(p, rng, scale=1.0):
     N = 0.5 * (U + U.T)
     B = rng.normal(scale=scale / np.sqrt(p), size=(p, p))
     return N + B @ B.T
-
-
-def _row_functional(tau, k, p):
-    """Upper-triangle coefficients of D -> e_k' D tau."""
-    iu, ju = np.triu_indices(p)
-    row = np.zeros(iu.size)
-    t = tau.coords
-    for pos in range(iu.size):
-        a, b = int(iu[pos]), int(ju[pos])
-        v = 0.0
-        if a == b:
-            v = t[a] if a == k else 0.0
-        else:
-            if a == k:
-                v += t[b]
-            if b == k:
-                v += t[a]
-        row[pos] = v
-    return row
-
-
-def _project_to_zero_rows(D, records, p):
-    """Orthogonal projection (upper-triangle coordinates) of D onto the
-    subspace where every L-row vanishes."""
-    rows = [_row_functional(rec.tau, k, p) for rec in records for k in rec.L]
-    if not rows:
-        return D
-    C = np.array(rows)
-    iu = np.triu_indices(p)
-    vec = np.asarray(D, dtype=float)[iu]
-    corr = C.T @ np.linalg.lstsq(C @ C.T, C @ vec, rcond=None)[0]
-    vec = vec - corr
-    out = np.zeros((p, p))
-    out[iu] = vec
-    out = out + out.T - np.diag(np.diag(out))
-    return out
 
 
 def verify_ledger(entries, prog, cfg=DEFAULT, n_samples=200, seed=0):
@@ -299,9 +239,8 @@ def verify_ledger(entries, prog, cfg=DEFAULT, n_samples=200, seed=0):
     rng = np.random.default_rng(seed)
     report = {"entries": [], "ok": True}
     for idx, entry in enumerate(entries):
-        kernel_residual = max(abs(float(np.sum(Aj * entry.reducer)))
-                              for Aj in prog.A)
-        cond2 = kernel_residual <= cfg.tol_cert
+        kernel_res = kernel_residual(prog, entry.reducer)
+        cond2 = kernel_res <= cfg.tol_cert
 
         cert = entry.certificate
         gamma_ok = all(g > 0.0 for _t, g in cert.new_indices)
@@ -319,6 +258,7 @@ def verify_ledger(entries, prog, cfg=DEFAULT, n_samples=200, seed=0):
             region_ok = all(omega_prev.contains(t) for t, _g in cert.new_indices)
         cond1 = gamma_ok and lam_sign_ok and region_ok
 
+        C = zero_row_matrix(entry.records)
         members = 0
         mono_viol = 0
         orth_viol = 0
@@ -326,7 +266,7 @@ def verify_ledger(entries, prog, cfg=DEFAULT, n_samples=200, seed=0):
         for s in range(n_samples):
             D = sample_copositive(prog.p, rng)
             if s % 2 == 1:  # bias half the samples toward the face
-                D = _project_to_zero_rows(D, entry.records, prog.p)
+                D = project_to_zero_rows(D, C)
             if not face_membership(entry, D, cfg):
                 continue
             members += 1
@@ -338,7 +278,7 @@ def verify_ledger(entries, prog, cfg=DEFAULT, n_samples=200, seed=0):
                 mono_viol += 1
         entry_report = {
             "index": entry.index,
-            "kernel_residual": kernel_residual,
+            "kernel_residual": kernel_res,
             "cond_I": {"gamma_positive": gamma_ok, "lambda_signs": lam_sign_ok,
                        "new_points_in_region": region_ok},
             "cond_II": cond2,
@@ -396,9 +336,9 @@ def regularize(prog, cfg=DEFAULT):
     with the equivalent reduced problem, the ledger, and its compressed
     core; "failed" carries diagnostics instead of raising.
     """
-    a0_cop = is_copositive(prog.A[0], cfg.tol_cop, cfg.p_max).copositive
     trace = []
     try:
+        a0_cop = is_copositive(prog.A[0], cfg.tol_cop, cfg.p_max).copositive
         state = IterationState(0, ())
         inst = SipInstance(prog, (), (), (), omega=None)
         out = solve_sip(inst, cfg, a0_copositive=a0_cop)
@@ -459,7 +399,7 @@ def regularize(prog, cfg=DEFAULT):
                     "failed", ledger=ledger,
                     diagnostics={"trace": trace,
                                  "reason": out.diagnostics.get("reason")})
-    except (CertificateError, LedgerError, RuntimeError) as e:
+    except RuntimeError as e:  # LpError, CapabilityError, CertificateError, LedgerError
         return RegularizationResult(
             "failed", diagnostics={"trace": trace, "reason": str(e),
                                    "exception": type(e).__name__})
@@ -488,7 +428,7 @@ def one_step_regularize(prog, W, cfg=DEFAULT, strict=True):
         L = frozenset(t.support_plus(cfg.tol_support)) if strict else frozenset()
         records.append(Record(t, L))
     omega = ReducedRegion(W, tol_support=cfg.tol_support, tol_feas=cfg.tol_feas)
-    eq, ineq = IterationState(0, records).row_pairs(prog.p)
+    eq, ineq = row_pairs(records, prog.p)
     inst = SipInstance(prog, W, eq, ineq, omega=omega)
     a0_cop = is_copositive(prog.A[0], cfg.tol_cop, cfg.p_max).copositive
     out = solve_sip(inst, cfg, a0_copositive=a0_cop)
@@ -599,41 +539,35 @@ class MinimalFaceDescriptor:
         self.M = {int(j): tuple(v) for j, v in M.items()}
         self.flags = dict(flags)
         self.cfg = cfg
+        self.records = tuple(Record(t, self.M[j])
+                             for j, t in enumerate(self.vertices))
+
+    def _memberships(self, D):
+        """(equalities-only form, equalities-plus-sign-rows form) for D."""
+        if not is_copositive(D, self.cfg.tol_cop, self.cfg.p_max).copositive:
+            return False, False
+        eq_res, ineq_margin = row_residuals(D, self.records)
+        eq = eq_res <= self.cfg.tol_feas
+        return eq, eq and ineq_margin >= -self.cfg.tol_feas
 
     def member_eq(self, D):
-        D = np.asarray(D, dtype=float)
-        if not is_copositive(D, self.cfg.tol_cop, self.cfg.p_max).copositive:
-            return False
-        for j, t in enumerate(self.vertices):
-            vals = D @ t.coords
-            for k in self.M[j]:
-                if abs(float(vals[k])) > self.cfg.tol_feas:
-                    return False
-        return True
+        return self._memberships(D)[0]
 
     def member_eq_ineq(self, D):
-        if not self.member_eq(D):
-            return False
-        D = np.asarray(D, dtype=float)
-        for j, t in enumerate(self.vertices):
-            vals = D @ t.coords
-            for k in range(t.p):
-                if k not in self.M[j] and float(vals[k]) < -self.cfg.tol_feas:
-                    return False
-        return True
+        return self._memberships(D)[1]
 
     def cross_check(self, n_samples=500, seed=0):
         """Sample copositive matrices (raw and projected onto the equality
         rows) and require the two forms to agree on every one."""
         rng = np.random.default_rng(seed)
         p = self.vertices[0].p
-        recs = [Record(t, self.M[j]) for j, t in enumerate(self.vertices)]
+        C = zero_row_matrix(self.records)
         checked = members = 0
         for s in range(n_samples):
             D = sample_copositive(p, rng)
             if s % 2 == 1:
-                D = _project_to_zero_rows(D, recs, p)
-            a, b = self.member_eq(D), self.member_eq_ineq(D)
+                D = project_to_zero_rows(D, C)
+            a, b = self._memberships(D)
             if a != b:
                 raise RuntimeError(
                     "minimal-face forms disagree on a sampled copositive "

@@ -63,11 +63,22 @@ def test_check_copositive_horn(workdir, capsys):
 
 
 def test_check_copositive_witness(workdir, tmp_path, capsys):
+    D = np.array([[0.0, -1.0], [-1.0, 0.0]])
     bad = tmp_path / "bad.json"
-    bad.write_bytes(serialize_matrix(np.array([[0.0, -1.0], [-1.0, 0.0]])))
-    rc = main(["check-copositive", "--matrix", str(bad)])
+    bad.write_bytes(serialize_matrix(D))
+    out = tmp_path / "cop.json"
+    rc = main(["check-copositive", "--matrix", str(bad), "--out", str(out)])
     assert rc == 0
     assert "not copositive" in capsys.readouterr().out
+    doc = json.load(open(out))
+    assert doc["copositive"] is False
+    w = np.array(doc["witness"])
+    assert doc["margin"] < 0 and float(w @ D @ w) < 0
+
+
+def test_zero_samples_rejected(workdir, capsys):
+    assert main(["equiv-check", "--problem", workdir["e2"], "--samples", "0"]) == 1
+    assert "samples" in capsys.readouterr().err
 
 
 def test_missing_file_is_domain_error(workdir, capsys):

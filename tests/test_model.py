@@ -4,10 +4,12 @@ import os
 import numpy as np
 import pytest
 
-from coporeg import (CopositiveProgram, ProblemFormatError, SimplexPoint,
-                     eval_constraint, kernel_dimension, parse_matrix,
-                     parse_problem, quad_form, row_action, serialize_problem,
-                     shift_to_feasible)
+from coporeg import (CopositiveProgram, ProblemFormatError, Record,
+                     SimplexPoint, eval_constraint, kernel_dimension,
+                     parse_matrix, parse_problem, quad_form, row_action,
+                     serialize_problem, shift_to_feasible)
+from coporeg.model import (project_to_zero_rows, row_functionals,
+                           row_residuals, zero_row_matrix)
 
 from conftest import fixture_path
 
@@ -76,6 +78,45 @@ def test_kernel_dimension(e1, e2):
 def test_kernel_dimension_scale_invariant(e2):
     scaled = CopositiveProgram(e2.c, [7.0 * e2.A[0], -3.0 * e2.A[1]])
     assert kernel_dimension(scaled) == kernel_dimension(e2)
+
+
+def _random_point(rng, p):
+    raw = rng.uniform(size=p) * (rng.uniform(size=p) < 0.7)
+    raw[rng.integers(p)] += 0.1
+    return SimplexPoint(raw / raw.sum())
+
+
+def _random_sym(rng, p):
+    m = rng.normal(size=(p, p))
+    return 0.5 * (m + m.T)
+
+
+def test_row_functionals_give_rows_of_d_tau():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        p = int(rng.integers(2, 9))
+        tau = _random_point(rng, p)
+        ks = sorted(rng.choice(p, size=int(rng.integers(1, p + 1)), replace=False))
+        D = _random_sym(rng, p)
+        lhs = row_functionals(tau, ks) @ D[np.triu_indices(p)]
+        assert np.max(np.abs(lhs - (D @ tau.coords)[ks])) <= 1e-12
+
+
+def test_project_to_zero_rows_is_an_idempotent_projection():
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        p = int(rng.integers(2, 7))
+        recs = []
+        for _ in range(int(rng.integers(1, 3))):
+            tau = _random_point(rng, p)
+            recs.append(Record(tau, tau.support_plus()))
+        C = zero_row_matrix(recs)
+        P = project_to_zero_rows(_random_sym(rng, p), C)
+        assert np.array_equal(P, P.T)
+        assert row_residuals(P, recs)[0] <= 1e-12
+        assert np.max(np.abs(project_to_zero_rows(P, C) - P)) <= 1e-12
+    D = _random_sym(rng, 3)
+    assert project_to_zero_rows(D, zero_row_matrix([])) is D
 
 
 def test_parse_serialize_round_trip(e2):

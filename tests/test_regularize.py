@@ -78,6 +78,13 @@ def test_witness_margin_certified(e2, reg_e2):
     assert reg.margin > 0
 
 
+def test_dimension_beyond_cap_reports_failed():
+    prog = CopositiveProgram([1.0], [np.eye(4), np.zeros((4, 4))])
+    res = regularize(prog, DEFAULT.replace(p_max=3))
+    assert res.status == "failed"
+    assert res.diagnostics["exception"] == "CapabilityError"
+
+
 # ---------------------------------------------------------------------------
 # state updates
 
