@@ -204,9 +204,8 @@ def _write_json(doc, path):
 # ---------------------------------------------------------------------------
 # argument handling
 
-_TOL_FLAGS = ["tol-feas", "tol-support", "tol-rank", "tol-cop", "tol-strict",
-              "tol-lp", "tol-mult", "tol-cert", "tol-zero", "tol-neg",
-              "tol-band"]
+_TOL_FLAGS = ["tol-feas", "tol-support", "tol-rank", "tol-cop", "tol-lp",
+              "tol-mult", "tol-cert", "tol-zero", "tol-neg", "tol-band"]
 
 
 def _add_common(parser):

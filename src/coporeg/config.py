@@ -3,6 +3,7 @@
 import json
 import os
 from dataclasses import asdict, dataclass, fields
+from numbers import Real
 
 
 @dataclass(frozen=True)
@@ -20,7 +21,6 @@ class RunConfig:
     tol_support: float = 1e-7    # positive-support threshold for simplex points
     tol_rank: float = 1e-10      # rank and span tests
     tol_cop: float = 1e-9        # copositivity margin
-    tol_strict: float = 1e-9     # strict copositivity margin
     tol_lp: float = 1e-9         # LP optimality / duality gap
     tol_mult: float = 1e-7       # multipliers at or below this are zero
     tol_cert: float = 1e-7       # certificate stationarity / kernel residual
@@ -39,10 +39,13 @@ class RunConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if f.name.startswith("tol_"):
-                v = getattr(self, f.name)
-                if not (v > 0.0):
-                    raise ValueError(f"{f.name} must be positive, got {v}")
+            v = getattr(self, f.name)
+            if v is None and f.name == "iteration_cap":
+                continue
+            if isinstance(v, bool) or not isinstance(v, Real):
+                raise ValueError(f"{f.name} must be a number, got {v!r}")
+            if f.name.startswith("tol_") and not (v > 0.0):
+                raise ValueError(f"{f.name} must be positive, got {v}")
         if not (0.0 < self.h <= 0.25):
             raise ValueError(f"h must lie in (0, 1/4], got {self.h}")
         if self.iteration_cap is not None and self.iteration_cap < 1:
@@ -81,8 +84,13 @@ def load_env_config(base=None, env_var="COPOREG_CONFIG"):
     path = os.environ.get(env_var)
     merged = {}
     if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                file_cfg = json.load(fh)
+        except (OSError, ValueError) as e:
+            raise ValueError(f"config file {path!r}: {e}") from e
+        if not isinstance(file_cfg, dict):
+            raise ValueError(f"config file {path!r} must hold a JSON object")
         known = {f.name for f in fields(RunConfig)}
         unknown = set(file_cfg) - known
         if unknown:

@@ -191,7 +191,8 @@ class ReducedRegion:
 
     Membership is ``l1_dist_to_hull(t, V) >= sigma``.  A cheap sandwich
     (dual sign vectors below, nearest-point distance above) decides almost
-    every grid point; the thin undecided shell falls back to the exact LP.
+    every grid point; a point it leaves undecided at either cut of
+    ``grid_mask`` gets one exact LP, which decides both cuts.
     """
 
     def __init__(self, V, sigma=None, tol_support=1e-7, tol_feas=1e-9):
@@ -211,15 +212,17 @@ class ReducedRegion:
                           for i in range(1 << self.p)])              # (2^p, p)
         self._signs = signs
         self._sign_offsets = np.max(signs @ self._vmat.T, axis=1)    # (2^p,)
-        self._selected = {}                                          # N -> points in the region
+        self._selected = {}                                          # N -> selected_points(N)
 
     def contains(self, t):
         """Exact membership via the hull-distance LP."""
         return l1_dist_to_hull(t, self.V) >= self.sigma - self.tol_feas
 
-    def grid_mask(self, points, relax=0.0):
+    def grid_mask(self, points, relax):
         """Vectorized membership for an (M, p) array of simplex points.
 
+        Returns ``(near, inside)``: hull distance at least
+        ``sigma - tol_feas - relax`` and at least ``sigma - tol_feas``.
         Loops run over the small dimensions (sign vectors, hull points) so
         no (M x 2^p) intermediate is materialized.
         """
@@ -230,32 +233,29 @@ class ReducedRegion:
         upper = np.full(M, np.inf)
         for v in self._vmat:
             np.minimum(upper, np.sum(np.abs(points - v), axis=1), out=upper)
-        cut = self.sigma - self.tol_feas - relax
-        mask = lower >= cut
-        undecided = np.nonzero(~mask & (upper >= cut))[0]
-        for i in undecided:
-            mask[i] = l1_dist_to_hull(points[i], self.V) >= cut
-        return mask
+        cut = self.sigma - self.tol_feas
+        near, inside = lower >= cut - relax, lower >= cut
+        undecided = (~near & (upper >= cut - relax)) | (~inside & (upper >= cut))
+        for i in np.nonzero(undecided)[0]:
+            d = l1_dist_to_hull(points[i], self.V)
+            near[i], inside[i] = d >= cut - relax, d >= cut
+        return near, inside
 
-    def selected_points(self, denominator, relax=0.0):
-        """Grid points within ``relax`` (in the hull distance) of the
-        region, at the given resolution (cached: the mask does not depend
-        on the quadratic being minimized)."""
+    def selected_points(self, denominator):
+        """``(points, inside, r)`` at the given resolution: the grid points
+        within the covering radius r = p/(2N) (in the hull distance) of the
+        region, and which of them lie in the region itself (cached: the
+        masks do not depend on the quadratic being minimized)."""
         N = int(denominator)
-        key = (N, float(relax))
-        if key not in self._selected:
+        if N not in self._selected:
+            r = self.p / (2.0 * N)
             pts = simplex_grid(self.p, N)
-            sel = pts[self.grid_mask(pts, relax=relax)]
+            near, inside = self.grid_mask(pts, r)
+            sel, flags = pts[near], inside[near]
             sel.setflags(write=False)
-            self._selected[key] = sel
-        return self._selected[key]
-
-    def is_empty(self):
-        """Exact emptiness probe: the convex distance attains its maximum
-        over the simplex at a vertex."""
-        eye = np.eye(self.p)
-        return all(l1_dist_to_hull(eye[k], self.V) < self.sigma - self.tol_feas
-                   for k in range(self.p))
+            flags.setflags(write=False)
+            self._selected[N] = (sel, flags, r)
+        return self._selected[N]
 
 
 @lru_cache(maxsize=64)
@@ -295,16 +295,17 @@ def grid_point_count(p, denominator):
 def min_quad_over_omega(D, omega, h, max_grid_points=3_000_000):
     """Grid minimum of t' D t over the reduced region, certified below.
 
-    The certificate combines two bounds over the grid points within the
-    covering radius r = p/(2N) of the region (nearest grid neighbors of
-    region points can sit just inside the excluded neighborhood, so the
-    selection is relaxed by r): the Lipschitz bound grid_min - L*r with
+    t' D t is evaluated once on the grid points within the covering radius
+    r = p/(2N) of the region (nearest grid neighbors of region points can
+    sit just inside the excluded neighborhood); the value and argmin come
+    from the points inside the region.  The certificate combines two bounds
+    over all selected points: the Lipschitz bound grid_min - L*r with
     L = 2 max|D_kl|, and the per-point expansion
         q(t) >= q(g) - (max_k - min_k)(Dg) * r - max|D| * r^2,
     whose centered gradient (displacements on the simplex sum to zero)
-    wins near flat minima.  Returns the distinguished empty result when
-    the region holds no grid point and the vertex probe confirms it is
-    empty.
+    wins near flat minima.  An empty inside set certifies that the region
+    is empty: the grid holds every vertex, where the convex hull distance
+    peaks, and the mask decides every grid point exactly.
     """
     D = np.asarray(D, dtype=float)
     p = D.shape[0]
@@ -317,28 +318,19 @@ def min_quad_over_omega(D, omega, h, max_grid_points=3_000_000):
         raise CapabilityError(
             f"grid of {grid_point_count(p, N)} points exceeds the cap "
             f"{max_grid_points} (p={p}, 1/h={N})")
-    sel = omega.selected_points(N)
+    sel, inside, r = omega.selected_points(N)
     maxd = float(np.max(np.abs(D)))
     L = 2.0 * maxd
-    if sel.shape[0] == 0:
-        if omega.is_empty():
-            return OracleResult(np.inf, None, "empty", value_lb=np.inf,
-                                h=h, lipschitz=L)
-        # cannot happen: the grid contains every vertex, and a nonempty
-        # region always contains the vertex maximizing the hull distance
-        raise RuntimeError("reduced region nonempty but holds no grid point")
+    if not inside.any():
+        return OracleResult(np.inf, None, "empty", value_lb=np.inf,
+                            h=h, lipschitz=L)
     G = sel @ D
     vals = np.einsum("ij,ij->i", sel, G)
-    i = int(np.argmin(vals))
+    i = int(np.argmin(np.where(inside, vals, np.inf)))
     value = float(vals[i])
-
-    r = p / (2.0 * N)
-    rel = omega.selected_points(N, relax=r)
-    Gr = rel @ D
-    vals_r = np.einsum("ij,ij->i", rel, Gr)
-    centered = 0.5 * (np.max(Gr, axis=1) - np.min(Gr, axis=1))
-    lb_lip = float(np.min(vals_r)) - L * r
-    lb_grad = float(np.min(vals_r - 2.0 * centered * r - maxd * r * r))
+    centered = 0.5 * (np.max(G, axis=1) - np.min(G, axis=1))
+    lb_lip = float(np.min(vals)) - L * r
+    lb_grad = float(np.min(vals - 2.0 * centered * r - maxd * r * r))
     return OracleResult(value, SimplexPoint(sel[i]), "grid",
                         value_lb=max(lb_lip, lb_grad), h=h, lipschitz=L)
 

@@ -151,6 +151,20 @@ def test_env_config_merges_under_flags(workdir, tmp_path, monkeypatch, capsys):
     assert "60 samples" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("content", [None, '{"h": "0.1"}', "null"],
+                         ids=["missing", "string-value", "null"])
+def test_bad_env_config_is_domain_error(workdir, tmp_path, monkeypatch, capsys,
+                                        content):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content)
+    monkeypatch.setenv("COPOREG_CONFIG", str(cfg))
+    rc = main(["equiv-check", "--problem", workdir["e2"], "--samples", "10"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_build_report_failed_status(e2):
     from coporeg import RegularizationResult
     res = RegularizationResult("failed", diagnostics={"reason": "test"})

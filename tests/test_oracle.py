@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import numpy as np
@@ -8,6 +9,7 @@ from coporeg import (CapabilityError, ReducedRegion, SimplexPoint,
                      is_strictly_copositive, l1_dist_to_hull,
                      min_quad_over_omega, min_quad_over_simplex, quad_form,
                      simplex_grid)
+from coporeg import oracle
 
 from conftest import simplex
 
@@ -206,18 +208,38 @@ def test_region_duplicate_points_do_not_change_membership():
     r2 = ReducedRegion(V + [simplex(0.5, 0.5)])
     assert r1.sigma == r2.sigma
     pts = simplex_grid(2, 32)
-    assert np.array_equal(r1.grid_mask(pts), r2.grid_mask(pts))
+    for m1, m2 in zip(r1.grid_mask(pts, 2 / 64), r2.grid_mask(pts, 2 / 64)):
+        assert np.array_equal(m1, m2)
 
 
 def test_grid_mask_matches_exact_lp():
-    # the sandwich plus LP fallback must agree with the exact predicate
+    # the sandwich plus LP fallback must agree with the exact predicate at
+    # both cuts, unrelaxed and relaxed by the covering radius p/(2N)
     V = [simplex(0.6, 0.2, 0.2), simplex(0.2, 0.7, 0.1)]
     region = ReducedRegion(V)
     pts = simplex_grid(3, 16)
-    mask = region.grid_mask(pts)
-    for i in range(pts.shape[0]):
-        exact = l1_dist_to_hull(pts[i], V) >= region.sigma - region.tol_feas
-        assert mask[i] == exact
+    cut = region.sigma - region.tol_feas
+    dist = [l1_dist_to_hull(t, V) for t in pts]
+    for relax in (0.0, 3 / 32):
+        near, inside = region.grid_mask(pts, relax)
+        for i, d in enumerate(dist):
+            assert near[i] == (d >= cut - relax)
+            assert inside[i] == (d >= cut)
+
+
+def test_grid_mask_solves_at_most_one_lp_per_point(monkeypatch):
+    # a point undecided at both cuts is decided by a single LP
+    V = [simplex(0.6, 0.2, 0.2), simplex(0.2, 0.7, 0.1)]
+    region = ReducedRegion(V)
+    calls = collections.Counter()
+
+    def counting(t, hull):
+        calls[tuple(t)] += 1
+        return l1_dist_to_hull(t, hull)
+
+    monkeypatch.setattr(oracle, "l1_dist_to_hull", counting)
+    min_quad_over_omega(np.eye(3), region, 1 / 16)
+    assert calls and max(calls.values()) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +273,35 @@ def test_omega_min_zero_matrix():
 def test_omega_empty_region():
     # the hull of the two vertices is the whole simplex, sigma = 1
     region = ReducedRegion([simplex(1, 0), simplex(0, 1)])
-    assert region.is_empty()
     res = min_quad_over_omega(np.eye(2), region, 2.0 ** -5)
     assert res.empty
     assert res.value == np.inf
+
+
+def test_omega_min_matches_exact_lp_on_random_hulls():
+    # differential check against the hull-distance LP on every grid point:
+    # value is the minimum over the region's grid points, and the region is
+    # empty exactly when no simplex vertex lies in it (sigma is drawn so
+    # that both outcomes occur)
+    rng = np.random.default_rng(7)
+    pts = simplex_grid(3, 8)
+    outcomes = set()
+    for m in (1, 2, 3):
+        for _ in range(8):
+            V = [SimplexPoint(c) for c in rng.dirichlet(np.ones(3), size=m)]
+            region = ReducedRegion(V, sigma=rng.uniform(0.2, 2.0))
+            cut = region.sigma - region.tol_feas
+            D = random_sym(rng, 3)
+            res = min_quad_over_omega(D, region, 1 / 8)
+            inside = [t for t in pts if l1_dist_to_hull(t, V) >= cut]
+            vertex_in = any(l1_dist_to_hull(e, V) >= cut for e in np.eye(3))
+            assert res.empty == (not vertex_in)
+            outcomes.add(res.empty)
+            if inside:
+                assert res.value == pytest.approx(
+                    min(float(t @ D @ t) for t in inside), rel=1e-12, abs=1e-12)
+                assert res.value_lb <= res.value
+    assert outcomes == {True, False}
 
 
 def test_omega_value_lb_is_sound():
