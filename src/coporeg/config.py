@@ -44,6 +44,8 @@ class RunConfig:
                 continue
             if isinstance(v, bool) or not isinstance(v, Real):
                 raise ValueError(f"{f.name} must be a number, got {v!r}")
+            if f.type in (int, int | None) and not isinstance(v, int):
+                raise ValueError(f"{f.name} must be an integer, got {v!r}")
             if f.name.startswith("tol_") and not (v > 0.0):
                 raise ValueError(f"{f.name} must be positive, got {v}")
         if not (0.0 < self.h <= 0.25):

@@ -134,24 +134,6 @@ def _dual_offsets(inst, n):
     return n_eq, n_eq + n_ineq, n_eq + n_ineq + box
 
 
-def _check_zero_feasible(inst, cuts, tol):
-    """(x=0, mu=0) must satisfy every master row when A_0 is copositive."""
-    prog = inst.prog
-    for i, k in inst.eq_rows:
-        _coefs, rhs = linear_row_data(prog, inst.taus[i], k)
-        if abs(rhs) > tol:
-            return False
-    for i, k in inst.ineq_rows:
-        _coefs, rhs = linear_row_data(prog, inst.taus[i], k)
-        if rhs > tol:
-            return False
-    for t in cuts:
-        _coefs, rhs = cut_row_data(prog, t)
-        if rhs > tol:
-            return False
-    return True
-
-
 def solve_sip(inst, cfg, a0_copositive=False):
     """Run the cutting-plane loop; see module docstring for the trichotomy."""
     prog = inst.prog
@@ -161,14 +143,17 @@ def solve_sip(inst, cfg, a0_copositive=False):
     refinements = 0
     escalations = 0
     cuts = []
-    trace = []
+    mu_star = None
 
     for rounds in range(1, cfg.cut_rounds + 1):
-        if a0_copositive and not _check_zero_feasible(inst, cuts, cfg.tol_feas):
+        master = _build_master(inst, cuts, box_r)
+        # with A_0 copositive, (x=0, mu=0) satisfies every master row
+        if a0_copositive and any(
+                abs(rhs) > cfg.tol_feas if rel == REL_EQ else rhs > cfg.tol_feas
+                for _a, rel, rhs in master.rows):
             raise RuntimeError(
                 "A_0 was flagged copositive but (x=0, mu=0) violates the "
                 "master; the flag or the record data is wrong")
-        master = _build_master(inst, cuts, box_r)
         sol = solve_lp(master, tol=cfg.tol_lp)
         if sol.status == "Infeasible":
             raise RuntimeError(
@@ -178,7 +163,6 @@ def solve_sip(inst, cfg, a0_copositive=False):
             raise RuntimeError("master LP unbounded despite box rows")
         x_star = sol.primal[:n]
         mu_star = float(sol.primal[n])
-        trace.append(mu_star)
 
         ax = eval_constraint(prog, x_star)
         if inst.omega is None:
@@ -197,55 +181,35 @@ def solve_sip(inst, cfg, a0_copositive=False):
                     diagnostics={"omega_empty": True, "rounds": rounds,
                                  "mu_star": mu_star}, cuts=cuts)
 
-        violation = res.value + mu_star
-        if violation < -cfg.tol_feas:
-            dup = any(np.max(np.abs(res.argmin.coords - t.coords)) <= 1e-12
-                      for t in cuts)
-            if not dup:
+        # a branch that neither returns nor continues names its reason for
+        # the shared refine-or-give-up tail
+        refinable = True
+        if res.value + mu_star < -cfg.tol_feas:
+            if not any(np.max(np.abs(res.argmin.coords - t.coords)) <= 1e-12
+                       for t in cuts):
                 cuts.append(res.argmin)
                 continue
             # repeated cut: the grid cannot separate further at this h
-            if inst.omega is not None and refinements < cfg.refine_rounds:
-                refinements += 1
-                h_cur *= 0.5
-                continue
-            return SipOutcome("unresolved", diagnostics={
-                "reason": "separation stalled on a duplicate cut",
-                "mu_star": mu_star, "rounds": rounds}, cuts=cuts)
-
-        if mu_star <= -cfg.tol_neg:
-            # preferred slack: half the master optimum; fallback: the
-            # certified lower bound itself, when positive at tolerance scale
+            reason = "separation stalled on a duplicate cut"
+            refinable = inst.omega is not None
+        elif mu_star <= -cfg.tol_neg:
+            # certified by the grid bound at the resolution that found it:
+            # value_lb bounds t'A(x*)t below over the region.  Preferred
+            # slack: half the master optimum; fallback: the bound itself,
+            # when positive at tolerance scale
             mu_bar = None
             if res.value_lb >= -mu_star / 2.0:
                 mu_bar = mu_star / 2.0
             elif res.value_lb >= cfg.tol_neg:
                 mu_bar = -res.value_lb
-            if mu_bar is not None and inst.omega is not None:
-                # post-hoc check at half resolution (the h-level bound is
-                # already rigorous, so a capped grid keeps the primary claim)
-                try:
-                    confirm = min_quad_over_omega(ax, inst.omega, h_cur / 2.0,
-                                                  max_grid_points=cfg.max_grid_points)
-                except CapabilityError:
-                    confirm = None
-                if confirm is not None and confirm.value_lb < -mu_bar:
-                    mu_bar = -confirm.value_lb if confirm.value_lb >= cfg.tol_neg else None
             if mu_bar is not None:
                 return SipOutcome(
                     "negative", point=DecisionPoint(x_star, mu_bar),
                     diagnostics={"rounds": rounds, "mu_star": mu_star,
                                  "h": h_cur, "margin_lb": res.value_lb},
                     cuts=cuts)
-            if refinements < cfg.refine_rounds:
-                refinements += 1
-                h_cur *= 0.5
-                continue
-            return SipOutcome("unresolved", diagnostics={
-                "reason": "negative optimum not certifiable at the finest grid",
-                "mu_star": mu_star, "rounds": rounds}, cuts=cuts)
-
-        if abs(mu_star) <= cfg.tol_zero:
+            reason = "negative optimum not certifiable at the finest grid"
+        elif abs(mu_star) <= cfg.tol_zero:
             _e, _i, box_off = _dual_offsets(inst, n)
             box_duals = sol.dual[box_off - 2 * (n + 1):box_off]
             if float(np.max(np.abs(box_duals), initial=0.0)) > cfg.tol_mult:
@@ -262,26 +226,25 @@ def solve_sip(inst, cfg, a0_copositive=False):
                               certificate=cert,
                               diagnostics={"rounds": rounds, "mu_star": mu_star,
                                            "h": h_cur}, cuts=cuts)
-
-        if mu_star > cfg.tol_zero:
+        elif mu_star > cfg.tol_zero:
             return SipOutcome("unresolved", diagnostics={
                 "reason": "positive optimum: the subproblem admits no zero "
                           "slack (is the program feasible?)",
                 "mu_star": mu_star, "rounds": rounds}, cuts=cuts)
+        else:
+            # mu* in the ambiguous gap (-tol_neg, -tol_zero)
+            reason = "optimum stuck between tol_zero and tol_neg"
 
-        # mu* in the ambiguous gap (-tol_neg, -tol_zero)
-        if refinements < cfg.refine_rounds:
+        if refinable and refinements < cfg.refine_rounds:
             refinements += 1
             h_cur *= 0.5
             continue
         return SipOutcome("unresolved", diagnostics={
-            "reason": "optimum stuck between tol_zero and tol_neg",
-            "mu_star": mu_star, "rounds": rounds}, cuts=cuts)
+            "reason": reason, "mu_star": mu_star, "rounds": rounds}, cuts=cuts)
 
     return SipOutcome("unresolved", diagnostics={
         "reason": "cutting-plane round cap exceeded",
-        "mu_star": trace[-1] if trace else None, "rounds": cfg.cut_rounds},
-        cuts=cuts)
+        "mu_star": mu_star, "rounds": cfg.cut_rounds}, cuts=cuts)
 
 
 def extract_certificate(sol, cuts, inst, cfg, iteration0):

@@ -218,6 +218,23 @@ def test_criterion_8_certificate_exactness(successful_runs):
             "support bounds hold")
 
 
+def test_witness_margin_holds_at_and_below_the_final_resolution(successful_runs):
+    # the driver certifies the witness margin by the grid bound at the
+    # resolution that found it; a grid twice as fine, whose value bounds
+    # the region minimum from above, agrees
+    checked = 0
+    for name, prog, res in successful_runs:
+        reg = res.regularized
+        if reg.omega is None:
+            continue
+        h = res.diagnostics["trace"][-1]["h"]
+        ax = eval_constraint(prog, reg.witness)
+        assert reg.margin <= min_quad_over_omega(ax, reg.omega, h).value_lb, name
+        assert reg.margin <= min_quad_over_omega(ax, reg.omega, h / 2.0).value, name
+        checked += 1
+    assert checked > 0
+
+
 def test_criterion_9_lp_core():
     rng = np.random.default_rng(99)
     ok = True

@@ -8,7 +8,7 @@ import pytest
 from coporeg import parse_problem, serialize_matrix, serialize_problem
 from coporeg.cli import (REPORT_SCHEMA, build_report, ledger_from_report,
                          main, regularized_from_report)
-from coporeg.config import DEFAULT
+from coporeg.config import DEFAULT, RunConfig
 from coporeg.regularize import verify_ledger
 
 from conftest import fixture_path
@@ -81,6 +81,11 @@ def test_zero_samples_rejected(workdir, capsys):
     assert "samples" in capsys.readouterr().err
 
 
+def test_fractional_integer_field_rejected():
+    with pytest.raises(ValueError, match="samples"):
+        RunConfig(samples=2.5)
+
+
 def test_missing_file_is_domain_error(workdir, capsys):
     rc = main(["regularize", "--problem", os.path.join(workdir["dir"], "nope.json")])
     assert rc == 1
@@ -151,8 +156,10 @@ def test_env_config_merges_under_flags(workdir, tmp_path, monkeypatch, capsys):
     assert "60 samples" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("content", [None, '{"h": "0.1"}', "null"],
-                         ids=["missing", "string-value", "null"])
+@pytest.mark.parametrize("content", [None, '{"h": "0.1"}', "null",
+                                     '{"seed": 1.5}', '{"cut_rounds": 2.5}'],
+                         ids=["missing", "string-value", "null",
+                              "float-seed", "float-cut-rounds"])
 def test_bad_env_config_is_domain_error(workdir, tmp_path, monkeypatch, capsys,
                                         content):
     cfg = tmp_path / "cfg.json"

@@ -297,10 +297,14 @@ def test_omega_min_matches_exact_lp_on_random_hulls():
             vertex_in = any(l1_dist_to_hull(e, V) >= cut for e in np.eye(3))
             assert res.empty == (not vertex_in)
             outcomes.add(res.empty)
+            # a finer grid's value bounds the region minimum from above
+            fine = min_quad_over_omega(D, region, 1 / 32)
+            assert fine.empty == res.empty
             if inside:
                 assert res.value == pytest.approx(
                     min(float(t @ D @ t) for t in inside), rel=1e-12, abs=1e-12)
                 assert res.value_lb <= res.value
+                assert res.value_lb <= fine.value + 1e-12
     assert outcomes == {True, False}
 
 

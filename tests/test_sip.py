@@ -1,9 +1,12 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from coporeg import (DEFAULT, CopositiveProgram, ReducedRegion,
                      SipInstance, eval_constraint, extract_certificate,
-                     min_quad_over_simplex, solve_sip)
+                     generate_instance, min_quad_over_simplex, regularize,
+                     solve_sip)
 from coporeg.lp import REL_GE, LinearProgram, solve_lp
 from coporeg.sip import _build_master, cut_row_data
 
@@ -44,6 +47,44 @@ def test_sip1_e2_negative(e2):
     assert out.negative_feasible
     assert out.point.mu <= -0.25 + 1e-6
     assert out.point.x[0] >= -1e-9
+
+
+def test_sip_evaluates_region_only_at_reported_resolution(e2, monkeypatch):
+    # a negative optimum is certified by the grid bound at the resolution
+    # that found it: no solve evaluates the region on a grid finer than the
+    # h it reports
+    sip_mod = importlib.import_module("coporeg.sip")
+    reg_mod = importlib.import_module("coporeg.regularize")
+    grid, solve = sip_mod.min_quad_over_omega, reg_mod.solve_sip
+    seen = []
+    solves = []   # (h of every region evaluation, reported h) per solve
+
+    def recording_grid(ax, omega, h, **kw):
+        seen.append(h)
+        return grid(ax, omega, h, **kw)
+
+    def recording_solve(*args, **kw):
+        start = len(seen)
+        out = solve(*args, **kw)
+        solves.append((seen[start:], out.diagnostics.get("h")))
+        return out
+
+    monkeypatch.setattr(sip_mod, "min_quad_over_omega", recording_grid)
+    monkeypatch.setattr(reg_mod, "solve_sip", recording_solve)
+
+    tau = simplex(1, 0)
+    inst = SipInstance(e2, (tau,), ((0, 0),), ((0, 1),),
+                       omega=ReducedRegion([tau]))
+    out = solve_sip(inst, DEFAULT, a0_copositive=True)
+    assert out.negative_feasible and seen
+    assert all(h >= out.diagnostics["h"] for h in seen)
+
+    W = [simplex(1, 0, 0), simplex(0, 1, 0)]
+    res = regularize(generate_instance(seed=50, p=3, n=2, planted=W))
+    assert res.status == "regularized"
+    assert any(hs for hs, _h in solves)
+    for hs, h in solves:
+        assert all(x >= h for x in hs)
 
 
 def test_sip0_e3_zero(e3):
