@@ -12,15 +12,17 @@ import sys
 
 import jsonschema
 import numpy as np
+from jsonschema.exceptions import best_match
 
 from .config import RunConfig, load_env_config
-from .model import (ProblemFormatError, SimplexPoint, parse_matrix,
-                    parse_problem, shift_to_feasible)
+from .model import (ProblemFormatError, SimplexPoint, certificate_matrix,
+                    kernel_residual, parse_matrix, parse_problem,
+                    shift_to_feasible)
 from .oracle import ReducedRegion, is_copositive
 from .regularize import (FaceLedgerEntry, Record, RegularizedProblem,
                          feasibility_equiv_sample, minimal_face,
                          one_step_regularize, regularize, verify_ledger)
-from .sip import DualCertificate, certificate_residual
+from .sip import DualCertificate
 
 REPORT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
@@ -76,6 +78,7 @@ REPORT_SCHEMA = {
         "diagnostics": {"type": "object"},
     },
 }
+_REPORT_VALIDATOR = jsonschema.Draft7Validator(REPORT_SCHEMA)
 
 
 def build_report(result, prog, cfg):
@@ -116,7 +119,9 @@ def build_report(result, prog, cfg):
         "tolerances": cfg.to_dict(),
         "diagnostics": _jsonable(result.diagnostics),
     }
-    jsonschema.validate(report, REPORT_SCHEMA)
+    error = best_match(_REPORT_VALIDATOR.iter_errors(report))
+    if error is not None:
+        raise error
     return report
 
 
@@ -153,10 +158,15 @@ def _jsonable(obj):
 
 
 def ledger_from_report(report, prog):
-    """Rebuild ledger entries (with recomputed residuals) from a report."""
+    """Rebuild ledger entries (with recomputed residuals) from a report; an
+    L index outside 1..p or a lambda key naming no previous record is a
+    ProblemFormatError."""
     entries = []
     prev_records = ()
     for it in report.get("iterations", []):
+        if any(not 1 <= k <= prog.p for L in it["L"] for k in L):
+            raise ProblemFormatError(
+                f"iteration {it['m']}: a row index in L lies outside 1..{prog.p}")
         records = tuple(
             Record(SimplexPoint(t), frozenset(k - 1 for k in L))
             for t, L in zip(it["records"], it["L"]))
@@ -164,8 +174,12 @@ def ledger_from_report(report, prog):
             (SimplexPoint(t), float(g)) for t, g in zip(it["tau"], it["gamma"]))
         lam = {int(i) - 1: np.asarray(v, dtype=float)
                for i, v in it["lambda"].items()}
-        taus_prev = tuple(r.tau for r in prev_records)
-        residual = certificate_residual(prog, new_indices, lam, taus_prev)
+        if not set(lam) <= set(range(len(prev_records))):
+            raise ProblemFormatError(
+                f"iteration {it['m']}: a lambda key in {sorted(it['lambda'])} "
+                f"names no record of the previous iteration")
+        residual = kernel_residual(prog, certificate_matrix(
+            prog.p, new_indices, lam, [r.tau for r in prev_records]))
         cert = DualCertificate(new_indices, lam, residual)
         entries.append(FaceLedgerEntry(
             int(it["m"]), np.asarray(it["Y"], dtype=float), records,
@@ -366,9 +380,15 @@ def _cmd_verify_ledger(args):
     cfg = _config_from_args(args)
     prog = _load_problem(args, cfg)
     if args.report:
-        report = json.loads(_read(args.report, "report file").decode("utf-8"))
-        jsonschema.validate(report, REPORT_SCHEMA)
-        entries = ledger_from_report(report, prog)
+        data = _read(args.report, "report file")
+        try:  # bad JSON, schema violations and bad values alike
+            report = json.loads(data.decode("utf-8"))
+            error = best_match(_REPORT_VALIDATOR.iter_errors(report))
+            if error is not None:
+                raise ValueError(f"{error.json_path}: {error.message}")
+            entries = ledger_from_report(report, prog)
+        except ValueError as e:
+            raise ProblemFormatError(f"report file {args.report!r}: {e}") from e
     else:
         result = _driver_result(prog, cfg)
         if isinstance(result, int):
@@ -452,10 +472,12 @@ def build_parser():
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:
         return e.code if e.code is not None else 2
     try:

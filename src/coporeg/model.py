@@ -201,6 +201,18 @@ def kernel_residual(prog, Y):
     return max(abs(float(np.sum(Aj * Y))) for Aj in prog.A)
 
 
+def certificate_matrix(p, new_indices, lam, taus):
+    """Y = sum gamma t t' + sum_i (tau_i lam_i' + lam_i tau_i') of a dual
+    certificate; its stationarity residual is ``kernel_residual(prog, Y)``."""
+    Y = np.zeros((p, p))
+    for t, g in new_indices:
+        Y += g * np.outer(_coords(t), _coords(t))
+    for i, lv in lam.items():
+        tc = _coords(taus[i])
+        Y += np.outer(tc, lv) + np.outer(lv, tc)
+    return Y
+
+
 # ---------------------------------------------------------------------------
 # Zero rows.  A record pairs a simplex point tau with a set L of row indices;
 # it pins the rows (D tau)_k: equalities for k in L, inequalities (>= 0) off

@@ -58,15 +58,19 @@ class CopositivityResult:
         return f"{tag}(margin={self.margin}, witness={self.witness})"
 
 
-def stationary_candidates(D):
+def stationary_candidates(D, p_max=14):
     """All stationary points of t' D t on faces of the simplex, plus vertices.
 
     Returns (value, coords) pairs in a fixed support order (deterministic).
     Faces whose stationarity system is inconsistent contribute nothing: their
-    minima live on smaller faces, which are enumerated separately.
+    minima live on smaller faces, which are enumerated separately (p <= p_max).
     """
     D = np.asarray(D, dtype=float)
     p = D.shape[0]
+    if p > p_max:
+        raise CapabilityError(
+            f"exact support enumeration capped at p_max={p_max} (got p={p}); "
+            "use the grid oracle (grid_min_full) instead")
     scale = max(1.0, float(np.max(np.abs(D))))
     out = []
     for mask in range(1, 1 << p):
@@ -109,18 +113,10 @@ def stationary_candidates(D):
 
 
 def min_quad_over_simplex(D, p_max=14):
-    """Exact global minimum of t' D t over the simplex."""
-    D = np.asarray(D, dtype=float)
-    p = D.shape[0]
-    if p > p_max:
-        raise CapabilityError(
-            f"exact support enumeration capped at p_max={p_max} (got p={p}); "
-            "use the grid oracle (grid_min_full) instead")
-    best_val, best_t = None, None
-    for val, t in stationary_candidates(D):
-        if best_val is None or val < best_val:
-            best_val, best_t = val, t
-    return OracleResult(best_val, SimplexPoint(best_t), "exact")
+    """Exact global minimum of t' D t over the simplex (the first minimizer
+    in the enumeration order)."""
+    val, t = min(stationary_candidates(D, p_max), key=lambda c: c[0])
+    return OracleResult(val, SimplexPoint(t), "exact")
 
 
 def is_copositive(D, tol_cop=1e-9, p_max=14):

@@ -13,11 +13,11 @@ import numpy as np
 
 from .config import DEFAULT
 from .lp import REL_EQ, REL_GE, LinearProgram, solve_lp
-from .model import (SimplexPoint, eval_constraint, kernel_dimension,
-                    kernel_residual, project_to_zero_rows, quad_form,
-                    row_pairs, row_residuals, zero_row_matrix)
+from .model import (SimplexPoint, certificate_matrix, eval_constraint,
+                    kernel_dimension, kernel_residual, project_to_zero_rows,
+                    quad_form, row_pairs, row_residuals, zero_row_matrix)
 from .oracle import (ReducedRegion, is_copositive, min_quad_over_omega,
-                     min_quad_over_simplex, stationary_candidates)
+                     stationary_candidates)
 from .sip import SipInstance, cut_row_data, linear_row_data, solve_sip
 
 
@@ -127,10 +127,6 @@ class RegularizedProblem:
     def ineq_rows(self):
         return row_pairs(self.records, self.prog.p)[1]
 
-    def row_margins(self, x):
-        """(worst equality residual, worst inequality margin) at x."""
-        return row_residuals(eval_constraint(self.prog, x), self.records)
-
 
 class RegularizationResult:
     """status "regular" (Slater witness), "regularized", or "failed"."""
@@ -196,14 +192,8 @@ def disjointness_condition(state_old, cert, tol_support=1e-7):
 def reducing_matrix(cert, state_old, prog, tol_cert=1e-7):
     """Y = sum gamma t t' + sum (tau lam' + lam tau'), checked against the
     constraint kernel."""
-    p = prog.p
-    Y = np.zeros((p, p))
-    for t, g in cert.new_indices:
-        tc = t.coords
-        Y += g * np.outer(tc, tc)
-    for i, lam in cert.lam.items():
-        tc = state_old.records[i].tau.coords
-        Y += np.outer(tc, lam) + np.outer(lam, tc)
+    Y = certificate_matrix(prog.p, cert.new_indices, cert.lam,
+                           [r.tau for r in state_old.records])
     worst = kernel_residual(prog, Y)
     if worst > tol_cert:
         raise LedgerError(f"reducing matrix leaves the constraint kernel: "
@@ -211,13 +201,18 @@ def reducing_matrix(cert, state_old, prog, tol_cert=1e-7):
     return Y
 
 
+def face_rows(records, D, cfg=DEFAULT):
+    """(equality rows hold, equality and sign rows hold) for D: zero rows
+    on each record's L, nonnegative rows elsewhere."""
+    eq_res, ineq_margin = row_residuals(D, records)
+    eq = eq_res <= cfg.tol_feas
+    return eq, eq and ineq_margin >= -cfg.tol_feas
+
+
 def face_membership(entry, D, cfg=DEFAULT):
-    """D lies in the face: copositive, zero rows on each L, nonnegative
-    rows elsewhere."""
-    if not is_copositive(D, cfg.tol_cop, cfg.p_max).copositive:
-        return False
-    eq_res, ineq_margin = row_residuals(D, entry.records)
-    return eq_res <= cfg.tol_feas and ineq_margin >= -cfg.tol_feas
+    """D lies in the face: its rows hold (checked first) and it is copositive."""
+    return (face_rows(entry.records, D, cfg)[1]
+            and is_copositive(D, cfg.tol_cop, cfg.p_max).copositive)
 
 
 def sample_copositive(p, rng, scale=1.0):
@@ -228,13 +223,22 @@ def sample_copositive(p, rng, scale=1.0):
     return N + B @ B.T
 
 
+def _face_samples(p, records, n_samples, rng):
+    """Copositive samples, each odd one projected onto the records' zero rows."""
+    C = zero_row_matrix(records)
+    for s in range(n_samples):
+        D = sample_copositive(p, rng)
+        yield project_to_zero_rows(D, C) if s % 2 == 1 else D
+
+
 def verify_ledger(entries, prog, cfg=DEFAULT, n_samples=200, seed=0):
     """Check the construction conditions of every entry.
 
     Kernel membership is exact; the generator form of each reducer is
     re-checked against its stored certificate; the face chain is sampled:
     copositive samples (raw and projected onto the entry's zero rows) that
-    land in entry m must land in entry m-1 and be orthogonal to Y_m.
+    land in entry m must satisfy the rows of entry m-1 (it is copositive
+    already) and be orthogonal to Y_m.
     """
     rng = np.random.default_rng(seed)
     report = {"entries": [], "ok": True}
@@ -244,12 +248,10 @@ def verify_ledger(entries, prog, cfg=DEFAULT, n_samples=200, seed=0):
 
         cert = entry.certificate
         gamma_ok = all(g > 0.0 for _t, g in cert.new_indices)
-        lam_sign_ok = True
         prev = entry.prev_records
-        for i, lam in cert.lam.items():
-            for k in range(prog.p):
-                if k not in prev[i].L and lam[k] < -cfg.tol_mult:
-                    lam_sign_ok = False
+        lam_sign_ok = not any(lam[k] < -cfg.tol_mult
+                              for i, lam in cert.lam.items()
+                              for k in range(prog.p) if k not in prev[i].L)
         region_ok = True
         if prev:
             omega_prev = ReducedRegion([r.tau for r in prev],
@@ -258,15 +260,9 @@ def verify_ledger(entries, prog, cfg=DEFAULT, n_samples=200, seed=0):
             region_ok = all(omega_prev.contains(t) for t, _g in cert.new_indices)
         cond1 = gamma_ok and lam_sign_ok and region_ok
 
-        C = zero_row_matrix(entry.records)
-        members = 0
-        mono_viol = 0
-        orth_viol = 0
+        members = mono_viol = orth_viol = 0
         max_orth = 0.0
-        for s in range(n_samples):
-            D = sample_copositive(prog.p, rng)
-            if s % 2 == 1:  # bias half the samples toward the face
-                D = project_to_zero_rows(D, C)
+        for D in _face_samples(prog.p, entry.records, n_samples, rng):
             if not face_membership(entry, D, cfg):
                 continue
             members += 1
@@ -274,7 +270,7 @@ def verify_ledger(entries, prog, cfg=DEFAULT, n_samples=200, seed=0):
             max_orth = max(max_orth, orth)
             if orth > cfg.tol_cert * max(1.0, float(np.max(np.abs(D)))):
                 orth_viol += 1
-            if idx > 0 and not face_membership(entries[idx - 1], D, cfg):
+            if idx > 0 and not face_rows(entries[idx - 1].records, D, cfg)[1]:
                 mono_viol += 1
         entry_report = {
             "index": entry.index,
@@ -296,22 +292,16 @@ def verify_ledger(entries, prog, cfg=DEFAULT, n_samples=200, seed=0):
 
 def compress_ledger(entries, prog=None, tol_rank=1e-10):
     """Keep each entry whose reducer is independent of those already kept."""
-    iu = None
     kept_vecs = []
     core, mapping = [], []
     for entry in entries:
         Y = np.asarray(entry.reducer, dtype=float)
-        if iu is None:
-            iu = np.triu_indices(Y.shape[0])
-        vec = Y[iu]
+        vec = resid = Y[np.triu_indices(Y.shape[0])]
         scale = max(1.0, float(np.linalg.norm(vec)))
         if kept_vecs:
             K = np.array(kept_vecs).T
             resid = vec - K @ np.linalg.lstsq(K, vec, rcond=None)[0]
-            independent = float(np.linalg.norm(resid)) > tol_rank * scale
-        else:
-            independent = float(np.linalg.norm(vec)) > tol_rank * scale
-        if independent:
+        if float(np.linalg.norm(resid)) > tol_rank * scale:
             kept_vecs.append(vec)
             core.append(entry)
             mapping.append(entry.index)
@@ -544,11 +534,10 @@ class MinimalFaceDescriptor:
 
     def _memberships(self, D):
         """(equalities-only form, equalities-plus-sign-rows form) for D."""
-        if not is_copositive(D, self.cfg.tol_cop, self.cfg.p_max).copositive:
-            return False, False
-        eq_res, ineq_margin = row_residuals(D, self.records)
-        eq = eq_res <= self.cfg.tol_feas
-        return eq, eq and ineq_margin >= -self.cfg.tol_feas
+        eq, both = face_rows(self.records, D, self.cfg)
+        cop = eq and is_copositive(D, self.cfg.tol_cop,
+                                   self.cfg.p_max).copositive
+        return cop, cop and both
 
     def member_eq(self, D):
         return self._memberships(D)[0]
@@ -560,21 +549,16 @@ class MinimalFaceDescriptor:
         """Sample copositive matrices (raw and projected onto the equality
         rows) and require the two forms to agree on every one."""
         rng = np.random.default_rng(seed)
-        p = self.vertices[0].p
-        C = zero_row_matrix(self.records)
-        checked = members = 0
-        for s in range(n_samples):
-            D = sample_copositive(p, rng)
-            if s % 2 == 1:
-                D = project_to_zero_rows(D, C)
+        members = 0
+        for D in _face_samples(self.vertices[0].p, self.records, n_samples,
+                               rng):
             a, b = self._memberships(D)
             if a != b:
                 raise RuntimeError(
                     "minimal-face forms disagree on a sampled copositive "
                     f"matrix: {D.tolist()}")
-            checked += 1
             members += int(a)
-        return {"checked": checked, "members": members, "disagreements": 0}
+        return {"checked": n_samples, "members": members, "disagreements": 0}
 
 
 def minimal_face(prog, W, reg, cfg=DEFAULT):
@@ -601,21 +585,19 @@ def feasibility_equiv_sample(prog, reg, n_samples, seed, cfg=DEFAULT,
     ``tol_band`` are excluded as ties.
     """
     rng = np.random.default_rng(seed)
-    if center is None:
-        center = reg.witness if reg.witness is not None else np.zeros(prog.n)
-    center = np.asarray(center, dtype=float)
+    center = np.asarray(reg.witness if center is None else center, dtype=float)
     report = {"samples": int(n_samples), "agreements": 0, "ties": 0,
               "disagreements": []}
     h = cfg.grid_h(prog.p)
     for _ in range(int(n_samples)):
         x = center + rng.uniform(-box_radius, box_radius, size=prog.n)
         ax = eval_constraint(prog, x)
-        exact = min_quad_over_simplex(ax, p_max=cfg.p_max)
-        margin_a = exact.value
+        candidates = stationary_candidates(ax, cfg.p_max)
+        margin_a = min(val for val, _t in candidates)
         dec_a = margin_a >= -cfg.tol_cop
 
-        eq_res, ineq_margin = reg.row_margins(x)
-        omega_margin = _omega_margin(ax, reg, h, cfg, exact)
+        eq_res, ineq_margin = row_residuals(ax, reg.records)
+        omega_margin = _omega_margin(ax, reg, h, cfg, candidates)
         margin_b = min(-eq_res, ineq_margin, omega_margin)
         dec_b = (eq_res <= cfg.tol_band and ineq_margin >= -cfg.tol_band
                  and omega_margin >= -cfg.tol_band)
@@ -632,19 +614,15 @@ def feasibility_equiv_sample(prog, reg, n_samples, seed, cfg=DEFAULT,
     return report
 
 
-def _omega_margin(ax, reg, h, cfg, exact):
+def _omega_margin(ax, reg, h, cfg, candidates):
     if reg.omega_empty:
         return np.inf
     if reg.omega is None:
-        return exact.value
+        return min(val for val, _t in candidates)
     # negative stationary candidates inside the region give exact violations
-    best = np.inf
-    if exact.value < 0.0:
-        for val, t in stationary_candidates(ax):
-            if val < -cfg.tol_band and reg.omega.contains(t):
-                best = min(best, val)
+    best = min((val for val, t in candidates
+                if val < -cfg.tol_band and reg.omega.contains(t)),
+               default=np.inf)
     res = min_quad_over_omega(ax, reg.omega, h,
                               max_grid_points=cfg.max_grid_points)
-    if not res.empty:
-        best = min(best, res.value)
-    return best
+    return best if res.empty else min(best, res.value)

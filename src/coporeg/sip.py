@@ -11,7 +11,8 @@ feasible point of the indexed region.
 import numpy as np
 
 from .lp import REL_EQ, REL_GE, LinearProgram, solve_lp
-from .model import DecisionPoint, DimensionError, SimplexPoint, eval_constraint
+from .model import (DecisionPoint, DimensionError, SimplexPoint,
+                    certificate_matrix, eval_constraint, kernel_residual)
 from .oracle import CapabilityError, min_quad_over_omega, min_quad_over_simplex
 
 
@@ -287,25 +288,13 @@ def extract_certificate(sol, cuts, inst, cfg, iteration0):
         total = sum(g for _t, g in new)
         new = [(t, g / total) for t, g in new]
 
-    residual = certificate_residual(prog, new, lam, inst.taus)
+    residual = kernel_residual(prog, certificate_matrix(prog.p, new, lam,
+                                                        inst.taus))
     if residual > cfg.tol_cert:
         raise CertificateError(
             f"certificate stationarity residual {residual:.3e} exceeds "
             f"tol_cert={cfg.tol_cert:.0e}", residual=residual)
     return DualCertificate(new, lam, residual)
-
-
-def certificate_residual(prog, new_indices, lam, taus):
-    """max_j | sum gamma t'A_j t + 2 sum lam'A_j tau |, j = 0..n."""
-    worst = 0.0
-    for Aj in prog.A:
-        s = 0.0
-        for t, g in new_indices:
-            s += g * float(t.coords @ Aj @ t.coords)
-        for i, lv in lam.items():
-            s += 2.0 * float(lv @ Aj @ taus[i].coords)
-        worst = max(worst, abs(s))
-    return worst
 
 
 def _reduce_support(new, prog, n, cfg):

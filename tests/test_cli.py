@@ -134,6 +134,37 @@ def test_verify_ledger_cli_from_report(workdir, capsys):
     assert "ledger ok" in capsys.readouterr().out
 
 
+_ITERATION = {"m": 1, "tau": [[1.0, 0.0]], "gamma": [1.0], "L": [[1]],
+              "records": [[1.0, 0.0]], "Y": [[1.0, 0.0], [0.0, 0.0]],
+              "cond_11star": True}
+
+
+@pytest.mark.parametrize("doc", [
+    {"status": "bogus", "tolerances": {}},
+    [1, 2],
+    {"status": "regularized", "tolerances": {}, "iterations": [{"m": 1}]},
+    {"status": "regularized", "tolerances": {},
+     "iterations": [dict(_ITERATION, **{"lambda": {"5": [0.0, 0.0]}})]},
+    {"status": "regularized", "tolerances": {},
+     "iterations": [dict(_ITERATION, **{"lambda": {}, "L": [[7]]})]},
+    "not json",
+], ids=["bad-status", "array", "incomplete-iteration", "lambda-key-range",
+        "row-index-range", "not-json"])
+def test_bad_report_is_domain_error(workdir, capsys, doc):
+    path = os.path.join(workdir["dir"], "bad_report.json")
+    with open(path, "w") as fh:
+        fh.write(doc if isinstance(doc, str) else json.dumps(doc))
+    rc = main(["verify-ledger", "--problem", workdir["e2"], "--report", path])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "bad_report.json" in err
+
+
+def test_report_schema_is_a_valid_draft7_schema():
+    jsonschema.Draft7Validator.check_schema(REPORT_SCHEMA)
+
+
 def test_report_round_trip_reconstruction(workdir, e4):
     out = os.path.join(workdir["dir"], "rt.json")
     assert main(["regularize", "--problem", workdir["e4"], "--out", out]) == 0

@@ -70,6 +70,13 @@ def test_capability_error():
         min_quad_over_simplex(np.eye(15))
 
 
+def test_enumeration_itself_is_capped():
+    with pytest.raises(CapabilityError, match="p_max=14"):
+        oracle.stationary_candidates(np.eye(15))
+    with pytest.raises(CapabilityError, match="p_max=3"):
+        oracle.stationary_candidates(np.eye(4), p_max=3)
+
+
 def test_grid_min_full_matches_brute_force():
     rng = np.random.default_rng(3)
     for p, N in ((2, 9), (3, 7), (4, 5)):

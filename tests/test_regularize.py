@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,14 @@ from coporeg import (DEFAULT, CopositiveProgram, DualCertificate,
                      regularize, sample_copositive, sample_feasible,
                      update_index_sets, verify_ledger)
 
+from coporeg.model import (SimplexPoint, project_to_zero_rows, row_residuals,
+                           zero_row_matrix)
+from coporeg.oracle import is_copositive
+from coporeg.regularize import MinimalFaceDescriptor, face_rows
+
 from conftest import simplex
+
+REGULARIZE = importlib.import_module("coporeg.regularize")
 
 
 def _cert(new=(), lam=None):
@@ -159,6 +168,86 @@ def test_face_membership_examples(reg_e2):
     assert not face_membership(entry, np.eye(2))
     bare = FaceLedgerEntry(0, np.zeros((2, 2)), (), (), _cert(), True)
     assert face_membership(bare, np.eye(2))
+
+
+def _copositivity_first(records, D, cfg=DEFAULT):
+    """The membership forms decided copositivity first, rows second."""
+    if not is_copositive(D, cfg.tol_cop, cfg.p_max).copositive:
+        return False, False
+    eq_res, ineq_margin = row_residuals(D, records)
+    eq = eq_res <= cfg.tol_feas
+    return eq, eq and ineq_margin >= -cfg.tol_feas
+
+
+def test_memberships_match_the_copositivity_first_definition():
+    rng = np.random.default_rng(11)
+    seen = set()
+    for p in (2, 3, 4, 5):
+        half = np.zeros(p)
+        half[:2] = 0.5
+        vertices = (SimplexPoint(np.eye(p)[0]), SimplexPoint(half))
+        M = {0: (0,), 1: (0, 1)}
+        face = MinimalFaceDescriptor(vertices, M, {})
+        entry = FaceLedgerEntry(1, np.zeros((p, p)), face.records, (), _cert(),
+                                True)
+        C = zero_row_matrix(face.records)
+        samples = []
+        for _ in range(40):
+            D = sample_copositive(p, rng)
+            S = rng.normal(size=(p, p))
+            samples += [D, project_to_zero_rows(D, C),
+                        project_to_zero_rows(S + S.T, C)]
+        # copositive but off the rows; on the rows but not copositive
+        samples.append(np.eye(p))
+        bad = np.zeros((p, p))
+        bad[-1, -1] = -1.0
+        samples.append(bad)
+        for D in samples:
+            ref = _copositivity_first(face.records, D)
+            assert face._memberships(D) == ref
+            assert face_membership(entry, D) == ref[1]
+            seen.add((is_copositive(D).copositive,
+                      face_rows(face.records, D)[1]))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    orig = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_verify_ledger_runs_the_oracle_only_where_the_rows_hold(
+        e2, reg_e2, monkeypatch):
+    entry, = reg_e2.ledger
+    C = zero_row_matrix(entry.records)
+    rng = np.random.default_rng(3)
+    row_members = 0
+    for s in range(200):
+        D = sample_copositive(2, rng)
+        if s % 2 == 1:
+            D = project_to_zero_rows(D, C)
+        row_members += face_rows(entry.records, D)[1]
+    calls = _count_calls(monkeypatch, REGULARIZE, "is_copositive")
+    rep = verify_ledger(reg_e2.ledger, e2, n_samples=200, seed=3)
+    assert 0 < row_members < 200
+    assert len(calls) == row_members
+    assert rep["entries"][0]["members_sampled"] <= row_members
+
+
+def test_equivalence_enumerates_each_sample_once(e2, reg_e2, monkeypatch):
+    from coporeg import oracle
+    calls_oracle = _count_calls(monkeypatch, oracle, "stationary_candidates")
+    calls_reg = _count_calls(monkeypatch, REGULARIZE, "stationary_candidates")
+    rep = feasibility_equiv_sample(e2, reg_e2.regularized, 50, seed=4)
+    assert rep["samples"] == 50
+    assert len(calls_oracle) + len(calls_reg) == 50
 
 
 def test_verify_ledger_passes(e2, reg_e2):
