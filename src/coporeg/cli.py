@@ -158,9 +158,13 @@ def _jsonable(obj):
 
 
 def ledger_from_report(report, prog):
-    """Rebuild ledger entries (with recomputed residuals) from a report; an
-    L index outside 1..p or a lambda key naming no previous record is a
-    ProblemFormatError."""
+    """Rebuild ledger entries (with recomputed residuals) from a report; a
+    p or n other than the problem's, an L index outside 1..p or a lambda
+    key naming no previous record is a ProblemFormatError."""
+    for key in ("p", "n"):
+        if key in report and report[key] != getattr(prog, key):
+            raise ProblemFormatError(f"report has {key}={report[key]}, the "
+                                     f"problem has {key}={getattr(prog, key)}")
     entries = []
     prev_records = ()
     for it in report.get("iterations", []):
@@ -365,13 +369,12 @@ def _cmd_minimal_face(args):
     check = face.cross_check(n_samples=cfg.samples, seed=cfg.seed)
     for j, t in enumerate(face.vertices):
         print(f"t({j + 1}) = {t.coords.tolist()}  M = "
-              f"{sorted(k + 1 for k in face.M[j])}  flags = {face.flags.get(j, {})}")
+              f"{sorted(k + 1 for k in face.M[j])}")
     print(f"form agreement: {check['checked']} samples, "
           f"{check['members']} members, 0 disagreements")
     _write_json({"vertices": [t.coords.tolist() for t in face.vertices],
                  "M": {str(j + 1): sorted(k + 1 for k in face.M[j])
                        for j in face.M},
-                 "flags": {str(j + 1): face.flags[j] for j in face.flags},
                  "cross_check": check}, args.out)
     return 0
 

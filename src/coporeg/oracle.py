@@ -28,13 +28,11 @@ class OracleResult:
     "empty" (region empty, value +inf).
     """
 
-    def __init__(self, value, argmin, kind, value_lb=None, h=None, lipschitz=None):
+    def __init__(self, value, argmin, kind, value_lb=None):
         self.value = value
         self.argmin = argmin
         self.kind = kind
         self.value_lb = value if value_lb is None else value_lb
-        self.h = h
-        self.lipschitz = lipschitz
 
     @property
     def empty(self):
@@ -315,11 +313,10 @@ def min_quad_over_omega(D, omega, h, max_grid_points=3_000_000):
             f"grid of {grid_point_count(p, N)} points exceeds the cap "
             f"{max_grid_points} (p={p}, 1/h={N})")
     sel, inside, r = omega.selected_points(N)
+    if not inside.any():
+        return OracleResult(np.inf, None, "empty", value_lb=np.inf)
     maxd = float(np.max(np.abs(D)))
     L = 2.0 * maxd
-    if not inside.any():
-        return OracleResult(np.inf, None, "empty", value_lb=np.inf,
-                            h=h, lipschitz=L)
     G = sel @ D
     vals = np.einsum("ij,ij->i", sel, G)
     i = int(np.argmin(np.where(inside, vals, np.inf)))
@@ -328,7 +325,7 @@ def min_quad_over_omega(D, omega, h, max_grid_points=3_000_000):
     lb_lip = float(np.min(vals)) - L * r
     lb_grad = float(np.min(vals - 2.0 * centered * r - maxd * r * r))
     return OracleResult(value, SimplexPoint(sel[i]), "grid",
-                        value_lb=max(lb_lip, lb_grad), h=h, lipschitz=L)
+                        value_lb=max(lb_lip, lb_grad))
 
 
 def grid_min_full(D, denominator):

@@ -18,7 +18,7 @@ from .model import (SimplexPoint, certificate_matrix, eval_constraint,
                     quad_form, row_pairs, row_residuals, zero_row_matrix)
 from .oracle import (ReducedRegion, is_copositive, min_quad_over_omega,
                      stationary_candidates)
-from .sip import SipInstance, cut_row_data, linear_row_data, solve_sip
+from .sip import SipInstance, linear_row_data, solve_sip
 
 
 class LedgerError(RuntimeError):
@@ -234,8 +234,8 @@ def _face_samples(p, records, n_samples, rng):
 def verify_ledger(entries, prog, cfg=DEFAULT, n_samples=200, seed=0):
     """Check the construction conditions of every entry.
 
-    Kernel membership is exact; the generator form of each reducer is
-    re-checked against its stored certificate; the face chain is sampled:
+    Kernel membership is exact; each reducer is compared entrywise with
+    the generator form of its stored certificate; the face chain is sampled:
     copositive samples (raw and projected onto the entry's zero rows) that
     land in entry m must satisfy the rows of entry m-1 (it is copositive
     already) and be orthogonal to Y_m.
@@ -249,6 +249,8 @@ def verify_ledger(entries, prog, cfg=DEFAULT, n_samples=200, seed=0):
         cert = entry.certificate
         gamma_ok = all(g > 0.0 for _t, g in cert.new_indices)
         prev = entry.prev_records
+        reducer_res = float(np.max(np.abs(entry.reducer - certificate_matrix(
+            prog.p, cert.new_indices, cert.lam, [r.tau for r in prev]))))
         lam_sign_ok = not any(lam[k] < -cfg.tol_mult
                               for i, lam in cert.lam.items()
                               for k in range(prog.p) if k not in prev[i].L)
@@ -275,6 +277,7 @@ def verify_ledger(entries, prog, cfg=DEFAULT, n_samples=200, seed=0):
         entry_report = {
             "index": entry.index,
             "kernel_residual": kernel_res,
+            "reducer_residual": reducer_res,
             "cond_I": {"gamma_positive": gamma_ok, "lambda_signs": lam_sign_ok,
                        "new_points_in_region": region_ok},
             "cond_II": cond2,
@@ -284,7 +287,8 @@ def verify_ledger(entries, prog, cfg=DEFAULT, n_samples=200, seed=0):
             "max_orthogonality": max_orth,
             "cond_disjoint": entry.cond_disjoint,
         }
-        if not (cond1 and cond2) or mono_viol or orth_viol:
+        if (not (cond1 and cond2) or reducer_res > cfg.tol_cert
+                or mono_viol or orth_viol):
             report["ok"] = False
         report["entries"].append(entry_report)
     return report
@@ -473,61 +477,40 @@ def sample_feasible(prog, witness, n, seed, cfg):
 def forced_zero_rows(prog, t_j, reg, cfg=DEFAULT):
     """Indices k whose row e_k' A(x) t_j vanishes on the whole feasible set.
 
-    Each row is maximized over the regularized description (linear rows
-    explicit, the quadratic constraint enforced by separation, decision box
-    R); a supremum at the numerical zero level puts k in the set, a
-    positive value on the box boundary excludes it with a flag.
+    The witness holds the quadratic constraint with a certified positive
+    margin, so near it the feasible set F is the polyhedron P of the
+    record rows and aff F = aff P.  For an immobile t_j the row is >= 0 on
+    F, so it vanishes on F exactly when its maximum over P intersected
+    with a box around the witness is at the numerical zero level: one LP
+    per row, no separation.
     """
-    p = prog.p
-    n = prog.n
-    base_rows = []
-    for i, rec in enumerate(reg.records):
-        for k in range(p):
+    rows = []
+    for rec in reg.records:
+        for k in range(prog.p):
             coefs, rhs = linear_row_data(prog, rec.tau, k)
-            base_rows.append((coefs, REL_EQ if k in rec.L else REL_GE, rhs))
-    box = [(-cfg.box_r, cfg.box_r)] * n
-    cuts = []
-    members, flags = [], {}
-    for k in range(p):
-        obj = np.array([float(Aj[k] @ t_j.coords) for Aj in prog.A[1:]])
-        const = float(prog.A[0][k] @ t_j.coords)
-        value, x_star = None, None
-        for _ in range(cfg.cut_rounds):
-            rows = list(base_rows)
-            for t in cuts:
-                coefs, rhs = cut_row_data(prog, t)
-                rows.append((coefs, REL_GE, rhs))
-            sol = solve_lp(LinearProgram(-obj, rows, box), tol=cfg.tol_lp)
-            if sol.status != "Optimal":
-                raise RuntimeError(f"row maximization LP reported {sol.status}")
-            x_star = sol.primal
-            if reg.omega is not None:
-                res = min_quad_over_omega(eval_constraint(prog, x_star),
-                                          reg.omega, cfg.grid_h(p),
-                                          max_grid_points=cfg.max_grid_points)
-                if not res.empty and res.value < -cfg.tol_feas:
-                    cuts.append(res.argmin)
-                    continue
-            value = float(obj @ x_star) + const
-            break
-        else:
-            raise RuntimeError("separation for the row maximization did not "
-                               "settle within the round cap")
-        if value <= cfg.tol_feas:
+            rows.append((coefs, REL_EQ if k in rec.L else REL_GE, rhs))
+    # the box must hold a neighbourhood of the witness, where P and F agree;
+    # witnesses of `regularize` often sit on the master's box |x_j| <= box_r
+    r = max(cfg.box_r, 2.0 * float(np.max(np.abs(reg.witness), initial=0.0)))
+    box = [(-r, r)] * prog.n
+    members = []
+    for k in range(prog.p):
+        coefs, rhs = linear_row_data(prog, t_j, k)
+        sol = solve_lp(LinearProgram(-coefs, rows, box), tol=cfg.tol_lp)
+        if sol.status != "Optimal":
+            raise RuntimeError(f"row maximization LP reported {sol.status}")
+        if float(coefs @ sol.primal) - rhs <= cfg.tol_feas:
             members.append(k)
-        elif float(np.max(np.abs(x_star))) >= cfg.box_r * (1.0 - 1e-9):
-            flags[k] = "unbounded above"
-    return tuple(members), flags
+    return tuple(members)
 
 
 class MinimalFaceDescriptor:
     """Vertex list with the forced-zero sets, exposing the two equivalent
     membership forms (equalities only, and equalities plus sign rows)."""
 
-    def __init__(self, vertices, M, flags, cfg=DEFAULT):
+    def __init__(self, vertices, M, cfg=DEFAULT):
         self.vertices = tuple(vertices)
         self.M = {int(j): tuple(v) for j, v in M.items()}
-        self.flags = dict(flags)
         self.cfg = cfg
         self.records = tuple(Record(t, self.M[j])
                              for j, t in enumerate(self.vertices))
@@ -564,13 +547,8 @@ class MinimalFaceDescriptor:
 def minimal_face(prog, W, reg, cfg=DEFAULT):
     """Describe the smallest face containing all constraint values, in the
     two equivalent forms, given the vertex set of the immobile hull."""
-    M, flags = {}, {}
-    for j, t in enumerate(W):
-        members, fl = forced_zero_rows(prog, t, reg, cfg)
-        M[j] = members
-        if fl:
-            flags[j] = fl
-    return MinimalFaceDescriptor(tuple(W), M, flags, cfg)
+    M = {j: forced_zero_rows(prog, t, reg, cfg) for j, t in enumerate(W)}
+    return MinimalFaceDescriptor(tuple(W), M, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -139,18 +139,28 @@ _ITERATION = {"m": 1, "tau": [[1.0, 0.0]], "gamma": [1.0], "L": [[1]],
               "cond_11star": True}
 
 
-@pytest.mark.parametrize("doc", [
-    {"status": "bogus", "tolerances": {}},
-    [1, 2],
-    {"status": "regularized", "tolerances": {}, "iterations": [{"m": 1}]},
-    {"status": "regularized", "tolerances": {},
-     "iterations": [dict(_ITERATION, **{"lambda": {"5": [0.0, 0.0]}})]},
-    {"status": "regularized", "tolerances": {},
-     "iterations": [dict(_ITERATION, **{"lambda": {}, "L": [[7]]})]},
-    "not json",
+_ITERATION_P3 = {"m": 1, "tau": [[1.0, 0.0, 0.0]], "gamma": [1.0],
+                 "lambda": {}, "L": [[1]], "records": [[1.0, 0.0, 0.0]],
+                 "Y": np.diag([1.0, 0.0, 0.0]).tolist(), "cond_11star": True}
+
+
+@pytest.mark.parametrize("doc, needle", [
+    ({"status": "bogus", "tolerances": {}}, "status"),
+    ([1, 2], "object"),
+    ({"status": "regularized", "tolerances": {}, "iterations": [{"m": 1}]},
+     "required"),
+    ({"status": "regularized", "tolerances": {},
+      "iterations": [dict(_ITERATION, **{"lambda": {"5": [0.0, 0.0]}})]},
+     "lambda key"),
+    ({"status": "regularized", "tolerances": {},
+      "iterations": [dict(_ITERATION, **{"lambda": {}, "L": [[7]]})]},
+     "outside 1..2"),
+    ("not json", "bad_report.json"),
+    ({"status": "regularized", "tolerances": {}, "n": 1, "p": 3,
+      "iterations": [_ITERATION_P3]}, "p=3, the problem has p=2"),
 ], ids=["bad-status", "array", "incomplete-iteration", "lambda-key-range",
-        "row-index-range", "not-json"])
-def test_bad_report_is_domain_error(workdir, capsys, doc):
+        "row-index-range", "not-json", "p-mismatch"])
+def test_bad_report_is_domain_error(workdir, capsys, doc, needle):
     path = os.path.join(workdir["dir"], "bad_report.json")
     with open(path, "w") as fh:
         fh.write(doc if isinstance(doc, str) else json.dumps(doc))
@@ -158,7 +168,24 @@ def test_bad_report_is_domain_error(workdir, capsys, doc):
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error:") and "Traceback" not in err
-    assert "bad_report.json" in err
+    assert "bad_report.json" in err and needle in err
+
+
+def test_verify_ledger_rejects_a_reducer_off_its_certificate(workdir, capsys):
+    # 3Y stays in the constraint kernel; only the certificate check sees it
+    out = os.path.join(workdir["dir"], "rep4_tripled.json")
+    assert main(["regularize", "--problem", workdir["e4"], "--out", out]) == 0
+    with open(out) as fh:
+        report = json.load(fh)
+    for it in report["iterations"]:
+        it["Y"] = (3.0 * np.array(it["Y"])).tolist()
+    with open(out, "w") as fh:
+        json.dump(report, fh)
+    capsys.readouterr()
+    rc = main(["verify-ledger", "--problem", workdir["e4"], "--report", out,
+               "--samples", "50"])
+    assert rc == 1
+    assert "ledger FAILED" in capsys.readouterr().out
 
 
 def test_report_schema_is_a_valid_draft7_schema():

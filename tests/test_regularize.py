@@ -7,10 +7,10 @@ from coporeg import (DEFAULT, CopositiveProgram, DualCertificate,
                      FaceLedgerEntry, IterationState, LedgerError, Record,
                      compress_ledger, disjointness_condition, eval_constraint,
                      face_membership, feasibility_equiv_sample,
-                     forced_zero_rows, kernel_dimension, minimal_face,
-                     one_step_regularize, quad_form, reducing_matrix,
-                     regularize, sample_copositive, sample_feasible,
-                     update_index_sets, verify_ledger)
+                     forced_zero_rows, generate_instance, kernel_dimension,
+                     minimal_face, one_step_regularize, quad_form,
+                     reducing_matrix, regularize, sample_copositive,
+                     sample_feasible, update_index_sets, verify_ledger)
 
 from coporeg.model import (SimplexPoint, project_to_zero_rows, row_residuals,
                            zero_row_matrix)
@@ -187,7 +187,7 @@ def test_memberships_match_the_copositivity_first_definition():
         half[:2] = 0.5
         vertices = (SimplexPoint(np.eye(p)[0]), SimplexPoint(half))
         M = {0: (0,), 1: (0, 1)}
-        face = MinimalFaceDescriptor(vertices, M, {})
+        face = MinimalFaceDescriptor(vertices, M)
         entry = FaceLedgerEntry(1, np.zeros((p, p)), face.records, (), _cert(),
                                 True)
         C = zero_row_matrix(face.records)
@@ -255,6 +255,7 @@ def test_verify_ledger_passes(e2, reg_e2):
     assert rep["ok"]
     entry = rep["entries"][0]
     assert entry["kernel_residual"] <= 1e-7
+    assert entry["reducer_residual"] == 0.0
     assert entry["members_sampled"] > 0
     assert entry["monotonicity_violations"] == 0
     assert entry["orthogonality_violations"] == 0
@@ -363,15 +364,82 @@ def test_one_step_empty_region(e4):
 # minimal face
 
 def test_forced_zero_rows_e2(e2, reg_e2):
-    M, flags = forced_zero_rows(e2, simplex(1, 0), reg_e2.regularized)
+    M = forced_zero_rows(e2, simplex(1, 0), reg_e2.regularized)
     assert M == (0,)
-    assert flags == {1: "unbounded above"}
 
 
 def test_forced_zero_rows_e3(e3, reg_e3):
-    M, flags = forced_zero_rows(e3, simplex(0.5, 0.5), reg_e3.regularized)
+    M = forced_zero_rows(e3, simplex(0.5, 0.5), reg_e3.regularized)
     assert M == (0, 1)
-    assert not flags
+
+
+@pytest.fixture(scope="module")
+def face_cases(e2, e4):
+    planted = [simplex(0.5, 0.5, 0, 0)]
+    two = [simplex(1, 0, 0), simplex(0, 1, 0)]
+    cases = {"e2": e2, "e4": e4,
+             "gen36": generate_instance(seed=36, p=4, n=3, planted=planted),
+             "planting50": generate_instance(seed=50, p=3, n=2, planted=two)}
+    out = {}
+    for name, prog in cases.items():
+        res = regularize(prog)
+        assert res.status == "regularized"
+        out[name] = (prog, res.regularized)
+    return out
+
+
+@pytest.mark.parametrize("name", ["gen36", "planting50"])
+def test_forced_zero_rows_solves_one_lp_per_row(face_cases, name, monkeypatch):
+    prog, reg = face_cases[name]
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("forced_zero_rows evaluated the region grid")
+
+    monkeypatch.setattr(REGULARIZE, "min_quad_over_omega", no_grid)
+    calls = _count_calls(monkeypatch, REGULARIZE, "solve_lp")
+    for rec in reg.records:
+        before = len(calls)
+        forced_zero_rows(prog, rec.tau, reg)
+        assert len(calls) - before == prog.p
+
+
+@pytest.mark.parametrize("name", ["e2", "e4", "gen36", "planting50"])
+def test_excluded_rows_are_positive_at_feasible_points(face_cases, name,
+                                                       monkeypatch):
+    # the LP argmax of an excluded row, pulled toward the witness until A(x)
+    # is copositive, is a feasible point where the row is positive
+    prog, reg = face_cases[name]
+    argmaxes = []
+    orig = REGULARIZE.solve_lp
+
+    def recorded(lp, **kwargs):
+        sol = orig(lp, **kwargs)
+        argmaxes.append(sol.primal)
+        return sol
+
+    monkeypatch.setattr(REGULARIZE, "solve_lp", recorded)
+    M = {}
+    points = [reg.witness]
+    excluded = 0
+    for j, rec in enumerate(reg.records):
+        del argmaxes[:]
+        M[j] = forced_zero_rows(prog, rec.tau, reg)
+        for k in set(range(prog.p)) - set(M[j]):
+            x = argmaxes[k]
+            for _ in range(40):
+                if is_copositive(eval_constraint(prog, x)).copositive:
+                    break
+                x = 0.5 * (x + reg.witness)
+            else:
+                pytest.fail(f"row {k} at vertex {j}: no copositive point")
+            assert (eval_constraint(prog, x) @ rec.tau.coords)[k] > 0.0
+            points.append(x)
+            excluded += 1
+    assert excluded > 0
+    for x in points:
+        for j, rec in enumerate(reg.records):
+            rows = eval_constraint(prog, x) @ rec.tau.coords
+            assert np.all(np.abs(rows[list(M[j])]) <= 1e-7)
 
 
 def test_minimal_face_e2(e2, reg_e2):
