@@ -275,14 +275,23 @@ def _load_problem(args, cfg):
 
 
 def _load_points(path, p):
-    doc = json.loads(_read(path, "point file").decode("utf-8"))
-    if not isinstance(doc, dict) or "W" not in doc:
-        raise ProblemFormatError(f"point file {path!r}: expected keys p, W")
-    pts = [SimplexPoint(v) for v in doc["W"]]
-    for t in pts:
-        if t.p != p:
-            raise ProblemFormatError(
-                f"point file {path!r}: point dimension {t.p} != p={p}")
+    """The points of a point file ``{"p": int, "W": [...]}``: ``p`` must be
+    the problem's and ``W`` a nonempty list of simplex points."""
+    data = _read(path, "point file")
+    try:  # bad JSON, keys and points alike
+        doc = json.loads(data.decode("utf-8"))
+        if not isinstance(doc, dict) or not {"p", "W"} <= doc.keys():
+            raise ValueError("expected keys p, W")
+        if doc["p"] != p:
+            raise ValueError(f"p={doc['p']!r}, the problem has p={p}")
+        if not isinstance(doc["W"], list) or not doc["W"]:
+            raise ValueError("W must be a nonempty list of points")
+        pts = [SimplexPoint(v) for v in doc["W"]]
+        for t in pts:
+            if t.p != p:
+                raise ValueError(f"point dimension {t.p} != p={p}")
+    except (ValueError, TypeError) as e:
+        raise ProblemFormatError(f"point file {path!r}: {e}") from e
     return pts
 
 

@@ -1,6 +1,6 @@
 """Self-contained dense LP engine with primal and dual extraction.
 
-Two-phase simplex over an explicit column geometry: free variables are
+Two-phase simplex on a standard form built from arrays: free variables are
 split, lower-bounded variables shifted, upper bounds become internal rows.
 Pivoting is Dantzig's rule with deterministic lowest-index tie-breaking,
 falling back to Bland's rule once a run of degenerate pivots trips the
@@ -26,9 +26,10 @@ class LpError(RuntimeError):
 class LinearProgram:
     """min objective . x subject to rows (coeffs, relation, rhs) and bounds.
 
-    ``bounds[j] = (lo, hi)`` with ``-inf``/``+inf`` allowed; variables
-    default to free.  Rows must share the variable count and have finite
-    right-hand sides.
+    ``bounds[j] = (lo, hi)`` with ``lo < +inf`` and ``hi > -inf``; variables
+    default to free.  The objective, the coefficients and the right-hand
+    sides must be finite.  The rows are stacked into ``A``, ``rel`` and
+    ``b``; ``rows`` gives them back as (coeffs, relation, rhs) tuples.
     """
 
     def __init__(self, objective, rows, bounds=None):
@@ -36,25 +37,44 @@ class LinearProgram:
         if self.objective.ndim != 1:
             raise ValueError("objective must be a vector")
         nvar = self.objective.size
-        self.rows = []
-        for coeffs, rel, rhs in rows:
+        bad = np.flatnonzero(~np.isfinite(self.objective))
+        if bad.size:
+            raise ValueError(f"objective coefficient of variable {bad[0]} is not finite")
+        A, rel, b = [], [], []
+        for i, (coeffs, r, rhs) in enumerate(rows):
             a = np.asarray(coeffs, dtype=float)
             if a.shape != (nvar,):
-                raise ValueError(f"row has {a.size} coefficients, expected {nvar}")
-            if rel not in (REL_LE, REL_EQ, REL_GE):
-                raise ValueError(f"unknown relation {rel!r}")
-            if not np.isfinite(rhs):
-                raise ValueError("row rhs must be finite")
-            self.rows.append((a, rel, float(rhs)))
+                raise ValueError(f"row {i} has {a.size} coefficients, expected {nvar}")
+            if r not in (REL_LE, REL_EQ, REL_GE):
+                raise ValueError(f"row {i} has unknown relation {r!r}")
+            A.append(a)
+            rel.append(r)
+            b.append(float(rhs))
+        self.A = np.array(A, dtype=float).reshape(len(A), nvar)
+        self.rel = np.array(rel, dtype="<U2")
+        self.b = np.array(b, dtype=float)
+        bad = np.flatnonzero(~np.isfinite(self.A).all(axis=1))
+        if bad.size:
+            raise ValueError(f"row {bad[0]} has a non-finite coefficient")
+        bad = np.flatnonzero(~np.isfinite(self.b))
+        if bad.size:
+            raise ValueError(f"row {bad[0]} rhs must be finite")
         if bounds is None:
             bounds = [(-np.inf, np.inf)] * nvar
         if len(bounds) != nvar:
             raise ValueError("bounds length must match the variable count")
-        self.bounds = [(float(lo), float(hi)) for lo, hi in bounds]
-        for lo, hi in self.bounds:
-            if lo > hi:
-                raise ValueError(f"empty bound interval [{lo}, {hi}]")
+        self.lo, self.hi = np.array(bounds, dtype=float).reshape(nvar, 2).T
+        bad = np.flatnonzero(~(self.lo <= self.hi) | np.isposinf(self.lo)
+                             | np.isneginf(self.hi))
+        if bad.size:
+            j = bad[0]
+            raise ValueError(f"variable {j} has invalid bounds "
+                             f"[{self.lo[j]}, {self.hi[j]}]")
         self.nvar = nvar
+
+    @property
+    def rows(self):
+        return list(zip(self.A, self.rel.tolist(), self.b.tolist()))
 
 
 class LpSolution:
@@ -77,129 +97,78 @@ class LpSolution:
 class _Std:
     """Standard-form expansion: A x = b, x >= 0 columnwise.
 
-    Column bookkeeping: ``col_map[pos] = (orig_j, sign, shift)`` so the
-    original value is recovered as ``x_j = sum(sign * x'_pos) + shift``
-    (split columns carry shift 0 on both halves).
+    Structural column ``pos`` stands for variable ``orig[pos]``, recovered
+    as ``x_j = sum(sign * x'_pos + shift)`` over its columns: a free
+    variable is split (signs +1, -1, shift 0), a lower-bounded one shifted
+    by its bound, an upper-only one negated and shifted by its bound.
+    Finite upper bounds of lower-bounded variables follow the user rows as
+    ``<=`` rows.  Slack columns come next, artificial columns last.
     """
 
     def __init__(self, lp):
-        nvar = lp.nvar
-        self.col_map = []
-        extra_rows = []    # internal upper-bound rows (std column, ub)
-        col_of = [None] * nvar
-        for j, (lo, hi) in enumerate(lp.bounds):
-            if np.isneginf(lo) and np.isposinf(hi):
-                col_of[j] = ("split", len(self.col_map))
-                self.col_map += [(j, +1.0, 0.0), (j, -1.0, 0.0)]
-            elif np.isfinite(lo):
-                col_of[j] = ("plain", len(self.col_map))
-                self.col_map.append((j, +1.0, lo))
-                if np.isfinite(hi):
-                    extra_rows.append((len(self.col_map) - 1, hi - lo))
-            else:  # lo = -inf, hi finite: x = hi - x'
-                col_of[j] = ("neg", len(self.col_map))
-                self.col_map.append((j, -1.0, hi))
-        nstruct = len(self.col_map)
+        lo, hi = lp.lo, lp.hi
+        free = np.isneginf(lo) & np.isposinf(hi)
+        upper_only = np.isneginf(lo) & np.isfinite(hi)
+        self.orig = np.repeat(np.arange(lp.nvar), np.where(free, 2, 1))
+        self.sign = np.where(upper_only, -1.0, 1.0)[self.orig]
+        self.sign[1:][self.orig[1:] == self.orig[:-1]] = -1.0   # split halves
+        shift = np.where(upper_only, hi, np.where(free, 0.0, lo))
+        self.shift = shift[self.orig]
+        self.nstruct = nstruct = self.orig.size
+        self.nvar = lp.nvar
 
-        rows_a, rows_rel, rows_rhs, self.row_flip = [], [], [], []
-        for coeffs, rel, rhs in lp.rows:
-            a = np.zeros(nstruct)
-            adj = rhs
-            for j in range(nvar):
-                cj = coeffs[j]
-                if cj == 0.0:
-                    continue
-                kind, pos = col_of[j]
-                if kind == "split":
-                    a[pos] += cj
-                    a[pos + 1] -= cj
-                else:
-                    _, sign, shift = self.col_map[pos]
-                    a[pos] += sign * cj
-                    adj -= cj * shift
-            rows_a.append(a)
-            rows_rel.append(rel)
-            rows_rhs.append(adj)
-            self.row_flip.append(1.0)
-        self.n_user_rows = len(rows_a)
-        for pos, ub in extra_rows:
-            a = np.zeros(nstruct)
-            a[pos] = 1.0
-            rows_a.append(a)
-            rows_rel.append(REL_LE)
-            rows_rhs.append(ub)
-            self.row_flip.append(1.0)
+        # + 0.0: a zero coefficient stays +0.0 in a negated column
+        A = lp.A[:, self.orig] * self.sign + 0.0
+        b = lp.b.copy()
+        for j in np.flatnonzero(shift != 0.0):   # b_i - a_i1 s_1 - a_i2 s_2 - ..., in turn
+            b -= lp.A[:, j] * shift[j]
+        ub = np.flatnonzero(np.isfinite(lo[self.orig]) & np.isfinite(hi[self.orig]))
+        A = np.vstack([A, np.eye(nstruct)[ub]])
+        b = np.concatenate([b, (hi - lo)[self.orig[ub]]])
+        sense = np.concatenate([np.where(lp.rel == REL_LE, 1.0,
+                                         np.where(lp.rel == REL_GE, -1.0, 0.0)),
+                                np.ones(ub.size)])   # slack sign; 0 for ==
 
-        m = len(rows_a)
-        for i in range(m):
-            if rows_rhs[i] < 0.0:
-                rows_a[i] = -rows_a[i]
-                rows_rhs[i] = -rows_rhs[i]
-                self.row_flip[i] = -1.0
-                if rows_rel[i] == REL_LE:
-                    rows_rel[i] = REL_GE
-                elif rows_rel[i] == REL_GE:
-                    rows_rel[i] = REL_LE
+        flip = b < 0.0
+        A[flip] = -A[flip]
+        b[flip] = -b[flip]
+        sense[flip] = -sense[flip]
+        self.row_flip = np.where(flip, -1.0, 1.0)[:lp.b.size]
 
-        A = np.array(rows_a, dtype=float).reshape(m, nstruct)
-        basis = [None] * m
-        slack_cols = []
-        art_rows = []
-        for i in range(m):
-            if rows_rel[i] == REL_LE:
-                col = np.zeros(m)
-                col[i] = 1.0
-                slack_cols.append(col)
-                basis[i] = nstruct + len(slack_cols) - 1
-            elif rows_rel[i] == REL_GE:
-                col = np.zeros(m)
-                col[i] = -1.0
-                slack_cols.append(col)
-                art_rows.append(i)
-            else:
-                art_rows.append(i)
-        if slack_cols:
-            A = np.hstack([A, np.column_stack(slack_cols)])
-        self.n_real_cols = A.shape[1]
-        for i in art_rows:
-            col = np.zeros((m, 1))
-            col[i, 0] = 1.0
-            A = np.hstack([A, col])
-            basis[i] = A.shape[1] - 1
-        self.A = A
-        self.b = np.array(rows_rhs, dtype=float)
-        self.basis = [int(x) for x in basis]
-        self.nstruct = nstruct
+        m = b.size
+        slack = np.flatnonzero(sense != 0.0)
+        art = np.flatnonzero(sense <= 0.0)
+        self.A = np.hstack([A, np.diag(sense)[:, slack], np.eye(m)[:, art]])
+        self.b = b
+        self.n_real_cols = nstruct + slack.size
+        basis = np.empty(m, dtype=int)
+        basis[slack] = nstruct + np.arange(slack.size)
+        basis[art] = self.n_real_cols + np.arange(art.size)   # >= rows too
+        self.basis = basis.tolist()
+        self.c = np.zeros(self.A.shape[1])
+        self.c[:nstruct] = self.sign * lp.objective[self.orig]
 
-        c = np.zeros(A.shape[1])
-        for pos, (j, sign, _shift) in enumerate(self.col_map):
-            c[pos] = sign * lp.objective[j]
-        self.c = c
-
-    def to_original(self, x_std, nvar):
-        x = np.zeros(nvar)
-        for pos, (j, sign, shift) in enumerate(self.col_map):
-            x[j] += sign * x_std[pos] + shift
-        return x
-
-    def direction_to_original(self, d_std, nvar):
-        d = np.zeros(nvar)
-        for pos, (j, sign, _shift) in enumerate(self.col_map):
-            d[j] += sign * d_std[pos]
-        return d
+    def to_original(self, v, offset):
+        """Original-variable vector of the standard-form ``v``: a point with
+        ``offset = self.shift``, a direction with ``offset = 0.0``."""
+        return np.bincount(self.orig, weights=self.sign * v[:self.nstruct] + offset,
+                           minlength=self.nvar)
 
 
-def _simplex(A, b, c, basis, allow_cols, tol):
-    """Iterate to optimality.  Returns (xb, y, ray) with ray None at optimum."""
+def _simplex(A, b, c, basis, n_allow, tol):
+    """Iterate to optimality, pricing the columns ``0 .. n_allow - 1``.
+
+    Returns (xb, y, ray) with ray None at optimum.
+    """
     m = A.shape[0]
     if m == 0:
-        for j in sorted(allow_cols):
-            if c[j] < -tol:
-                return np.zeros(0), np.zeros(0), (j, np.zeros(0))
-        return np.zeros(0), np.zeros(0), None
+        neg = np.flatnonzero(c[:n_allow] < -tol)
+        return np.zeros(0), np.zeros(0), (int(neg[0]), np.zeros(0)) if neg.size else None
     degenerate_run = 0
     use_bland = False
-    allow = np.array(sorted(allow_cols), dtype=int)
+    priced = A[:, :n_allow]
+    in_basis = np.zeros(A.shape[1], dtype=bool)
+    in_basis[basis] = True
     for _ in range(_MAX_ITERS):
         try:
             B = A[:, basis]
@@ -207,12 +176,11 @@ def _simplex(A, b, c, basis, allow_cols, tol):
             y = np.linalg.solve(B.T, c[basis])
         except np.linalg.LinAlgError as e:
             raise LpError(f"singular basis {tuple(basis)}: {e}") from e
-        reduced = c[allow] - A[:, allow].T @ y
-        in_basis = np.isin(allow, basis)
-        mask = (~in_basis) & (reduced < -tol)
+        reduced = c[:n_allow] - priced.T @ y
+        mask = ~in_basis[:n_allow] & (reduced < -tol)
         if not np.any(mask):
             return xb, y, None
-        cand = allow[mask]
+        cand = np.flatnonzero(mask)
         if use_bland:
             enter = int(cand[0])
         else:
@@ -234,6 +202,8 @@ def _simplex(A, b, c, basis, allow_cols, tol):
                 use_bland = True
         else:
             degenerate_run = 0
+        in_basis[basis[leave_row]] = False
+        in_basis[enter] = True
         basis[leave_row] = enter
     raise LpError("simplex iteration cap exceeded")
 
@@ -243,54 +213,47 @@ def solve_lp(lp, tol=1e-9):
     std = _Std(lp)
     A, b, c = std.A, std.b, std.c
     m, ncols = A.shape
+    n_real = std.n_real_cols
     basis = list(std.basis)
-    art_cols = set(range(std.n_real_cols, ncols))
 
-    if m > 0 and art_cols:
+    if m > 0 and n_real < ncols:
         c1 = np.zeros(ncols)
-        c1[sorted(art_cols)] = 1.0
-        xb, _y, ray = _simplex(A, b, c1, basis, range(ncols), tol)
+        c1[n_real:] = 1.0
+        xb, _y, ray = _simplex(A, b, c1, basis, ncols, tol)
         if ray is not None:
             raise LpError("phase-1 objective reported unbounded")
         if float(c1[basis] @ xb) > 10.0 * tol * (1.0 + float(np.max(np.abs(b), initial=0.0))):
             return LpSolution("Infeasible")
         for row in range(m):
-            if basis[row] in art_cols:
-                # pivot the artificial out on any usable real column
+            if basis[row] >= n_real:
+                # pivot the artificial out on the first usable real column
                 try:
                     binv_row = np.linalg.solve(A[:, basis].T, np.eye(m)[row])
                 except np.linalg.LinAlgError as e:
                     raise LpError(f"singular basis after phase 1: {e}") from e
-                for j in range(std.n_real_cols):
-                    if j in basis:
-                        continue
-                    if abs(float(binv_row @ A[:, j])) > _PIV_TOL:
-                        basis[row] = j
-                        break
+                usable = np.abs(binv_row @ A[:, :n_real]) > _PIV_TOL
+                usable[[j for j in basis if j < n_real]] = False
+                if np.any(usable):
+                    basis[row] = int(np.argmax(usable))
                 # a stuck artificial marks a redundant row; it stays basic at 0
 
-    xb, y, ray = _simplex(A, b, c, basis, range(std.n_real_cols), tol)
+    xb, y, ray = _simplex(A, b, c, basis, n_real, tol)
 
     if ray is not None:
         enter, d = ray
         d_std = np.zeros(ncols)
         d_std[enter] = 1.0
-        for r in range(m):
-            d_std[basis[r]] -= d[r]
-        direction = std.direction_to_original(d_std, lp.nvar)
+        d_std[basis] -= d
+        direction = std.to_original(d_std, 0.0)
         nrm = float(np.max(np.abs(direction)))
         if nrm > 0.0:
             direction = direction / nrm
         return LpSolution("Unbounded", ray=direction, basis=tuple(basis))
 
     x_std = np.zeros(ncols)
-    if m > 0:
-        x_std[basis] = xb
-    x = std.to_original(x_std, lp.nvar)
-
-    dual = np.zeros(len(lp.rows))
-    for i in range(std.n_user_rows):
-        dual[i] = std.row_flip[i] * (float(y[i]) if m > 0 else 0.0)
+    x_std[basis] = xb
+    x = std.to_original(x_std, std.shift)
+    dual = std.row_flip * y[:std.row_flip.size]
 
     residual = _feas_residual(lp, x)
     scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
@@ -302,18 +265,6 @@ def solve_lp(lp, tol=1e-9):
 
 
 def _feas_residual(lp, x):
-    worst = 0.0
-    for a, rel, rhs in lp.rows:
-        v = float(a @ x)
-        if rel == REL_LE:
-            worst = max(worst, v - rhs)
-        elif rel == REL_GE:
-            worst = max(worst, rhs - v)
-        else:
-            worst = max(worst, abs(v - rhs))
-    for j, (lo, hi) in enumerate(lp.bounds):
-        if np.isfinite(lo):
-            worst = max(worst, lo - x[j])
-        if np.isfinite(hi):
-            worst = max(worst, x[j] - hi)
-    return worst
+    v = lp.A @ x - lp.b
+    row = np.where(lp.rel == REL_EQ, np.abs(v), np.where(lp.rel == REL_LE, v, -v))
+    return float(np.max(np.concatenate([row, lp.lo - x, x - lp.hi]), initial=0.0))

@@ -141,26 +141,19 @@ def l1_dist_to_hull(t, V):
         if v.size != p:
             raise DimensionError("hull points must match the dimension of t")
     m = len(pts)
-    # variables: weights w (m) then slacks s (p); minimize sum s
-    nvar = m + p
+    # variables: weights w (m) then slacks s (p); minimize sum s.  Rows, per
+    # k: s_k >= t_k - (Vw)_k and s_k >= (Vw)_k - t_k; then sum w == 1
+    V = np.array(pts).T
+    coefs = np.empty((2 * p, m + p))
+    coefs[0::2] = np.hstack([V, np.eye(p)])
+    coefs[1::2] = np.hstack([-V, np.eye(p)])
+    rhs = np.empty(2 * p)
+    rhs[0::2] = tc
+    rhs[1::2] = -tc
+    rows = [(a, REL_GE, r) for a, r in zip(coefs, rhs)]
     objective = np.concatenate([np.zeros(m), np.ones(p)])
-    rows = []
-    for k in range(p):
-        a = np.zeros(nvar)
-        for j, v in enumerate(pts):
-            a[j] = v[k]
-        a[m + k] = 1.0
-        rows.append((a, REL_GE, tc[k]))          # s_k >= t_k - (Vw)_k
-        a2 = np.zeros(nvar)
-        for j, v in enumerate(pts):
-            a2[j] = -v[k]
-        a2[m + k] = 1.0
-        rows.append((a2, REL_GE, -tc[k]))        # s_k >= (Vw)_k - t_k
-    a = np.zeros(nvar)
-    a[:m] = 1.0
-    rows.append((a, REL_EQ, 1.0))
-    bounds = [(0.0, np.inf)] * nvar
-    sol = solve_lp(LinearProgram(objective, rows, bounds))
+    rows.append((1.0 - objective, REL_EQ, 1.0))
+    sol = solve_lp(LinearProgram(objective, rows, [(0.0, np.inf)] * (m + p)))
     if sol.status != "Optimal":
         raise LpError(f"hull-distance LP reported {sol.status}; this cannot "
                       "happen for nonempty V")

@@ -334,23 +334,35 @@ def regularize(prog, cfg=DEFAULT):
     try:
         a0_cop = is_copositive(prog.A[0], cfg.tol_cop, cfg.p_max).copositive
         state = IterationState(0, ())
-        inst = SipInstance(prog, (), (), (), omega=None)
-        out = solve_sip(inst, cfg, a0_copositive=a0_cop)
-        trace.append({"m": 0, "kind": out.kind, **out.diagnostics})
-        if out.negative_feasible:
-            return RegularizationResult(
-                "regular", witness=out.point, m_star=0,
-                compressed=CompressedLedger((), (), 0),
-                diagnostics={"trace": trace, "a0_copositive": a0_cop})
-        if not out.optimal_zero:
-            return RegularizationResult(
-                "failed", diagnostics={"trace": trace,
-                                       "reason": out.diagnostics.get("reason")})
-
+        omega = None
         ledger = []
         cap = cfg.cap_for(prog.n)
         m = 0
         while True:
+            out = solve_sip(state.sip_instance(prog, omega), cfg,
+                            a0_copositive=a0_cop)
+            trace.append({"m": m, "kind": out.kind, **out.diagnostics})
+            if out.negative_feasible:
+                if m == 0:
+                    return RegularizationResult(
+                        "regular", witness=out.point, m_star=0,
+                        compressed=CompressedLedger((), (), 0),
+                        diagnostics={"trace": trace, "a0_copositive": a0_cop})
+                empty = bool(out.diagnostics.get("omega_empty"))
+                reg = RegularizedProblem(
+                    prog, state.records, None if empty else omega,
+                    out.point.x, -out.point.mu, omega_empty=empty)
+                compressed = compress_ledger(ledger, prog, cfg.tol_rank)
+                return RegularizationResult(
+                    "regularized", regularized=reg, ledger=ledger, m_star=m,
+                    compressed=compressed,
+                    diagnostics={"trace": trace, "a0_copositive": a0_cop})
+            if not out.optimal_zero:
+                return RegularizationResult(
+                    "failed", ledger=ledger,
+                    diagnostics={"trace": trace,
+                                 "reason": out.diagnostics.get("reason")})
+
             cert = out.certificate
             cond = disjointness_condition(state, cert, cfg.tol_support)
             dups = duplicate_records(state, cert, cfg.tol_support)
@@ -371,28 +383,9 @@ def regularize(prog, cfg=DEFAULT):
                     "failed", ledger=ledger,
                     diagnostics={"trace": trace,
                                  "reason": f"iteration cap {cap} exceeded"})
-
             omega = ReducedRegion([r.tau for r in state.records],
                                   tol_support=cfg.tol_support,
                                   tol_feas=cfg.tol_feas)
-            inst = state.sip_instance(prog, omega)
-            out = solve_sip(inst, cfg, a0_copositive=a0_cop)
-            trace.append({"m": m, "kind": out.kind, **out.diagnostics})
-            if out.negative_feasible:
-                empty = bool(out.diagnostics.get("omega_empty"))
-                reg = RegularizedProblem(
-                    prog, state.records, None if empty else omega,
-                    out.point.x, -out.point.mu, omega_empty=empty)
-                compressed = compress_ledger(ledger, prog, cfg.tol_rank)
-                return RegularizationResult(
-                    "regularized", regularized=reg, ledger=ledger, m_star=m,
-                    compressed=compressed,
-                    diagnostics={"trace": trace, "a0_copositive": a0_cop})
-            if not out.optimal_zero:
-                return RegularizationResult(
-                    "failed", ledger=ledger,
-                    diagnostics={"trace": trace,
-                                 "reason": out.diagnostics.get("reason")})
     except RuntimeError as e:  # LpError, CapabilityError, CertificateError, LedgerError
         return RegularizationResult(
             "failed", diagnostics={"trace": trace, "reason": str(e),

@@ -115,11 +115,10 @@ def _build_master(inst, cuts, box_r):
     for i, k in inst.ineq_rows:
         coefs, rhs = linear_row_data(prog, inst.taus[i], k)
         rows.append((np.append(coefs, 0.0), REL_GE, rhs))
-    for j in range(nvar):          # box: var_j >= -R and var_j <= R
-        e = np.zeros(nvar)
-        e[j] = 1.0
-        rows.append((e, REL_GE, -box_r))
-        rows.append((e.copy() * -1.0, REL_GE, -box_r))
+    box = np.empty((2 * nvar, nvar))   # box: var_j >= -R and -var_j >= -R
+    box[0::2] = np.eye(nvar)
+    box[1::2] = -np.eye(nvar)
+    rows += [(e, REL_GE, -box_r) for e in box]
     for t in cuts:
         coefs, rhs = cut_row_data(prog, t)
         rows.append((np.append(coefs, 1.0), REL_GE, rhs))
@@ -149,9 +148,8 @@ def solve_sip(inst, cfg, a0_copositive=False):
     for rounds in range(1, cfg.cut_rounds + 1):
         master = _build_master(inst, cuts, box_r)
         # with A_0 copositive, (x=0, mu=0) satisfies every master row
-        if a0_copositive and any(
-                abs(rhs) > cfg.tol_feas if rel == REL_EQ else rhs > cfg.tol_feas
-                for _a, rel, rhs in master.rows):
+        if a0_copositive and np.any(np.where(
+                master.rel == REL_EQ, np.abs(master.b), master.b) > cfg.tol_feas):
             raise RuntimeError(
                 "A_0 was flagged copositive but (x=0, mu=0) violates the "
                 "master; the flag or the record data is wrong")

@@ -171,6 +171,28 @@ def test_bad_report_is_domain_error(workdir, capsys, doc, needle):
     assert "bad_report.json" in err and needle in err
 
 
+@pytest.mark.parametrize("doc, needle", [
+    ({"p": 2, "W": []}, "nonempty"),
+    ("{p: 2", "Expecting property name"),
+    ({"p": 3, "W": [[0.5, 0.5]]}, "p=3, the problem has p=2"),
+    ({"W": [[0.5, 0.5]]}, "expected keys p, W"),
+    ({"p": 2, "W": [[0.7, 0.7]]}, "sum to"),
+    ({"p": 2, "W": ["ab"]}, "could not convert"),
+    ({"p": 2, "W": [[0.5, 0.25, 0.25]]}, "dimension 3"),
+], ids=["empty-W", "not-json", "p-mismatch", "no-p", "off-simplex", "not-numbers",
+        "point-dimension"])
+def test_bad_point_file_is_domain_error(workdir, capsys, doc, needle):
+    path = os.path.join(workdir["dir"], "bad_points.json")
+    with open(path, "w") as fh:
+        fh.write(doc if isinstance(doc, str) else json.dumps(doc))
+    rc = main(["minimal-face", "--problem", workdir["e3"], "--W", path,
+               "--samples", "10"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "bad_points.json" in err and needle in err
+
+
 def test_verify_ledger_rejects_a_reducer_off_its_certificate(workdir, capsys):
     # 3Y stays in the constraint kernel; only the certificate check sees it
     out = os.path.join(workdir["dir"], "rep4_tripled.json")

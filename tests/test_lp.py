@@ -97,3 +97,105 @@ def test_degenerate_instance_terminates():
     sol = solve_lp(lp)
     assert sol.status == "Optimal"
     assert sol.objective_value == pytest.approx(-2.0)
+
+
+@pytest.mark.parametrize("objective, rows, bounds, needle", [
+    ([np.nan], [], None, "variable 0"),
+    ([1.0, np.inf], [], None, "variable 1"),
+    ([1.0], [([np.nan], REL_GE, 1.0)], [(0.0, np.inf)], "row 0"),
+    ([1.0], [([1.0], REL_LE, 2.0), ([np.inf], REL_GE, 1.0)], None, "row 1"),
+    ([1.0], [([1.0], REL_GE, np.nan)], None, "row 0"),
+    ([1.0], [], [(np.nan, 1.0)], "variable 0"),
+    ([1.0, 1.0], [], [(0.0, 1.0), (0.0, np.nan)], "variable 1"),
+    ([1.0], [], [(np.inf, np.inf)], "variable 0"),
+    ([1.0], [], [(-np.inf, -np.inf)], "variable 0"),
+    ([1.0], [], [(2.0, 1.0)], "variable 0"),
+], ids=["nan-objective", "inf-objective", "nan-coefficient", "inf-coefficient",
+        "nan-rhs", "nan-lower", "nan-upper", "lower-plus-inf", "upper-minus-inf",
+        "empty-interval"])
+def test_non_finite_data_is_rejected(objective, rows, bounds, needle):
+    with pytest.raises(ValueError, match=needle):
+        LinearProgram(objective, rows, bounds)
+
+
+# --- differential test against HiGHS -----------------------------------------
+
+_BOUND_MODES = ("free", "lower", "boxed", "upper")
+_RELS = (REL_LE, REL_EQ, REL_GE)
+
+
+def _random_lp(rng, degenerate=False):
+    """A feasible, bounded LP over every bound mode and relation: the rows
+    hold at a point x0 inside the bounds (with equality when
+    ``degenerate``), and the objective combines the row and bound normals
+    with multipliers of the dual signs, so the dual is feasible too."""
+    nvar = int(rng.integers(2, 8))
+    nrow = int(rng.integers(1, 9))
+    modes = rng.choice(_BOUND_MODES, size=nvar)
+    lo = np.where((modes == "lower") | (modes == "boxed"),
+                  rng.uniform(-2.0, 0.0, nvar), -np.inf)
+    hi = np.where((modes == "upper") | (modes == "boxed"),
+                  rng.uniform(0.0, 2.0, nvar), np.inf)
+    x0 = np.clip(rng.uniform(-1.0, 1.0, nvar), lo, hi)
+    A = rng.integers(-3, 4, size=(nrow, nvar)).astype(float)
+    if degenerate:
+        A = np.vstack([A, A[:2]])           # repeated rows
+    rels = rng.choice(_RELS, size=A.shape[0])
+    gap = 0.0 if degenerate else rng.uniform(0.0, 1.0, A.shape[0])
+    b = A @ x0 + np.where(rels == REL_LE, gap, np.where(rels == REL_GE, -gap, 0.0))
+    y = rng.uniform(0.0, 1.0, A.shape[0])
+    y = np.where(rels == REL_LE, -y, np.where(rels == REL_GE, y, y - 0.5))
+    c = A.T @ y + np.where(np.isfinite(lo), rng.uniform(0.0, 1.0, nvar), 0.0) \
+        - np.where(np.isfinite(hi), rng.uniform(0.0, 1.0, nvar), 0.0)
+    return c, A, rels, b, list(zip(lo, hi))
+
+
+def _infeasible_lp(rng):
+    c, A, rels, b, bounds = _random_lp(rng)
+    A = np.vstack([A, A[:1], A[:1]])        # a'x >= r + 1 and a'x <= r
+    rels = np.append(rels, [REL_GE, REL_LE])
+    b = np.append(b, [b[0] + 1.0, b[0]])
+    return c, A, rels, b, bounds
+
+
+def _unbounded_lp(rng):
+    """A feasible LP plus a variable x_new >= 0 with cost -1 whose column
+    only loosens its rows: x_new -> inf stays feasible."""
+    c, A, rels, b, bounds = _random_lp(rng)
+    col = rng.uniform(0.5, 1.5, len(b))
+    col = np.where(rels == REL_GE, col, np.where(rels == REL_LE, -col, 0.0))
+    return (np.append(c, -1.0), np.column_stack([A, col]), rels, b,
+            bounds + [(0.0, np.inf)])
+
+
+def _solve_both(linprog, c, A, rels, b, bounds):
+    ours = solve_lp(LinearProgram(c, list(zip(A, rels, b)), bounds))
+    le, ge, eq = rels == REL_LE, rels == REL_GE, rels == REL_EQ
+    A_ub = np.vstack([A[le], -A[ge]])
+    b_ub = np.concatenate([b[le], -b[ge]])
+    ref = linprog(c, A_ub=A_ub if A_ub.size else None, b_ub=b_ub if b_ub.size else None,
+                  A_eq=A[eq] if eq.any() else None, b_eq=b[eq] if eq.any() else None,
+                  bounds=[(None if np.isinf(lo) else lo, None if np.isinf(hi) else hi)
+                          for lo, hi in bounds], method="highs")
+    return ours, ref
+
+
+_HIGHS_STATUS = {0: "Optimal", 2: "Infeasible", 3: "Unbounded"}
+_HIGHS_CASES = {  # kind: (generator, count, the one status expected)
+    "feasible": (_random_lp, 60, "Optimal"),
+    "degenerate": (lambda rng: _random_lp(rng, degenerate=True), 30, "Optimal"),
+    "infeasible": (_infeasible_lp, 20, "Infeasible"),
+    "unbounded": (_unbounded_lp, 20, "Unbounded"),
+}
+
+
+@pytest.mark.parametrize("kind", list(_HIGHS_CASES))
+def test_agrees_with_highs(kind):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    make, count, expected = _HIGHS_CASES[kind]
+    rng = np.random.default_rng(list(_HIGHS_CASES).index(kind))
+    for _ in range(count):
+        ours, ref = _solve_both(linprog, *make(rng))
+        assert ours.status == _HIGHS_STATUS[ref.status] == expected, (ours, ref.message)
+        if expected == "Optimal":
+            assert abs(ours.objective_value - ref.fun) <= 1e-7 * (1.0 + abs(ref.fun))
