@@ -12,14 +12,14 @@ from .oracle import (CapabilityError, CopositivityResult, OracleResult,
                      ReducedRegion, exclusion_radius, grid_min_full,
                      is_copositive, is_strictly_copositive, l1_dist_to_hull,
                      min_quad_over_omega, min_quad_over_simplex, simplex_grid)
-from .regularize import (CompressedLedger, FaceLedgerEntry, IterationState,
-                         LedgerError, MinimalFaceDescriptor, Record,
-                         RegularizationResult, RegularizedProblem,
-                         compress_ledger, disjointness_condition,
-                         face_membership, feasibility_equiv_sample,
-                         forced_zero_rows, minimal_face, one_step_regularize,
-                         reducing_matrix, regularize, sample_copositive,
-                         sample_feasible, update_index_sets, verify_ledger)
+from .regularize import (CompressedLedger, FaceLedgerEntry, LedgerError,
+                         MinimalFaceDescriptor, Record, RegularizationResult,
+                         RegularizedProblem, compress_ledger,
+                         disjointness_condition, face_membership,
+                         feasibility_equiv_sample, forced_zero_rows,
+                         minimal_face, one_step_regularize, regularize,
+                         sample_copositive, sample_feasible,
+                         update_index_sets, verify_ledger)
 from .sip import (CertificateError, DualCertificate, SipInstance, SipOutcome,
                   extract_certificate, solve_sip)
 
@@ -29,7 +29,7 @@ __all__ = [
     "CapabilityError", "CertificateError", "CompressedLedger",
     "CopositiveProgram", "CopositivityResult", "DecisionPoint",
     "DimensionError", "DualCertificate", "FaceLedgerEntry", "GeneratorError",
-    "IterationState", "LedgerError", "LinearProgram", "LpError", "LpSolution",
+    "LedgerError", "LinearProgram", "LpError", "LpSolution",
     "MinimalFaceDescriptor", "OracleResult", "ProblemFormatError", "Record",
     "ReducedRegion", "RegularizationResult", "RegularizedProblem",
     "RunConfig", "SimplexPoint", "SipInstance", "SipOutcome", "DEFAULT",
@@ -39,9 +39,8 @@ __all__ = [
     "grid_min_full", "is_copositive", "is_strictly_copositive",
     "kernel_dimension", "l1_dist_to_hull", "min_quad_over_omega",
     "min_quad_over_simplex", "minimal_face", "one_step_regularize",
-    "parse_matrix", "parse_problem", "quad_form", "reducing_matrix",
-    "regularize", "row_action", "sample_copositive", "sample_feasible",
-    "serialize_matrix", "serialize_problem", "shift_to_feasible",
-    "simplex_grid", "solve_lp", "solve_sip", "update_index_sets",
-    "verify_ledger",
+    "parse_matrix", "parse_problem", "quad_form", "regularize", "row_action",
+    "sample_copositive", "sample_feasible", "serialize_matrix",
+    "serialize_problem", "shift_to_feasible", "simplex_grid", "solve_lp",
+    "solve_sip", "update_index_sets", "verify_ledger",
 ]

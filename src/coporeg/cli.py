@@ -62,7 +62,7 @@ REPORT_SCHEMA = {
             "properties": {
                 "eq_rows": {"type": "array"},
                 "ineq_rows": {"type": "array"},
-                "omega": {"type": ["object", "null"]},
+                "omega": {"type": "object", "required": ["W", "empty"]},
                 "witness": {"type": "array", "items": {"type": "number"}},
                 "margin": {"type": "number"},
             },
@@ -127,17 +127,12 @@ def build_report(result, prog, cfg):
 
 def _regularized_doc(reg):
     """The ``regularized`` block of a report: rows, region, witness."""
-    omega_doc = None
-    if reg.omega_empty:
-        omega_doc = {"W": [r.tau.coords.tolist() for r in reg.records],
-                     "sigma": None, "empty": True}
-    elif reg.omega is not None:
-        omega_doc = {"W": [v.coords.tolist() for v in reg.omega.V],
-                     "sigma": reg.omega.sigma, "empty": False}
     return {
         "eq_rows": [[i + 1, k + 1] for i, k in reg.eq_rows],
         "ineq_rows": [[i + 1, k + 1] for i, k in reg.ineq_rows],
-        "omega": omega_doc,
+        "omega": {"W": [v.coords.tolist() for v in reg.omega.V],
+                  "sigma": None if reg.omega_empty else reg.omega.sigma,
+                  "empty": reg.omega_empty},
         "witness": reg.witness.tolist(),
         "margin": reg.margin,
     }
@@ -182,9 +177,9 @@ def ledger_from_report(report, prog):
             raise ProblemFormatError(
                 f"iteration {it['m']}: a lambda key in {sorted(it['lambda'])} "
                 f"names no record of the previous iteration")
-        residual = kernel_residual(prog, certificate_matrix(
-            prog.p, new_indices, lam, [r.tau for r in prev_records]))
-        cert = DualCertificate(new_indices, lam, residual)
+        Y = certificate_matrix(prog.p, new_indices, lam,
+                               [r.tau for r in prev_records])
+        cert = DualCertificate(new_indices, lam, Y, kernel_residual(prog, Y))
         entries.append(FaceLedgerEntry(
             int(it["m"]), np.asarray(it["Y"], dtype=float), records,
             prev_records, cert, bool(it["cond_11star"])))
@@ -200,15 +195,12 @@ def regularized_from_report(report, prog, cfg):
     last = report["iterations"][-1]
     for t, L in zip(last["records"], last["L"]):
         records.append(Record(SimplexPoint(t), frozenset(k - 1 for k in L)))
-    empty = bool(doc["omega"] and doc["omega"].get("empty"))
-    omega = None
-    if doc["omega"] and not empty:
-        V = [SimplexPoint(v) for v in doc["omega"]["W"]]
-        omega = ReducedRegion(V, tol_support=cfg.tol_support,
-                              tol_feas=cfg.tol_feas)
+    omega = ReducedRegion([SimplexPoint(v) for v in doc["omega"]["W"]],
+                          tol_support=cfg.tol_support, tol_feas=cfg.tol_feas)
     return RegularizedProblem(prog, records, omega,
                               np.asarray(doc["witness"], dtype=float),
-                              float(doc["margin"]), omega_empty=empty)
+                              float(doc["margin"]),
+                              omega_empty=doc["omega"]["empty"])
 
 
 def _write_json(doc, path):

@@ -4,21 +4,21 @@ The driver alternates semi-infinite solves with index-set updates: a zero
 optimum certifies new immobile points (and new forced-zero rows at old
 ones), a certified negative optimum ends the run with a strictly feasible
 witness for the reduced region.  Every accepted certificate appends one
-ledger entry (a reducing matrix in the constraint kernel plus the face
-descriptor it exposes); the ledger can be verified, compressed to a
+ledger entry (its reducing matrix, which lies in the constraint kernel,
+plus the face descriptor it exposes); the ledger can be verified, compressed to a
 linearly independent core, and rendered as the final regularized problem.
 """
 
 import numpy as np
 
 from .config import DEFAULT
-from .lp import REL_EQ, REL_GE, LinearProgram, solve_lp
-from .model import (SimplexPoint, certificate_matrix, eval_constraint,
-                    kernel_dimension, kernel_residual, project_to_zero_rows,
-                    quad_form, row_pairs, row_residuals, zero_row_matrix)
+from .lp import LinearProgram, solve_lp
+from .model import (SimplexPoint, eval_constraint, kernel_dimension,
+                    kernel_residual, project_to_zero_rows, quad_form,
+                    row_pairs, row_residuals, zero_row_matrix)
 from .oracle import (ReducedRegion, is_copositive, min_quad_over_omega,
                      stationary_candidates)
-from .sip import SipInstance, linear_row_data, solve_sip
+from .sip import SipInstance, linear_row_data, record_rows, solve_sip
 
 
 class LedgerError(RuntimeError):
@@ -55,21 +55,10 @@ def assert_support_inclusion(records, tol_support=1e-7):
                 f"contained in L={sorted(rec.L)}")
 
 
-class IterationState:
-    """Iteration counter plus the records accumulated so far."""
-
-    def __init__(self, m, records):
-        self.m = int(m)
-        self.records = tuple(records)
-
-    @property
-    def measure(self):
-        return len(self.records) + sum(len(r.L) for r in self.records)
-
-    def sip_instance(self, prog, omega):
-        eq, ineq = row_pairs(self.records, prog.p)
-        return SipInstance(prog, tuple(r.tau for r in self.records), eq, ineq,
-                           omega=omega)
+def _measure(records):
+    """Number of records plus their forced-zero rows: the progress measure
+    that every driver iteration must increase."""
+    return len(records) + sum(len(r.L) for r in records)
 
 
 class FaceLedgerEntry:
@@ -108,16 +97,24 @@ class CompressedLedger:
 
 class RegularizedProblem:
     """Finitely many linear rows plus one quadratic constraint over the
-    reduced region, with a strictly feasible witness and its margin."""
+    reduced region ``omega``, with a strictly feasible witness and its
+    margin; ``omega_empty`` says the region holds no point."""
 
     def __init__(self, prog, records, omega, witness, margin,
                  omega_empty=False):
         self.prog = prog
         self.records = tuple(records)
-        self.omega = omega            # None with omega_empty: region is empty
+        self.omega = omega
         self.witness = np.asarray(witness, dtype=float)
         self.margin = float(margin)
         self.omega_empty = bool(omega_empty)
+
+    @classmethod
+    def from_outcome(cls, prog, records, omega, out):
+        """The problem that a negative subproblem outcome over ``omega``
+        certifies: its point is the witness, minus its slack the margin."""
+        return cls(prog, records, omega, out.point.x, -out.point.mu,
+                   omega_empty=bool(out.diagnostics.get("omega_empty")))
 
     @property
     def eq_rows(self):
@@ -148,29 +145,30 @@ class RegularizationResult:
 # ---------------------------------------------------------------------------
 # state updates and ledger construction
 
-def update_index_sets(state, cert, tol_support=1e-7):
-    """Grow L at old records from the positive lambda components off L, and
-    append one record per new certificate point with L = its support."""
-    records = []
-    for i, rec in enumerate(state.records):
+def update_index_sets(records, cert, tol_support=1e-7):
+    """The next record set: L grows at old records by the positive lambda
+    components off L, and each new certificate point is appended with
+    L = its support."""
+    out = []
+    for i, rec in enumerate(records):
         lam = cert.lam.get(i)
         if lam is None:
-            records.append(rec)
+            out.append(rec)
             continue
         delta = {k for k in range(rec.tau.p)
                  if k not in rec.L and lam[k] > 0.0}
-        records.append(Record(rec.tau, rec.L | delta))
+        out.append(Record(rec.tau, rec.L | delta))
     for t, _g in cert.new_indices:
-        records.append(Record(t, frozenset(t.support_plus(tol_support))))
-    return IterationState(state.m + 1, records)
+        out.append(Record(t, frozenset(t.support_plus(tol_support))))
+    return tuple(out)
 
 
-def duplicate_records(state, cert, tol_support=1e-7):
+def duplicate_records(records, cert, tol_support=1e-7):
     """New certificate points that replicate an existing record exactly."""
     dups = []
     for t, _g in cert.new_indices:
         L_new = frozenset(t.support_plus(tol_support))
-        for rec in state.records:
+        for rec in records:
             if (np.max(np.abs(rec.tau.coords - t.coords)) <= tol_support
                     and rec.L == L_new):
                 dups.append(t)
@@ -178,27 +176,15 @@ def duplicate_records(state, cert, tol_support=1e-7):
     return dups
 
 
-def disjointness_condition(state_old, cert, tol_support=1e-7):
+def disjointness_condition(records_old, cert, tol_support=1e-7):
     """Every new point's zero set must meet every old point's support
     (the finiteness condition; verified, not enforced)."""
     for t, _g in cert.new_indices:
         p0 = set(t.support_zero(tol_support))
-        for rec in state_old.records:
+        for rec in records_old:
             if not p0 & set(rec.tau.support_plus(tol_support)):
                 return False
     return True
-
-
-def reducing_matrix(cert, state_old, prog, tol_cert=1e-7):
-    """Y = sum gamma t t' + sum (tau lam' + lam tau'), checked against the
-    constraint kernel."""
-    Y = certificate_matrix(prog.p, cert.new_indices, cert.lam,
-                           [r.tau for r in state_old.records])
-    worst = kernel_residual(prog, Y)
-    if worst > tol_cert:
-        raise LedgerError(f"reducing matrix leaves the constraint kernel: "
-                          f"max |A_j . Y| = {worst:.3e} > {tol_cert:.0e}")
-    return Y
 
 
 def face_rows(records, D, cfg=DEFAULT):
@@ -235,7 +221,7 @@ def verify_ledger(entries, prog, cfg=DEFAULT, n_samples=200, seed=0):
     """Check the construction conditions of every entry.
 
     Kernel membership is exact; each reducer is compared entrywise with
-    the generator form of its stored certificate; the face chain is sampled:
+    its certificate's ``Y``; the face chain is sampled:
     copositive samples (raw and projected onto the entry's zero rows) that
     land in entry m must satisfy the rows of entry m-1 (it is copositive
     already) and be orthogonal to Y_m.
@@ -249,8 +235,7 @@ def verify_ledger(entries, prog, cfg=DEFAULT, n_samples=200, seed=0):
         cert = entry.certificate
         gamma_ok = all(g > 0.0 for _t, g in cert.new_indices)
         prev = entry.prev_records
-        reducer_res = float(np.max(np.abs(entry.reducer - certificate_matrix(
-            prog.p, cert.new_indices, cert.lam, [r.tau for r in prev]))))
+        reducer_res = float(np.max(np.abs(entry.reducer - cert.Y)))
         lam_sign_ok = not any(lam[k] < -cfg.tol_mult
                               for i, lam in cert.lam.items()
                               for k in range(prog.p) if k not in prev[i].L)
@@ -333,13 +318,13 @@ def regularize(prog, cfg=DEFAULT):
     trace = []
     try:
         a0_cop = is_copositive(prog.A[0], cfg.tol_cop, cfg.p_max).copositive
-        state = IterationState(0, ())
+        records = ()
         omega = None
         ledger = []
         cap = cfg.cap_for(prog.n)
         m = 0
         while True:
-            out = solve_sip(state.sip_instance(prog, omega), cfg,
+            out = solve_sip(SipInstance(prog, records, omega), cfg,
                             a0_copositive=a0_cop)
             trace.append({"m": m, "kind": out.kind, **out.diagnostics})
             if out.negative_feasible:
@@ -348,10 +333,7 @@ def regularize(prog, cfg=DEFAULT):
                         "regular", witness=out.point, m_star=0,
                         compressed=CompressedLedger((), (), 0),
                         diagnostics={"trace": trace, "a0_copositive": a0_cop})
-                empty = bool(out.diagnostics.get("omega_empty"))
-                reg = RegularizedProblem(
-                    prog, state.records, None if empty else omega,
-                    out.point.x, -out.point.mu, omega_empty=empty)
+                reg = RegularizedProblem.from_outcome(prog, records, omega, out)
                 compressed = compress_ledger(ledger, prog, cfg.tol_rank)
                 return RegularizationResult(
                     "regularized", regularized=reg, ledger=ledger, m_star=m,
@@ -364,26 +346,25 @@ def regularize(prog, cfg=DEFAULT):
                                  "reason": out.diagnostics.get("reason")})
 
             cert = out.certificate
-            cond = disjointness_condition(state, cert, cfg.tol_support)
-            dups = duplicate_records(state, cert, cfg.tol_support)
-            new_state = update_index_sets(state, cert, cfg.tol_support)
-            assert_support_inclusion(new_state.records, cfg.tol_support)
-            Y = reducing_matrix(cert, state, prog, cfg.tol_cert)
-            ledger.append(FaceLedgerEntry(m + 1, Y, new_state.records,
-                                          state.records, cert, cond))
-            if new_state.measure <= state.measure:
+            cond = disjointness_condition(records, cert, cfg.tol_support)
+            dups = duplicate_records(records, cert, cfg.tol_support)
+            new_records = update_index_sets(records, cert, cfg.tol_support)
+            assert_support_inclusion(new_records, cfg.tol_support)
+            ledger.append(FaceLedgerEntry(m + 1, cert.Y, new_records, records,
+                                          cert, cond))
+            if _measure(new_records) <= _measure(records):
                 return RegularizationResult(
                     "failed", ledger=ledger,
                     diagnostics={"trace": trace, "reason": "no progress",
                                  "duplicates": [t.coords.tolist() for t in dups]})
-            state = new_state
+            records = new_records
             m += 1
             if m > cap:
                 return RegularizationResult(
                     "failed", ledger=ledger,
                     diagnostics={"trace": trace,
                                  "reason": f"iteration cap {cap} exceeded"})
-            omega = ReducedRegion([r.tau for r in state.records],
+            omega = ReducedRegion([r.tau for r in records],
                                   tol_support=cfg.tol_support,
                                   tol_feas=cfg.tol_feas)
     except RuntimeError as e:  # LpError, CapabilityError, CertificateError, LedgerError
@@ -415,10 +396,9 @@ def one_step_regularize(prog, W, cfg=DEFAULT, strict=True):
         L = frozenset(t.support_plus(cfg.tol_support)) if strict else frozenset()
         records.append(Record(t, L))
     omega = ReducedRegion(W, tol_support=cfg.tol_support, tol_feas=cfg.tol_feas)
-    eq, ineq = row_pairs(records, prog.p)
-    inst = SipInstance(prog, W, eq, ineq, omega=omega)
     a0_cop = is_copositive(prog.A[0], cfg.tol_cop, cfg.p_max).copositive
-    out = solve_sip(inst, cfg, a0_copositive=a0_cop)
+    out = solve_sip(SipInstance(prog, records, omega), cfg,
+                    a0_copositive=a0_cop)
     if out.optimal_zero:
         blocking = out.certificate.new_indices[0][0]
         raise ValueError(
@@ -426,9 +406,7 @@ def one_step_regularize(prog, W, cfg=DEFAULT, strict=True):
             f"index {blocking.coords.tolist()}")
     if not out.negative_feasible:
         raise RuntimeError(f"witness search unresolved: {out.diagnostics}")
-    empty = bool(out.diagnostics.get("omega_empty"))
-    reg = RegularizedProblem(prog, records, None if empty else omega,
-                             out.point.x, -out.point.mu, omega_empty=empty)
+    reg = RegularizedProblem.from_outcome(prog, records, omega, out)
     _check_immobile(prog, W, reg, cfg)
     return reg
 
@@ -477,11 +455,7 @@ def forced_zero_rows(prog, t_j, reg, cfg=DEFAULT):
     with a box around the witness is at the numerical zero level: one LP
     per row, no separation.
     """
-    rows = []
-    for rec in reg.records:
-        for k in range(prog.p):
-            coefs, rhs = linear_row_data(prog, rec.tau, k)
-            rows.append((coefs, REL_EQ if k in rec.L else REL_GE, rhs))
+    rows = record_rows(prog, reg.records)
     # the box must hold a neighbourhood of the witness, where P and F agree;
     # witnesses of `regularize` often sit on the master's box |x_j| <= box_r
     r = max(cfg.box_r, 2.0 * float(np.max(np.abs(reg.witness), initial=0.0)))
@@ -586,14 +560,19 @@ def feasibility_equiv_sample(prog, reg, n_samples, seed, cfg=DEFAULT,
 
 
 def _omega_margin(ax, reg, h, cfg, candidates):
+    """min t'(ax)t over the region: the grid value, lowered by the least
+    stationary candidate inside the region below -tol_band (an exact
+    violation)."""
     if reg.omega_empty:
         return np.inf
-    if reg.omega is None:
-        return min(val for val, _t in candidates)
-    # negative stationary candidates inside the region give exact violations
-    best = min((val for val, t in candidates
-                if val < -cfg.tol_band and reg.omega.contains(t)),
-               default=np.inf)
     res = min_quad_over_omega(ax, reg.omega, h,
                               max_grid_points=cfg.max_grid_points)
-    return best if res.empty else min(best, res.value)
+    best = np.inf if res.empty else res.value
+    # ascending values: the first candidate inside is the least one, and
+    # only a candidate below the grid value can lower the margin
+    for val, t in sorted(candidates, key=lambda c: c[0]):
+        if val >= min(-cfg.tol_band, best):
+            break
+        if reg.omega.contains(t):
+            return val
+    return best

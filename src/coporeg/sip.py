@@ -12,7 +12,8 @@ import numpy as np
 
 from .lp import REL_EQ, REL_GE, LinearProgram, solve_lp
 from .model import (DecisionPoint, DimensionError, SimplexPoint,
-                    certificate_matrix, eval_constraint, kernel_residual)
+                    certificate_matrix, eval_constraint, kernel_residual,
+                    row_pairs)
 from .oracle import CapabilityError, min_quad_over_omega, min_quad_over_simplex
 
 
@@ -25,37 +26,31 @@ class CertificateError(RuntimeError):
 
 
 class SipInstance:
-    """One subproblem: linear rows (i, k) over records plus a quadratic
-    constraint over ``omega`` (None means the full simplex)."""
+    """One subproblem: the linear rows of ``records`` (see ``record_rows``)
+    plus a quadratic constraint over ``omega`` (None means the full
+    simplex)."""
 
-    def __init__(self, prog, taus, eq_rows, ineq_rows, omega=None):
+    def __init__(self, prog, records, omega=None):
         self.prog = prog
-        self.taus = tuple(taus)
+        self.records = tuple(records)
+        self.taus = tuple(rec.tau for rec in self.records)
         for t in self.taus:
             if not isinstance(t, SimplexPoint) or t.p != prog.p:
                 raise DimensionError("every record point must be a SimplexPoint of dimension p")
-        self.eq_rows = tuple((int(i), int(k)) for i, k in eq_rows)
-        self.ineq_rows = tuple((int(i), int(k)) for i, k in ineq_rows)
-        if set(self.eq_rows) & set(self.ineq_rows):
-            raise ValueError("equality and inequality row index pairs must be disjoint")
-        for i, k in self.eq_rows + self.ineq_rows:
-            if not (0 <= i < len(self.taus)) or not (0 <= k < prog.p):
-                raise IndexError(f"row ({i}, {k}) out of range")
+        self.eq_rows, self.ineq_rows = row_pairs(self.records, prog.p)
         self.omega = omega
 
 
 class DualCertificate:
     """New index points with positive weights plus per-record multiplier
-    vectors; ``residual`` is the stationarity residual at assembly."""
+    vectors; ``Y`` is their reducing matrix (``certificate_matrix``) and
+    ``residual`` its stationarity residual at assembly."""
 
-    def __init__(self, new_indices, lam, residual):
+    def __init__(self, new_indices, lam, Y, residual):
         self.new_indices = tuple(new_indices)   # ((SimplexPoint, gamma), ...)
         self.lam = dict(lam)                    # record index -> p-vector
+        self.Y = Y
         self.residual = float(residual)
-
-    @property
-    def gammas(self):
-        return tuple(g for _t, g in self.new_indices)
 
     def __repr__(self):
         return (f"DualCertificate(new={len(self.new_indices)}, "
@@ -95,6 +90,19 @@ def linear_row_data(prog, tau, k):
     return coefs, rhs
 
 
+def record_rows(prog, records):
+    """LP rows over x of a record set: (coefs, relation, rhs) of the rows
+    e_k' A(x) tau, equalities (k in L) first, then inequalities (>= 0),
+    each in ``row_pairs`` order."""
+    eq, ineq = row_pairs(records, prog.p)
+    rows = []
+    for rel, pairs in ((REL_EQ, eq), (REL_GE, ineq)):
+        for i, k in pairs:
+            coefs, rhs = linear_row_data(prog, records[i].tau, k)
+            rows.append((coefs, rel, rhs))
+    return rows
+
+
 def cut_row_data(prog, t):
     """Coefficients and rhs of the cut  t' A(x) t  (+ mu >= 0 in masters)."""
     tc = t.coords
@@ -104,17 +112,13 @@ def cut_row_data(prog, t):
 
 
 def _build_master(inst, cuts, box_r):
-    """Master LP over (x, mu): rows ordered eq, ineq, box, cuts."""
+    """Master LP over (x, mu): the record rows (eq, then ineq) with a zero
+    mu coefficient, then box, then cuts."""
     prog = inst.prog
     n = prog.n
     nvar = n + 1
-    rows = []
-    for i, k in inst.eq_rows:
-        coefs, rhs = linear_row_data(prog, inst.taus[i], k)
-        rows.append((np.append(coefs, 0.0), REL_EQ, rhs))
-    for i, k in inst.ineq_rows:
-        coefs, rhs = linear_row_data(prog, inst.taus[i], k)
-        rows.append((np.append(coefs, 0.0), REL_GE, rhs))
+    rows = [(np.append(coefs, 0.0), rel, rhs)
+            for coefs, rel, rhs in record_rows(prog, inst.records)]
     box = np.empty((2 * nvar, nvar))   # box: var_j >= -R and -var_j >= -R
     box[0::2] = np.eye(nvar)
     box[1::2] = -np.eye(nvar)
@@ -286,13 +290,13 @@ def extract_certificate(sol, cuts, inst, cfg, iteration0):
         total = sum(g for _t, g in new)
         new = [(t, g / total) for t, g in new]
 
-    residual = kernel_residual(prog, certificate_matrix(prog.p, new, lam,
-                                                        inst.taus))
+    Y = certificate_matrix(prog.p, new, lam, inst.taus)
+    residual = kernel_residual(prog, Y)
     if residual > cfg.tol_cert:
         raise CertificateError(
             f"certificate stationarity residual {residual:.3e} exceeds "
             f"tol_cert={cfg.tol_cert:.0e}", residual=residual)
-    return DualCertificate(new, lam, residual)
+    return DualCertificate(new, lam, Y, residual)
 
 
 def _reduce_support(new, prog, n, cfg):

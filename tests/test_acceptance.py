@@ -14,6 +14,8 @@ from coporeg import (DEFAULT, FaceLedgerEntry, compress_ledger,
                      solve_lp, LinearProgram, SimplexPoint,
                      eval_constraint, min_quad_over_omega, verify_ledger)
 from coporeg.lp import REL_GE, REL_LE
+from coporeg.oracle import stationary_candidates
+from coporeg.regularize import _omega_margin
 from coporeg.sip import linear_row_data
 
 from conftest import simplex
@@ -225,7 +227,7 @@ def test_witness_margin_holds_at_and_below_the_final_resolution(successful_runs)
     checked = 0
     for name, prog, res in successful_runs:
         reg = res.regularized
-        if reg.omega is None:
+        if reg.omega_empty:   # an empty region has no grid and no h
             continue
         h = res.diagnostics["trace"][-1]["h"]
         ax = eval_constraint(prog, reg.witness)
@@ -233,6 +235,44 @@ def test_witness_margin_holds_at_and_below_the_final_resolution(successful_runs)
         assert reg.margin <= min_quad_over_omega(ax, reg.omega, h / 2.0).value, name
         checked += 1
     assert checked > 0
+
+
+def _omega_margin_all_candidates(ax, reg, h, cfg, candidates):
+    """The margin as first defined: every candidate below -tol_band is
+    tested for membership, then the least is compared with the grid."""
+    if reg.omega_empty:
+        return np.inf
+    best = min((val for val, t in candidates
+                if val < -cfg.tol_band and reg.omega.contains(t)),
+               default=np.inf)
+    res = min_quad_over_omega(ax, reg.omega, h,
+                              max_grid_points=cfg.max_grid_points)
+    return best if res.empty else min(best, res.value)
+
+
+def test_omega_margin_matches_the_all_candidate_margin(e4, successful_runs):
+    two = [simplex(1, 0, 0), simplex(0, 1, 0)]
+    runs = list(successful_runs) + [
+        (name, prog, regularize(prog)) for name, prog in (
+            ("e4", e4),
+            ("planting50", generate_instance(seed=50, p=3, n=2, planted=two)))]
+    rng = np.random.default_rng(5)
+    by_candidate = empty = 0
+    for name, prog, res in runs:
+        reg = res.regularized
+        assert len(reg.omega.V) == len(reg.records), name
+        h = DEFAULT.grid_h(prog.p)
+        for _ in range(20):
+            x = reg.witness + rng.uniform(-2.0, 2.0, size=prog.n)
+            ax = eval_constraint(prog, x)
+            cands = stationary_candidates(ax, DEFAULT.p_max)
+            got = _omega_margin(ax, reg, h, DEFAULT, cands)
+            assert got == _omega_margin_all_candidates(ax, reg, h, DEFAULT,
+                                                       cands), name
+            by_candidate += got in {val for val, _t in cands}
+            empty += reg.omega_empty
+    # both sources of the margin and the empty region are exercised
+    assert 0 < by_candidate < 20 * len(runs) and empty == 20
 
 
 def test_criterion_9_lp_core():

@@ -4,18 +4,22 @@ import numpy as np
 import pytest
 
 from coporeg import (DEFAULT, CopositiveProgram, DualCertificate,
-                     FaceLedgerEntry, IterationState, LedgerError, Record,
-                     compress_ledger, disjointness_condition, eval_constraint,
-                     face_membership, feasibility_equiv_sample,
-                     forced_zero_rows, generate_instance, kernel_dimension,
-                     minimal_face, one_step_regularize, quad_form,
-                     reducing_matrix, regularize, sample_copositive,
-                     sample_feasible, update_index_sets, verify_ledger)
+                     FaceLedgerEntry, LedgerError, Record, ReducedRegion,
+                     SipInstance, compress_ledger, disjointness_condition,
+                     eval_constraint, face_membership,
+                     feasibility_equiv_sample, forced_zero_rows,
+                     generate_instance, kernel_dimension, minimal_face,
+                     one_step_regularize, quad_form, regularize,
+                     sample_copositive, sample_feasible, update_index_sets,
+                     verify_ledger)
 
-from coporeg.model import (SimplexPoint, project_to_zero_rows, row_residuals,
+from coporeg.lp import REL_EQ, REL_GE
+from coporeg.model import (SimplexPoint, certificate_matrix, kernel_residual,
+                           project_to_zero_rows, row_pairs, row_residuals,
                            zero_row_matrix)
 from coporeg.oracle import is_copositive
-from coporeg.regularize import MinimalFaceDescriptor, face_rows
+from coporeg.regularize import MinimalFaceDescriptor, _measure, face_rows
+from coporeg.sip import _build_master, record_rows
 
 from conftest import simplex
 
@@ -23,7 +27,7 @@ REGULARIZE = importlib.import_module("coporeg.regularize")
 
 
 def _cert(new=(), lam=None):
-    return DualCertificate(new, lam or {}, 0.0)
+    return DualCertificate(new, lam or {}, None, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -98,43 +102,39 @@ def test_dimension_beyond_cap_reports_failed():
 # state updates
 
 def test_update_grows_l_from_lambda():
-    state = IterationState(1, [Record(simplex(1, 0), {0})])
+    records = (Record(simplex(1, 0), {0}),)
     cert = _cert(lam={0: np.array([0.0, 0.7])})
-    new = update_index_sets(state, cert)
-    assert new.records[0].L == frozenset({0, 1})
-    assert new.m == 2
+    new = update_index_sets(records, cert)
+    assert new[0].L == frozenset({0, 1})
 
 
 def test_update_appends_new_record():
-    state = IterationState(0, [])
     cert = _cert(new=[(simplex(0.5, 0.5), 1.0)])
-    new = update_index_sets(state, cert)
-    assert len(new.records) == 1
-    assert new.records[0].L == frozenset({0, 1})
+    new = update_index_sets((), cert)
+    assert len(new) == 1
+    assert new[0].L == frozenset({0, 1})
 
 
 def test_update_without_progress():
-    state = IterationState(1, [Record(simplex(1, 0), {0})])
+    records = (Record(simplex(1, 0), {0}),)
     cert = _cert(lam={0: np.array([0.0, 0.0])})
-    new = update_index_sets(state, cert)
-    assert new.records[0].L == state.records[0].L
-    assert new.measure == state.measure
+    new = update_index_sets(records, cert)
+    assert new[0].L == records[0].L
+    assert _measure(new) == _measure(records)
 
 
 def test_disjointness_examples():
-    old = IterationState(1, [Record(simplex(1, 0), {0})])
+    old = (Record(simplex(1, 0), {0}),)
     assert disjointness_condition(old, _cert(new=[(simplex(0, 1), 1.0)]))
     assert not disjointness_condition(old, _cert(new=[(simplex(0.5, 0.5), 1.0)]))
-    assert disjointness_condition(IterationState(0, []),
-                                  _cert(new=[(simplex(0.5, 0.5), 1.0)]))
+    assert disjointness_condition((), _cert(new=[(simplex(0.5, 0.5), 1.0)]))
 
 
 # ---------------------------------------------------------------------------
 # ledger construction
 
 def test_reducing_matrix_rank_one(e2):
-    Y = reducing_matrix(_cert(new=[(simplex(1, 0), 1.0)]),
-                        IterationState(0, []), e2)
+    Y = certificate_matrix(e2.p, [(simplex(1, 0), 1.0)], {}, [])
     assert np.allclose(Y, [[1.0, 0.0], [0.0, 0.0]])
     # kernel check by hand: A_0 . Y = 0 and A_1 . Y = 0
     assert abs(np.sum(e2.A[0] * Y)) <= 1e-12
@@ -142,24 +142,18 @@ def test_reducing_matrix_rank_one(e2):
 
 
 def test_reducing_matrix_interior_point(e3):
-    Y = reducing_matrix(_cert(new=[(simplex(0.5, 0.5), 1.0)]),
-                        IterationState(0, []), e3)
+    Y = certificate_matrix(e3.p, [(simplex(0.5, 0.5), 1.0)], {}, [])
     assert np.allclose(Y, 0.25 * np.ones((2, 2)))
+    assert kernel_residual(e3, Y) == 0.0
 
 
 def test_reducing_matrix_symmetrized_lambda():
     # diagonal constraint matrices keep the symmetrized product in the kernel
     prog = CopositiveProgram([1.0], [np.zeros((2, 2)), np.diag([1.0, -1.0])])
-    state = IterationState(1, [Record(simplex(1, 0), {0})])
-    Y = reducing_matrix(_cert(lam={0: np.array([0.0, 1.0])}), state, prog)
+    Y = certificate_matrix(prog.p, [], {0: np.array([0.0, 1.0])},
+                           [simplex(1, 0)])
     assert np.allclose(Y, [[0.0, 1.0], [1.0, 0.0]])
-
-
-def test_reducing_matrix_kernel_violation(e2):
-    # (1/2, 1/2) is not immobile for e2: the kernel check must fire
-    with pytest.raises(LedgerError, match="kernel"):
-        reducing_matrix(_cert(new=[(simplex(0.5, 0.5), 1.0)]),
-                        IterationState(0, []), e2)
+    assert kernel_residual(prog, Y) == 0.0
 
 
 def test_face_membership_examples(reg_e2):
@@ -403,6 +397,38 @@ def test_forced_zero_rows_solves_one_lp_per_row(face_cases, name, monkeypatch):
         assert len(calls) - before == prog.p
 
 
+def _pairwise_rows(prog, records):
+    """The record rows as the master built them one (i, k) pair at a time."""
+    eq, ineq = row_pairs(records, prog.p)
+    rows = []
+    for rel, pairs in ((REL_EQ, eq), (REL_GE, ineq)):
+        for i, k in pairs:
+            t = records[i].tau.coords
+            coefs = np.array([float(Aj[k] @ t) for Aj in prog.A[1:]])
+            rows.append((coefs, rel, -float(prog.A[0][k] @ t)))
+    return rows
+
+
+def _bits(rows):
+    return [(np.asarray(a, dtype=float).tobytes(), rel,
+             np.float64(b).tobytes()) for a, rel, b in rows]
+
+
+@pytest.mark.parametrize("name", ["e2", "e4", "gen36", "planting50"])
+def test_record_rows_match_the_pairwise_rows_bitwise(face_cases, name):
+    prog, reg = face_cases[name]
+    # the final records, and each point alone with all-inequality rows
+    record_sets = [reg.records] + [(Record(r.tau, ()),) for r in reg.records]
+    for records in record_sets:
+        ref = _pairwise_rows(prog, records)
+        assert len(ref) == len(records) * prog.p
+        assert _bits(record_rows(prog, records)) == _bits(ref)
+        # the master puts them first, with a zero mu coefficient
+        master = _build_master(SipInstance(prog, records), [], DEFAULT.box_r)
+        assert _bits(master.rows[:len(ref)]) == _bits(
+            (np.append(a, 0.0), rel, b) for a, rel, b in ref)
+
+
 @pytest.mark.parametrize("name", ["e2", "e4", "gen36", "planting50"])
 def test_excluded_rows_are_positive_at_feasible_points(face_cases, name,
                                                        monkeypatch):
@@ -504,7 +530,9 @@ def test_feasibility_equivalence_identity_description(e1):
     # a trivial regularization of a strictly feasible program: no rows,
     # quadratic over the whole simplex; decisions must coincide exactly
     from coporeg import RegularizedProblem
-    reg = RegularizedProblem(e1, (), None, np.zeros(1), 1.0)
+    # a radius below tol_feas excludes no point: the region is the simplex
+    region = ReducedRegion([simplex(1, 0)], sigma=1e-12)
+    reg = RegularizedProblem(e1, (), region, np.zeros(1), 1.0)
     rep = feasibility_equiv_sample(e1, reg, 300, seed=4)
     assert rep["n_disagreements"] == 0
 

@@ -3,10 +3,10 @@ import importlib
 import numpy as np
 import pytest
 
-from coporeg import (DEFAULT, CopositiveProgram, ReducedRegion,
-                     SipInstance, eval_constraint, extract_certificate,
-                     generate_instance, min_quad_over_simplex, regularize,
-                     solve_sip)
+from coporeg import (DEFAULT, CertificateError, CopositiveProgram, Record,
+                     ReducedRegion, SipInstance, eval_constraint,
+                     extract_certificate, generate_instance,
+                     min_quad_over_simplex, regularize, solve_sip)
 from coporeg.lp import REL_GE, LinearProgram, solve_lp
 from coporeg.sip import _build_master, cut_row_data
 
@@ -14,7 +14,7 @@ from conftest import simplex
 
 
 def test_sip0_e1_negative(e1):
-    out = solve_sip(SipInstance(e1, (), (), (), omega=None), DEFAULT,
+    out = solve_sip(SipInstance(e1, ()), DEFAULT,
                     a0_copositive=True)
     assert out.negative_feasible
     x_bar, mu_bar = out.point.x, out.point.mu
@@ -24,7 +24,7 @@ def test_sip0_e1_negative(e1):
 
 
 def test_sip0_e2_zero_certificate(e2):
-    out = solve_sip(SipInstance(e2, (), (), (), omega=None), DEFAULT,
+    out = solve_sip(SipInstance(e2, ()), DEFAULT,
                     a0_copositive=True)
     assert out.optimal_zero
     cert = out.certificate
@@ -42,7 +42,7 @@ def test_sip1_e2_negative(e2):
     # quadratic over the region away from (1, 0)
     tau = simplex(1, 0)
     omega = ReducedRegion([tau])
-    inst = SipInstance(e2, (tau,), ((0, 0),), ((0, 1),), omega=omega)
+    inst = SipInstance(e2, (Record(tau, {0}),), omega)
     out = solve_sip(inst, DEFAULT, a0_copositive=True)
     assert out.negative_feasible
     assert out.point.mu <= -0.25 + 1e-6
@@ -73,8 +73,7 @@ def test_sip_evaluates_region_only_at_reported_resolution(e2, monkeypatch):
     monkeypatch.setattr(reg_mod, "solve_sip", recording_solve)
 
     tau = simplex(1, 0)
-    inst = SipInstance(e2, (tau,), ((0, 0),), ((0, 1),),
-                       omega=ReducedRegion([tau]))
+    inst = SipInstance(e2, (Record(tau, {0}),), ReducedRegion([tau]))
     out = solve_sip(inst, DEFAULT, a0_copositive=True)
     assert out.negative_feasible and seen
     assert all(h >= out.diagnostics["h"] for h in seen)
@@ -88,7 +87,7 @@ def test_sip_evaluates_region_only_at_reported_resolution(e2, monkeypatch):
 
 
 def test_sip0_e3_zero(e3):
-    out = solve_sip(SipInstance(e3, (), (), (), omega=None), DEFAULT,
+    out = solve_sip(SipInstance(e3, ()), DEFAULT,
                     a0_copositive=True)
     assert out.optimal_zero
     t, g = out.certificate.new_indices[0]
@@ -99,8 +98,8 @@ def test_sip0_e3_zero(e3):
 def test_zero_optimum_not_an_artifact_of_origin(e2):
     # re-solving the final master with the origin excluded must keep the
     # optimum at the zero level: the relaxation already proves mu >= 0
-    out = solve_sip(SipInstance(e2, (), (), (), omega=None), DEFAULT)
-    inst = SipInstance(e2, (), (), (), omega=None)
+    out = solve_sip(SipInstance(e2, ()), DEFAULT)
+    inst = SipInstance(e2, ())
     for direction, dist in ((1.0, 0.01), (-1.0, 0.01)):
         master = _build_master(inst, list(out.cuts), DEFAULT.box_r)
         rows = list(master.rows)
@@ -111,7 +110,7 @@ def test_zero_optimum_not_an_artifact_of_origin(e2):
 
 
 def test_cut_points_active_at_master(e2):
-    out = solve_sip(SipInstance(e2, (), (), (), omega=None), DEFAULT)
+    out = solve_sip(SipInstance(e2, ()), DEFAULT)
     x_star = out.point.x
     ax = eval_constraint(e2, x_star)
     for t, _g in out.certificate.new_indices:
@@ -120,7 +119,7 @@ def test_cut_points_active_at_master(e2):
 
 def _fake_master_solution(prog, cuts, gammas):
     """Assemble an optimal-looking LpSolution for extraction tests."""
-    inst = SipInstance(prog, (), (), (), omega=None)
+    inst = SipInstance(prog, ())
     n = prog.n
     ndual = 2 * (n + 1) + len(cuts)
     dual = np.zeros(ndual)
@@ -144,6 +143,8 @@ def test_extract_normalizes_two_active_cuts():
     cert = extract_certificate(sol, cuts, inst, DEFAULT, iteration0=True)
     assert len(cert.new_indices) == 2
     assert sum(g for _t, g in cert.new_indices) == pytest.approx(1.0)
+    # the certificate keeps the reducing matrix it checked
+    assert np.array_equal(cert.Y, 0.5 * np.eye(2))
 
 
 def test_extract_drops_tiny_multiplier():
@@ -156,14 +157,23 @@ def test_extract_drops_tiny_multiplier():
     assert cert.new_indices[0][1] == pytest.approx(1.0)
 
 
+def test_extract_rejects_a_cut_that_is_not_immobile(e2):
+    # (1/2, 1/2) is not immobile for e2: its reducing matrix leaves the
+    # constraint kernel, so the stationarity check must fire
+    cuts = [simplex(0.5, 0.5)]
+    sol, inst = _fake_master_solution(e2, cuts, [1.0])
+    with pytest.raises(CertificateError, match="stationarity residual"):
+        extract_certificate(sol, cuts, inst, DEFAULT, iteration0=True)
+
+
 def test_empty_region_reduces_to_lp():
     # both vertices recorded: the reduced region is empty and the
     # subproblem degenerates to its linear rows with a nominal slack
     prog = CopositiveProgram([1.0], [np.zeros((2, 2)), np.zeros((2, 2))])
     taus = (simplex(1, 0), simplex(0, 1))
     omega = ReducedRegion(taus)
-    inst = SipInstance(prog, taus, ((0, 0), (1, 1)), ((0, 1), (1, 0)),
-                       omega=omega)
+    inst = SipInstance(prog, (Record(taus[0], {0}), Record(taus[1], {1})),
+                       omega)
     out = solve_sip(inst, DEFAULT)
     assert out.negative_feasible
     assert out.point.mu == -1.0
@@ -174,8 +184,7 @@ def test_a0_flag_check_fires():
     # A_0 not copositive: the (0, 0) feasibility check must trip
     prog = CopositiveProgram([1.0], [[[0, -1], [-1, 0]], [[0, 1], [1, 0]]])
     tau = simplex(0.5, 0.5)
-    inst = SipInstance(prog, (tau,), (), ((0, 0), (0, 1)),
-                       omega=ReducedRegion([tau]))
+    inst = SipInstance(prog, (Record(tau, set()),), ReducedRegion([tau]))
     with pytest.raises(RuntimeError, match="flagged copositive"):
         solve_sip(inst, DEFAULT, a0_copositive=True)
 
