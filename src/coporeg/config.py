@@ -54,8 +54,11 @@ class RunConfig:
             raise ValueError("iteration_cap must be >= 1")
         if self.box_r <= 0 or self.p_max < 2:
             raise ValueError("box_r must be positive and p_max >= 2")
-        if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
+        for name, least in (("samples", 1), ("cut_rounds", 1),
+                            ("refine_rounds", 0), ("max_grid_points", 1)):
+            v = getattr(self, name)
+            if v < least:
+                raise ValueError(f"{name} must be >= {least}, got {v}")
 
     def cap_for(self, n):
         return self.iteration_cap if self.iteration_cap is not None else 2 * n + 2
@@ -76,14 +79,15 @@ class RunConfig:
         return asdict(self)
 
 
-def load_env_config(base=None, env_var="COPOREG_CONFIG"):
-    """Merge a JSON config file named by the environment under `base` values.
+def load_env_config(base=None):
+    """Merge the JSON config file named by ``COPOREG_CONFIG`` under `base`
+    values.
 
     File values fill in anything not explicitly set in ``base`` (a dict of
     overrides); unknown keys are rejected.
     """
     base = dict(base or {})
-    path = os.environ.get(env_var)
+    path = os.environ.get("COPOREG_CONFIG")
     merged = {}
     if path:
         try:

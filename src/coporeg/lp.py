@@ -81,12 +81,11 @@ class LpSolution:
     """Status plus primal/dual data; ``dual`` has one multiplier per row."""
 
     def __init__(self, status, primal=None, dual=None, objective_value=None,
-                 ray=None, basis=None, residual=None):
+                 basis=None, residual=None):
         self.status = status            # "Optimal" | "Infeasible" | "Unbounded"
         self.primal = primal
         self.dual = dual
         self.objective_value = objective_value
-        self.ray = ray
         self.basis = basis
         self.residual = residual
 
@@ -148,22 +147,20 @@ class _Std:
         self.c = np.zeros(self.A.shape[1])
         self.c[:nstruct] = self.sign * lp.objective[self.orig]
 
-    def to_original(self, v, offset):
-        """Original-variable vector of the standard-form ``v``: a point with
-        ``offset = self.shift``, a direction with ``offset = 0.0``."""
-        return np.bincount(self.orig, weights=self.sign * v[:self.nstruct] + offset,
+    def to_original(self, v):
+        """Original-variable point of the standard-form point ``v``."""
+        return np.bincount(self.orig, weights=self.sign * v[:self.nstruct] + self.shift,
                            minlength=self.nvar)
 
 
 def _simplex(A, b, c, basis, n_allow, tol):
     """Iterate to optimality, pricing the columns ``0 .. n_allow - 1``.
 
-    Returns (xb, y, ray) with ray None at optimum.
+    Returns (xb, y, unbounded).
     """
     m = A.shape[0]
     if m == 0:
-        neg = np.flatnonzero(c[:n_allow] < -tol)
-        return np.zeros(0), np.zeros(0), (int(neg[0]), np.zeros(0)) if neg.size else None
+        return np.zeros(0), np.zeros(0), bool(np.any(c[:n_allow] < -tol))
     degenerate_run = 0
     use_bland = False
     priced = A[:, :n_allow]
@@ -179,7 +176,7 @@ def _simplex(A, b, c, basis, n_allow, tol):
         reduced = c[:n_allow] - priced.T @ y
         mask = ~in_basis[:n_allow] & (reduced < -tol)
         if not np.any(mask):
-            return xb, y, None
+            return xb, y, False
         cand = np.flatnonzero(mask)
         if use_bland:
             enter = int(cand[0])
@@ -191,7 +188,7 @@ def _simplex(A, b, c, basis, n_allow, tol):
             raise LpError(f"singular basis on pivot: {e}") from e
         pos = np.nonzero(d > _PIV_TOL)[0]
         if pos.size == 0:
-            return xb, y, (enter, d)
+            return xb, y, True
         ratios = xb[pos] / d[pos]
         best = float(np.min(ratios))
         ties = pos[ratios <= best + _PIV_TOL * (1.0 + abs(best))]
@@ -219,8 +216,8 @@ def solve_lp(lp, tol=1e-9):
     if m > 0 and n_real < ncols:
         c1 = np.zeros(ncols)
         c1[n_real:] = 1.0
-        xb, _y, ray = _simplex(A, b, c1, basis, ncols, tol)
-        if ray is not None:
+        xb, _y, unbounded = _simplex(A, b, c1, basis, ncols, tol)
+        if unbounded:
             raise LpError("phase-1 objective reported unbounded")
         if float(c1[basis] @ xb) > 10.0 * tol * (1.0 + float(np.max(np.abs(b), initial=0.0))):
             return LpSolution("Infeasible")
@@ -237,22 +234,13 @@ def solve_lp(lp, tol=1e-9):
                     basis[row] = int(np.argmax(usable))
                 # a stuck artificial marks a redundant row; it stays basic at 0
 
-    xb, y, ray = _simplex(A, b, c, basis, n_real, tol)
-
-    if ray is not None:
-        enter, d = ray
-        d_std = np.zeros(ncols)
-        d_std[enter] = 1.0
-        d_std[basis] -= d
-        direction = std.to_original(d_std, 0.0)
-        nrm = float(np.max(np.abs(direction)))
-        if nrm > 0.0:
-            direction = direction / nrm
-        return LpSolution("Unbounded", ray=direction, basis=tuple(basis))
+    xb, y, unbounded = _simplex(A, b, c, basis, n_real, tol)
+    if unbounded:
+        return LpSolution("Unbounded", basis=tuple(basis))
 
     x_std = np.zeros(ncols)
     x_std[basis] = xb
-    x = std.to_original(x_std, std.shift)
+    x = std.to_original(x_std)
     dual = std.row_flip * y[:std.row_flip.size]
 
     residual = _feas_residual(lp, x)

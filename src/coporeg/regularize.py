@@ -201,11 +201,11 @@ def face_membership(entry, D, cfg=DEFAULT):
             and is_copositive(D, cfg.tol_cop, cfg.p_max).copositive)
 
 
-def sample_copositive(p, rng, scale=1.0):
+def sample_copositive(p, rng):
     """Nonnegative part plus a Gram part; every such matrix is copositive."""
-    U = rng.uniform(0.0, scale, size=(p, p))
+    U = rng.uniform(0.0, 1.0, size=(p, p))
     N = 0.5 * (U + U.T)
-    B = rng.normal(scale=scale / np.sqrt(p), size=(p, p))
+    B = rng.normal(scale=1.0 / np.sqrt(p), size=(p, p))
     return N + B @ B.T
 
 
@@ -521,21 +521,23 @@ def minimal_face(prog, W, reg, cfg=DEFAULT):
 # ---------------------------------------------------------------------------
 # feasible-set equivalence sampling
 
-def feasibility_equiv_sample(prog, reg, n_samples, seed, cfg=DEFAULT,
-                             box_radius=2.0, center=None):
+_EQUIV_BOX = 2.0
+
+
+def feasibility_equiv_sample(prog, reg, n_samples, seed, cfg=DEFAULT):
     """Compare direct copositivity of A(x) against the regularized rows
-    plus the reduced-region grid check on sampled x.
+    plus the reduced-region grid check on x sampled uniformly from the box
+    of half-width ``_EQUIV_BOX`` around the witness.
 
     Samples where the two decisions differ but either margin falls inside
     ``tol_band`` are excluded as ties.
     """
     rng = np.random.default_rng(seed)
-    center = np.asarray(reg.witness if center is None else center, dtype=float)
     report = {"samples": int(n_samples), "agreements": 0, "ties": 0,
               "disagreements": []}
     h = cfg.grid_h(prog.p)
     for _ in range(int(n_samples)):
-        x = center + rng.uniform(-box_radius, box_radius, size=prog.n)
+        x = reg.witness + rng.uniform(-_EQUIV_BOX, _EQUIV_BOX, size=prog.n)
         ax = eval_constraint(prog, x)
         candidates = stationary_candidates(ax, cfg.p_max)
         margin_a = min(val for val, _t in candidates)

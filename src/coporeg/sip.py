@@ -20,10 +20,6 @@ from .oracle import CapabilityError, min_quad_over_omega, min_quad_over_simplex
 class CertificateError(RuntimeError):
     """Dual certificate failed its stationarity check."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
 
 class SipInstance:
     """One subproblem: the linear rows of ``records`` (see ``record_rows``)
@@ -112,8 +108,10 @@ def cut_row_data(prog, t):
 
 
 def _build_master(inst, cuts, box_r):
-    """Master LP over (x, mu): the record rows (eq, then ineq) with a zero
-    mu coefficient, then box, then cuts."""
+    """Master LP over (x, mu).  Its rows, whose duals ``solve_sip`` and
+    ``extract_certificate`` read by position: the record equalities and
+    inequalities (zero mu coefficient), 2(n+1) box rows, then one row per
+    cut."""
     prog = inst.prog
     n = prog.n
     nvar = n + 1
@@ -131,13 +129,6 @@ def _build_master(inst, cuts, box_r):
     return LinearProgram(objective, rows)
 
 
-def _dual_offsets(inst, n):
-    n_eq = len(inst.eq_rows)
-    n_ineq = len(inst.ineq_rows)
-    box = 2 * (n + 1)
-    return n_eq, n_eq + n_ineq, n_eq + n_ineq + box
-
-
 def solve_sip(inst, cfg, a0_copositive=False):
     """Run the cutting-plane loop; see module docstring for the trichotomy."""
     prog = inst.prog
@@ -149,6 +140,8 @@ def solve_sip(inst, cfg, a0_copositive=False):
     cuts = []
     mu_star = None
 
+    # every give-up case breaks out with its reason; the round cap is the
+    # loop's else
     for rounds in range(1, cfg.cut_rounds + 1):
         master = _build_master(inst, cuts, box_r)
         # with A_0 copositive, (x=0, mu=0) satisfies every master row
@@ -175,17 +168,16 @@ def solve_sip(inst, cfg, a0_copositive=False):
                 res = min_quad_over_omega(ax, inst.omega, h_cur,
                                           max_grid_points=cfg.max_grid_points)
             except CapabilityError as e:
-                return SipOutcome("unresolved", diagnostics={
-                    "reason": f"grid exhausted: {e}", "mu_star": mu_star,
-                    "rounds": rounds}, cuts=cuts)
+                reason = f"grid exhausted: {e}"
+                break
             if res.empty:
                 return SipOutcome(
                     "negative", point=DecisionPoint(x_star, -1.0),
                     diagnostics={"omega_empty": True, "rounds": rounds,
                                  "mu_star": mu_star}, cuts=cuts)
 
-        # a branch that neither returns nor continues names its reason for
-        # the shared refine-or-give-up tail
+        # a branch that neither returns, continues nor breaks names its
+        # reason for the shared refine-or-give-up tail
         refinable = True
         if res.value + mu_star < -cfg.tol_feas:
             if not any(np.max(np.abs(res.argmin.coords - t.coords)) <= 1e-12
@@ -213,27 +205,24 @@ def solve_sip(inst, cfg, a0_copositive=False):
                     cuts=cuts)
             reason = "negative optimum not certifiable at the finest grid"
         elif abs(mu_star) <= cfg.tol_zero:
-            _e, _i, box_off = _dual_offsets(inst, n)
-            box_duals = sol.dual[box_off - 2 * (n + 1):box_off]
+            box_end = len(master.b) - len(cuts)
+            box_duals = sol.dual[box_end - 2 * (n + 1):box_end]
             if float(np.max(np.abs(box_duals), initial=0.0)) > cfg.tol_mult:
                 if escalations < 2:
                     escalations += 1
                     box_r *= 10.0
                     continue
-                return SipOutcome("unresolved", diagnostics={
-                    "reason": "zero optimum supported on the box after escalation",
-                    "mu_star": mu_star, "rounds": rounds}, cuts=cuts)
-            cert = extract_certificate(sol, cuts, inst, cfg,
-                                       iteration0=inst.omega is None)
+                reason = "zero optimum supported on the box after escalation"
+                break
+            cert = extract_certificate(sol, cuts, inst, cfg)
             return SipOutcome("zero", point=DecisionPoint(x_star, mu_star),
                               certificate=cert,
                               diagnostics={"rounds": rounds, "mu_star": mu_star,
                                            "h": h_cur}, cuts=cuts)
         elif mu_star > cfg.tol_zero:
-            return SipOutcome("unresolved", diagnostics={
-                "reason": "positive optimum: the subproblem admits no zero "
-                          "slack (is the program feasible?)",
-                "mu_star": mu_star, "rounds": rounds}, cuts=cuts)
+            reason = ("positive optimum: the subproblem admits no zero "
+                      "slack (is the program feasible?)")
+            break
         else:
             # mu* in the ambiguous gap (-tol_neg, -tol_zero)
             reason = "optimum stuck between tol_zero and tol_neg"
@@ -242,27 +231,29 @@ def solve_sip(inst, cfg, a0_copositive=False):
             refinements += 1
             h_cur *= 0.5
             continue
-        return SipOutcome("unresolved", diagnostics={
-            "reason": reason, "mu_star": mu_star, "rounds": rounds}, cuts=cuts)
+        break
+    else:
+        reason = "cutting-plane round cap exceeded"
 
     return SipOutcome("unresolved", diagnostics={
-        "reason": "cutting-plane round cap exceeded",
-        "mu_star": mu_star, "rounds": cfg.cut_rounds}, cuts=cuts)
+        "reason": reason, "mu_star": mu_star, "rounds": rounds}, cuts=cuts)
 
 
-def extract_certificate(sol, cuts, inst, cfg, iteration0):
+def extract_certificate(sol, cuts, inst, cfg):
     """Assemble (tau, gamma, lambda) from the master multipliers.
 
     Cut duals above ``tol_mult`` become the new index weights (normalized to
-    sum to one on round zero); linear-row duals, halved, become the lambda
-    vectors.  The result is validated against the stationarity identity and
-    the support bound before it is returned.
+    sum to one over the full simplex, ``inst.omega is None``); linear-row
+    duals, halved, become the lambda vectors.  The dual of a simplex basis
+    has at most n+1 nonzero entries (a basic slack or artificial column
+    zeroes its row's dual, and at most one column of each of the n+1 split
+    free variables is basic), so at most n+1 cuts are active.  The result
+    is validated against the stationarity identity before it is returned.
     """
     if sol.status != "Optimal" or abs(float(sol.primal[-1])) > cfg.tol_zero:
         raise CertificateError("certificate requested away from a zero optimum")
     prog = inst.prog
-    n = prog.n
-    eq_end, ineq_end, cut_off = _dual_offsets(inst, n)
+    n_eq = len(inst.eq_rows)
 
     lam = {}
     for pos, (i, k) in enumerate(inst.eq_rows):
@@ -270,23 +261,18 @@ def extract_certificate(sol, cuts, inst, cfg, iteration0):
         if v != 0.0:
             lam.setdefault(i, np.zeros(prog.p))[k] += v / 2.0
     for pos, (i, k) in enumerate(inst.ineq_rows):
-        v = float(sol.dual[eq_end + pos])
+        v = float(sol.dual[n_eq + pos])
         if abs(v) <= cfg.tol_mult:
             continue
         v = max(v, 0.0)  # >=-row duals are nonnegative up to LP noise
         lam.setdefault(i, np.zeros(prog.p))[k] += v / 2.0
 
-    new = []
-    for c, t in enumerate(cuts):
-        g = float(sol.dual[cut_off + c])
-        if g > cfg.tol_mult:
-            new.append((t, g))
+    cut_duals = sol.dual[len(sol.dual) - len(cuts):]
+    new = [(t, float(g)) for t, g in zip(cuts, cut_duals) if g > cfg.tol_mult]
     if not new:
         raise CertificateError("zero optimum but no active cut multiplier "
                                "above tol_mult")
-    if len(new) > n + 1:
-        new = _reduce_support(new, prog, n, cfg)
-    if iteration0:
+    if inst.omega is None:
         total = sum(g for _t, g in new)
         new = [(t, g / total) for t, g in new]
 
@@ -295,38 +281,5 @@ def extract_certificate(sol, cuts, inst, cfg, iteration0):
     if residual > cfg.tol_cert:
         raise CertificateError(
             f"certificate stationarity residual {residual:.3e} exceeds "
-            f"tol_cert={cfg.tol_cert:.0e}", residual=residual)
+            f"tol_cert={cfg.tol_cert:.0e}")
     return DualCertificate(new, lam, Y, residual)
-
-
-def _reduce_support(new, prog, n, cfg):
-    """Carathéodory-style reduction to at most n+1 active points.
-
-    Keeps the aggregated stationarity sums and the total weight fixed while
-    re-solving for a basic (hence sparse) weight vector; index-weighted
-    objective makes the retained set deterministic.
-    """
-    m = len(new)
-    cols = np.zeros((n + 1, m))
-    target = np.zeros(n + 1)
-    for c, (t, g) in enumerate(new):
-        tc = t.coords
-        for j in range(n):
-            cols[j, c] = float(tc @ prog.A[j + 1] @ tc)
-        cols[n, c] = 1.0
-    for j in range(n + 1):
-        target[j] = float(cols[j] @ np.array([g for _t, g in new]))
-    rows = [(cols[j], REL_EQ, float(target[j])) for j in range(n + 1)]
-    objective = np.arange(1.0, m + 1.0)
-    sol = solve_lp(LinearProgram(objective, rows, [(0.0, np.inf)] * m),
-                   tol=cfg.tol_lp)
-    if sol.status != "Optimal":
-        raise CertificateError("support-reduction LP failed, status "
-                               f"{sol.status}")
-    reduced = [(new[c][0], float(sol.primal[c])) for c in range(m)
-               if sol.primal[c] > cfg.tol_mult]
-    if not 1 <= len(reduced) <= n + 1:
-        raise CertificateError(
-            f"support reduction produced {len(reduced)} points, expected "
-            f"1..{n + 1}")
-    return reduced

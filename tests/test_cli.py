@@ -237,9 +237,12 @@ def test_env_config_merges_under_flags(workdir, tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("content", [None, '{"h": "0.1"}', "null",
-                                     '{"seed": 1.5}', '{"cut_rounds": 2.5}'],
+                                     '{"seed": 1.5}', '{"cut_rounds": 2.5}',
+                                     '{"cut_rounds": 0}', '{"refine_rounds": -1}',
+                                     '{"max_grid_points": 0}'],
                          ids=["missing", "string-value", "null",
-                              "float-seed", "float-cut-rounds"])
+                              "float-seed", "float-cut-rounds", "zero-cut-rounds",
+                              "negative-refine-rounds", "zero-grid-points"])
 def test_bad_env_config_is_domain_error(workdir, tmp_path, monkeypatch, capsys,
                                         content):
     cfg = tmp_path / "cfg.json"

@@ -71,3 +71,33 @@ def test_two_planted_vertices():
     assert reg.margin >= 1e-6
     rep = feasibility_equiv_sample(prog, reg, 400, seed=6)
     assert rep["n_disagreements"] == 0
+
+
+def _edge_instance():
+    # planted at a vertex and at the midpoint of the opposite edge
+    return generate_instance(seed=70, p=3, n=1,
+                             planted=[simplex(1, 0, 0), simplex(0, 0.5, 0.5)])
+
+
+def test_lambda_at_an_old_record_grows_its_zero_rows():
+    res = regularize(_edge_instance(), DEFAULT.replace(iteration_cap=1))
+    assert len(res.ledger) == 2
+    first, second = res.ledger
+    assert first.records[0].L == frozenset({0})
+    lam = second.certificate.lam
+    assert set(lam) == {0}
+    assert np.allclose(lam[0], [0.0, 0.0, 0.4968], atol=1e-4)
+    assert lam[0][0] == 0.0 and lam[0][1] == 0.0
+    # record 1 keeps its point and gains row 3 from its lambda entry
+    assert np.array_equal(second.records[0].tau.coords, [1.0, 0.0, 0.0])
+    assert second.records[0].L == frozenset({0, 2})
+
+
+@pytest.mark.xfail(strict=True, reason="the cuts walk up the immobile edge "
+                   "through (1/2,1/4,1/4), (1/4,3/8,3/8), ... and never reach "
+                   "the planted midpoint, so the iteration cap ends the run")
+def test_edge_instance_recovers_both_planted_points():
+    res = regularize(_edge_instance())
+    assert res.status == "regularized"
+    recovered = {tuple(np.round(r.tau.coords, 6)) for r in res.regularized.records}
+    assert (1.0, 0.0, 0.0) in recovered and (0.0, 0.5, 0.5) in recovered

@@ -18,7 +18,6 @@ def test_unbounded_ray():
     lp = LinearProgram([-1.0], [], bounds=[(0.0, np.inf)])
     sol = solve_lp(lp)
     assert sol.status == "Unbounded"
-    assert sol.ray[0] == pytest.approx(1.0)
 
 
 def test_infeasible():

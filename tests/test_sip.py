@@ -140,7 +140,7 @@ def test_extract_normalizes_two_active_cuts():
     prog = CopositiveProgram([1.0], [np.zeros((2, 2)), [[0, 1], [1, 0]]])
     cuts = [simplex(1, 0), simplex(0, 1)]
     sol, inst = _fake_master_solution(prog, cuts, [0.5, 0.5])
-    cert = extract_certificate(sol, cuts, inst, DEFAULT, iteration0=True)
+    cert = extract_certificate(sol, cuts, inst, DEFAULT)
     assert len(cert.new_indices) == 2
     assert sum(g for _t, g in cert.new_indices) == pytest.approx(1.0)
     # the certificate keeps the reducing matrix it checked
@@ -151,7 +151,7 @@ def test_extract_drops_tiny_multiplier():
     prog = CopositiveProgram([1.0], [np.zeros((2, 2)), [[0, 1], [1, 0]]])
     cuts = [simplex(1, 0), simplex(0, 1)]
     sol, inst = _fake_master_solution(prog, cuts, [1.0, 1e-12])
-    cert = extract_certificate(sol, cuts, inst, DEFAULT, iteration0=True)
+    cert = extract_certificate(sol, cuts, inst, DEFAULT)
     assert len(cert.new_indices) == 1
     assert np.allclose(cert.new_indices[0][0].coords, [1.0, 0.0])
     assert cert.new_indices[0][1] == pytest.approx(1.0)
@@ -163,7 +163,7 @@ def test_extract_rejects_a_cut_that_is_not_immobile(e2):
     cuts = [simplex(0.5, 0.5)]
     sol, inst = _fake_master_solution(e2, cuts, [1.0])
     with pytest.raises(CertificateError, match="stationarity residual"):
-        extract_certificate(sol, cuts, inst, DEFAULT, iteration0=True)
+        extract_certificate(sol, cuts, inst, DEFAULT)
 
 
 def test_empty_region_reduces_to_lp():
@@ -194,3 +194,65 @@ def test_row_data_shapes(e2):
     # t' A_1 t = 2 t1 t2 = 1/2 and rhs = -t' A_0 t = -1/4
     assert coefs[0] == pytest.approx(0.5)
     assert rhs == pytest.approx(-0.25)
+
+
+def test_round_cap_is_a_give_up(e2):
+    # one round adds the first cut and the cap ends the loop
+    out = solve_sip(SipInstance(e2, ()), DEFAULT.replace(cut_rounds=1),
+                    a0_copositive=True)
+    assert out.kind == "unresolved"
+    assert out.diagnostics == {"reason": "cutting-plane round cap exceeded",
+                               "mu_star": -1000.0, "rounds": 1}
+
+
+def test_grid_exhausted_is_a_give_up(e2):
+    tau = simplex(1, 0)
+    inst = SipInstance(e2, (Record(tau, {0}),), ReducedRegion([tau]))
+    out = solve_sip(inst, DEFAULT.replace(max_grid_points=1),
+                    a0_copositive=True)
+    assert out.kind == "unresolved"
+    assert out.diagnostics["reason"].startswith("grid exhausted")
+    assert out.diagnostics["rounds"] == 1
+
+
+def test_positive_optimum_fails_the_driver():
+    # A(x) = [[-1, x], [x, -1]] is never copositive: the master's optimum
+    # stays positive once the cut at the barycenter is in
+    prog = CopositiveProgram([1.0], [-np.eye(2), [[0, 1], [1, 0]]])
+    res = regularize(prog)
+    assert res.status == "failed"
+    assert res.diagnostics["reason"].startswith("positive optimum")
+    (entry,) = res.diagnostics["trace"]
+    assert entry["mu_star"] == 1.0 and entry["rounds"] == 2
+
+
+@pytest.mark.parametrize("name", ["e2", "e4", "gen36", "planting50", "edge70"])
+def test_master_duals_have_at_most_n_plus_one_nonzeros(name, request,
+                                                       monkeypatch):
+    # the master's dual comes from a simplex basis: a basic slack or
+    # artificial column zeroes its row's dual, and at most one column of
+    # each of the n+1 split free variables is basic
+    run_cfg = DEFAULT
+    if name in ("e2", "e4"):
+        prog = request.getfixturevalue(name)
+    elif name == "gen36":
+        prog = generate_instance(seed=36, p=4, n=3, planted=[simplex(0.5, 0.5, 0, 0)])
+    elif name == "planting50":
+        prog = generate_instance(seed=50, p=3, n=2,
+                                 planted=[simplex(1, 0, 0), simplex(0, 1, 0)])
+    else:
+        prog = generate_instance(seed=70, p=3, n=1,
+                                 planted=[simplex(1, 0, 0), simplex(0, 0.5, 0.5)])
+        run_cfg = DEFAULT.replace(iteration_cap=1)
+    sip_mod = importlib.import_module("coporeg.sip")
+    extract = sip_mod.extract_certificate
+    counts = []
+
+    def counting(sol, cuts, inst, cfg):
+        counts.append(int(np.count_nonzero(np.abs(sol.dual) > cfg.tol_mult)))
+        return extract(sol, cuts, inst, cfg)
+
+    monkeypatch.setattr(sip_mod, "extract_certificate", counting)
+    regularize(prog, run_cfg)
+    assert counts
+    assert max(counts) <= prog.n + 1
