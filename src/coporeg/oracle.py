@@ -4,7 +4,9 @@ constructions (exclusion radius, hull distance, reduced index region).
 
 The exact oracle enumerates all nonempty supports, solving the stationarity
 system on each face and comparing against the vertices; it is exact for
-dimensions up to ``p_max``.  The reduced-region oracle works on the rational
+dimensions up to ``p_max``.  The faces of one support size are solved as
+one stack (a stack with a singular face is retried face by face), and the
+candidates keep the support-mask order.  The reduced-region oracle works on the rational
 grid of the simplex with a Lipschitz lower-bound certificate.
 """
 
@@ -56,12 +58,72 @@ class CopositivityResult:
         return f"{tag}(margin={self.margin}, witness={self.witness})"
 
 
+@lru_cache(maxsize=16)
+def _support_groups(p):
+    """The nonempty supports of {0..p-1}, grouped by size: one
+    ``(s, positions, cols)`` per size s, where ``positions`` are the
+    supports' places in mask order (mask 1, 2, ..., 2^p - 1; bit k is
+    coordinate k) and row i of the (F, s) array ``cols`` lists the
+    coordinates of support ``positions[i]`` in ascending order (read-only,
+    cached)."""
+    masks = np.arange(1, 1 << p)
+    bits = (masks[:, None] >> np.arange(p)) & 1
+    sizes = bits.sum(axis=1)
+    groups = []
+    for s in range(1, p + 1):
+        positions = np.flatnonzero(sizes == s)
+        cols = np.nonzero(bits[positions])[1].reshape(-1, s)
+        positions.setflags(write=False)
+        cols.setflags(write=False)
+        groups.append((s, positions, cols))
+    return tuple(groups)
+
+
+def _solve_faces(K, scale):
+    """Solve the stack of bordered systems K z = e_last, one per face.
+
+    Returns ``(z, solved)``: ``solved`` is False where a face has no
+    stationary point.  One LAPACK call covers the stack; if a face is
+    singular the faces are retried one at a time, and a face whose solve
+    fails or is non-finite takes the least-squares solution when its
+    residual is within ``1e-9 (1 + scale)``.
+    """
+    F, m, _ = K.shape
+    rhs = np.zeros(m)
+    rhs[-1] = 1.0
+    B = np.zeros((F, m, 1))
+    B[:, -1] = 1.0
+    try:
+        z = np.linalg.solve(K, B)[..., 0]
+        retry = np.nonzero(~np.isfinite(z).all(axis=1))[0]
+    except np.linalg.LinAlgError:
+        z = np.empty((F, m))
+        retry = range(F)
+    solved = np.ones(F, dtype=bool)
+    for f in retry:
+        try:
+            zf = np.linalg.solve(K[f], rhs)
+            ok = np.all(np.isfinite(zf))
+        except np.linalg.LinAlgError:
+            ok = False
+        if not ok:
+            zf, *_ = np.linalg.lstsq(K[f], rhs, rcond=None)
+            solved[f] = float(np.max(np.abs(K[f] @ zf - rhs))) <= 1e-9 * (1.0 + scale)
+        z[f] = zf
+    return z, solved
+
+
 def stationary_candidates(D, p_max=14):
     """All stationary points of t' D t on faces of the simplex, plus vertices.
 
-    Returns (value, coords) pairs in a fixed support order (deterministic).
-    Faces whose stationarity system is inconsistent contribute nothing: their
-    minima live on smaller faces, which are enumerated separately (p <= p_max).
+    Returns (value, coords) pairs in mask order (mask 1, 2, ..., 2^p - 1,
+    bit k for coordinate k), so the first minimum is deterministic.  The
+    faces of each support size s are solved together, as one (F, s+1, s+1)
+    stack of bordered stationarity systems; a stack with a singular face
+    is retried one face at a time.  Faces whose stationarity system is
+    inconsistent contribute nothing: their minima live on smaller faces,
+    which are enumerated separately (p <= p_max; the largest stack, at
+    p = 14, is C(14, 7) = 3,432 systems of 8 x 8).
     """
     D = np.asarray(D, dtype=float)
     p = D.shape[0]
@@ -70,44 +132,31 @@ def stationary_candidates(D, p_max=14):
             f"exact support enumeration capped at p_max={p_max} (got p={p}); "
             "use the grid oracle (grid_min_full) instead")
     scale = max(1.0, float(np.max(np.abs(D))))
-    out = []
-    for mask in range(1, 1 << p):
-        support = [k for k in range(p) if mask >> k & 1]
-        s = len(support)
+    slots = [None] * ((1 << p) - 1)
+    for s, positions, cols in _support_groups(p):
         if s == 1:
-            k = support[0]
-            t = np.zeros(p)
-            t[k] = 1.0
-            out.append((float(D[k, k]), t))
+            for pos, k in zip(positions, cols[:, 0]):
+                t = np.zeros(p)
+                t[k] = 1.0
+                slots[pos] = (float(D[k, k]), t)
             continue
-        Dss = D[np.ix_(support, support)]
-        K = np.zeros((s + 1, s + 1))
-        K[:s, :s] = 2.0 * Dss
-        K[:s, s] = -1.0
-        K[s, :s] = 1.0
-        rhs = np.zeros(s + 1)
-        rhs[s] = 1.0
-        try:
-            z = np.linalg.solve(K, rhs)
-            ok = np.all(np.isfinite(z))
-        except np.linalg.LinAlgError:
-            ok = False
-        if not ok:
-            z, *_ = np.linalg.lstsq(K, rhs, rcond=None)
-            if float(np.max(np.abs(K @ z - rhs))) > 1e-9 * (1.0 + scale):
-                continue  # no stationary point on this face
-        u = z[:s]
-        if float(np.min(u)) < -1e-10:
-            continue  # stationary point lies outside the face
-        u = np.clip(u, 0.0, None)
-        total = float(np.sum(u))
-        if total <= 0.0:
-            continue
-        u = u / total
-        t = np.zeros(p)
-        t[support] = u
-        out.append((float(t @ D @ t), t))
-    return out
+        K = np.zeros((positions.size, s + 1, s + 1))
+        K[:, :s, :s] = 2.0 * D[cols[:, :, None], cols[:, None, :]]
+        K[:, :s, s] = -1.0
+        K[:, s, :s] = 1.0
+        z, solved = _solve_faces(K, scale)
+        u = z[:, :s]
+        # a stationary point with a negative weight lies outside the face
+        rows = np.flatnonzero(solved & (np.min(u, axis=1) >= -1e-10))
+        u = np.clip(u[rows], 0.0, None)
+        total = np.sum(u, axis=1)
+        rows, u = rows[total > 0.0], u[total > 0.0] / total[total > 0.0, None]
+        T = np.zeros((rows.size, p))
+        T[np.arange(rows.size)[:, None], cols[rows]] = u
+        for pos, t in zip(positions[rows], T):
+            t = t.copy()                 # each candidate owns its coordinates
+            slots[pos] = (float(t @ D @ t), t)
+    return [c for c in slots if c is not None]
 
 
 def min_quad_over_simplex(D, p_max=14):

@@ -3,6 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coporeg import (CapabilityError, ReducedRegion, SimplexPoint,
                      exclusion_radius, grid_min_full, is_copositive,
@@ -75,6 +76,128 @@ def test_enumeration_itself_is_capped():
         oracle.stationary_candidates(np.eye(15))
     with pytest.raises(CapabilityError, match="p_max=3"):
         oracle.stationary_candidates(np.eye(4), p_max=3)
+
+
+# ---------------------------------------------------------------------------
+# the stacked enumeration against the scalar loop it replaced
+
+def _reference_candidates(D, p_max=14):
+    """The scalar enumeration: one bordered system per support, in mask
+    order, with the same singular-face and face-membership rules."""
+    D = np.asarray(D, dtype=float)
+    p = D.shape[0]
+    if p > p_max:
+        raise CapabilityError(f"p_max={p_max}")
+    scale = max(1.0, float(np.max(np.abs(D))))
+    out = []
+    for mask in range(1, 1 << p):
+        support = [k for k in range(p) if mask >> k & 1]
+        s = len(support)
+        if s == 1:
+            k = support[0]
+            t = np.zeros(p)
+            t[k] = 1.0
+            out.append((float(D[k, k]), t))
+            continue
+        Dss = D[np.ix_(support, support)]
+        K = np.zeros((s + 1, s + 1))
+        K[:s, :s] = 2.0 * Dss
+        K[:s, s] = -1.0
+        K[s, :s] = 1.0
+        rhs = np.zeros(s + 1)
+        rhs[s] = 1.0
+        try:
+            z = np.linalg.solve(K, rhs)
+            ok = np.all(np.isfinite(z))
+        except np.linalg.LinAlgError:
+            ok = False
+        if not ok:
+            z, *_ = np.linalg.lstsq(K, rhs, rcond=None)
+            if float(np.max(np.abs(K @ z - rhs))) > 1e-9 * (1.0 + scale):
+                continue
+        u = z[:s]
+        if float(np.min(u)) < -1e-10:
+            continue
+        u = np.clip(u, 0.0, None)
+        total = float(np.sum(u))
+        if total <= 0.0:
+            continue
+        u = u / total
+        t = np.zeros(p)
+        t[support] = u
+        out.append((float(t @ D @ t), t))
+    return out
+
+
+def assert_same_candidates(D):
+    got = oracle.stationary_candidates(D)
+    want = _reference_candidates(D)
+    assert len(got) == len(want)
+    for (gv, gt), (wv, wt) in zip(got, want):
+        assert gv == wv
+        assert np.array_equal(gt, wt)
+
+
+def test_candidates_match_the_scalar_reference(horn, e1, e2, e3, e4):
+    rng = np.random.default_rng(29)
+    mats = [horn, np.ones((4, 4)), np.zeros((3, 3))]
+    # the edge's stationary weight on coordinate 0 is about -eps: outside
+    # the face at eps = 1e-8, clipped onto the vertex at eps = 1e-12
+    for eps in (1e-8, 1e-12):
+        mats.append(np.array([[2.0, 1.0], [1.0, 1.0 - eps]]))
+    for prog in (e1, e2, e3, e4):
+        mats.extend(prog.A)
+    for p, r in ((3, 1), (4, 2), (6, 2), (8, 3)):
+        G = rng.normal(size=(r, p))
+        mats.append(G.T @ G)                     # rank r < p
+    for D in mats:
+        assert_same_candidates(D)
+
+
+def test_mixed_singular_stack_is_retried_per_face():
+    # a duplicated coordinate makes face {0, 1} singular while the other
+    # size-2 faces are not, so the size-2 stack fails as a whole
+    rng = np.random.default_rng(31)
+    idx = [0, 0, 1, 2]
+    D = random_sym(rng, 3)[np.ix_(idx, idx)]
+    s, _positions, cols = oracle._support_groups(4)[1]
+    K = np.zeros((len(cols), s + 1, s + 1))
+    K[:, :s, :s] = 2.0 * D[cols[:, :, None], cols[:, None, :]]
+    K[:, :s, s] = -1.0
+    K[:, s, :s] = 1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(K, np.ones((len(cols), s + 1, 1)))
+    assert_same_candidates(D)
+    assert_same_candidates(np.ones((3, 3)))
+    assert min_quad_over_simplex(np.ones((3, 3))).value == pytest.approx(1.0)
+
+
+_entries = st.one_of(st.integers(-4, 4).map(lambda k: k / 2.0),
+                     st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False))
+
+
+@st.composite
+def structured_sym(draw):
+    """Symmetric matrices at p = 2..8: general, low-rank Gram, or with
+    repeated coordinates (singular faces)."""
+    p = draw(st.integers(2, 8))
+    M = np.array(draw(st.lists(_entries, min_size=p * p, max_size=p * p)))
+    M = M.reshape(p, p)
+    kind = draw(st.sampled_from(["sym", "gram", "repeat"]))
+    if kind == "gram":
+        r = draw(st.integers(1, p - 1))
+        return M[:r].T @ M[:r]
+    S = 0.5 * (M + M.T)
+    if kind == "repeat":
+        idx = draw(st.lists(st.integers(0, p - 2), min_size=p, max_size=p))
+        return S[np.ix_(idx, idx)]
+    return S
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(structured_sym())
+def test_candidates_match_the_scalar_reference_property(D):
+    assert_same_candidates(D)
 
 
 def test_grid_min_full_matches_brute_force():
