@@ -6,8 +6,9 @@ The exact oracle enumerates all nonempty supports, solving the stationarity
 system on each face and comparing against the vertices; it is exact for
 dimensions up to ``p_max``.  The faces of one support size are solved as
 one stack (a stack with a singular face is retried face by face), and the
-candidates keep the support-mask order.  The reduced-region oracle works on the rational
-grid of the simplex with a Lipschitz lower-bound certificate.
+candidates keep the support-mask order.  The reduced-region oracle works
+on the rational grid of the simplex with a Lipschitz lower-bound
+certificate.
 """
 
 from functools import lru_cache
@@ -150,7 +151,8 @@ def stationary_candidates(D, p_max=14):
         rows = np.flatnonzero(solved & (np.min(u, axis=1) >= -1e-10))
         u = np.clip(u[rows], 0.0, None)
         total = np.sum(u, axis=1)
-        rows, u = rows[total > 0.0], u[total > 0.0] / total[total > 0.0, None]
+        nonzero = total > 0.0
+        rows, u = rows[nonzero], u[nonzero] / total[nonzero, None]
         T = np.zeros((rows.size, p))
         T[np.arange(rows.size)[:, None], cols[rows]] = u
         for pos, t in zip(positions[rows], T):

@@ -81,13 +81,11 @@ def test_enumeration_itself_is_capped():
 # ---------------------------------------------------------------------------
 # the stacked enumeration against the scalar loop it replaced
 
-def _reference_candidates(D, p_max=14):
+def _reference_candidates(D):
     """The scalar enumeration: one bordered system per support, in mask
     order, with the same singular-face and face-membership rules."""
     D = np.asarray(D, dtype=float)
     p = D.shape[0]
-    if p > p_max:
-        raise CapabilityError(f"p_max={p_max}")
     scale = max(1.0, float(np.max(np.abs(D))))
     out = []
     for mask in range(1, 1 << p):
