@@ -21,9 +21,19 @@ class DimensionError(ValueError):
     """Operands with incompatible dimensions."""
 
 
+def _float_array(entries, what):
+    """``entries`` as a float array; a non-numeric entry or a ragged nesting
+    is a ProblemFormatError naming ``what``."""
+    try:
+        return np.array(entries, dtype=float)
+    except (ValueError, TypeError, OverflowError) as e:
+        raise ProblemFormatError(f"{what}: expected a rectangular array of "
+                                 f"numbers ({e})") from e
+
+
 def as_sym_matrix(entries, tol=SYM_TOL, what="matrix"):
     """Validate and return a dense symmetric matrix (copy, read-only)."""
-    a = np.array(entries, dtype=float)
+    a = _float_array(entries, what)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ProblemFormatError(f"{what}: expected a square matrix, got shape {a.shape}")
     if a.shape[0] < 1:
@@ -39,7 +49,7 @@ def as_sym_matrix(entries, tol=SYM_TOL, what="matrix"):
 
 
 def _frozen_vector(v, what="vector"):
-    a = np.array(v, dtype=float)
+    a = _float_array(v, what)
     if a.ndim != 1:
         raise ProblemFormatError(f"{what}: expected a 1-d array, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -327,8 +337,11 @@ def shift_to_feasible(prog, y):
 # Matrix file: {"p": int, "D": [[...]]}.
 
 def _load_json(data, what):
-    if isinstance(data, (bytes, bytearray)):
-        data = data.decode("utf-8")
+    try:
+        if isinstance(data, (bytes, bytearray)):
+            data = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ProblemFormatError(f"{what}: not UTF-8 text ({e})") from e
     try:
         return json.loads(data)
     except json.JSONDecodeError as e:
@@ -342,17 +355,26 @@ def _require(doc, key, what):
     return doc[key]
 
 
+def _require_int(doc, key, what):
+    """An integer field; JSON ``true`` and ``1.0`` are not integers."""
+    v = _require(doc, key, what)
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ProblemFormatError(f"{what}: field '{key}' must be an integer, "
+                                 f"got {json.dumps(v)}")
+    return v
+
+
 def parse_problem(data):
     """Parse a problem document; errors carry the offending field."""
     doc = _load_json(data, "problem file")
     if not isinstance(doc, dict):
         raise ProblemFormatError("problem file: top level must be an object")
-    n = _require(doc, "n", "problem file")
-    p = _require(doc, "p", "problem file")
+    n = _require_int(doc, "n", "problem file")
+    p = _require_int(doc, "p", "problem file")
     c = _require(doc, "c", "problem file")
     A = _require(doc, "A", "problem file")
-    if not isinstance(n, int) or not isinstance(p, int):
-        raise ProblemFormatError("problem file: fields 'n' and 'p' must be integers")
+    if not isinstance(A, list):
+        raise ProblemFormatError("problem file: field 'A' must be a list of matrices")
     try:
         prog = CopositiveProgram(c, A)
     except (ProblemFormatError, DimensionError) as e:
@@ -378,7 +400,7 @@ def parse_matrix(data):
     doc = _load_json(data, "matrix file")
     if not isinstance(doc, dict):
         raise ProblemFormatError("matrix file: top level must be an object")
-    p = _require(doc, "p", "matrix file")
+    p = _require_int(doc, "p", "matrix file")
     D = as_sym_matrix(_require(doc, "D", "matrix file"), what="matrix file: D")
     if D.shape[0] != p:
         raise ProblemFormatError(f"matrix file: field 'p'={p} but D has dimension {D.shape[0]}")

@@ -7,8 +7,12 @@ system on each face and comparing against the vertices; it is exact for
 dimensions up to ``p_max``.  The faces of one support size are solved as
 one stack (a stack with a singular face is retried face by face), and the
 candidates keep the support-mask order.  The reduced-region oracle works
-on the rational grid of the simplex with a Lipschitz lower-bound
-certificate.
+on the rational grid of the simplex; its certified lower bound is the
+larger of a Lipschitz bound and a per-point centered-gradient bound.
+Per-point quantities over a grid (the gradient's row spread, the
+nearest-hull-point distance of the mask) are built one column at a time:
+a numpy reduction along a row of a few entries costs more than the row's
+arithmetic.
 """
 
 from functools import lru_cache
@@ -262,7 +266,9 @@ class ReducedRegion:
         Returns ``(near, inside)``: hull distance at least
         ``sigma - tol_feas - relax`` and at least ``sigma - tol_feas``.
         Loops run over the small dimensions (sign vectors, hull points) so
-        no (M x 2^p) intermediate is materialized.
+        no (M x 2^p) intermediate is materialized, and the nearest-point
+        upper bound adds one column's |t_k - v_k| at a time into an
+        M-vector, left to right, never reducing along the short axis.
         """
         M = points.shape[0]
         lower = np.full(M, -np.inf)
@@ -270,7 +276,10 @@ class ReducedRegion:
             np.maximum(lower, points @ g - off, out=lower)
         upper = np.full(M, np.inf)
         for v in self._vmat:
-            np.minimum(upper, np.sum(np.abs(points - v), axis=1), out=upper)
+            dist = np.abs(points[:, 0] - v[0])
+            for k in range(1, self.p):
+                dist += np.abs(points[:, k] - v[k])
+            np.minimum(upper, dist, out=upper)
         cut = self.sigma - self.tol_feas
         near, inside = lower >= cut - relax, lower >= cut
         undecided = (~near & (upper >= cut - relax)) | (~inside & (upper >= cut))
@@ -330,6 +339,17 @@ def grid_point_count(p, denominator):
     return comb(int(denominator) + p - 1, p - 1)
 
 
+def _row_spread(G):
+    """max - min of each row of the (M, p) array G, one column at a time."""
+    hi = G[:, 0].copy()
+    lo = G[:, 0].copy()
+    for k in range(1, G.shape[1]):
+        np.maximum(hi, G[:, k], out=hi)
+        np.minimum(lo, G[:, k], out=lo)
+    hi -= lo
+    return hi
+
+
 def min_quad_over_omega(D, omega, h, max_grid_points=3_000_000):
     """Grid minimum of t' D t over the reduced region, certified below.
 
@@ -341,9 +361,12 @@ def min_quad_over_omega(D, omega, h, max_grid_points=3_000_000):
     L = 2 max|D_kl|, and the per-point expansion
         q(t) >= q(g) - (max_k - min_k)(Dg) * r - max|D| * r^2,
     whose centered gradient (displacements on the simplex sum to zero)
-    wins near flat minima.  An empty inside set certifies that the region
-    is empty: the grid holds every vertex, where the convex hull distance
-    peaks, and the mask decides every grid point exactly.
+    wins near flat minima.  The per-point spread is built one column of
+    Dg at a time (``_row_spread``), never reduced along the short axis;
+    max and min are exact, so the order does not change the bound.  An
+    empty inside set certifies that the region is empty: the grid holds
+    every vertex, where the convex hull distance peaks, and the mask
+    decides every grid point exactly.
     """
     D = np.asarray(D, dtype=float)
     p = D.shape[0]
@@ -365,7 +388,7 @@ def min_quad_over_omega(D, omega, h, max_grid_points=3_000_000):
     vals = np.einsum("ij,ij->i", sel, G)
     i = int(np.argmin(np.where(inside, vals, np.inf)))
     value = float(vals[i])
-    centered = 0.5 * (np.max(G, axis=1) - np.min(G, axis=1))
+    centered = 0.5 * _row_spread(G)
     lb_lip = float(np.min(vals)) - L * r
     lb_grad = float(np.min(vals - 2.0 * centered * r - maxd * r * r))
     return OracleResult(value, SimplexPoint(sel[i]), "grid",

@@ -193,6 +193,32 @@ def test_bad_point_file_is_domain_error(workdir, capsys, doc, needle):
     assert "bad_points.json" in err and needle in err
 
 
+@pytest.mark.parametrize("cmd, data, needle", [
+    ("regularize", {"n": True, "p": 2, "c": [1.0],
+                    "A": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]},
+     "problem file: field 'n' must be an integer"),
+    ("check-copositive", {"p": True, "D": [[1.0]]},
+     "matrix file: field 'p' must be an integer"),
+    ("check-copositive", {"p": 1.0, "D": [[1.0]]},
+     "matrix file: field 'p' must be an integer"),
+    ("check-copositive", {"p": 2, "D": [[1, "a"], ["a", 1]]},
+     "matrix file: D: expected a rectangular array of numbers"),
+    ("check-copositive", {"p": 2, "D": [[1, 2], [2]]},
+     "matrix file: D: expected a rectangular array of numbers"),
+    ("check-copositive", b"\xff\xfe{}", "matrix file: not UTF-8"),
+], ids=["bool-n", "bool-p", "float-p", "not-numbers", "ragged", "not-utf8"])
+def test_bad_input_file_is_domain_error(workdir, capsys, cmd, data, needle):
+    path = os.path.join(workdir["dir"], "bad_input.json")
+    with open(path, "wb") as fh:
+        fh.write(data if isinstance(data, bytes) else json.dumps(data).encode())
+    flag = "--problem" if cmd == "regularize" else "--matrix"
+    rc = main([cmd, flag, path])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert needle in err
+
+
 def test_verify_ledger_rejects_a_reducer_off_its_certificate(workdir, capsys):
     # 3Y stays in the constraint kernel; only the certificate check sees it
     out = os.path.join(workdir["dir"], "rep4_tripled.json")

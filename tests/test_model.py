@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coporeg import (CopositiveProgram, ProblemFormatError, Record,
                      SimplexPoint, eval_constraint, kernel_dimension,
@@ -150,6 +151,89 @@ def test_parse_rejects_bad_counts():
         parse_problem(json.dumps(doc))
     with pytest.raises(ProblemFormatError, match="line"):
         parse_problem(b"{not json")
+
+
+_E2_DOC = {"n": 1, "p": 2, "c": [1.0], "A": [[[0, 0], [0, 1]], [[0, 1], [1, 0]]]}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", True), ("n", 1.0), ("p", True), ("p", 2.0), ("n", "1")])
+def test_parse_problem_rejects_a_non_integer_count(field, value):
+    doc = dict(_E2_DOC, **{field: value})
+    with pytest.raises(ProblemFormatError, match=f"field '{field}' must be an integer"):
+        parse_problem(json.dumps(doc))
+
+
+@pytest.mark.parametrize("value", [True, 1.0, "1", None])
+def test_parse_matrix_rejects_a_non_integer_p(value):
+    with pytest.raises(ProblemFormatError, match="field 'p' must be an integer"):
+        parse_matrix(json.dumps({"p": value, "D": [[1.0]]}))
+
+
+@pytest.mark.parametrize("data, needle", [
+    (json.dumps({"p": 2, "D": [[1, "a"], ["a", 1]]}), "matrix file: D: "),
+    (json.dumps({"p": 2, "D": [[1, 2], [2]]}), "matrix file: D: "),
+    (json.dumps({"p": 1, "D": [[10 ** 400]]}), "matrix file: D: "),
+    (b"\xff\xfe{}", "matrix file: not UTF-8"),
+])
+def test_parse_matrix_names_the_bad_entry(data, needle):
+    with pytest.raises(ProblemFormatError, match=needle):
+        parse_matrix(data)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("c", ["x"]), ("c", {"a": 1}), ("A", [[[0, 0], [0, 1]], [[0, "b"], ["b", 0]]]),
+    ("A", 5), ("A", [[[0, 0], [0, 1]], [[0, 1]]])])
+def test_parse_problem_names_the_bad_entry(field, value):
+    doc = dict(_E2_DOC, **{field: value})
+    with pytest.raises(ProblemFormatError, match="problem file: "):
+        parse_problem(json.dumps(doc))
+
+
+_finite = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@st.composite
+def programs(draw):
+    n = draw(st.integers(1, 3))
+    p = draw(st.integers(2, 4))
+    c = draw(st.lists(_finite, min_size=n, max_size=n))
+    mats = []
+    for _ in range(n + 1):
+        M = np.array(draw(st.lists(_finite, min_size=p * p, max_size=p * p)))
+        M = M.reshape(p, p)
+        mats.append(np.triu(M) + np.triu(M, 1).T)
+    return CopositiveProgram(c, mats)
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(programs())
+def test_serialize_parse_round_trip_property(prog):
+    assert parse_problem(serialize_problem(prog)) == prog
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=20)
+
+
+def _near_schema(keys):
+    # documents with the schema's keys, so the fuzz reaches the field checks
+    return st.fixed_dictionaries({k: _json for k in keys})
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(st.one_of(_json, _near_schema(("n", "p", "c", "A")), _near_schema(("p", "D")),
+                 st.binary(max_size=20)))
+def test_parsers_raise_only_format_errors(doc):
+    data = doc if isinstance(doc, bytes) else json.dumps(doc)
+    for parse in (parse_problem, parse_matrix):
+        try:
+            parse(data)
+        except ProblemFormatError:
+            pass
 
 
 def test_simplex_point_validation():

@@ -448,6 +448,109 @@ def test_omega_value_lb_is_sound():
         assert coarse.value_lb <= fine.value + 1e-12
 
 
+# ---------------------------------------------------------------------------
+# the column-wise grid kernels against the row-wise ones they replaced
+
+def _reference_mask(region, points, relax):
+    """``grid_mask`` with the nearest-point distance summed along each row."""
+    lower = np.full(points.shape[0], -np.inf)
+    for g, off in zip(region._signs, region._sign_offsets):
+        np.maximum(lower, points @ g - off, out=lower)
+    upper = np.full(points.shape[0], np.inf)
+    for v in region._vmat:
+        np.minimum(upper, np.sum(np.abs(points - v), axis=1), out=upper)
+    cut = region.sigma - region.tol_feas
+    near, inside = lower >= cut - relax, lower >= cut
+    undecided = (~near & (upper >= cut - relax)) | (~inside & (upper >= cut))
+    for i in np.nonzero(undecided)[0]:
+        d = oracle.l1_dist_to_hull(points[i], region.V)
+        near[i], inside[i] = d >= cut - relax, d >= cut
+    return near, inside
+
+
+def _reference_omega_min(D, region, h):
+    """``min_quad_over_omega`` with the gradient spread reduced along each
+    row: ``(value, value_lb, argmin coords or None, near, inside)``."""
+    p = D.shape[0]
+    N = int(np.ceil(1.0 / h))
+    r = p / (2.0 * N)
+    near, inside = _reference_mask(region, simplex_grid(p, N), r)
+    sel, flags = simplex_grid(p, N)[near], inside[near]
+    if not flags.any():
+        return np.inf, np.inf, None, near, inside
+    maxd = float(np.max(np.abs(D)))
+    G = sel @ D
+    vals = np.einsum("ij,ij->i", sel, G)
+    i = int(np.argmin(np.where(flags, vals, np.inf)))
+    centered = 0.5 * (np.max(G, axis=1) - np.min(G, axis=1))
+    lb_lip = float(np.min(vals)) - 2.0 * maxd * r
+    lb_grad = float(np.min(vals - 2.0 * centered * r - maxd * r * r))
+    return float(vals[i]), max(lb_lip, lb_grad), sel[i], near, inside
+
+
+@st.composite
+def omega_cases(draw):
+    """(D, hull points, sigma, h) at p = 2..6: general or integer-valued D
+    (exact ties in the grid values), 1-3 hull points, h in {1/8, 1/16,
+    1/32} while the grid stays under 5,000 points (each undecided point
+    costs a hull LP per side)."""
+    p = draw(st.integers(2, 6))
+    ints = draw(st.booleans())
+    entry = (st.integers(-3, 3).map(float) if ints else
+             st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False))
+    M = np.array(draw(st.lists(entry, min_size=p * p, max_size=p * p)))
+    M = M.reshape(p, p)
+    D = M + M.T if ints else 0.5 * (M + M.T)
+    m = draw(st.integers(1, 3))
+    weights = st.lists(st.integers(0, 8), min_size=p, max_size=p).filter(any)
+    V = [SimplexPoint(np.array(w, dtype=float) / sum(w))
+         for w in draw(st.lists(weights, min_size=m, max_size=m))]
+    sigma = draw(st.floats(0.05, 1.5))
+    h = draw(st.sampled_from([1 / N for N in (8, 16, 32)
+                              if oracle.grid_point_count(p, N) <= 5_000]))
+    return D, V, sigma, h
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(omega_cases())
+def test_omega_min_matches_the_row_wise_reference(case):
+    D, V, sigma, h = case
+    calls = collections.Counter()
+
+    def counting(t, hull):
+        calls[side] += 1
+        return l1_dist_to_hull(t, hull)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "l1_dist_to_hull", counting)
+        side = "reference"
+        want = _reference_omega_min(D, ReducedRegion(V, sigma=sigma), h)
+        side = "kernel"
+        region = ReducedRegion(V, sigma=sigma)
+        res = min_quad_over_omega(D, region, h)
+    value, value_lb, argmin, near, inside = want
+    # the region keeps grid[near] and inside[near]; inside implies near
+    N = int(np.ceil(1.0 / h))
+    sel, flags, _r = region.selected_points(N)
+    assert np.array_equal(sel, simplex_grid(D.shape[0], N)[near])
+    assert np.array_equal(flags, inside[near])
+    assert calls["kernel"] == calls["reference"]
+    assert res.value == value
+    assert res.value_lb == value_lb
+    assert (res.argmin is None) == (argmin is None)
+    if argmin is not None:
+        assert np.array_equal(res.argmin.coords, argmin)
+
+
+def test_row_spread_is_the_row_range():
+    rng = np.random.default_rng(41)
+    for p in range(1, 7):
+        for G in (rng.normal(size=(50, p)),
+                  rng.integers(-2, 3, size=(50, p)).astype(float)):
+            G.setflags(write=False)
+            assert np.array_equal(oracle._row_spread(G), np.ptp(G, axis=1))
+
+
 def test_grid_point_budget():
     region = ReducedRegion([simplex(*([0.2] * 5))])
     with pytest.raises(CapabilityError):
