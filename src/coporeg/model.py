@@ -337,16 +337,18 @@ def shift_to_feasible(prog, y):
 # Matrix file: {"p": int, "D": [[...]]}.
 
 def _load_json(data, what):
-    try:
-        if isinstance(data, (bytes, bytearray)):
+    if isinstance(data, (bytes, bytearray)):
+        try:
             data = data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise ProblemFormatError(f"{what}: not UTF-8 text ({e})") from e
+        except UnicodeDecodeError as e:
+            raise ProblemFormatError(f"{what}: not UTF-8 text ({e})") from e
     try:
         return json.loads(data)
     except json.JSONDecodeError as e:
         raise ProblemFormatError(f"{what}: invalid JSON at line {e.lineno}, column "
                                  f"{e.colno}: {e.msg}") from e
+    except RecursionError as e:
+        raise ProblemFormatError(f"{what}: JSON nested too deeply") from e
 
 
 def _require(doc, key, what):
