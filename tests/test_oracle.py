@@ -474,8 +474,9 @@ def _reference_omega_min(D, region, h):
     p = D.shape[0]
     N = int(np.ceil(1.0 / h))
     r = p / (2.0 * N)
-    near, inside = _reference_mask(region, simplex_grid(p, N), r)
-    sel, flags = simplex_grid(p, N)[near], inside[near]
+    pts = simplex_grid(p, N)
+    near, inside = _reference_mask(region, pts, r)
+    sel, flags = pts[near], inside[near]
     if not flags.any():
         return np.inf, np.inf, None, near, inside
     maxd = float(np.max(np.abs(D)))
