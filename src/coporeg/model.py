@@ -22,13 +22,32 @@ class DimensionError(ValueError):
 
 
 def _float_array(entries, what):
-    """``entries`` as a float array; a non-numeric entry or a ragged nesting
-    is a ProblemFormatError naming ``what``."""
+    """``entries`` as a float array; a non-numeric entry (a string or a
+    boolean too, which numpy would read as a number) or a ragged nesting is
+    a ProblemFormatError naming ``what``."""
     try:
-        return np.array(entries, dtype=float)
+        a = np.array(entries, dtype=float)
     except (ValueError, TypeError, OverflowError) as e:
         raise ProblemFormatError(f"{what}: expected a rectangular array of "
                                  f"numbers ({e})") from e
+    bad = _first_non_number(entries)
+    if bad is not None:
+        raise ProblemFormatError(f"{what}: expected a rectangular array of "
+                                 f"numbers (got {json.dumps(bad)})")
+    return a
+
+
+def _first_non_number(entries):
+    """The first string or boolean in a nest of lists, else None (the nest
+    is at most numpy's 64 dimensions deep once it has converted)."""
+    if isinstance(entries, (str, bool)):
+        return entries
+    if isinstance(entries, (list, tuple)):
+        for e in entries:
+            bad = _first_non_number(e)
+            if bad is not None:
+                return bad
+    return None
 
 
 def as_sym_matrix(entries, tol=SYM_TOL, what="matrix"):

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lp import REL_EQ, REL_GE, LinearProgram, LpError, solve_lp
+from .lp import REL_LE, LinearProgram, LpError, solve_lp
 from .model import DimensionError, SimplexPoint
 
 
@@ -185,7 +185,17 @@ def is_strictly_copositive(D, tol_strict=1e-9, p_max=14):
 
 
 def l1_dist_to_hull(t, V):
-    """l1 distance from t to the convex hull of the points in V (an LP)."""
+    """l1 distance from t to the convex hull of the points in V (an LP).
+
+    The LP is the dual of min ||t - V w||_1 over simplex weights w:
+    maximize g.t - s subject to g.v_j <= s for every hull point and
+    -1 <= g_k <= 1, with s free.  It has one row per hull point (plus the
+    engine's bound rows) instead of 2p + 1 rows.  The engine shifts g to
+    g + 1 >= 0, which makes row j's right-hand side sum_k v_jk, so for
+    points of the simplex the all-slack basis at g = -1, s = 0 is feasible
+    and the solve has no phase 1; hull points with a negative coordinate sum
+    take the two-phase path.
+    """
     tc = t.coords if isinstance(t, SimplexPoint) else np.asarray(t, dtype=float)
     pts = [v.coords if isinstance(v, SimplexPoint) else np.asarray(v, dtype=float)
            for v in V]
@@ -195,24 +205,14 @@ def l1_dist_to_hull(t, V):
     for v in pts:
         if v.size != p:
             raise DimensionError("hull points must match the dimension of t")
-    m = len(pts)
-    # variables: weights w (m) then slacks s (p); minimize sum s.  Rows, per
-    # k: s_k >= t_k - (Vw)_k and s_k >= (Vw)_k - t_k; then sum w == 1
-    V = np.array(pts).T
-    coefs = np.empty((2 * p, m + p))
-    coefs[0::2] = np.hstack([V, np.eye(p)])
-    coefs[1::2] = np.hstack([-V, np.eye(p)])
-    rhs = np.empty(2 * p)
-    rhs[0::2] = tc
-    rhs[1::2] = -tc
-    rows = [(a, REL_GE, r) for a, r in zip(coefs, rhs)]
-    objective = np.concatenate([np.zeros(m), np.ones(p)])
-    rows.append((1.0 - objective, REL_EQ, 1.0))
-    sol = solve_lp(LinearProgram(objective, rows, [(0.0, np.inf)] * (m + p)))
+    # variables g (p) then s; minimize s - g.t
+    rows = [(np.append(v, -1.0), REL_LE, 0.0) for v in pts]
+    bounds = [(-1.0, 1.0)] * p + [(-np.inf, np.inf)]
+    sol = solve_lp(LinearProgram(np.append(-tc, 1.0), rows, bounds))
     if sol.status != "Optimal":
         raise LpError(f"hull-distance LP reported {sol.status}; this cannot "
                       "happen for nonempty V")
-    return max(0.0, float(sol.objective_value))
+    return max(0.0, -float(sol.objective_value))
 
 
 def exclusion_radius(V, tol_support=1e-7):
@@ -231,10 +231,12 @@ def exclusion_radius(V, tol_support=1e-7):
 class ReducedRegion:
     """The simplex minus the open l1 neighborhood of conv V of radius sigma.
 
-    Membership is ``l1_dist_to_hull(t, V) >= sigma``.  A cheap sandwich
-    (dual sign vectors below, nearest-point distance above) decides almost
-    every grid point; a point it leaves undecided at either cut of
-    ``grid_mask`` gets one exact LP, which decides both cuts.
+    Membership is ``l1_dist_to_hull(t, V) >= sigma``, one small LP in its
+    dual form.  A cheap sandwich (dual sign vectors below, nearest-point
+    distance above) decides almost every grid point; a point it leaves
+    undecided at either cut of ``grid_mask`` gets one exact LP, which
+    decides both cuts.  With one hull point the nearest-point distance is
+    the hull distance, so its masks need no sign vectors and no LP.
     """
 
     def __init__(self, V, sigma=None, tol_support=1e-7, tol_feas=1e-9):
@@ -268,18 +270,23 @@ class ReducedRegion:
         Loops run over the small dimensions (sign vectors, hull points) so
         no (M x 2^p) intermediate is materialized, and the nearest-point
         upper bound adds one column's |t_k - v_k| at a time into an
-        M-vector, left to right, never reducing along the short axis.
+        M-vector, left to right, never reducing along the short axis.  A
+        one-point hull is its own nearest point: the upper bound is exact
+        and serves as the lower bound too, so no point is left undecided.
         """
         M = points.shape[0]
-        lower = np.full(M, -np.inf)
-        for g, off in zip(self._signs, self._sign_offsets):
-            np.maximum(lower, points @ g - off, out=lower)
         upper = np.full(M, np.inf)
         for v in self._vmat:
             dist = np.abs(points[:, 0] - v[0])
             for k in range(1, self.p):
                 dist += np.abs(points[:, k] - v[k])
             np.minimum(upper, dist, out=upper)
+        if len(self.V) == 1:
+            lower = upper
+        else:
+            lower = np.full(M, -np.inf)
+            for g, off in zip(self._signs, self._sign_offsets):
+                np.maximum(lower, points @ g - off, out=lower)
         cut = self.sigma - self.tol_feas
         near, inside = lower >= cut - relax, lower >= cut
         undecided = (~near & (upper >= cut - relax)) | (~inside & (upper >= cut))

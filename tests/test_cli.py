@@ -206,7 +206,10 @@ def test_bad_point_file_is_domain_error(workdir, capsys, doc, needle):
     ("check-copositive", {"p": 2, "D": [[1, 2], [2]]},
      "matrix file: D: expected a rectangular array of numbers"),
     ("check-copositive", b"\xff\xfe{}", "matrix file: not UTF-8"),
-], ids=["bool-n", "bool-p", "float-p", "not-numbers", "ragged", "not-utf8"])
+    ("check-copositive", {"p": 2, "D": [["1", True], [True, "2"]]},
+     'matrix file: D: expected a rectangular array of numbers (got "1")'),
+], ids=["bool-n", "bool-p", "float-p", "not-numbers", "ragged", "not-utf8",
+        "string-and-bool"])
 def test_bad_input_file_is_domain_error(workdir, capsys, cmd, data, needle):
     path = os.path.join(workdir["dir"], "bad_input.json")
     with open(path, "wb") as fh:

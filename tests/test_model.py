@@ -173,6 +173,10 @@ def test_parse_matrix_rejects_a_non_integer_p(value):
 # non-numeric and ragged entries and non-UTF-8 bytes: test_cli.py
 @pytest.mark.parametrize("data, needle", [
     (json.dumps({"p": 1, "D": [[10 ** 400]]}), "matrix file: D: "),
+    (json.dumps({"p": 2, "D": [["1", True], [True, "2"]]}),
+     'matrix file: D: .*got "1"'),
+    (json.dumps({"p": 2, "D": [[1, True], [True, 2]]}),
+     "matrix file: D: .*got true"),
     ('{"p": 1, "D": ' + "[" * 100_000 + "]" * 100_000 + "}",
      "matrix file: JSON nested too deeply"),
 ])
@@ -183,7 +187,8 @@ def test_parse_matrix_names_the_bad_entry(data, needle):
 
 @pytest.mark.parametrize("field, value", [
     ("c", ["x"]), ("c", {"a": 1}), ("A", [[[0, 0], [0, 1]], [[0, "b"], ["b", 0]]]),
-    ("A", 5), ("A", [[[0, 0], [0, 1]], [[0, 1]]])])
+    ("A", 5), ("A", [[[0, 0], [0, 1]], [[0, 1]]]), ("c", ["1"]), ("c", [True]),
+    ("A", [[[0, 0], [0, 1]], [[0, True], [True, 0]]])])
 def test_parse_problem_names_the_bad_entry(field, value):
     doc = dict(_E2_DOC, **{field: value})
     with pytest.raises(ProblemFormatError, match="problem file: "):

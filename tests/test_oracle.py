@@ -10,7 +10,8 @@ from coporeg import (CapabilityError, ReducedRegion, SimplexPoint,
                      is_strictly_copositive, l1_dist_to_hull,
                      min_quad_over_omega, min_quad_over_simplex, quad_form,
                      simplex_grid)
-from coporeg import oracle
+from coporeg import lp, oracle
+from coporeg.lp import REL_EQ, REL_GE, LinearProgram, solve_lp
 
 from conftest import simplex
 
@@ -315,6 +316,113 @@ def test_l1_dist_triangle_inequality():
         assert abs(d1 - d2) <= float(np.sum(np.abs(t1.coords - t2.coords))) + 1e-9
 
 
+# the dual hull LP against the primal one it replaced, and against HiGHS
+
+def _reference_hull_distance(t, V):
+    """The primal LP: min sum s over weights w >= 0 (sum w == 1) and
+    slacks s >= |t - V w|, as two >= rows per coordinate."""
+    tc = np.asarray(t, dtype=float)
+    V = np.array([np.asarray(v, dtype=float) for v in V]).T
+    p, m = V.shape
+    coefs = np.empty((2 * p, m + p))
+    coefs[0::2] = np.hstack([V, np.eye(p)])
+    coefs[1::2] = np.hstack([-V, np.eye(p)])
+    rhs = np.empty(2 * p)
+    rhs[0::2] = tc
+    rhs[1::2] = -tc
+    rows = [(a, REL_GE, r) for a, r in zip(coefs, rhs)]
+    objective = np.concatenate([np.zeros(m), np.ones(p)])
+    rows.append((1.0 - objective, REL_EQ, 1.0))
+    sol = solve_lp(LinearProgram(objective, rows, [(0.0, np.inf)] * (m + p)))
+    assert sol.status == "Optimal"
+    return max(0.0, float(sol.objective_value))
+
+
+def _highs_hull_distance(linprog, t, V):
+    V = np.array(V, dtype=float).T
+    p, m = V.shape
+    eye = np.eye(p)
+    res = linprog(np.concatenate([np.zeros(m), np.ones(p)]),
+                  A_ub=np.vstack([np.hstack([-V, -eye]), np.hstack([V, -eye])]),
+                  b_ub=np.concatenate([-t, t]),
+                  A_eq=np.concatenate([np.ones(m), np.zeros(p)])[None, :],
+                  b_eq=[1.0], bounds=[(0.0, None)] * (m + p), method="highs")
+    assert res.status == 0
+    return float(res.fun)
+
+
+@st.composite
+def hull_cases(draw):
+    """(t, V) at p = 1..6 with 1-4 hull points, each drawn from lattice
+    or general weights, plus up to two repeats of hull points; t is a
+    fresh point, a hull point, or the midpoint of two hull points."""
+    p = draw(st.integers(1, 6))
+    weight = draw(st.sampled_from([
+        st.integers(0, 8).map(float),
+        st.floats(0.0, 1.0, allow_nan=False, allow_subnormal=False)]))
+
+    def point():
+        w = np.array(draw(st.lists(weight, min_size=p, max_size=p)))
+        if not w.sum() > 0.0:
+            w[0] = 1.0
+        return w / w.sum()
+
+    V = [point() for _ in range(draw(st.integers(1, 4)))]
+    V += [V[i] for i in draw(st.lists(st.integers(0, len(V) - 1), max_size=2))]
+    t = draw(st.sampled_from(["fresh", "hull", "midpoint"]))
+    if t == "hull":
+        return V[-1], V
+    if t == "midpoint":
+        return 0.5 * (V[0] + V[-1]), V
+    return point(), V
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(hull_cases())
+def test_hull_distance_matches_the_primal_reference(case):
+    t, V = case
+    assert abs(l1_dist_to_hull(t, V) - _reference_hull_distance(t, V)) <= 1e-12
+
+
+def test_hull_distance_matches_highs():
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(43)
+    for _ in range(60):
+        p, m = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+        V = rng.dirichlet(np.ones(p), size=m)
+        t = rng.dirichlet(np.ones(p))
+        assert l1_dist_to_hull(t, V) == pytest.approx(
+            _highs_hull_distance(linprog, t, V), abs=1e-9)
+    # off the simplex: negative coordinate sums make the dual's shifted
+    # right-hand sides negative, so the solve goes through phase 1
+    for _ in range(20):
+        p, m = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+        V = rng.normal(size=(m, p)) - 1.0
+        t = rng.normal(size=p)
+        want = _highs_hull_distance(linprog, t, V)
+        assert l1_dist_to_hull(t, V) == pytest.approx(want, abs=1e-9)
+        assert _reference_hull_distance(t, V) == pytest.approx(want, abs=1e-9)
+
+
+def test_hull_distance_needs_no_phase_one_on_the_simplex(monkeypatch):
+    # one simplex run per phase
+    runs = collections.Counter()
+    simplex_run = lp._simplex
+
+    def counting(*args):
+        runs["simplex"] += 1
+        return simplex_run(*args)
+
+    monkeypatch.setattr(lp, "_simplex", counting)
+    V = [simplex(1, 0, 0), simplex(0, 1, 0)]
+    assert l1_dist_to_hull(simplex(0.2, 0.2, 0.6), V) == pytest.approx(1.2)
+    assert runs["simplex"] == 1
+    V = [np.array([-1.0, -1.0, 0.5]), np.array([0.0, -1.0, 0.0])]
+    d = l1_dist_to_hull(np.zeros(3), V)
+    assert runs["simplex"] == 3
+    assert d == pytest.approx(_reference_hull_distance(np.zeros(3), V))
+
+
 def test_exclusion_radius_examples():
     assert exclusion_radius([simplex(0.5, 0.5)]) == pytest.approx(0.5)
     assert exclusion_radius([simplex(1, 0)]) == pytest.approx(1.0)
@@ -541,6 +649,42 @@ def test_omega_min_matches_the_row_wise_reference(case):
     assert (res.argmin is None) == (argmin is None)
     if argmin is not None:
         assert np.array_equal(res.argmin.coords, argmin)
+
+
+@st.composite
+def one_point_regions(draw):
+    """(hull point, sigma or None, N) at p = 2..6 with lattice hull points,
+    while the grid stays under 5,000 points."""
+    p = draw(st.integers(2, 6))
+    w = draw(st.lists(st.integers(0, 8), min_size=p, max_size=p).filter(any))
+    sigma = draw(st.one_of(st.none(), st.floats(0.05, 1.5)))
+    N = draw(st.sampled_from([N for N in (8, 16, 32)
+                              if oracle.grid_point_count(p, N) <= 5_000]))
+    return SimplexPoint(np.array(w, dtype=float) / sum(w)), sigma, N
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(one_point_regions())
+def test_one_point_mask_matches_the_reference_without_lps(case):
+    v, sigma, N = case
+    calls = collections.Counter()
+
+    def counting(t, hull):
+        calls[side] += 1
+        return l1_dist_to_hull(t, hull)
+
+    region = ReducedRegion([v], sigma=sigma)
+    pts = simplex_grid(region.p, N)
+    for relax in (0.0, region.p / (2.0 * N)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "l1_dist_to_hull", counting)
+            side = "kernel"
+            got = region.grid_mask(pts, relax)
+            side = "reference"
+            want = _reference_mask(region, pts, relax)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+    assert calls["kernel"] == 0
 
 
 def test_row_spread_is_the_row_range():

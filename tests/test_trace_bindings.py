@@ -7,7 +7,7 @@ import importlib.util
 import io
 import os
 
-from coporeg import cli, oracle, serialize_problem, sip
+from coporeg import SimplexPoint, cli, oracle, serialize_problem, sip
 
 REGULARIZE = importlib.import_module("coporeg.regularize")
 SPANS_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
@@ -49,3 +49,26 @@ def test_instrumented_regularize_reaches_every_layer(tmp_path, e2):
     for key in ("cli.calls", "oracle.exact.calls", "sip.calls",
                 "lp.master.calls", "oracle.grid.calls"):
         assert tracer.counts[key] > 0, key
+
+
+def test_instrumented_hull_layer_counts_mask_and_contains_lps():
+    # the hull LP is traced through oracle's binding of solve_lp, and each
+    # l1_dist_to_hull call is told apart by the span that made it
+    spans = _load_spans()
+    region = oracle.ReducedRegion([SimplexPoint([1.0, 0.0, 0.0]),
+                                   SimplexPoint([0.0, 1.0, 0.0])])
+    points = oracle.simplex_grid(3, 16)
+    before = _bindings()
+    tracer = spans.Tracer()
+    try:
+        uninstall = spans.instrument(tracer)
+        region.grid_mask(points, 3 / 32)
+        region.contains(SimplexPoint([0.25, 0.25, 0.5]))
+        uninstall()
+    finally:
+        for (owner, name), value in before.items():
+            if vars(owner).get(name) is not value:
+                setattr(owner, name, value)
+    for key in ("lp.hull.calls", "oracle.hull.in_mask", "oracle.hull.in_contains"):
+        assert tracer.counts[key] > 0, key
+    assert tracer.counts["lp.hull.calls"] == tracer.counts["oracle.hull.calls"]
