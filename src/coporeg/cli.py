@@ -10,12 +10,11 @@ import argparse
 import json
 import sys
 
-import jsonschema
 import numpy as np
-from jsonschema.exceptions import best_match
 
 from .config import RunConfig, load_env_config
-from .model import (ProblemFormatError, SimplexPoint, certificate_matrix,
+from .model import (ProblemFormatError, SimplexPoint, _float_array, _json_repr,
+                    _load_json, _require, _require_int, certificate_matrix,
                     kernel_residual, parse_matrix, parse_problem,
                     shift_to_feasible)
 from .oracle import ReducedRegion, is_copositive
@@ -23,63 +22,6 @@ from .regularize import (FaceLedgerEntry, Record, RegularizedProblem,
                          feasibility_equiv_sample, minimal_face,
                          one_step_regularize, regularize, verify_ledger)
 from .sip import DualCertificate
-
-REPORT_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "type": "object",
-    "required": ["status", "tolerances"],
-    "additionalProperties": True,
-    "properties": {
-        "status": {"enum": ["regular", "regularized", "failed"]},
-        "m_star": {"type": ["integer", "null"]},
-        "n": {"type": "integer"},
-        "p": {"type": "integer"},
-        "witness": {"type": ["array", "null"], "items": {"type": "number"}},
-        "iterations": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["m", "tau", "gamma", "lambda", "L", "records",
-                             "Y", "cond_11star"],
-                "properties": {
-                    "m": {"type": "integer"},
-                    "tau": {"type": "array",
-                            "items": {"type": "array", "items": {"type": "number"}}},
-                    "gamma": {"type": "array", "items": {"type": "number"}},
-                    "lambda": {"type": "object"},
-                    "L": {"type": "array",
-                          "items": {"type": "array", "items": {"type": "integer"}}},
-                    "records": {"type": "array",
-                                "items": {"type": "array", "items": {"type": "number"}}},
-                    "Y": {"type": "array",
-                          "items": {"type": "array", "items": {"type": "number"}}},
-                    "cond_11star": {"type": "boolean"},
-                },
-            },
-        },
-        "regularized": {
-            "type": ["object", "null"],
-            "properties": {
-                "eq_rows": {"type": "array"},
-                "ineq_rows": {"type": "array"},
-                "omega": {"type": "object", "required": ["W", "empty"]},
-                "witness": {"type": "array", "items": {"type": "number"}},
-                "margin": {"type": "number"},
-            },
-        },
-        "compressed": {
-            "type": ["object", "null"],
-            "properties": {
-                "core": {"type": "array", "items": {"type": "integer"}},
-                "s_star": {"type": "integer"},
-            },
-        },
-        "tolerances": {"type": "object"},
-        "diagnostics": {"type": "object"},
-    },
-}
-_REPORT_VALIDATOR = jsonschema.Draft7Validator(REPORT_SCHEMA)
-
 
 def build_report(result, prog, cfg):
     """Render a RegularizationResult as the documented JSON structure.
@@ -107,7 +49,7 @@ def build_report(result, prog, cfg):
     if result.compressed is not None:
         compressed = {"core": list(result.compressed.mapping),
                       "s_star": result.compressed.s_star}
-    report = {
+    return {
         "status": result.status,
         "m_star": result.m_star,
         "n": prog.n,
@@ -119,10 +61,6 @@ def build_report(result, prog, cfg):
         "tolerances": cfg.to_dict(),
         "diagnostics": _jsonable(result.diagnostics),
     }
-    error = best_match(_REPORT_VALIDATOR.iter_errors(report))
-    if error is not None:
-        raise error
-    return report
 
 
 def _regularized_doc(reg):
@@ -152,55 +90,140 @@ def _jsonable(obj):
     return obj
 
 
-def ledger_from_report(report, prog):
-    """Rebuild ledger entries (with recomputed residuals) from a report; a
-    p or n other than the problem's, an L index outside 1..p or a lambda
-    key naming no previous record is a ProblemFormatError."""
+_STATUSES = ("regular", "regularized", "failed")
+_ITERATION_FIELDS = ("m", "tau", "gamma", "lambda", "records", "L", "Y",
+                     "cond_11star")
+
+
+def ledger_from_report(report, prog, what="report"):
+    """The ledger entries of a decoded report, each field read checked
+    against ``prog`` and each certificate rebuilt from the stored tau, gamma
+    and lambda.  A defect is a ProblemFormatError naming ``what``, the
+    iteration and the field."""
+    if not isinstance(report, dict):
+        raise ProblemFormatError(f"{what}: top level must be an object")
+    status = _require(report, "status", what)
+    if status not in _STATUSES:
+        raise ProblemFormatError(f"{what}: field 'status' must be one of "
+                                 f"{', '.join(_STATUSES)}, got {_json_repr(status)}")
     for key in ("p", "n"):
-        if key in report and report[key] != getattr(prog, key):
-            raise ProblemFormatError(f"report has {key}={report[key]}, the "
+        if key in report and _require_int(report, key, what) != getattr(prog, key):
+            raise ProblemFormatError(f"{what}: report has {key}={report[key]}, the "
                                      f"problem has {key}={getattr(prog, key)}")
+    iterations = report.get("iterations", [])
+    if not isinstance(iterations, list):
+        raise ProblemFormatError(f"{what}: field 'iterations' must be a list")
     entries = []
-    prev_records = ()
-    for it in report.get("iterations", []):
-        if any(not 1 <= k <= prog.p for L in it["L"] for k in L):
-            raise ProblemFormatError(
-                f"iteration {it['m']}: a row index in L lies outside 1..{prog.p}")
-        records = tuple(
-            Record(SimplexPoint(t), frozenset(k - 1 for k in L))
-            for t, L in zip(it["records"], it["L"]))
-        new_indices = tuple(
-            (SimplexPoint(t), float(g)) for t, g in zip(it["tau"], it["gamma"]))
-        lam = {int(i) - 1: np.asarray(v, dtype=float)
-               for i, v in it["lambda"].items()}
-        if not set(lam) <= set(range(len(prev_records))):
-            raise ProblemFormatError(
-                f"iteration {it['m']}: a lambda key in {sorted(it['lambda'])} "
-                f"names no record of the previous iteration")
-        Y = certificate_matrix(prog.p, new_indices, lam,
-                               [r.tau for r in prev_records])
-        cert = DualCertificate(new_indices, lam, Y, kernel_residual(prog, Y))
-        entries.append(FaceLedgerEntry(
-            int(it["m"]), np.asarray(it["Y"], dtype=float), records,
-            prev_records, cert, bool(it["cond_11star"])))
-        prev_records = records
+    for m, it in enumerate(iterations, 1):
+        prev = entries[-1].records if entries else ()
+        entries.append(_read_iteration(it, m, prev, prog, f"{what}: iteration {m}"))
     return entries
 
 
-def regularized_from_report(report, prog, cfg):
+def _read_iteration(it, m, prev, prog, where):
+    """Iteration ``m`` of a report as a FaceLedgerEntry after ``prev``."""
+    if not isinstance(it, dict):
+        raise ProblemFormatError(f"{where}: expected an object")
+    missing = [k for k in _ITERATION_FIELDS if k not in it]
+    if missing:
+        raise ProblemFormatError(f"{where}: missing required fields "
+                                 f"{', '.join(missing)}")
+    if _require_int(it, "m", where) != m:
+        raise ProblemFormatError(f"{where}: field 'm' is {it['m']}, expected {m}")
+    p = prog.p
+    taus = _points(it["tau"], p, f"{where}: field 'tau'")
+    gamma = _array(it["gamma"], (len(taus),), f"{where}: field 'gamma'")
+    tau_records = _points(it["records"], p, f"{where}: field 'records'")
+    if not isinstance(it["L"], list) or len(it["L"]) != len(tau_records):
+        raise ProblemFormatError(f"{where}: field 'L' must hold one list per "
+                                 f"record ({len(tau_records)})")
+    records = tuple(Record(t, _row_set(L, p, f"{where}: field 'L'"))
+                    for t, L in zip(tau_records, it["L"]))
+    if not isinstance(it["lambda"], dict):
+        raise ProblemFormatError(f"{where}: field 'lambda' must be an object")
+    keys = {str(i + 1): i for i in range(len(prev))}
+    lam = {}
+    for key, v in it["lambda"].items():
+        if key not in keys:
+            raise ProblemFormatError(
+                f"{where}: field 'lambda': lambda key {key!r} names no record "
+                f"of the previous iteration, which has {len(prev)}")
+        lam[keys[key]] = _array(v, (p,), f"{where}: field 'lambda': key {key!r}")
+    Y = _array(it["Y"], (p, p), f"{where}: field 'Y'")
+    cond = _require_bool(it, "cond_11star", where)
+    new_indices = tuple(zip(taus, (float(g) for g in gamma)))
+    Y_cert = certificate_matrix(p, new_indices, lam, [r.tau for r in prev])
+    cert = DualCertificate(new_indices, lam, Y_cert, kernel_residual(prog, Y_cert))
+    return FaceLedgerEntry(m, Y, records, prev, cert, cond)
+
+
+def regularized_from_report(report, prog, cfg, what="report"):
+    """The RegularizedProblem of a decoded report over its last iteration's
+    records, read as ``ledger_from_report`` reads; None when its
+    ``regularized`` block is null or absent."""
+    entries = ledger_from_report(report, prog, what)
     doc = report.get("regularized")
     if doc is None:
         return None
-    records = []
-    last = report["iterations"][-1]
-    for t, L in zip(last["records"], last["L"]):
-        records.append(Record(SimplexPoint(t), frozenset(k - 1 for k in L)))
-    omega = ReducedRegion([SimplexPoint(v) for v in doc["omega"]["W"]],
-                          tol_support=cfg.tol_support, tol_feas=cfg.tol_feas)
-    return RegularizedProblem(prog, records, omega,
-                              np.asarray(doc["witness"], dtype=float),
-                              float(doc["margin"]),
-                              omega_empty=doc["omega"]["empty"])
+    where = f"{what}: field 'regularized'"
+    if not isinstance(doc, dict) or not entries:
+        raise ProblemFormatError(f"{where}: expected an object and at least "
+                                 f"one iteration")
+    omega = _require(doc, "omega", where)
+    if not isinstance(omega, dict):
+        raise ProblemFormatError(f"{where}: field 'omega' must be an object")
+    W = _points(_require(omega, "W", f"{where}: field 'omega'"), prog.p,
+                f"{where}: field 'omega': field 'W'")
+    empty = _require_bool(omega, "empty", f"{where}: field 'omega'")
+    witness = _array(_require(doc, "witness", where), (prog.n,),
+                     f"{where}: field 'witness'")
+    margin = _array(_require(doc, "margin", where), (), f"{where}: field 'margin'")
+    omega = ReducedRegion(W, tol_support=cfg.tol_support, tol_feas=cfg.tol_feas)
+    return RegularizedProblem(prog, entries[-1].records, omega, witness,
+                              float(margin), omega_empty=empty)
+
+
+def _points(v, p, what):
+    """A nonempty list of simplex points of dimension ``p``."""
+    if not isinstance(v, list) or not v:
+        raise ProblemFormatError(f"{what}: must be a nonempty list of points")
+    pts = []
+    for j, t in enumerate(v, 1):
+        try:
+            pts.append(SimplexPoint(t))
+        except ValueError as e:  # ProblemFormatError and DimensionError too
+            raise ProblemFormatError(f"{what}: point {j}: {e}") from e
+        if pts[-1].p != p:
+            raise ProblemFormatError(
+                f"{what}: point {j}: point dimension {pts[-1].p} != p={p}")
+    return pts
+
+
+def _array(v, shape, what):
+    """``v`` as a finite float array of the given shape."""
+    a = _float_array(v, what)
+    if a.shape != shape:
+        raise ProblemFormatError(f"{what}: expected shape {shape}, got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ProblemFormatError(f"{what}: entries must be finite")
+    return a
+
+
+def _row_set(L, p, what):
+    """A list of 1-based row indices as a 0-based frozenset."""
+    if not isinstance(L, list) or not all(type(k) is int and 1 <= k <= p
+                                          for k in L):
+        raise ProblemFormatError(f"{what}: expected lists of integer row "
+                                 f"indices, none outside 1..{p}")
+    return frozenset(k - 1 for k in L)
+
+
+def _require_bool(doc, key, what):
+    v = _require(doc, key, what)
+    if not isinstance(v, bool):
+        raise ProblemFormatError(f"{what}: field '{key}' must be a boolean, "
+                                 f"got {_json_repr(v)}")
+    return v
 
 
 def _write_json(doc, path):
@@ -261,30 +284,24 @@ def _read(path, what):
 def _load_problem(args, cfg):
     prog = parse_problem(_read(args.problem, "problem file"))
     if getattr(args, "shift", None):
-        y = np.array([float(s) for s in args.shift.split(",")])
-        prog = shift_to_feasible(prog, y)
+        try:  # bad numbers, a wrong count and a shift off the finite range
+            y = np.array([float(s) for s in args.shift.split(",")])
+            prog = shift_to_feasible(prog, y)
+        except ValueError as e:
+            raise ProblemFormatError(f"--shift {args.shift!r}: {e}") from e
     return prog
 
 
 def _load_points(path, p):
     """The points of a point file ``{"p": int, "W": [...]}``: ``p`` must be
     the problem's and ``W`` a nonempty list of simplex points."""
-    data = _read(path, "point file")
-    try:  # bad JSON, keys and points alike
-        doc = json.loads(data.decode("utf-8"))
-        if not isinstance(doc, dict) or not {"p", "W"} <= doc.keys():
-            raise ValueError("expected keys p, W")
-        if doc["p"] != p:
-            raise ValueError(f"p={doc['p']!r}, the problem has p={p}")
-        if not isinstance(doc["W"], list) or not doc["W"]:
-            raise ValueError("W must be a nonempty list of points")
-        pts = [SimplexPoint(v) for v in doc["W"]]
-        for t in pts:
-            if t.p != p:
-                raise ValueError(f"point dimension {t.p} != p={p}")
-    except (ValueError, TypeError) as e:
-        raise ProblemFormatError(f"point file {path!r}: {e}") from e
-    return pts
+    what = f"point file {path!r}"
+    doc = _load_json(_read(path, "point file"), what)
+    if not isinstance(doc, dict) or not {"p", "W"} <= doc.keys():
+        raise ProblemFormatError(f"{what}: expected keys p, W")
+    if _require_int(doc, "p", what) != p:
+        raise ProblemFormatError(f"{what}: p={doc['p']}, the problem has p={p}")
+    return _points(doc["W"], p, f"{what}: field 'W'")
 
 
 def _driver_result(prog, cfg, regular_note=None):
@@ -384,15 +401,9 @@ def _cmd_verify_ledger(args):
     cfg = _config_from_args(args)
     prog = _load_problem(args, cfg)
     if args.report:
-        data = _read(args.report, "report file")
-        try:  # bad JSON, schema violations and bad values alike
-            report = json.loads(data.decode("utf-8"))
-            error = best_match(_REPORT_VALIDATOR.iter_errors(report))
-            if error is not None:
-                raise ValueError(f"{error.json_path}: {error.message}")
-            entries = ledger_from_report(report, prog)
-        except ValueError as e:
-            raise ProblemFormatError(f"report file {args.report!r}: {e}") from e
+        what = f"report file {args.report!r}"
+        report = _load_json(_read(args.report, "report file"), what)
+        entries = ledger_from_report(report, prog, what)
     else:
         result = _driver_result(prog, cfg)
         if isinstance(result, int):

@@ -14,7 +14,7 @@ SYM_TOL = 1e-12
 
 
 class ProblemFormatError(ValueError):
-    """A problem or matrix document violates the documented JSON schema."""
+    """A problem, matrix, point or report document is malformed."""
 
 
 class DimensionError(ValueError):
@@ -368,6 +368,8 @@ def _load_json(data, what):
                                  f"{e.colno}: {e.msg}") from e
     except RecursionError as e:
         raise ProblemFormatError(f"{what}: JSON nested too deeply") from e
+    except ValueError as e:  # an integer literal past Python's digit limit
+        raise ProblemFormatError(f"{what}: invalid JSON: {e}") from e
 
 
 def _require(doc, key, what):
@@ -381,8 +383,14 @@ def _require_int(doc, key, what):
     v = _require(doc, key, what)
     if isinstance(v, bool) or not isinstance(v, int):
         raise ProblemFormatError(f"{what}: field '{key}' must be an integer, "
-                                 f"got {json.dumps(v)}")
+                                 f"got {_json_repr(v)}")
     return v
+
+
+def _json_repr(v):
+    """A JSON value for an error message; an array or object by its kind
+    alone, since it may nest too deeply to print."""
+    return {list: "an array", dict: "an object"}.get(type(v)) or json.dumps(v)
 
 
 def parse_problem(data):

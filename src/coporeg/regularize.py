@@ -55,12 +55,6 @@ def assert_support_inclusion(records, tol_support=1e-7):
                 f"contained in L={sorted(rec.L)}")
 
 
-def _measure(records):
-    """Number of records plus their forced-zero rows: the progress measure
-    that every driver iteration must increase."""
-    return len(records) + sum(len(r.L) for r in records)
-
-
 class FaceLedgerEntry:
     """(Y_m, face descriptor) produced at iteration m-1, plus the data
     needed to re-verify its construction conditions."""
@@ -161,19 +155,6 @@ def update_index_sets(records, cert, tol_support=1e-7):
     for t, _g in cert.new_indices:
         out.append(Record(t, frozenset(t.support_plus(tol_support))))
     return tuple(out)
-
-
-def duplicate_records(records, cert, tol_support=1e-7):
-    """New certificate points that replicate an existing record exactly."""
-    dups = []
-    for t, _g in cert.new_indices:
-        L_new = frozenset(t.support_plus(tol_support))
-        for rec in records:
-            if (np.max(np.abs(rec.tau.coords - t.coords)) <= tol_support
-                    and rec.L == L_new):
-                dups.append(t)
-                break
-    return dups
 
 
 def disjointness_condition(records_old, cert, tol_support=1e-7):
@@ -347,16 +328,10 @@ def regularize(prog, cfg=DEFAULT):
 
             cert = out.certificate
             cond = disjointness_condition(records, cert, cfg.tol_support)
-            dups = duplicate_records(records, cert, cfg.tol_support)
             new_records = update_index_sets(records, cert, cfg.tol_support)
             assert_support_inclusion(new_records, cfg.tol_support)
             ledger.append(FaceLedgerEntry(m + 1, cert.Y, new_records, records,
                                           cert, cond))
-            if _measure(new_records) <= _measure(records):
-                return RegularizationResult(
-                    "failed", ledger=ledger,
-                    diagnostics={"trace": trace, "reason": "no progress",
-                                 "duplicates": [t.coords.tolist() for t in dups]})
             records = new_records
             m += 1
             if m > cap:

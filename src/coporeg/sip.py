@@ -110,8 +110,8 @@ def cut_row_data(prog, t):
 def _build_master(inst, cuts, box_r):
     """Master LP over (x, mu).  Its rows, whose duals ``solve_sip`` and
     ``extract_certificate`` read by position: the record equalities and
-    inequalities (zero mu coefficient), 2(n+1) box rows, then one row per
-    cut."""
+    inequalities (zero mu coefficient), 2(n+1) box rows on x and mu, then
+    one row per cut."""
     prog = inst.prog
     n = prog.n
     nvar = n + 1
@@ -152,9 +152,12 @@ def solve_sip(inst, cfg, a0_copositive=False):
                 "master; the flag or the record data is wrong")
         sol = solve_lp(master, tol=cfg.tol_lp)
         if sol.status == "Infeasible":
+            # the box rows bound mu too: a cut that needs mu > box_r, or
+            # record rows that no x in the box meets, empties the master
             raise RuntimeError(
-                "master LP infeasible; with mu free this indicates corrupt "
-                "record rows")
+                f"master LP infeasible: no x and mu within the box "
+                f"|x_j|, |mu| <= {box_r:g} meet the cuts"
+                + (" and the record rows" if inst.records else ""))
         if sol.status == "Unbounded":
             raise RuntimeError("master LP unbounded despite box rows")
         x_star = sol.primal[:n]

@@ -2,6 +2,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from coporeg import CopositiveProgram, SimplexPoint, regularize
 
@@ -62,3 +63,11 @@ def reg_e3(e3):
 
 def simplex(*coords):
     return SimplexPoint(list(coords))
+
+
+# arbitrary JSON values, for the parser and reader fuzz tests
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=20)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from coporeg import LinearProgram, solve_lp
+from coporeg import LinearProgram, LpError, solve_lp
+from coporeg import lp as lp_mod
 from coporeg.lp import REL_EQ, REL_GE, REL_LE
 
 
@@ -96,6 +97,27 @@ def test_degenerate_instance_terminates():
     sol = solve_lp(lp)
     assert sol.status == "Optimal"
     assert sol.objective_value == pytest.approx(-2.0)
+
+
+def _beale():
+    # Beale's LP, on which Dantzig's rule cycles at the degenerate origin
+    rows = [([0.25, -60.0, -0.04, 9.0], REL_LE, 0.0),
+            ([0.5, -90.0, -0.02, 3.0], REL_LE, 0.0),
+            ([0.0, 0.0, 1.0, 0.0], REL_LE, 1.0)]
+    return LinearProgram([-0.75, 150.0, -0.02, 6.0], rows,
+                         bounds=[(0.0, np.inf)] * 4)
+
+
+def test_bland_rule_breaks_beales_cycle(monkeypatch):
+    sol = solve_lp(_beale())
+    assert sol.status == "Optimal"
+    assert sol.objective_value == pytest.approx(-0.05, abs=1e-12)
+    assert np.allclose(sol.primal, [0.04, 0.0, 1.0, 0.0], atol=1e-12)
+    # without the switch to Bland's rule the same pivots cycle forever
+    monkeypatch.setattr(lp_mod, "_DEGENERATE_RUN", 10 ** 9)
+    monkeypatch.setattr(lp_mod, "_MAX_ITERS", 1000)
+    with pytest.raises(LpError, match="iteration cap"):
+        solve_lp(_beale())
 
 
 @pytest.mark.parametrize("objective, rows, bounds, needle", [

@@ -12,7 +12,7 @@ from coporeg import (CopositiveProgram, ProblemFormatError, Record,
 from coporeg.model import (project_to_zero_rows, row_functionals,
                            row_residuals, zero_row_matrix)
 
-from conftest import fixture_path
+from conftest import fixture_path, json_values
 
 
 def test_eval_constraint_examples(e1, e2):
@@ -179,6 +179,7 @@ def test_parse_matrix_rejects_a_non_integer_p(value):
      "matrix file: D: .*got true"),
     ('{"p": 1, "D": ' + "[" * 100_000 + "]" * 100_000 + "}",
      "matrix file: JSON nested too deeply"),
+    ('{"p": 1, "D": [[' + "1" * 5000 + "]]}", "matrix file: invalid JSON: "),
 ])
 def test_parse_matrix_names_the_bad_entry(data, needle):
     with pytest.raises(ProblemFormatError, match=needle):
@@ -217,21 +218,14 @@ def test_serialize_parse_round_trip_property(prog):
     assert parse_problem(serialize_problem(prog)) == prog
 
 
-_json = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
-    max_leaves=20)
-
-
 def _near_schema(keys):
     # documents with the schema's keys, so the fuzz reaches the field checks
-    return st.fixed_dictionaries({k: _json for k in keys})
+    return st.fixed_dictionaries({k: json_values for k in keys})
 
 
 @settings(derandomize=True, deadline=None, database=None)
-@given(st.one_of(_json, _near_schema(("n", "p", "c", "A")), _near_schema(("p", "D")),
-                 st.binary(max_size=20)))
+@given(st.one_of(json_values, _near_schema(("n", "p", "c", "A")),
+                 _near_schema(("p", "D")), st.binary(max_size=20)))
 def test_parsers_raise_only_format_errors(doc):
     data = doc if isinstance(doc, bytes) else json.dumps(doc)
     for parse in (parse_problem, parse_matrix):

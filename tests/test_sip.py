@@ -256,3 +256,29 @@ def test_master_duals_have_at_most_n_plus_one_nonzeros(name, request,
     regularize(prog, run_cfg)
     assert counts
     assert max(counts) <= prog.n + 1
+
+
+def test_box_escalation_reaches_a_witness_outside_the_first_box():
+    # A(x) = diag(x - 1000, 1): the first master stops at x = box_r = 1000
+    # with mu* = 0 and a box dual; one escalation to 1e4 finds the witness
+    prog = CopositiveProgram([1.0], [np.diag([-1000.0, 1.0]), np.diag([1.0, 0.0])])
+    assert DEFAULT.box_r == 1000.0
+    out = solve_sip(SipInstance(prog, ()), DEFAULT)
+    assert out.kind == "negative"
+    assert out.point.x.tolist() == [1e4]
+    res = regularize(prog)
+    assert res.status == "regular" and res.witness.x.tolist() == [1e4]
+
+
+def test_master_infeasible_in_the_box_names_the_box():
+    # A(x) = diag(x - 1e6, 1): the cut at e1 needs mu >= 1e6 - x > box_r
+    prog = CopositiveProgram([1.0], [np.diag([-1e6, 1.0]), np.diag([1.0, 0.0])])
+    res = regularize(prog)
+    assert res.status == "failed"
+    reason = res.diagnostics["reason"]
+    assert reason.startswith("master LP infeasible") and "box" in reason
+    assert "record rows" not in reason
+    tau = simplex(0.0, 1.0)
+    with pytest.raises(RuntimeError, match="meet the cuts and the record rows"):
+        solve_sip(SipInstance(prog, (Record(tau, {1}),), ReducedRegion([tau])),
+                  DEFAULT)
