@@ -12,15 +12,15 @@ import sys
 
 import numpy as np
 
-from .config import RunConfig, load_env_config
+from .config import load_env_config
 from .model import (ProblemFormatError, SimplexPoint, _float_array, _json_repr,
                     _load_json, _require, _require_int, certificate_matrix,
                     kernel_residual, parse_matrix, parse_problem,
                     shift_to_feasible)
-from .oracle import ReducedRegion, is_copositive
-from .regularize import (FaceLedgerEntry, Record, RegularizedProblem,
-                         feasibility_equiv_sample, minimal_face,
-                         one_step_regularize, regularize, verify_ledger)
+from .oracle import is_copositive
+from .regularize import (FaceLedgerEntry, feasibility_equiv_sample,
+                         minimal_face, one_step_regularize, regularize,
+                         verify_ledger)
 from .sip import DualCertificate
 
 def build_report(result, prog, cfg):
@@ -29,19 +29,6 @@ def build_report(result, prog, cfg):
     Row and coordinate indices in the report are 1-based (math convention);
     record indices inside "lambda" keys are 1-based as well.
     """
-    iterations = []
-    for entry in result.ledger:
-        cert = entry.certificate
-        iterations.append({
-            "m": entry.index,
-            "tau": [t.coords.tolist() for t, _g in cert.new_indices],
-            "gamma": [float(g) for _t, g in cert.new_indices],
-            "lambda": {str(i + 1): lv.tolist() for i, lv in sorted(cert.lam.items())},
-            "records": [r.tau.coords.tolist() for r in entry.records],
-            "L": [sorted(k + 1 for k in r.L) for r in entry.records],
-            "Y": entry.reducer.tolist(),
-            "cond_11star": entry.cond_disjoint,
-        })
     regularized = None
     if result.regularized is not None:
         regularized = _regularized_doc(result.regularized)
@@ -55,11 +42,27 @@ def build_report(result, prog, cfg):
         "n": prog.n,
         "p": prog.p,
         "witness": result.witness.x.tolist() if result.witness is not None else None,
-        "iterations": iterations,
+        "iterations": [_iteration_doc(e) for e in result.ledger],
         "regularized": regularized,
         "compressed": compressed,
         "tolerances": cfg.to_dict(),
         "diagnostics": _jsonable(result.diagnostics),
+    }
+
+
+def _iteration_doc(entry):
+    """One ledger entry as a report iteration: its certificate (tau, gamma,
+    lambda) and what derives from it (records, L, Y, cond_11star)."""
+    cert = entry.certificate
+    return {
+        "m": entry.index,
+        "tau": [t.coords.tolist() for t, _g in cert.new_indices],
+        "gamma": [float(g) for _t, g in cert.new_indices],
+        "lambda": {str(i + 1): lv.tolist() for i, lv in sorted(cert.lam.items())},
+        "records": [r.tau.coords.tolist() for r in entry.records],
+        "L": [sorted(k + 1 for k in r.L) for r in entry.records],
+        "Y": entry.reducer.tolist(),
+        "cond_11star": entry.cond_disjoint,
     }
 
 
@@ -95,11 +98,11 @@ _ITERATION_FIELDS = ("m", "tau", "gamma", "lambda", "records", "L", "Y",
                      "cond_11star")
 
 
-def ledger_from_report(report, prog, what="report"):
-    """The ledger entries of a decoded report, each field read checked
-    against ``prog`` and each certificate rebuilt from the stored tau, gamma
-    and lambda.  A defect is a ProblemFormatError naming ``what``, the
-    iteration and the field."""
+def ledger_from_report(report, prog, cfg, what="report"):
+    """The ledger entries of a decoded report, each built from the stored
+    m, tau, gamma and lambda, checked against ``prog``, and then checked
+    against the stored copies of what it derives.  A defect is a
+    ProblemFormatError naming ``what``, the iteration and the field."""
     if not isinstance(report, dict):
         raise ProblemFormatError(f"{what}: top level must be an object")
     status = _require(report, "status", what)
@@ -116,12 +119,23 @@ def ledger_from_report(report, prog, what="report"):
     entries = []
     for m, it in enumerate(iterations, 1):
         prev = entries[-1].records if entries else ()
-        entries.append(_read_iteration(it, m, prev, prog, f"{what}: iteration {m}"))
+        entries.append(_read_iteration(it, m, prev, prog, cfg,
+                                       f"{what}: iteration {m}"))
     return entries
 
 
-def _read_iteration(it, m, prev, prog, where):
-    """Iteration ``m`` of a report as a FaceLedgerEntry after ``prev``."""
+# what each derived iteration field holds, for the mismatch message
+_DERIVED = {"records": "the previous records, then each new tau",
+            "L": "per record, the integer rows forced to zero, none outside 1..{p}",
+            "cond_11star": "a boolean: each new tau's zero set meets every "
+                           "previous record's support"}
+
+
+def _read_iteration(it, m, prev, prog, cfg, where):
+    """Iteration ``m`` of a report as the FaceLedgerEntry that its
+    certificate gives after ``prev``.  The stored records, L and
+    cond_11star must equal the entry's, and the stored Y must lie within
+    tol_cert of the certificate's."""
     if not isinstance(it, dict):
         raise ProblemFormatError(f"{where}: expected an object")
     missing = [k for k in _ITERATION_FIELDS if k not in it]
@@ -133,12 +147,6 @@ def _read_iteration(it, m, prev, prog, where):
     p = prog.p
     taus = _points(it["tau"], p, f"{where}: field 'tau'")
     gamma = _array(it["gamma"], (len(taus),), f"{where}: field 'gamma'")
-    tau_records = _points(it["records"], p, f"{where}: field 'records'")
-    if not isinstance(it["L"], list) or len(it["L"]) != len(tau_records):
-        raise ProblemFormatError(f"{where}: field 'L' must hold one list per "
-                                 f"record ({len(tau_records)})")
-    records = tuple(Record(t, _row_set(L, p, f"{where}: field 'L'"))
-                    for t, L in zip(tau_records, it["L"]))
     if not isinstance(it["lambda"], dict):
         raise ProblemFormatError(f"{where}: field 'lambda' must be an object")
     keys = {str(i + 1): i for i in range(len(prev))}
@@ -149,38 +157,32 @@ def _read_iteration(it, m, prev, prog, where):
                 f"{where}: field 'lambda': lambda key {key!r} names no record "
                 f"of the previous iteration, which has {len(prev)}")
         lam[keys[key]] = _array(v, (p,), f"{where}: field 'lambda': key {key!r}")
-    Y = _array(it["Y"], (p, p), f"{where}: field 'Y'")
-    cond = _require_bool(it, "cond_11star", where)
     new_indices = tuple(zip(taus, (float(g) for g in gamma)))
-    Y_cert = certificate_matrix(p, new_indices, lam, [r.tau for r in prev])
-    cert = DualCertificate(new_indices, lam, Y_cert, kernel_residual(prog, Y_cert))
-    return FaceLedgerEntry(m, Y, records, prev, cert, cond)
+    Y = certificate_matrix(p, new_indices, lam, [r.tau for r in prev])
+    cert = DualCertificate(new_indices, lam, Y, kernel_residual(prog, Y))
+    entry = FaceLedgerEntry(m, prev, cert, cfg.tol_support)
+    doc = _iteration_doc(entry)
+    for key, held in _DERIVED.items():
+        if not _same_json(it[key], doc[key]):
+            raise ProblemFormatError(
+                f"{where}: field '{key}' must equal {json.dumps(doc[key])}, "
+                f"which the certificates give ({held.format(p=p)})")
+    off = float(np.max(np.abs(_array(it["Y"], (p, p), f"{where}: field 'Y'") - Y)))
+    if off > cfg.tol_cert:
+        raise ProblemFormatError(f"{where}: field 'Y' is off its certificate by "
+                                 f"{off:.3g} > tol_cert={cfg.tol_cert}")
+    return entry
 
 
-def regularized_from_report(report, prog, cfg, what="report"):
-    """The RegularizedProblem of a decoded report over its last iteration's
-    records, read as ``ledger_from_report`` reads; None when its
-    ``regularized`` block is null or absent."""
-    entries = ledger_from_report(report, prog, what)
-    doc = report.get("regularized")
-    if doc is None:
-        return None
-    where = f"{what}: field 'regularized'"
-    if not isinstance(doc, dict) or not entries:
-        raise ProblemFormatError(f"{where}: expected an object and at least "
-                                 f"one iteration")
-    omega = _require(doc, "omega", where)
-    if not isinstance(omega, dict):
-        raise ProblemFormatError(f"{where}: field 'omega' must be an object")
-    W = _points(_require(omega, "W", f"{where}: field 'omega'"), prog.p,
-                f"{where}: field 'omega': field 'W'")
-    empty = _require_bool(omega, "empty", f"{where}: field 'omega'")
-    witness = _array(_require(doc, "witness", where), (prog.n,),
-                     f"{where}: field 'witness'")
-    margin = _array(_require(doc, "margin", where), (), f"{where}: field 'margin'")
-    omega = ReducedRegion(W, tol_support=cfg.tol_support, tol_feas=cfg.tol_feas)
-    return RegularizedProblem(prog, entries[-1].records, omega, witness,
-                              float(margin), omega_empty=empty)
+def _same_json(got, want):
+    """JSON equality that keeps integers and booleans apart from other
+    numbers where ``want`` is one (in Python, 1 == 1.0 == True)."""
+    if isinstance(want, list):
+        return (isinstance(got, list) and len(got) == len(want)
+                and all(_same_json(g, w) for g, w in zip(got, want)))
+    if isinstance(want, float):
+        return type(got) in (int, float) and got == want
+    return type(got) is type(want) and got == want
 
 
 def _points(v, p, what):
@@ -207,23 +209,6 @@ def _array(v, shape, what):
     if not np.all(np.isfinite(a)):
         raise ProblemFormatError(f"{what}: entries must be finite")
     return a
-
-
-def _row_set(L, p, what):
-    """A list of 1-based row indices as a 0-based frozenset."""
-    if not isinstance(L, list) or not all(type(k) is int and 1 <= k <= p
-                                          for k in L):
-        raise ProblemFormatError(f"{what}: expected lists of integer row "
-                                 f"indices, none outside 1..{p}")
-    return frozenset(k - 1 for k in L)
-
-
-def _require_bool(doc, key, what):
-    v = _require(doc, key, what)
-    if not isinstance(v, bool):
-        raise ProblemFormatError(f"{what}: field '{key}' must be a boolean, "
-                                 f"got {_json_repr(v)}")
-    return v
 
 
 def _write_json(doc, path):
@@ -403,7 +388,7 @@ def _cmd_verify_ledger(args):
     if args.report:
         what = f"report file {args.report!r}"
         report = _load_json(_read(args.report, "report file"), what)
-        entries = ledger_from_report(report, prog, what)
+        entries = ledger_from_report(report, prog, cfg, what)
     else:
         result = _driver_result(prog, cfg)
         if isinstance(result, int):

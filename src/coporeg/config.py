@@ -1,6 +1,7 @@
 """Run configuration: tolerances, grid resolution, box bounds, caps."""
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, fields
 from numbers import Real
@@ -46,6 +47,8 @@ class RunConfig:
                 raise ValueError(f"{f.name} must be a number, got {v!r}")
             if f.type in (int, int | None) and not isinstance(v, int):
                 raise ValueError(f"{f.name} must be an integer, got {v!r}")
+            if not isinstance(v, int) and not math.isfinite(v):
+                raise ValueError(f"{f.name} must be finite, got {v}")
             if f.name.startswith("tol_") and not (v > 0.0):
                 raise ValueError(f"{f.name} must be positive, got {v}")
         if not (0.0 < self.h <= 0.25):

@@ -135,7 +135,8 @@ def stationary_candidates(D, p_max=14):
     if p > p_max:
         raise CapabilityError(
             f"exact support enumeration capped at p_max={p_max} (got p={p}); "
-            "use the grid oracle (grid_min_full) instead")
+            f"raise p_max (--p-max) to {p} or more to enumerate all 2^p - 1 "
+            "supports")
     scale = max(1.0, float(np.max(np.abs(D))))
     slots = [None] * ((1 << p) - 1)
     for s, positions, cols in _support_groups(p):

@@ -4,8 +4,9 @@ The driver alternates semi-infinite solves with index-set updates: a zero
 optimum certifies new immobile points (and new forced-zero rows at old
 ones), a certified negative optimum ends the run with a strictly feasible
 witness for the reduced region.  Every accepted certificate appends one
-ledger entry (its reducing matrix, which lies in the constraint kernel,
-plus the face descriptor it exposes); the ledger can be verified, compressed to a
+ledger entry, which holds the certificate and the previous records and
+derives from them the reducing matrix (in the constraint kernel) and the
+face descriptor it exposes; the ledger can be verified, compressed to a
 linearly independent core, and rendered as the final regularized problem.
 """
 
@@ -28,9 +29,9 @@ class LedgerError(RuntimeError):
 class Record:
     """One immobile point with its set L of forced-zero row indices.
 
-    The driver asserts the support inclusion P_+(tau) <= L after every
-    update; the container itself stays permissive so loose row sets (the
-    all-inequality one-step mode) can reuse it.
+    Driver records hold P_+(tau) <= L by construction (a new record's L is
+    its support, and L only grows); the container itself stays permissive
+    so loose row sets (the all-inequality one-step mode) can reuse it.
     """
 
     __slots__ = ("tau", "L")
@@ -46,27 +47,20 @@ class Record:
         return f"Record(tau={self.tau.coords.tolist()}, L={sorted(self.L)})"
 
 
-def assert_support_inclusion(records, tol_support=1e-7):
-    """The invariant P_+(tau) <= L must hold for every driver record."""
-    for rec in records:
-        if not set(rec.tau.support_plus(tol_support)) <= rec.L:
-            raise LedgerError(
-                f"record support {rec.tau.support_plus(tol_support)} not "
-                f"contained in L={sorted(rec.L)}")
-
-
 class FaceLedgerEntry:
-    """(Y_m, face descriptor) produced at iteration m-1, plus the data
-    needed to re-verify its construction conditions."""
+    """Iteration m's certificate over the previous records; the records it
+    exposes, the reducer Y_m and the disjointness flag all derive from
+    those two."""
 
-    def __init__(self, index, reducer, records, prev_records, certificate,
-                 cond_disjoint):
+    def __init__(self, index, prev_records, certificate, tol_support=1e-7):
         self.index = int(index)
-        self.reducer = reducer
-        self.records = tuple(records)
         self.prev_records = tuple(prev_records)
         self.certificate = certificate
-        self.cond_disjoint = bool(cond_disjoint)
+        self.reducer = certificate.Y
+        self.records = update_index_sets(self.prev_records, certificate,
+                                         tol_support)
+        self.cond_disjoint = disjointness_condition(self.prev_records,
+                                                    certificate, tol_support)
 
     def __repr__(self):
         return f"FaceLedgerEntry(m={self.index}, records={len(self.records)})"
@@ -176,9 +170,10 @@ def face_rows(records, D, cfg=DEFAULT):
     return eq, eq and ineq_margin >= -cfg.tol_feas
 
 
-def face_membership(entry, D, cfg=DEFAULT):
-    """D lies in the face: its rows hold (checked first) and it is copositive."""
-    return (face_rows(entry.records, D, cfg)[1]
+def face_membership(records, D, cfg=DEFAULT):
+    """D lies in the face of ``records``: its rows hold (checked first) and
+    it is copositive."""
+    return (face_rows(records, D, cfg)[1]
             and is_copositive(D, cfg.tol_cop, cfg.p_max).copositive)
 
 
@@ -201,8 +196,7 @@ def _face_samples(p, records, n_samples, rng):
 def verify_ledger(entries, prog, cfg=DEFAULT, n_samples=200, seed=0):
     """Check the construction conditions of every entry.
 
-    Kernel membership is exact; each reducer is compared entrywise with
-    its certificate's ``Y``; the face chain is sampled:
+    Kernel membership is exact; the face chain is sampled:
     copositive samples (raw and projected onto the entry's zero rows) that
     land in entry m must satisfy the rows of entry m-1 (it is copositive
     already) and be orthogonal to Y_m.
@@ -216,7 +210,6 @@ def verify_ledger(entries, prog, cfg=DEFAULT, n_samples=200, seed=0):
         cert = entry.certificate
         gamma_ok = all(g > 0.0 for _t, g in cert.new_indices)
         prev = entry.prev_records
-        reducer_res = float(np.max(np.abs(entry.reducer - cert.Y)))
         lam_sign_ok = not any(lam[k] < -cfg.tol_mult
                               for i, lam in cert.lam.items()
                               for k in range(prog.p) if k not in prev[i].L)
@@ -231,7 +224,7 @@ def verify_ledger(entries, prog, cfg=DEFAULT, n_samples=200, seed=0):
         members = mono_viol = orth_viol = 0
         max_orth = 0.0
         for D in _face_samples(prog.p, entry.records, n_samples, rng):
-            if not face_membership(entry, D, cfg):
+            if not face_membership(entry.records, D, cfg):
                 continue
             members += 1
             orth = abs(float(np.sum(D * entry.reducer)))
@@ -243,7 +236,6 @@ def verify_ledger(entries, prog, cfg=DEFAULT, n_samples=200, seed=0):
         entry_report = {
             "index": entry.index,
             "kernel_residual": kernel_res,
-            "reducer_residual": reducer_res,
             "cond_I": {"gamma_positive": gamma_ok, "lambda_signs": lam_sign_ok,
                        "new_points_in_region": region_ok},
             "cond_II": cond2,
@@ -253,8 +245,7 @@ def verify_ledger(entries, prog, cfg=DEFAULT, n_samples=200, seed=0):
             "max_orthogonality": max_orth,
             "cond_disjoint": entry.cond_disjoint,
         }
-        if (not (cond1 and cond2) or reducer_res > cfg.tol_cert
-                or mono_viol or orth_viol):
+        if not (cond1 and cond2) or mono_viol or orth_viol:
             report["ok"] = False
         report["entries"].append(entry_report)
     return report
@@ -326,13 +317,9 @@ def regularize(prog, cfg=DEFAULT):
                     diagnostics={"trace": trace,
                                  "reason": out.diagnostics.get("reason")})
 
-            cert = out.certificate
-            cond = disjointness_condition(records, cert, cfg.tol_support)
-            new_records = update_index_sets(records, cert, cfg.tol_support)
-            assert_support_inclusion(new_records, cfg.tol_support)
-            ledger.append(FaceLedgerEntry(m + 1, cert.Y, new_records, records,
-                                          cert, cond))
-            records = new_records
+            ledger.append(FaceLedgerEntry(m + 1, records, out.certificate,
+                                          cfg.tol_support))
+            records = ledger[-1].records
             m += 1
             if m > cap:
                 return RegularizationResult(

@@ -7,11 +7,11 @@ import zlib
 import numpy as np
 import pytest
 
-from coporeg import (DEFAULT, FaceLedgerEntry, compress_ledger,
-                     feasibility_equiv_sample, generate_instance,
-                     grid_min_full, is_copositive, kernel_dimension,
-                     minimal_face, one_step_regularize, regularize,
-                     solve_lp, LinearProgram, SimplexPoint,
+from coporeg import (DEFAULT, DualCertificate, FaceLedgerEntry,
+                     compress_ledger, feasibility_equiv_sample,
+                     generate_instance, grid_min_full, is_copositive,
+                     kernel_dimension, minimal_face, one_step_regularize,
+                     regularize, solve_lp, LinearProgram, SimplexPoint,
                      eval_constraint, min_quad_over_omega, verify_ledger)
 from coporeg.lp import REL_GE, REL_LE
 from coporeg.oracle import stationary_candidates
@@ -140,7 +140,8 @@ def test_criterion_4_compressed_core(successful_runs):
         ok = ok and comp.s_star <= kernel_dimension(prog)
     # injected dependent reducer is squeezed, and exactly that one
     def entry(i, Y):
-        return FaceLedgerEntry(i, np.asarray(Y, float), (), (), None, True)
+        cert = DualCertificate((), {}, np.asarray(Y, float), 0.0)
+        return FaceLedgerEntry(i, (), cert)
     Y1 = np.array([[1.0, 0.0], [0.0, 0.0]])
     Y2 = np.array([[0.0, 1.0], [1.0, 0.0]])
     comp = compress_ledger([entry(1, Y1), entry(2, 1.5 * Y1), entry(3, Y2)])

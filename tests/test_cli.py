@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 from coporeg import (CopositiveProgram, ProblemFormatError, generate_instance,
                      parse_problem, regularize, serialize_matrix,
                      serialize_problem)
-from coporeg.cli import (build_report, ledger_from_report, main,
-                         regularized_from_report)
+from coporeg.cli import build_report, ledger_from_report, main
 from coporeg.config import DEFAULT, RunConfig
 from coporeg.model import _load_json
 from coporeg.regularize import verify_ledger
@@ -41,8 +40,8 @@ def test_regularize_writes_report(workdir, capsys, e2):
     assert rc == 0
     assert "m_star: 1" in capsys.readouterr().out
     report = json.load(open(out))
-    assert len(ledger_from_report(report, e2)) == 1
-    assert regularized_from_report(report, e2, DEFAULT).margin > 0
+    assert len(ledger_from_report(report, e2, DEFAULT)) == 1
+    assert report["regularized"]["margin"] > 0
     assert report["status"] == "regularized"
     assert report["m_star"] == 1
     it = report["iterations"][0]
@@ -83,6 +82,18 @@ def test_check_copositive_witness(workdir, tmp_path, capsys):
 def test_zero_samples_rejected(workdir, capsys):
     assert main(["equiv-check", "--problem", workdir["e2"], "--samples", "0"]) == 1
     assert "samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, needle", [
+    ("--box", "nan", "box_r must be finite, got nan"),
+    ("--box", "inf", "box_r must be finite, got inf"),
+    ("--box", "1e400", "box_r must be finite, got inf"),
+    ("--tol-feas", "inf", "tol_feas must be finite, got inf"),
+], ids=["box-nan", "box-inf", "box-overflow", "tol-feas-inf"])
+def test_non_finite_flag_names_the_field(workdir, capsys, flag, value, needle):
+    assert main(["regularize", "--problem", workdir["e2"], flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and needle in err
 
 
 def test_fractional_integer_field_rejected():
@@ -234,34 +245,16 @@ def test_bad_input_file_is_domain_error(workdir, capsys, cmd, data, needle):
     assert needle in err
 
 
-def test_verify_ledger_rejects_a_reducer_off_its_certificate(workdir, capsys):
-    # 3Y stays in the constraint kernel; only the certificate check sees it
-    out = os.path.join(workdir["dir"], "rep4_tripled.json")
-    assert main(["regularize", "--problem", workdir["e4"], "--out", out]) == 0
-    with open(out) as fh:
-        report = json.load(fh)
-    for it in report["iterations"]:
-        it["Y"] = (3.0 * np.array(it["Y"])).tolist()
-    with open(out, "w") as fh:
-        json.dump(report, fh)
-    capsys.readouterr()
-    rc = main(["verify-ledger", "--problem", workdir["e4"], "--report", out,
-               "--samples", "50"])
-    assert rc == 1
-    assert "ledger FAILED" in capsys.readouterr().out
-
-
 def test_report_round_trip_reconstruction(workdir, e4):
     out = os.path.join(workdir["dir"], "rt.json")
     assert main(["regularize", "--problem", workdir["e4"], "--out", out]) == 0
     report = json.load(open(out))
-    entries = ledger_from_report(report, e4)
+    entries = ledger_from_report(report, e4, DEFAULT)
     assert len(entries) == len(report["iterations"]) == 2
     rep = verify_ledger(entries, e4, n_samples=100, seed=0)
     assert rep["ok"]
-    reg = regularized_from_report(report, e4, DEFAULT)
-    assert reg.omega_empty
-    assert reg.margin == report["regularized"]["margin"]
+    assert report["regularized"]["omega"]["empty"] is True
+    assert report["regularized"]["margin"] > 0
 
 
 def test_env_config_merges_under_flags(workdir, tmp_path, monkeypatch, capsys):
@@ -276,10 +269,11 @@ def test_env_config_merges_under_flags(workdir, tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("content", [None, '{"h": "0.1"}', "null",
                                      '{"seed": 1.5}', '{"cut_rounds": 2.5}',
                                      '{"cut_rounds": 0}', '{"refine_rounds": -1}',
-                                     '{"max_grid_points": 0}'],
+                                     '{"max_grid_points": 0}', '{"box_r": NaN}'],
                          ids=["missing", "string-value", "null",
                               "float-seed", "float-cut-rounds", "zero-cut-rounds",
-                              "negative-refine-rounds", "zero-grid-points"])
+                              "negative-refine-rounds", "zero-grid-points",
+                              "nan-box"])
 def test_bad_env_config_is_domain_error(workdir, tmp_path, monkeypatch, capsys,
                                         content):
     cfg = tmp_path / "cfg.json"
@@ -296,8 +290,8 @@ def test_build_report_failed_status(e2):
     from coporeg import RegularizationResult
     res = RegularizationResult("failed", diagnostics={"reason": "test"})
     report = build_report(res, e2, DEFAULT)
-    assert ledger_from_report(report, e2) == []
-    assert regularized_from_report(report, e2, DEFAULT) is None
+    assert ledger_from_report(report, e2, DEFAULT) == []
+    assert report["regularized"] is None
     assert report["status"] == "failed"
 
 
@@ -320,7 +314,7 @@ def test_report_reads_back_the_driver_ledger(name, request):
         prog, cfg = request.getfixturevalue(name), DEFAULT
     res = regularize(prog, cfg)
     report = json.loads(json.dumps(build_report(res, prog, cfg)))
-    entries = ledger_from_report(report, prog)
+    entries = ledger_from_report(report, prog, cfg)
     assert len(entries) == len(res.ledger) >= 1
     for got, want in zip(entries, res.ledger):
         assert got.index == want.index
@@ -349,9 +343,17 @@ _P2 = [0.5, 0.25, 0.25]
     ({"Y": _DEEP}, "field 'Y'"),
     ({"m": 3}, "field 'm'"),
     ({"cond_11star": 1}, "field 'cond_11star'"),
+    ({"records": [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]], "L": [[1], [2], [1, 2]]},
+     "field 'records'"),
+    ({"L": [[1, 2], [2]]}, "field 'L'"),
+    ({"cond_11star": False}, "field 'cond_11star'"),
+    # 3Y stays in the constraint kernel; only the certificate check sees it
+    ({"Y": [[0.0, 0.0], [0.0, 3.0]]}, "field 'Y' is off its certificate by 2"),
+    ({"L": [[1.0], [2.0]]}, "field 'L'"),
 ], ids=["tau-without-gamma", "gamma-without-tau", "records-without-L",
         "record-3-vector", "tau-3-vector", "lambda-3-vector", "Y-3x3", "deep-Y",
-        "m-out-of-order", "cond-not-boolean"])
+        "m-out-of-order", "cond-not-boolean", "extra-record", "L-grown",
+        "cond-flipped", "Y-tripled", "float-L"])
 def test_bad_iteration_names_the_file_iteration_and_field(workdir, capsys,
                                                          e4_report, edit, field):
     doc = json.loads(json.dumps(e4_report))
@@ -367,9 +369,7 @@ def test_bad_iteration_names_the_file_iteration_and_field(workdir, capsys,
 
 
 def _read_back(data, prog):
-    report = _load_json(data, "report")
-    ledger_from_report(report, prog)
-    regularized_from_report(report, prog, DEFAULT)
+    ledger_from_report(_load_json(data, "report"), prog, DEFAULT)
 
 
 @settings(derandomize=True, deadline=None, database=None)

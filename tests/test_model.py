@@ -133,6 +133,10 @@ def test_shipped_fixtures_round_trip():
     assert D.shape == (5, 5)
 
 
+def test_e4_fixture_is_the_e4_program(e4):
+    assert parse_problem(open(fixture_path("e4.json"), "rb").read()) == e4
+
+
 def test_parse_rejects_asymmetric():
     doc = {"n": 1, "p": 2, "c": [1.0], "A": [[[0, 0], [0, 1]], [[0, 1], [0.5, 0]]]}
     with pytest.raises(ProblemFormatError, match="not symmetric"):

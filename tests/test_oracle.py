@@ -68,7 +68,7 @@ def test_min_flat_form():
 
 
 def test_capability_error():
-    with pytest.raises(CapabilityError, match="grid"):
+    with pytest.raises(CapabilityError, match=r"raise p_max \(--p-max\) to 15"):
         min_quad_over_simplex(np.eye(15))
 
 

@@ -26,8 +26,8 @@ from conftest import simplex
 REGULARIZE = importlib.import_module("coporeg.regularize")
 
 
-def _cert(new=(), lam=None):
-    return DualCertificate(new, lam or {}, None, 0.0)
+def _cert(new=(), lam=None, Y=None):
+    return DualCertificate(new, lam or {}, Y, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +156,10 @@ def test_reducing_matrix_symmetrized_lambda():
 
 
 def test_face_membership_examples(reg_e2):
-    entry = reg_e2.ledger[0]
-    assert face_membership(entry, np.array([[0.0, 0.0], [0.0, 1.0]]))
-    assert not face_membership(entry, np.eye(2))
-    bare = FaceLedgerEntry(0, np.zeros((2, 2)), (), (), _cert(), True)
-    assert face_membership(bare, np.eye(2))
+    records = reg_e2.ledger[0].records
+    assert face_membership(records, np.array([[0.0, 0.0], [0.0, 1.0]]))
+    assert not face_membership(records, np.eye(2))
+    assert face_membership((), np.eye(2))
 
 
 def _copositivity_first(records, D, cfg=DEFAULT):
@@ -181,8 +180,6 @@ def test_memberships_match_the_copositivity_first_definition():
         vertices = (SimplexPoint(np.eye(p)[0]), SimplexPoint(half))
         M = {0: (0,), 1: (0, 1)}
         face = MinimalFaceDescriptor(vertices, M)
-        entry = FaceLedgerEntry(1, np.zeros((p, p)), face.records, (), _cert(),
-                                True)
         C = zero_row_matrix(face.records)
         samples = []
         for _ in range(40):
@@ -198,7 +195,7 @@ def test_memberships_match_the_copositivity_first_definition():
         for D in samples:
             ref = _copositivity_first(face.records, D)
             assert face._memberships(D) == ref
-            assert face_membership(entry, D) == ref[1]
+            assert face_membership(face.records, D) == ref[1]
             seen.add((is_copositive(D).copositive,
                       face_rows(face.records, D)[1]))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
@@ -248,7 +245,6 @@ def test_verify_ledger_passes(e2, reg_e2):
     assert rep["ok"]
     entry = rep["entries"][0]
     assert entry["kernel_residual"] <= 1e-7
-    assert entry["reducer_residual"] == 0.0
     assert entry["members_sampled"] > 0
     assert entry["monotonicity_violations"] == 0
     assert entry["orthogonality_violations"] == 0
@@ -256,9 +252,9 @@ def test_verify_ledger_passes(e2, reg_e2):
 
 def test_verify_ledger_detects_corruption(e2, reg_e2):
     good = reg_e2.ledger[0]
-    bad = FaceLedgerEntry(good.index, np.eye(2), good.records,
-                          good.prev_records, good.certificate,
-                          good.cond_disjoint)
+    cert = good.certificate
+    bad = FaceLedgerEntry(good.index, good.prev_records,
+                          _cert(cert.new_indices, cert.lam, np.eye(2)))
     rep = verify_ledger([bad], e2, n_samples=50, seed=3)
     assert not rep["ok"]
     assert rep["entries"][0]["kernel_residual"] == pytest.approx(1.0)
@@ -274,8 +270,7 @@ def test_verify_ledger_empty_is_vacuous(e2):
 # compression
 
 def _entry(index, Y):
-    return FaceLedgerEntry(index, np.asarray(Y, dtype=float), (), (),
-                           _cert(), True)
+    return FaceLedgerEntry(index, (), _cert(Y=np.asarray(Y, dtype=float)))
 
 
 def test_compress_single_entry(reg_e2, e2):
