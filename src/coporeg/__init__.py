@@ -20,8 +20,8 @@ from .regularize import (CompressedLedger, FaceLedgerEntry, LedgerError,
                          minimal_face, one_step_regularize, regularize,
                          sample_copositive, sample_feasible,
                          update_index_sets, verify_ledger)
-from .sip import (CertificateError, DualCertificate, SipInstance, SipOutcome,
-                  extract_certificate, solve_sip)
+from .sip import (CertificateError, DualCertificate, SipError, SipInstance,
+                  SipOutcome, extract_certificate, solve_sip)
 
 __version__ = "0.1.0"
 
@@ -32,8 +32,8 @@ __all__ = [
     "LedgerError", "LinearProgram", "LpError", "LpSolution",
     "MinimalFaceDescriptor", "OracleResult", "ProblemFormatError", "Record",
     "ReducedRegion", "RegularizationResult", "RegularizedProblem",
-    "RunConfig", "SimplexPoint", "SipInstance", "SipOutcome", "DEFAULT",
-    "compress_ledger", "disjointness_condition", "eval_constraint",
+    "RunConfig", "SimplexPoint", "SipError", "SipInstance", "SipOutcome",
+    "DEFAULT", "compress_ledger", "disjointness_condition", "eval_constraint",
     "exclusion_radius", "extract_certificate", "face_membership",
     "feasibility_equiv_sample", "forced_zero_rows", "generate_instance",
     "grid_min_full", "is_copositive", "is_strictly_copositive",

@@ -72,8 +72,8 @@ def _regularized_doc(reg):
         "eq_rows": [[i + 1, k + 1] for i, k in reg.eq_rows],
         "ineq_rows": [[i + 1, k + 1] for i, k in reg.ineq_rows],
         "omega": {"W": [v.coords.tolist() for v in reg.omega.V],
-                  "sigma": None if reg.omega_empty else reg.omega.sigma,
-                  "empty": reg.omega_empty},
+                  "sigma": None if reg.omega.empty else reg.omega.sigma,
+                  "empty": reg.omega.empty},
         "witness": reg.witness.tolist(),
         "margin": reg.margin,
     }
@@ -101,8 +101,9 @@ _ITERATION_FIELDS = ("m", "tau", "gamma", "lambda", "records", "L", "Y",
 def ledger_from_report(report, prog, cfg, what="report"):
     """The ledger entries of a decoded report, each built from the stored
     m, tau, gamma and lambda, checked against ``prog``, and then checked
-    against the stored copies of what it derives.  A defect is a
-    ProblemFormatError naming ``what``, the iteration and the field."""
+    against the stored copies of what it derives at the report's own
+    ``tolerances.tol_support``.  A defect is a ProblemFormatError naming
+    ``what``, the iteration and the field."""
     if not isinstance(report, dict):
         raise ProblemFormatError(f"{what}: top level must be an object")
     status = _require(report, "status", what)
@@ -113,13 +114,20 @@ def ledger_from_report(report, prog, cfg, what="report"):
         if key in report and _require_int(report, key, what) != getattr(prog, key):
             raise ProblemFormatError(f"{what}: report has {key}={report[key]}, the "
                                      f"problem has {key}={getattr(prog, key)}")
+    tols = report.get("tolerances")
+    where = f"{what}: field 'tolerances.tol_support'"
+    if not isinstance(tols, dict) or "tol_support" not in tols:
+        raise ProblemFormatError(f"{where} is missing")
+    tol_support = float(_array(tols["tol_support"], (), where))
+    if not tol_support > 0.0:
+        raise ProblemFormatError(f"{where} must be positive, got {tol_support}")
     iterations = report.get("iterations", [])
     if not isinstance(iterations, list):
         raise ProblemFormatError(f"{what}: field 'iterations' must be a list")
     entries = []
     for m, it in enumerate(iterations, 1):
         prev = entries[-1].records if entries else ()
-        entries.append(_read_iteration(it, m, prev, prog, cfg,
+        entries.append(_read_iteration(it, m, prev, prog, cfg, tol_support,
                                        f"{what}: iteration {m}"))
     return entries
 
@@ -131,11 +139,11 @@ _DERIVED = {"records": "the previous records, then each new tau",
                            "previous record's support"}
 
 
-def _read_iteration(it, m, prev, prog, cfg, where):
+def _read_iteration(it, m, prev, prog, cfg, tol_support, where):
     """Iteration ``m`` of a report as the FaceLedgerEntry that its
-    certificate gives after ``prev``.  The stored records, L and
-    cond_11star must equal the entry's, and the stored Y must lie within
-    tol_cert of the certificate's."""
+    certificate gives after ``prev`` at ``tol_support``.  The stored
+    records, L and cond_11star must equal the entry's, and the stored Y
+    must lie within tol_cert of the certificate's."""
     if not isinstance(it, dict):
         raise ProblemFormatError(f"{where}: expected an object")
     missing = [k for k in _ITERATION_FIELDS if k not in it]
@@ -160,7 +168,7 @@ def _read_iteration(it, m, prev, prog, cfg, where):
     new_indices = tuple(zip(taus, (float(g) for g in gamma)))
     Y = certificate_matrix(p, new_indices, lam, [r.tau for r in prev])
     cert = DualCertificate(new_indices, lam, Y, kernel_residual(prog, Y))
-    entry = FaceLedgerEntry(m, prev, cert, cfg.tol_support)
+    entry = FaceLedgerEntry(m, prev, cert, tol_support)
     doc = _iteration_doc(entry)
     for key, held in _DERIVED.items():
         if not _same_json(it[key], doc[key]):
@@ -348,10 +356,9 @@ def _cmd_one_step(args):
     prog = _load_problem(args, cfg)
     W = _load_points(args.W, prog.p)
     reg = one_step_regularize(prog, W, cfg, strict=not args.loose)
-    sigma = None if reg.omega_empty else reg.omega.sigma
     print(f"witness: {reg.witness.tolist()} (margin {reg.margin:.6g})")
     print(f"rows: {len(reg.eq_rows)} equalities, {len(reg.ineq_rows)} inequalities"
-          + ("" if sigma is None else f"; sigma {sigma:.6g}"))
+          + ("" if reg.omega.empty else f"; sigma {reg.omega.sigma:.6g}"))
     _write_json(_regularized_doc(reg), args.out)
     return 0
 

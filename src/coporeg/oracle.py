@@ -238,6 +238,10 @@ class ReducedRegion:
     undecided at either cut of ``grid_mask`` gets one exact LP, which
     decides both cuts.  With one hull point the nearest-point distance is
     the hull distance, so its masks need no sign vectors and no LP.
+
+    ``empty`` is exact from the vertices, with no grid and no LP: the hull
+    distance is convex, so it peaks at a simplex vertex e_k, where it is
+    2(1 - max_j v_jk), since ||e_k - u||_1 = 2(1 - u_k) on the simplex.
     """
 
     def __init__(self, V, sigma=None, tol_support=1e-7, tol_feas=1e-9):
@@ -253,6 +257,8 @@ class ReducedRegion:
             raise ValueError("sigma must be strictly positive")
         self.tol_feas = tol_feas
         self._vmat = np.array([v.coords for v in self.V])            # (m, p)
+        peak = 2.0 * (1.0 - float(np.min(np.max(self._vmat, axis=0))))
+        self.empty = peak < self.sigma - tol_feas
         signs = np.array([[1.0 if i >> k & 1 else -1.0 for k in range(self.p)]
                           for i in range(1 << self.p)])              # (2^p, p)
         self._signs = signs
@@ -372,9 +378,8 @@ def min_quad_over_omega(D, omega, h, max_grid_points=3_000_000):
     wins near flat minima.  The per-point spread is built one column of
     Dg at a time (``_row_spread``), never reduced along the short axis;
     max and min are exact, so the order does not change the bound.  An
-    empty inside set certifies that the region is empty: the grid holds
-    every vertex, where the convex hull distance peaks, and the mask
-    decides every grid point exactly.
+    empty region (``omega.empty``) is answered before any grid is built;
+    a nonempty one holds a simplex vertex, and so does every grid.
     """
     D = np.asarray(D, dtype=float)
     p = D.shape[0]
@@ -382,14 +387,14 @@ def min_quad_over_omega(D, omega, h, max_grid_points=3_000_000):
         raise DimensionError(f"matrix dimension {p} vs region dimension {omega.p}")
     if h <= 0.0:
         raise ValueError("grid resolution h must be positive")
+    if omega.empty:
+        return OracleResult(np.inf, None, "empty", value_lb=np.inf)
     N = int(np.ceil(1.0 / h))
     if grid_point_count(p, N) > max_grid_points:
         raise CapabilityError(
             f"grid of {grid_point_count(p, N)} points exceeds the cap "
             f"{max_grid_points} (p={p}, 1/h={N})")
     sel, inside, r = omega.selected_points(N)
-    if not inside.any():
-        return OracleResult(np.inf, None, "empty", value_lb=np.inf)
     maxd = float(np.max(np.abs(D)))
     L = 2.0 * maxd
     G = sel @ D

@@ -13,13 +13,14 @@ linearly independent core, and rendered as the final regularized problem.
 import numpy as np
 
 from .config import DEFAULT
-from .lp import LinearProgram, solve_lp
+from .lp import LinearProgram, LpError, solve_lp
 from .model import (SimplexPoint, eval_constraint, kernel_dimension,
                     kernel_residual, project_to_zero_rows, quad_form,
-                    row_pairs, row_residuals, zero_row_matrix)
-from .oracle import (ReducedRegion, is_copositive, min_quad_over_omega,
-                     stationary_candidates)
-from .sip import SipInstance, linear_row_data, record_rows, solve_sip
+                    row_residuals, zero_row_matrix)
+from .oracle import (CapabilityError, ReducedRegion, is_copositive,
+                     min_quad_over_omega, stationary_candidates)
+from .sip import (CertificateError, SipError, SipInstance, linear_row_data,
+                  solve_sip)
 
 
 class LedgerError(RuntimeError):
@@ -83,34 +84,15 @@ class CompressedLedger:
         return f"CompressedLedger(core={self.mapping}, s_star={self.s_star})"
 
 
-class RegularizedProblem:
-    """Finitely many linear rows plus one quadratic constraint over the
-    reduced region ``omega``, with a strictly feasible witness and its
-    margin; ``omega_empty`` says the region holds no point."""
+class RegularizedProblem(SipInstance):
+    """The certified instance: the record rows plus one quadratic
+    constraint over the reduced region ``omega`` (``omega.empty`` says it
+    holds no point), with a strictly feasible witness and its margin."""
 
-    def __init__(self, prog, records, omega, witness, margin,
-                 omega_empty=False):
-        self.prog = prog
-        self.records = tuple(records)
-        self.omega = omega
+    def __init__(self, prog, records, omega, witness, margin):
+        super().__init__(prog, records, omega)
         self.witness = np.asarray(witness, dtype=float)
         self.margin = float(margin)
-        self.omega_empty = bool(omega_empty)
-
-    @classmethod
-    def from_outcome(cls, prog, records, omega, out):
-        """The problem that a negative subproblem outcome over ``omega``
-        certifies: its point is the witness, minus its slack the margin."""
-        return cls(prog, records, omega, out.point.x, -out.point.mu,
-                   omega_empty=bool(out.diagnostics.get("omega_empty")))
-
-    @property
-    def eq_rows(self):
-        return row_pairs(self.records, self.prog.p)[0]
-
-    @property
-    def ineq_rows(self):
-        return row_pairs(self.records, self.prog.p)[1]
 
 
 class RegularizationResult:
@@ -285,7 +267,8 @@ def regularize(prog, cfg=DEFAULT):
     Returns a RegularizationResult: "regular" with a Slater witness when
     round zero already admits a negative slack, otherwise "regularized"
     with the equivalent reduced problem, the ledger, and its compressed
-    core; "failed" carries diagnostics instead of raising.
+    core; "failed" carries the diagnostics of a typed failure instead of
+    raising it (any other exception propagates).
     """
     trace = []
     try:
@@ -296,8 +279,15 @@ def regularize(prog, cfg=DEFAULT):
         cap = cfg.cap_for(prog.n)
         m = 0
         while True:
-            out = solve_sip(SipInstance(prog, records, omega), cfg,
-                            a0_copositive=a0_cop)
+            try:
+                out = solve_sip(SipInstance(prog, records, omega), cfg,
+                                a0_copositive=a0_cop)
+            except SipError as e:
+                trace.append({"m": m, "kind": "unresolved", "reason": e.reason,
+                              "mu_star": e.mu_star, "rounds": e.rounds})
+                return RegularizationResult(
+                    "failed", ledger=ledger,
+                    diagnostics={"trace": trace, "reason": e.reason})
             trace.append({"m": m, "kind": out.kind, **out.diagnostics})
             if out.negative_feasible:
                 if m == 0:
@@ -305,18 +295,14 @@ def regularize(prog, cfg=DEFAULT):
                         "regular", witness=out.point, m_star=0,
                         compressed=CompressedLedger((), (), 0),
                         diagnostics={"trace": trace, "a0_copositive": a0_cop})
-                reg = RegularizedProblem.from_outcome(prog, records, omega, out)
+                # the slack of a negative outcome is minus its margin
+                reg = RegularizedProblem(prog, records, omega, out.point.x,
+                                         -out.point.mu)
                 compressed = compress_ledger(ledger, prog, cfg.tol_rank)
                 return RegularizationResult(
                     "regularized", regularized=reg, ledger=ledger, m_star=m,
                     compressed=compressed,
                     diagnostics={"trace": trace, "a0_copositive": a0_cop})
-            if not out.optimal_zero:
-                return RegularizationResult(
-                    "failed", ledger=ledger,
-                    diagnostics={"trace": trace,
-                                 "reason": out.diagnostics.get("reason")})
-
             ledger.append(FaceLedgerEntry(m + 1, records, out.certificate,
                                           cfg.tol_support))
             records = ledger[-1].records
@@ -329,7 +315,7 @@ def regularize(prog, cfg=DEFAULT):
             omega = ReducedRegion([r.tau for r in records],
                                   tol_support=cfg.tol_support,
                                   tol_feas=cfg.tol_feas)
-    except RuntimeError as e:  # LpError, CapabilityError, CertificateError, LedgerError
+    except (LpError, CapabilityError, CertificateError, LedgerError) as e:
         return RegularizationResult(
             "failed", diagnostics={"trace": trace, "reason": str(e),
                                    "exception": type(e).__name__})
@@ -366,9 +352,7 @@ def one_step_regularize(prog, W, cfg=DEFAULT, strict=True):
         raise ValueError(
             "W is not the full vertex set of the immobile hull; blocking "
             f"index {blocking.coords.tolist()}")
-    if not out.negative_feasible:
-        raise RuntimeError(f"witness search unresolved: {out.diagnostics}")
-    reg = RegularizedProblem.from_outcome(prog, records, omega, out)
+    reg = RegularizedProblem(prog, records, omega, out.point.x, -out.point.mu)
     _check_immobile(prog, W, reg, cfg)
     return reg
 
@@ -417,7 +401,6 @@ def forced_zero_rows(prog, t_j, reg, cfg=DEFAULT):
     with a box around the witness is at the numerical zero level: one LP
     per row, no separation.
     """
-    rows = record_rows(prog, reg.records)
     # the box must hold a neighbourhood of the witness, where P and F agree;
     # witnesses of `regularize` often sit on the master's box |x_j| <= box_r
     r = max(cfg.box_r, 2.0 * float(np.max(np.abs(reg.witness), initial=0.0)))
@@ -425,9 +408,9 @@ def forced_zero_rows(prog, t_j, reg, cfg=DEFAULT):
     members = []
     for k in range(prog.p):
         coefs, rhs = linear_row_data(prog, t_j, k)
-        sol = solve_lp(LinearProgram(-coefs, rows, box), tol=cfg.tol_lp)
+        sol = solve_lp(LinearProgram(-coefs, reg.rows, box), tol=cfg.tol_lp)
         if sol.status != "Optimal":
-            raise RuntimeError(f"row maximization LP reported {sol.status}")
+            raise LpError(f"row maximization LP reported {sol.status}")
         if float(coefs @ sol.primal) - rhs <= cfg.tol_feas:
             members.append(k)
     return tuple(members)
@@ -527,11 +510,10 @@ def _omega_margin(ax, reg, h, cfg, candidates):
     """min t'(ax)t over the region: the grid value, lowered by the least
     stationary candidate inside the region below -tol_band (an exact
     violation)."""
-    if reg.omega_empty:
+    if reg.omega.empty:
         return np.inf
-    res = min_quad_over_omega(ax, reg.omega, h,
-                              max_grid_points=cfg.max_grid_points)
-    best = np.inf if res.empty else res.value
+    best = min_quad_over_omega(ax, reg.omega, h,
+                               max_grid_points=cfg.max_grid_points).value
     # ascending values: the first candidate inside is the least one, and
     # only a candidate below the grid value can lower the margin
     for val, t in sorted(candidates, key=lambda c: c[0]):

@@ -4,8 +4,8 @@ Each subproblem minimizes the slack mu over the decision box subject to
 finitely many linear rows pinned at previously found immobile points and a
 quadratic constraint indexed by the full simplex (round zero) or by the
 reduced region.  A zero optimum yields a dual certificate assembled from
-the master LP multipliers; a certified negative optimum yields a strictly
-feasible point of the indexed region.
+the master LP multipliers, a certified negative optimum a strictly feasible
+point of the indexed region; any other ending raises a SipError.
 """
 
 import numpy as np
@@ -21,10 +21,19 @@ class CertificateError(RuntimeError):
     """Dual certificate failed its stationarity check."""
 
 
+class SipError(RuntimeError):
+    """The cutting-plane loop gave up: ``reason`` says why, after ``rounds``
+    rounds ending at the master optimum ``mu_star`` (None before one)."""
+
+    def __init__(self, reason, mu_star, rounds):
+        super().__init__(reason)
+        self.reason, self.mu_star, self.rounds = reason, mu_star, rounds
+
+
 class SipInstance:
-    """One subproblem: the linear rows of ``records`` (see ``record_rows``)
-    plus a quadratic constraint over ``omega`` (None means the full
-    simplex)."""
+    """One subproblem: the LP rows of ``records`` (``rows``, built once for
+    every master round and for ``forced_zero_rows``) plus a quadratic
+    constraint over ``omega`` (None means the full simplex)."""
 
     def __init__(self, prog, records, omega=None):
         self.prog = prog
@@ -34,6 +43,7 @@ class SipInstance:
             if not isinstance(t, SimplexPoint) or t.p != prog.p:
                 raise DimensionError("every record point must be a SimplexPoint of dimension p")
         self.eq_rows, self.ineq_rows = row_pairs(self.records, prog.p)
+        self.rows = record_rows(prog, self.records)
         self.omega = omega
 
 
@@ -54,8 +64,8 @@ class DualCertificate:
 
 
 class SipOutcome:
-    """kind is "negative" (strictly feasible point found), "zero" (zero
-    optimum with certificate), or "unresolved"."""
+    """kind is "negative" (strictly feasible point found) or "zero" (zero
+    optimum with certificate); giving up raises a SipError instead."""
 
     def __init__(self, kind, point=None, certificate=None, diagnostics=None,
                  cuts=()):
@@ -115,8 +125,7 @@ def _build_master(inst, cuts, box_r):
     prog = inst.prog
     n = prog.n
     nvar = n + 1
-    rows = [(np.append(coefs, 0.0), rel, rhs)
-            for coefs, rel, rhs in record_rows(prog, inst.records)]
+    rows = [(np.append(coefs, 0.0), rel, rhs) for coefs, rel, rhs in inst.rows]
     box = np.empty((2 * nvar, nvar))   # box: var_j >= -R and -var_j >= -R
     box[0::2] = np.eye(nvar)
     box[1::2] = -np.eye(nvar)
@@ -130,7 +139,7 @@ def _build_master(inst, cuts, box_r):
 
 
 def solve_sip(inst, cfg, a0_copositive=False):
-    """Run the cutting-plane loop; see module docstring for the trichotomy."""
+    """Run the cutting-plane loop to a SipOutcome, or raise a SipError."""
     prog = inst.prog
     n = prog.n
     h_cur = cfg.grid_h(prog.p)
@@ -140,26 +149,26 @@ def solve_sip(inst, cfg, a0_copositive=False):
     cuts = []
     mu_star = None
 
-    # every give-up case breaks out with its reason; the round cap is the
-    # loop's else
     for rounds in range(1, cfg.cut_rounds + 1):
         master = _build_master(inst, cuts, box_r)
         # with A_0 copositive, (x=0, mu=0) satisfies every master row
         if a0_copositive and np.any(np.where(
                 master.rel == REL_EQ, np.abs(master.b), master.b) > cfg.tol_feas):
-            raise RuntimeError(
+            raise SipError(
                 "A_0 was flagged copositive but (x=0, mu=0) violates the "
-                "master; the flag or the record data is wrong")
+                "master; the flag or the record data is wrong", mu_star, rounds)
         sol = solve_lp(master, tol=cfg.tol_lp)
         if sol.status == "Infeasible":
             # the box rows bound mu too: a cut that needs mu > box_r, or
             # record rows that no x in the box meets, empties the master
-            raise RuntimeError(
+            raise SipError(
                 f"master LP infeasible: no x and mu within the box "
                 f"|x_j|, |mu| <= {box_r:g} meet the cuts"
-                + (" and the record rows" if inst.records else ""))
+                + (" and the record rows" if inst.records else ""),
+                mu_star, rounds)
         if sol.status == "Unbounded":
-            raise RuntimeError("master LP unbounded despite box rows")
+            raise SipError("master LP unbounded despite box rows",
+                           mu_star, rounds)
         x_star = sol.primal[:n]
         mu_star = float(sol.primal[n])
 
@@ -171,17 +180,15 @@ def solve_sip(inst, cfg, a0_copositive=False):
                 res = min_quad_over_omega(ax, inst.omega, h_cur,
                                           max_grid_points=cfg.max_grid_points)
             except CapabilityError as e:
-                reason = f"grid exhausted: {e}"
-                break
+                raise SipError(f"grid exhausted: {e}", mu_star, rounds) from e
             if res.empty:
                 return SipOutcome(
                     "negative", point=DecisionPoint(x_star, -1.0),
                     diagnostics={"omega_empty": True, "rounds": rounds,
                                  "mu_star": mu_star}, cuts=cuts)
 
-        # a branch that neither returns, continues nor breaks names its
+        # a branch that neither returns, continues nor raises names its
         # reason for the shared refine-or-give-up tail
-        refinable = True
         if res.value + mu_star < -cfg.tol_feas:
             if not any(np.max(np.abs(res.argmin.coords - t.coords)) <= 1e-12
                        for t in cuts):
@@ -189,7 +196,8 @@ def solve_sip(inst, cfg, a0_copositive=False):
                 continue
             # repeated cut: the grid cannot separate further at this h
             reason = "separation stalled on a duplicate cut"
-            refinable = inst.omega is not None
+            if inst.omega is None:   # the exact oracle has no grid to refine
+                raise SipError(reason, mu_star, rounds)
         elif mu_star <= -cfg.tol_neg:
             # certified by the grid bound at the resolution that found it:
             # value_lb bounds t'A(x*)t below over the region.  Preferred
@@ -215,31 +223,25 @@ def solve_sip(inst, cfg, a0_copositive=False):
                     escalations += 1
                     box_r *= 10.0
                     continue
-                reason = "zero optimum supported on the box after escalation"
-                break
+                raise SipError("zero optimum supported on the box after "
+                               "escalation", mu_star, rounds)
             cert = extract_certificate(sol, cuts, inst, cfg)
             return SipOutcome("zero", point=DecisionPoint(x_star, mu_star),
                               certificate=cert,
                               diagnostics={"rounds": rounds, "mu_star": mu_star,
                                            "h": h_cur}, cuts=cuts)
         elif mu_star > cfg.tol_zero:
-            reason = ("positive optimum: the subproblem admits no zero "
-                      "slack (is the program feasible?)")
-            break
+            raise SipError("positive optimum: the subproblem admits no zero "
+                           "slack (is the program feasible?)", mu_star, rounds)
         else:
             # mu* in the ambiguous gap (-tol_neg, -tol_zero)
             reason = "optimum stuck between tol_zero and tol_neg"
 
-        if refinable and refinements < cfg.refine_rounds:
-            refinements += 1
-            h_cur *= 0.5
-            continue
-        break
-    else:
-        reason = "cutting-plane round cap exceeded"
-
-    return SipOutcome("unresolved", diagnostics={
-        "reason": reason, "mu_star": mu_star, "rounds": rounds}, cuts=cuts)
+        if refinements >= cfg.refine_rounds:
+            raise SipError(reason, mu_star, rounds)
+        refinements += 1
+        h_cur *= 0.5
+    raise SipError("cutting-plane round cap exceeded", mu_star, rounds)
 
 
 def extract_certificate(sol, cuts, inst, cfg):

@@ -228,7 +228,7 @@ def test_witness_margin_holds_at_and_below_the_final_resolution(successful_runs)
     checked = 0
     for name, prog, res in successful_runs:
         reg = res.regularized
-        if reg.omega_empty:   # an empty region has no grid and no h
+        if reg.omega.empty:   # an empty region has no grid and no h
             continue
         h = res.diagnostics["trace"][-1]["h"]
         ax = eval_constraint(prog, reg.witness)
@@ -241,7 +241,7 @@ def test_witness_margin_holds_at_and_below_the_final_resolution(successful_runs)
 def _omega_margin_all_candidates(ax, reg, h, cfg, candidates):
     """The margin as first defined: every candidate below -tol_band is
     tested for membership, then the least is compared with the grid."""
-    if reg.omega_empty:
+    if reg.omega.empty:
         return np.inf
     best = min((val for val, t in candidates
                 if val < -cfg.tol_band and reg.omega.contains(t)),
@@ -271,7 +271,7 @@ def test_omega_margin_matches_the_all_candidate_margin(e4, successful_runs):
             assert got == _omega_margin_all_candidates(ax, reg, h, DEFAULT,
                                                        cands), name
             by_candidate += got in {val for val, _t in cands}
-            empty += reg.omega_empty
+            empty += reg.omega.empty
     # both sources of the margin and the empty region are exercised
     assert 0 < by_candidate < 20 * len(runs) and empty == 20
 

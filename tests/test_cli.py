@@ -164,23 +164,35 @@ _ITERATION_P3 = {"m": 1, "tau": [[1.0, 0.0, 0.0]], "gamma": [1.0],
                  "Y": np.diag([1.0, 0.0, 0.0]).tolist(), "cond_11star": True}
 
 
+_TOLS = {"tol_support": 1e-7}
+
+
 @pytest.mark.parametrize("doc, needle", [
-    ({"status": "bogus", "tolerances": {}}, "status"),
+    ({"status": "bogus", "tolerances": _TOLS}, "status"),
     ([1, 2], "object"),
-    ({"status": "regularized", "tolerances": {}, "iterations": [{"m": 1}]},
+    ({"status": "regularized", "tolerances": _TOLS, "iterations": [{"m": 1}]},
      "required"),
-    ({"status": "regularized", "tolerances": {},
+    ({"status": "regularized", "tolerances": _TOLS,
       "iterations": [dict(_ITERATION, **{"lambda": {"5": [0.0, 0.0]}})]},
      "lambda key"),
-    ({"status": "regularized", "tolerances": {},
+    ({"status": "regularized", "tolerances": _TOLS,
       "iterations": [dict(_ITERATION, **{"lambda": {}, "L": [[7]]})]},
      "outside 1..2"),
     ("not json", "bad_report.json"),
-    ({"status": "regularized", "tolerances": {}, "n": 1, "p": 3,
+    ({"status": "regularized", "tolerances": _TOLS, "n": 1, "p": 3,
       "iterations": [_ITERATION_P3]}, "p=3, the problem has p=2"),
     ('{"status": "failed", "iterations": ' + _TOO_DEEP + "}", "nested too deeply"),
+    ({"status": "failed", "tolerances": {}}, "'tolerances.tol_support'"),
+    ({"status": "failed", "tolerances": {"tol_support": -1e-7}},
+     "'tolerances.tol_support' must be positive, got -1e-07"),
+    ('{"status": "failed", "tolerances": {"tol_support": NaN}}',
+     "'tolerances.tol_support'"),
+    ({"status": "failed", "tolerances": {"tol_support": True}},
+     "'tolerances.tol_support'"),
 ], ids=["bad-status", "array", "incomplete-iteration", "lambda-key-range",
-        "row-index-range", "not-json", "p-mismatch", "too-deep"])
+        "row-index-range", "not-json", "p-mismatch", "too-deep",
+        "no-tol-support", "negative-tol-support", "nan-tol-support",
+        "bool-tol-support"])
 def test_bad_report_is_domain_error(workdir, capsys, doc, needle):
     path = os.path.join(workdir["dir"], "bad_report.json")
     with open(path, "w") as fh:
@@ -303,9 +315,14 @@ def e4_report(e4):
     return json.loads(json.dumps(build_report(regularize(e4), e4, DEFAULT)))
 
 
-@pytest.mark.parametrize("name", ["e2", "e4", "edge70"])
-def test_report_reads_back_the_driver_ledger(name, request):
-    # edge70 stops at the iteration cap with a lambda entry in its ledger
+@pytest.mark.parametrize("name, read_tol_support", [
+    ("e2", None), ("e4", None), ("edge70", None), ("edge70", 0.3)],
+    ids=["e2", "e4", "edge70", "edge70-read-at-tol-support-0.3"])
+def test_report_reads_back_the_driver_ledger(name, read_tol_support, request):
+    # edge70 stops at the iteration cap with a lambda entry in its ledger.
+    # Its report is written at the default tol_support; read under 0.3,
+    # which would drop the 1/4 components of (1/2, 1/4, 1/4) from a
+    # support, its records and L still derive at the report's own echo
     if name == "edge70":
         prog = generate_instance(seed=70, p=3, n=1,
                                  planted=[simplex(1, 0, 0), simplex(0, 0.5, 0.5)])
@@ -314,6 +331,8 @@ def test_report_reads_back_the_driver_ledger(name, request):
         prog, cfg = request.getfixturevalue(name), DEFAULT
     res = regularize(prog, cfg)
     report = json.loads(json.dumps(build_report(res, prog, cfg)))
+    if read_tol_support is not None:
+        cfg = cfg.replace(tol_support=read_tol_support)
     entries = ledger_from_report(report, prog, cfg)
     assert len(entries) == len(res.ledger) >= 1
     for got, want in zip(entries, res.ledger):

@@ -506,9 +506,16 @@ def test_omega_min_zero_matrix():
     assert res.value_lb == 0.0
 
 
-def test_omega_empty_region():
-    # the hull of the two vertices is the whole simplex, sigma = 1
+def test_omega_empty_region(monkeypatch):
+    # the hull of the two vertices is the whole simplex, sigma = 1; the
+    # vertices decide emptiness, so no grid is classified
     region = ReducedRegion([simplex(1, 0), simplex(0, 1)])
+    assert region.empty
+
+    def no_grid(*args):
+        raise AssertionError("grid_mask called on an empty region")
+
+    monkeypatch.setattr(ReducedRegion, "grid_mask", no_grid)
     res = min_quad_over_omega(np.eye(2), region, 2.0 ** -5)
     assert res.empty
     assert res.value == np.inf
@@ -531,7 +538,12 @@ def test_omega_min_matches_exact_lp_on_random_hulls():
             res = min_quad_over_omega(D, region, 1 / 8)
             inside = [t for t in pts if l1_dist_to_hull(t, V) >= cut]
             vertex_in = any(l1_dist_to_hull(e, V) >= cut for e in np.eye(3))
+            assert region.empty == (not vertex_in)
             assert res.empty == (not vertex_in)
+            # the closed-form vertex distance 2(1 - max_j v_jk) is the LP's
+            vmax = np.max([v.coords for v in V], axis=0)
+            for k, e in enumerate(np.eye(3)):
+                assert abs(2.0 * (1.0 - vmax[k]) - l1_dist_to_hull(e, V)) <= 1e-12
             outcomes.add(res.empty)
             # a finer grid's value bounds the region minimum from above
             fine = min_quad_over_omega(D, region, 1 / 32)
@@ -643,7 +655,9 @@ def test_omega_min_matches_the_row_wise_reference(case):
     sel, flags, _r = region.selected_points(N)
     assert np.array_equal(sel, simplex_grid(D.shape[0], N)[near])
     assert np.array_equal(flags, inside[near])
-    assert calls["kernel"] == calls["reference"]
+    # an empty region is decided from its vertices and classifies no grid
+    assert region.empty == (not inside.any())
+    assert calls["kernel"] == (0 if region.empty else calls["reference"])
     assert res.value == value
     assert res.value_lb == value_lb
     assert (res.argmin is None) == (argmin is None)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from coporeg import (DEFAULT, CopositiveProgram, DualCertificate,
-                     FaceLedgerEntry, LedgerError, Record, ReducedRegion,
-                     SipInstance, compress_ledger, disjointness_condition,
-                     eval_constraint, face_membership,
+                     FaceLedgerEntry, LedgerError, LpError, LpSolution, Record,
+                     ReducedRegion, SipError, SipInstance, compress_ledger,
+                     disjointness_condition, eval_constraint, face_membership,
                      feasibility_equiv_sample, forced_zero_rows,
                      generate_instance, kernel_dimension, minimal_face,
                      one_step_regularize, quad_form, regularize,
@@ -75,11 +75,43 @@ def test_e4_two_iterations_empty_region(e4):
     assert res.m_star == 2
     assert len(res.ledger) == 2
     reg = res.regularized
-    assert reg.omega_empty
+    assert reg.omega.empty
     taus = sorted(tuple(r.tau.coords) for r in reg.records)
     assert np.allclose(taus, [(0.0, 1.0), (1.0, 0.0)])
     # second entry passed the support-disjointness condition
     assert res.ledger[1].cond_disjoint
+
+
+def test_unexpected_error_in_the_driver_propagates(e2, monkeypatch):
+    def buggy(*args, **kwargs):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(REGULARIZE, "solve_sip", buggy)
+    with pytest.raises(RuntimeError, match="^bug$"):
+        regularize(e2)
+
+
+def test_sip_give_up_fails_the_run_with_its_ledger(e2, monkeypatch):
+    # the first solve certifies (1, 0); the second gives up
+    solve = REGULARIZE.solve_sip
+    calls = []
+
+    def second_gives_up(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise SipError("optimum stuck between tol_zero and tol_neg", -5e-7, 7)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(REGULARIZE, "solve_sip", second_gives_up)
+    res = regularize(e2)
+    assert res.status == "failed"
+    assert len(res.ledger) == 1
+    assert res.diagnostics["reason"] == "optimum stuck between tol_zero and tol_neg"
+    assert res.diagnostics["trace"][-1] == {
+        "m": 1, "kind": "unresolved",
+        "reason": "optimum stuck between tol_zero and tol_neg",
+        "mu_star": -5e-7, "rounds": 7}
+    assert set(res.diagnostics) == {"trace", "reason"}
 
 
 def test_witness_margin_certified(e2, reg_e2):
@@ -341,10 +373,16 @@ def test_one_step_incomplete_vertex_set(e3):
         one_step_regularize(e3, [simplex(1, 0)])
 
 
+def test_one_step_give_up_raises(e2):
+    with pytest.raises(SipError, match="round cap exceeded") as info:
+        one_step_regularize(e2, [simplex(1, 0)], DEFAULT.replace(cut_rounds=1))
+    assert info.value.rounds == 1
+
+
 def test_one_step_empty_region(e4):
     # both immobile vertices: their hull covers the simplex
     reg = one_step_regularize(e4, [simplex(1, 0), simplex(0, 1)])
-    assert reg.omega_empty
+    assert reg.omega.empty
     assert reg.margin > 0
 
 
@@ -354,6 +392,13 @@ def test_one_step_empty_region(e4):
 def test_forced_zero_rows_e2(e2, reg_e2):
     M = forced_zero_rows(e2, simplex(1, 0), reg_e2.regularized)
     assert M == (0,)
+
+
+def test_forced_zero_rows_row_lp_failure_is_typed(e2, reg_e2, monkeypatch):
+    monkeypatch.setattr(REGULARIZE, "solve_lp",
+                        lambda lp, **kw: LpSolution("Infeasible"))
+    with pytest.raises(LpError, match="row maximization LP reported Infeasible"):
+        forced_zero_rows(e2, simplex(1, 0), reg_e2.regularized)
 
 
 def test_forced_zero_rows_e3(e3, reg_e3):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from coporeg import (DEFAULT, CertificateError, CopositiveProgram, Record,
-                     ReducedRegion, SipInstance, eval_constraint,
-                     extract_certificate, generate_instance,
-                     min_quad_over_simplex, regularize, solve_sip)
+                     ReducedRegion, RegularizedProblem, SipError, SipInstance,
+                     eval_constraint, extract_certificate, forced_zero_rows,
+                     generate_instance, min_quad_over_simplex, regularize,
+                     solve_sip)
 from coporeg.lp import REL_GE, LinearProgram, solve_lp
 from coporeg.sip import _build_master, cut_row_data
 
@@ -185,7 +186,7 @@ def test_a0_flag_check_fires():
     prog = CopositiveProgram([1.0], [[[0, -1], [-1, 0]], [[0, 1], [1, 0]]])
     tau = simplex(0.5, 0.5)
     inst = SipInstance(prog, (Record(tau, set()),), ReducedRegion([tau]))
-    with pytest.raises(RuntimeError, match="flagged copositive"):
+    with pytest.raises(SipError, match="flagged copositive"):
         solve_sip(inst, DEFAULT, a0_copositive=True)
 
 
@@ -198,21 +199,49 @@ def test_row_data_shapes(e2):
 
 def test_round_cap_is_a_give_up(e2):
     # one round adds the first cut and the cap ends the loop
-    out = solve_sip(SipInstance(e2, ()), DEFAULT.replace(cut_rounds=1),
-                    a0_copositive=True)
-    assert out.kind == "unresolved"
-    assert out.diagnostics == {"reason": "cutting-plane round cap exceeded",
-                               "mu_star": -1000.0, "rounds": 1}
+    with pytest.raises(SipError) as info:
+        solve_sip(SipInstance(e2, ()), DEFAULT.replace(cut_rounds=1),
+                  a0_copositive=True)
+    e = info.value
+    assert (e.reason, e.mu_star, e.rounds) == (
+        "cutting-plane round cap exceeded", -1000.0, 1)
+    assert str(e) == e.reason
 
 
 def test_grid_exhausted_is_a_give_up(e2):
     tau = simplex(1, 0)
     inst = SipInstance(e2, (Record(tau, {0}),), ReducedRegion([tau]))
-    out = solve_sip(inst, DEFAULT.replace(max_grid_points=1),
-                    a0_copositive=True)
-    assert out.kind == "unresolved"
-    assert out.diagnostics["reason"].startswith("grid exhausted")
-    assert out.diagnostics["rounds"] == 1
+    with pytest.raises(SipError) as info:
+        solve_sip(inst, DEFAULT.replace(max_grid_points=1),
+                  a0_copositive=True)
+    e = info.value
+    assert e.reason.startswith("grid exhausted")
+    assert (e.mu_star, e.rounds) == (-1000.0, 1)
+
+
+def test_record_rows_are_built_once_per_instance(e2, monkeypatch):
+    # the master of every round and forced_zero_rows read the instance's
+    # rows; only constructing an instance builds them
+    sip_mod = importlib.import_module("coporeg.sip")
+    calls = []
+    orig = sip_mod.record_rows
+
+    def counting(prog, records):
+        calls.append(len(records))
+        return orig(prog, records)
+
+    monkeypatch.setattr(sip_mod, "record_rows", counting)
+    tau = simplex(1, 0)
+    inst = SipInstance(e2, (Record(tau, {0}),), ReducedRegion([tau]))
+    assert calls == [1]
+    out = solve_sip(inst, DEFAULT, a0_copositive=True)
+    assert out.negative_feasible and out.diagnostics["rounds"] > 1
+    assert calls == [1]
+    reg = RegularizedProblem(e2, inst.records, inst.omega, out.point.x,
+                             -out.point.mu)
+    assert calls == [1, 1]
+    assert forced_zero_rows(e2, tau, reg) == (0,)
+    assert calls == [1, 1]
 
 
 def test_positive_optimum_fails_the_driver():
@@ -279,6 +308,6 @@ def test_master_infeasible_in_the_box_names_the_box():
     assert reason.startswith("master LP infeasible") and "box" in reason
     assert "record rows" not in reason
     tau = simplex(0.0, 1.0)
-    with pytest.raises(RuntimeError, match="meet the cuts and the record rows"):
+    with pytest.raises(SipError, match="meet the cuts and the record rows"):
         solve_sip(SipInstance(prog, (Record(tau, {1}),), ReducedRegion([tau])),
                   DEFAULT)
