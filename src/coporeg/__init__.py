@@ -3,19 +3,18 @@
 from .config import DEFAULT, RunConfig
 from .generate import GeneratorError, generate_instance
 from .lp import LinearProgram, LpError, LpSolution, solve_lp
-from .model import (CopositiveProgram, DecisionPoint, DimensionError,
-                    ProblemFormatError, SimplexPoint, eval_constraint,
-                    kernel_dimension, parse_matrix, parse_problem, quad_form,
-                    row_action, serialize_matrix, serialize_problem,
-                    shift_to_feasible)
+from .model import (CopositiveProgram, DimensionError, ProblemFormatError,
+                    SimplexPoint, eval_constraint, kernel_dimension,
+                    parse_matrix, parse_problem, quad_form, row_action,
+                    serialize_matrix, serialize_problem, shift_to_feasible)
 from .oracle import (CapabilityError, CopositivityResult, OracleResult,
                      ReducedRegion, exclusion_radius, grid_min_full,
                      is_copositive, is_strictly_copositive, l1_dist_to_hull,
                      min_quad_over_omega, min_quad_over_simplex, simplex_grid)
 from .regularize import (CompressedLedger, FaceLedgerEntry, LedgerError,
-                         MinimalFaceDescriptor, Record, RegularizationResult,
-                         RegularizedProblem, compress_ledger,
-                         disjointness_condition, face_membership,
+                         Record, RegularizationResult, RegularizedProblem,
+                         compress_ledger, disjointness_condition,
+                         face_forms_agree, face_membership,
                          feasibility_equiv_sample, forced_zero_rows,
                          minimal_face, one_step_regularize, regularize,
                          sample_copositive, sample_feasible,
@@ -27,20 +26,21 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapabilityError", "CertificateError", "CompressedLedger",
-    "CopositiveProgram", "CopositivityResult", "DecisionPoint",
-    "DimensionError", "DualCertificate", "FaceLedgerEntry", "GeneratorError",
-    "LedgerError", "LinearProgram", "LpError", "LpSolution",
-    "MinimalFaceDescriptor", "OracleResult", "ProblemFormatError", "Record",
-    "ReducedRegion", "RegularizationResult", "RegularizedProblem",
-    "RunConfig", "SimplexPoint", "SipError", "SipInstance", "SipOutcome",
-    "DEFAULT", "compress_ledger", "disjointness_condition", "eval_constraint",
-    "exclusion_radius", "extract_certificate", "face_membership",
-    "feasibility_equiv_sample", "forced_zero_rows", "generate_instance",
-    "grid_min_full", "is_copositive", "is_strictly_copositive",
-    "kernel_dimension", "l1_dist_to_hull", "min_quad_over_omega",
-    "min_quad_over_simplex", "minimal_face", "one_step_regularize",
-    "parse_matrix", "parse_problem", "quad_form", "regularize", "row_action",
-    "sample_copositive", "sample_feasible", "serialize_matrix",
-    "serialize_problem", "shift_to_feasible", "simplex_grid", "solve_lp",
-    "solve_sip", "update_index_sets", "verify_ledger",
+    "CopositiveProgram", "CopositivityResult", "DimensionError",
+    "DualCertificate", "FaceLedgerEntry", "GeneratorError", "LedgerError",
+    "LinearProgram", "LpError", "LpSolution", "OracleResult",
+    "ProblemFormatError", "Record", "ReducedRegion",
+    "RegularizationResult", "RegularizedProblem", "RunConfig",
+    "SimplexPoint", "SipError", "SipInstance", "SipOutcome", "DEFAULT",
+    "compress_ledger", "disjointness_condition", "eval_constraint",
+    "exclusion_radius", "extract_certificate", "face_forms_agree",
+    "face_membership", "feasibility_equiv_sample", "forced_zero_rows",
+    "generate_instance", "grid_min_full", "is_copositive",
+    "is_strictly_copositive", "kernel_dimension", "l1_dist_to_hull",
+    "min_quad_over_omega", "min_quad_over_simplex", "minimal_face",
+    "one_step_regularize", "parse_matrix", "parse_problem", "quad_form",
+    "regularize", "row_action", "sample_copositive", "sample_feasible",
+    "serialize_matrix", "serialize_problem", "shift_to_feasible",
+    "simplex_grid", "solve_lp", "solve_sip", "update_index_sets",
+    "verify_ledger",
 ]

@@ -18,9 +18,9 @@ from .model import (ProblemFormatError, SimplexPoint, _float_array, _json_repr,
                     kernel_residual, parse_matrix, parse_problem,
                     shift_to_feasible)
 from .oracle import is_copositive
-from .regularize import (FaceLedgerEntry, feasibility_equiv_sample,
-                         minimal_face, one_step_regularize, regularize,
-                         verify_ledger)
+from .regularize import (FaceLedgerEntry, face_forms_agree,
+                         feasibility_equiv_sample, minimal_face,
+                         one_step_regularize, regularize, verify_ledger)
 from .sip import DualCertificate
 
 def build_report(result, prog, cfg):
@@ -41,7 +41,7 @@ def build_report(result, prog, cfg):
         "m_star": result.m_star,
         "n": prog.n,
         "p": prog.p,
-        "witness": result.witness.x.tolist() if result.witness is not None else None,
+        "witness": result.witness.tolist() if result.witness is not None else None,
         "iterations": [_iteration_doc(e) for e in result.ledger],
         "regularized": regularized,
         "compressed": compressed,
@@ -234,18 +234,20 @@ _TOL_FLAGS = ["tol-feas", "tol-support", "tol-rank", "tol-cop", "tol-lp",
               "tol-mult", "tol-cert", "tol-zero", "tol-neg", "tol-band"]
 
 
-def _add_common(parser):
-    for flag in _TOL_FLAGS:
-        parser.add_argument(f"--{flag}", type=float, default=None)
-    parser.add_argument("--h", type=float, default=None,
-                        help="grid resolution (<= 1/4)")
-    parser.add_argument("--cap", type=int, default=None,
-                        help="iteration cap (default 2n+2)")
-    parser.add_argument("--box", type=float, default=None,
-                        help="decision box bound R")
-    parser.add_argument("--p-max", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--samples", type=int, default=None)
+# (flag, type, help) of every RunConfig flag
+_CONFIG_FLAGS = [*((f"--{flag}", float, None) for flag in _TOL_FLAGS),
+                 ("--h", float, "grid resolution (<= 1/4)"),
+                 ("--cap", int, "iteration cap (default 2n+2)"),
+                 ("--box", float, "decision box bound R"),
+                 ("--p-max", int, None), ("--seed", int, None),
+                 ("--samples", int, None)]
+
+
+def _add_common(parser, only=None):
+    """The RunConfig flags (those named in ``only``, when given) and --out."""
+    for flag, kind, help_ in _CONFIG_FLAGS:
+        if only is None or flag in only:
+            parser.add_argument(flag, type=kind, default=None, help=help_)
     parser.add_argument("--out", type=str, default=None,
                         help="write the JSON report here")
 
@@ -254,7 +256,7 @@ def _config_from_args(args):
     overrides = {}
     for flag in _TOL_FLAGS:
         name = flag.replace("-", "_")
-        v = getattr(args, name)
+        v = getattr(args, name, None)
         if v is not None:
             overrides[name] = v
     mapping = {"h": "h", "cap": "iteration_cap", "box": "box_r",
@@ -322,7 +324,7 @@ def _cmd_regularize(args):
     _write_json(build_report(result, prog, cfg), args.out)
     print(f"status: {result.status}")
     if result.status == "regular":
-        print(f"witness: {result.witness.x.tolist()}")
+        print(f"witness: {result.witness.tolist()}")
     elif result.status == "regularized":
         print(f"m_star: {result.m_star}")
         for entry in result.ledger:
@@ -376,17 +378,15 @@ def _cmd_minimal_face(args):
         W = [r.tau for r in result.regularized.records]
         print("note: using the recovered index points as the vertex set")
     face = minimal_face(prog, W, result.regularized, cfg)
-    check = face.cross_check(n_samples=cfg.samples, seed=cfg.seed)
-    for j, t in enumerate(face.vertices):
-        print(f"t({j + 1}) = {t.coords.tolist()}  M = "
-              f"{sorted(k + 1 for k in face.M[j])}")
+    check = face_forms_agree(face, cfg, n_samples=cfg.samples, seed=cfg.seed)
+    M = {str(j): sorted(k + 1 for k in r.L) for j, r in enumerate(face, 1)}
+    for j, r in enumerate(face, 1):
+        print(f"t({j}) = {r.tau.coords.tolist()}  M = {M[str(j)]}")
     print(f"form agreement: {check['checked']} samples, "
-          f"{check['members']} members, 0 disagreements")
-    _write_json({"vertices": [t.coords.tolist() for t in face.vertices],
-                 "M": {str(j + 1): sorted(k + 1 for k in face.M[j])
-                       for j in face.M},
+          f"{check['members']} members, {check['disagreements']} disagreements")
+    _write_json({"vertices": [r.tau.coords.tolist() for r in face], "M": M,
                  "cross_check": check}, args.out)
-    return 0
+    return 0 if check["disagreements"] == 0 else 1
 
 
 def _cmd_verify_ledger(args):
@@ -441,9 +441,11 @@ def build_parser():
     _add_common(p)
     p.set_defaults(func=_cmd_regularize)
 
-    p = sub.add_parser("check-copositive", help="test a matrix for copositivity")
+    # no prefix matching, so that "--h" is not read as "--help"
+    p = sub.add_parser("check-copositive", help="test a matrix for copositivity",
+                       allow_abbrev=False)
     p.add_argument("--matrix", required=True)
-    _add_common(p)
+    _add_common(p, only=("--tol-cop", "--p-max"))
     p.set_defaults(func=_cmd_check_copositive)
 
     p = sub.add_parser("one-step", help="one-step regularization from a "

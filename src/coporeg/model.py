@@ -124,22 +124,6 @@ class SimplexPoint:
         return f"SimplexPoint({self.coords.tolist()})"
 
 
-class DecisionPoint:
-    """A decision vector x, optionally paired with the slack value mu."""
-
-    __slots__ = ("x", "mu")
-
-    def __init__(self, x, mu=None):
-        object.__setattr__(self, "x", _frozen_vector(x, "decision point"))
-        object.__setattr__(self, "mu", None if mu is None else float(mu))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DecisionPoint is immutable")
-
-    def __repr__(self):
-        return f"DecisionPoint(x={self.x.tolist()}, mu={self.mu})"
-
-
 class CopositiveProgram:
     """Data (n, p, c, A_0..A_n) of a linear copositive program.
 

@@ -289,15 +289,14 @@ def regularize(prog, cfg=DEFAULT):
                     "failed", ledger=ledger,
                     diagnostics={"trace": trace, "reason": e.reason})
             trace.append({"m": m, "kind": out.kind, **out.diagnostics})
-            if out.negative_feasible:
+            if out.kind == "negative":
                 if m == 0:
                     return RegularizationResult(
-                        "regular", witness=out.point, m_star=0,
+                        "regular", witness=out.x, m_star=0,
                         compressed=CompressedLedger((), (), 0),
                         diagnostics={"trace": trace, "a0_copositive": a0_cop})
                 # the slack of a negative outcome is minus its margin
-                reg = RegularizedProblem(prog, records, omega, out.point.x,
-                                         -out.point.mu)
+                reg = RegularizedProblem(prog, records, omega, out.x, -out.mu)
                 compressed = compress_ledger(ledger, prog, cfg.tol_rank)
                 return RegularizationResult(
                     "regularized", regularized=reg, ledger=ledger, m_star=m,
@@ -331,8 +330,9 @@ def one_step_regularize(prog, W, cfg=DEFAULT, strict=True):
     support components tightened to equalities in strict mode, plus the
     quadratic constraint over the reduced region; the witness comes from a
     single subproblem solve.  Vertex-set completeness cannot be proven
-    here: each supplied point is sample-checked for immobility and a
-    missing vertex surfaces as a blocking index.
+    here: each supplied point is checked for immobility (at x = 0 before
+    the solve when A_0 is copositive, at sampled feasible points after it)
+    and a missing vertex surfaces as a blocking index.
     """
     W = tuple(W)
     if not W:
@@ -345,20 +345,24 @@ def one_step_regularize(prog, W, cfg=DEFAULT, strict=True):
         records.append(Record(t, L))
     omega = ReducedRegion(W, tol_support=cfg.tol_support, tol_feas=cfg.tol_feas)
     a0_cop = is_copositive(prog.A[0], cfg.tol_cop, cfg.p_max).copositive
+    if a0_cop:   # x = 0 is feasible
+        _check_immobile(prog, W, [np.zeros(prog.n)])
     out = solve_sip(SipInstance(prog, records, omega), cfg,
                     a0_copositive=a0_cop)
-    if out.optimal_zero:
+    if out.kind == "zero":
         blocking = out.certificate.new_indices[0][0]
         raise ValueError(
             "W is not the full vertex set of the immobile hull; blocking "
             f"index {blocking.coords.tolist()}")
-    reg = RegularizedProblem(prog, records, omega, out.point.x, -out.point.mu)
-    _check_immobile(prog, W, reg, cfg)
+    reg = RegularizedProblem(prog, records, omega, out.x, -out.mu)
+    _check_immobile(prog, W, sample_feasible(prog, reg.witness, 20, 0, cfg))
     return reg
 
 
-def _check_immobile(prog, W, reg, cfg, n_samples=20, seed=0):
-    for x in sample_feasible(prog, reg.witness, n_samples, seed, cfg):
+def _check_immobile(prog, W, points):
+    """Raise a ValueError naming the first t of W with t'A(x)t off zero at
+    one of the feasible ``points``."""
+    for x in points:
         for t in W:
             v = quad_form(eval_constraint(prog, x), t)
             if abs(v) > 1e-6:
@@ -416,51 +420,29 @@ def forced_zero_rows(prog, t_j, reg, cfg=DEFAULT):
     return tuple(members)
 
 
-class MinimalFaceDescriptor:
-    """Vertex list with the forced-zero sets, exposing the two equivalent
-    membership forms (equalities only, and equalities plus sign rows)."""
-
-    def __init__(self, vertices, M, cfg=DEFAULT):
-        self.vertices = tuple(vertices)
-        self.M = {int(j): tuple(v) for j, v in M.items()}
-        self.cfg = cfg
-        self.records = tuple(Record(t, self.M[j])
-                             for j, t in enumerate(self.vertices))
-
-    def _memberships(self, D):
-        """(equalities-only form, equalities-plus-sign-rows form) for D."""
-        eq, both = face_rows(self.records, D, self.cfg)
-        cop = eq and is_copositive(D, self.cfg.tol_cop,
-                                   self.cfg.p_max).copositive
-        return cop, cop and both
-
-    def member_eq(self, D):
-        return self._memberships(D)[0]
-
-    def member_eq_ineq(self, D):
-        return self._memberships(D)[1]
-
-    def cross_check(self, n_samples=500, seed=0):
-        """Sample copositive matrices (raw and projected onto the equality
-        rows) and require the two forms to agree on every one."""
-        rng = np.random.default_rng(seed)
-        members = 0
-        for D in _face_samples(self.vertices[0].p, self.records, n_samples,
-                               rng):
-            a, b = self._memberships(D)
-            if a != b:
-                raise RuntimeError(
-                    "minimal-face forms disagree on a sampled copositive "
-                    f"matrix: {D.tolist()}")
-            members += int(a)
-        return {"checked": n_samples, "members": members, "disagreements": 0}
-
-
 def minimal_face(prog, W, reg, cfg=DEFAULT):
-    """Describe the smallest face containing all constraint values, in the
-    two equivalent forms, given the vertex set of the immobile hull."""
-    M = {j: forced_zero_rows(prog, t, reg, cfg) for j, t in enumerate(W)}
-    return MinimalFaceDescriptor(tuple(W), M, cfg)
+    """The smallest face containing all constraint values, as the records
+    (t_j, M_j) of the immobile hull's vertex set W and their forced-zero
+    row sets; each t_j is first checked for immobility at feasible points
+    sampled from the witness."""
+    _check_immobile(prog, W, sample_feasible(prog, reg.witness, 20, 0, cfg))
+    return tuple(Record(t, forced_zero_rows(prog, t, reg, cfg)) for t in W)
+
+
+def face_forms_agree(records, cfg=DEFAULT, n_samples=500, seed=0):
+    """Count the copositive samples (raw and projected onto the records'
+    zero rows, as ``verify_ledger`` draws them) on which the face's two
+    forms disagree: the equality rows alone, and the equality plus sign
+    rows.  Each sample is decided by its rows first, copositivity second."""
+    rng = np.random.default_rng(seed)
+    members = disagreements = 0
+    for D in _face_samples(records[0].tau.p, records, n_samples, rng):
+        eq, both = face_rows(records, D, cfg)
+        if eq and is_copositive(D, cfg.tol_cop, cfg.p_max).copositive:
+            members += 1
+            disagreements += int(not both)
+    return {"checked": n_samples, "members": members,
+            "disagreements": disagreements}
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ point of the indexed region; any other ending raises a SipError.
 import numpy as np
 
 from .lp import REL_EQ, REL_GE, LinearProgram, solve_lp
-from .model import (DecisionPoint, DimensionError, SimplexPoint,
+from .model import (DimensionError, SimplexPoint, _frozen_vector,
                     certificate_matrix, eval_constraint, kernel_residual,
                     row_pairs)
 from .oracle import CapabilityError, min_quad_over_omega, min_quad_over_simplex
@@ -64,27 +64,22 @@ class DualCertificate:
 
 
 class SipOutcome:
-    """kind is "negative" (strictly feasible point found) or "zero" (zero
-    optimum with certificate); giving up raises a SipError instead."""
+    """kind is "negative" (x is strictly feasible with slack mu < 0) or
+    "zero" (a zero optimum at x, with a certificate); giving up raises a
+    SipError instead.  ``x`` is a read-only copy."""
 
-    def __init__(self, kind, point=None, certificate=None, diagnostics=None,
+    def __init__(self, kind, x, mu, certificate=None, diagnostics=None,
                  cuts=()):
         self.kind = kind
-        self.point = point
+        self.x = _frozen_vector(x, "decision point")
+        self.mu = float(mu)
         self.certificate = certificate
         self.diagnostics = dict(diagnostics or {})
         self.cuts = tuple(cuts)
 
-    @property
-    def negative_feasible(self):
-        return self.kind == "negative"
-
-    @property
-    def optimal_zero(self):
-        return self.kind == "zero"
-
     def __repr__(self):
-        return f"SipOutcome({self.kind}, point={self.point}, diag={self.diagnostics})"
+        return (f"SipOutcome({self.kind}, x={self.x.tolist()}, mu={self.mu}, "
+                f"diag={self.diagnostics})")
 
 
 def linear_row_data(prog, tau, k):
@@ -183,7 +178,7 @@ def solve_sip(inst, cfg, a0_copositive=False):
                 raise SipError(f"grid exhausted: {e}", mu_star, rounds) from e
             if res.empty:
                 return SipOutcome(
-                    "negative", point=DecisionPoint(x_star, -1.0),
+                    "negative", x_star, -1.0,
                     diagnostics={"omega_empty": True, "rounds": rounds,
                                  "mu_star": mu_star}, cuts=cuts)
 
@@ -210,7 +205,7 @@ def solve_sip(inst, cfg, a0_copositive=False):
                 mu_bar = -res.value_lb
             if mu_bar is not None:
                 return SipOutcome(
-                    "negative", point=DecisionPoint(x_star, mu_bar),
+                    "negative", x_star, mu_bar,
                     diagnostics={"rounds": rounds, "mu_star": mu_star,
                                  "h": h_cur, "margin_lb": res.value_lb},
                     cuts=cuts)
@@ -226,8 +221,7 @@ def solve_sip(inst, cfg, a0_copositive=False):
                 raise SipError("zero optimum supported on the box after "
                                "escalation", mu_star, rounds)
             cert = extract_certificate(sol, cuts, inst, cfg)
-            return SipOutcome("zero", point=DecisionPoint(x_star, mu_star),
-                              certificate=cert,
+            return SipOutcome("zero", x_star, mu_star, certificate=cert,
                               diagnostics={"rounds": rounds, "mu_star": mu_star,
                                            "h": h_cur}, cuts=cuts)
         elif mu_star > cfg.tol_zero:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from coporeg import (DEFAULT, DualCertificate, FaceLedgerEntry,
-                     compress_ledger, feasibility_equiv_sample,
+                     compress_ledger, face_forms_agree, feasibility_equiv_sample,
                      generate_instance, grid_min_full, is_copositive,
                      kernel_dimension, minimal_face, one_step_regularize,
                      regularize, solve_lp, LinearProgram, SimplexPoint,
@@ -182,7 +182,7 @@ def test_criterion_6_minimal_face_forms(e2, e3, reg_e2, reg_e3):
     for name, prog, res, w in (("e2", e2, reg_e2, simplex(1, 0)),
                                ("e3", e3, reg_e3, simplex(0.5, 0.5))):
         face = minimal_face(prog, [w], res.regularized)
-        rep = face.cross_check(n_samples=500, seed=21)
+        rep = face_forms_agree(face, n_samples=500, seed=21)
         ok = ok and rep["disagreements"] == 0 and rep["checked"] == 500
         details.append(f"{name}: {rep['members']} members")
     _report(6, ok, "500 sampled copositive matrices per instance, forms "

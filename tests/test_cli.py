@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 
@@ -79,6 +80,28 @@ def test_check_copositive_witness(workdir, tmp_path, capsys):
     assert doc["margin"] < 0 and float(w @ D @ w) < 0
 
 
+@pytest.mark.parametrize("flag, value", [("--h", "0.1"), ("--samples", "5"),
+                                         ("--tol-feas", "1e-9")])
+def test_check_copositive_takes_only_the_flags_it_reads(workdir, capsys,
+                                                        flag, value):
+    assert main(["check-copositive", "--matrix", workdir["horn"], flag,
+                 value]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_check_copositive_reads_its_flags_and_the_env_config(
+        workdir, tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p_max": 4}))
+    monkeypatch.setenv("COPOREG_CONFIG", str(cfg))
+    # the Horn matrix has p = 5 > p_max = 4 from the environment
+    assert main(["check-copositive", "--matrix", workdir["horn"]]) == 1
+    assert "p_max" in capsys.readouterr().err
+    assert main(["check-copositive", "--matrix", workdir["horn"],
+                 "--p-max", "5", "--tol-cop", "1e-9"]) == 0
+    assert "copositive, margin 0.0" in capsys.readouterr().out
+
+
 def test_zero_samples_rejected(workdir, capsys):
     assert main(["equiv-check", "--problem", workdir["e2"], "--samples", "0"]) == 1
     assert "samples" in capsys.readouterr().err
@@ -132,6 +155,32 @@ def test_minimal_face_cli(workdir, capsys):
     rc = main(["minimal-face", "--problem", workdir["e3"], "--samples", "100"])
     assert rc == 0
     assert "M = [1, 2]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cmd", ["minimal-face", "one-step"])
+def test_point_that_is_not_immobile_exits_1(workdir, tmp_path, capsys, cmd):
+    # t'A(x)t = 1 at (0, 1) for every x of e2
+    w = tmp_path / "w01.json"
+    w.write_text(json.dumps({"p": 2, "W": [[0, 1]]}))
+    assert main([cmd, "--problem", workdir["e2"], "--W", str(w)]) == 1
+    assert capsys.readouterr().err == (
+        "error: supplied point [0.0, 1.0] is not immobile: quadratic value "
+        "1.000e+00 at a feasible x\n")
+
+
+def test_minimal_face_form_disagreement_exits_1(workdir, tmp_path, capsys,
+                                                monkeypatch):
+    # no forced-zero rows: the sign rows cut copositive samples that the
+    # equality form keeps
+    monkeypatch.setattr(importlib.import_module("coporeg.regularize"),
+                        "forced_zero_rows", lambda *_a: ())
+    out = tmp_path / "face.json"
+    assert main(["minimal-face", "--problem", workdir["e2"], "--samples", "100",
+                 "--out", str(out)]) == 1
+    check = json.load(open(out))["cross_check"]
+    assert check["checked"] == 100 and check["disagreements"] > 0
+    assert (f"{check['members']} members, {check['disagreements']} "
+            "disagreements") in capsys.readouterr().out
 
 
 def test_equiv_check_cli(workdir, capsys):

@@ -6,8 +6,8 @@ import pytest
 from coporeg import (DEFAULT, CopositiveProgram, DualCertificate,
                      FaceLedgerEntry, LedgerError, LpError, LpSolution, Record,
                      ReducedRegion, SipError, SipInstance, compress_ledger,
-                     disjointness_condition, eval_constraint, face_membership,
-                     feasibility_equiv_sample, forced_zero_rows,
+                     disjointness_condition, eval_constraint, face_forms_agree,
+                     face_membership, feasibility_equiv_sample, forced_zero_rows,
                      generate_instance, kernel_dimension, minimal_face,
                      one_step_regularize, quad_form, regularize,
                      sample_copositive, sample_feasible, update_index_sets,
@@ -18,7 +18,7 @@ from coporeg.model import (SimplexPoint, certificate_matrix, kernel_residual,
                            project_to_zero_rows, row_pairs, row_residuals,
                            zero_row_matrix)
 from coporeg.oracle import is_copositive
-from coporeg.regularize import MinimalFaceDescriptor, face_rows
+from coporeg.regularize import face_rows
 from coporeg.sip import _build_master, record_rows
 
 from conftest import simplex
@@ -203,16 +203,17 @@ def _copositivity_first(records, D, cfg=DEFAULT):
     return eq, eq and ineq_margin >= -cfg.tol_feas
 
 
-def test_memberships_match_the_copositivity_first_definition():
+def test_memberships_match_the_copositivity_first_definition(monkeypatch):
+    # face_forms_agree, fed these samples, counts the members and the
+    # disagreements of the copositivity-first forms
     rng = np.random.default_rng(11)
     seen = set()
     for p in (2, 3, 4, 5):
         half = np.zeros(p)
         half[:2] = 0.5
-        vertices = (SimplexPoint(np.eye(p)[0]), SimplexPoint(half))
-        M = {0: (0,), 1: (0, 1)}
-        face = MinimalFaceDescriptor(vertices, M)
-        C = zero_row_matrix(face.records)
+        records = (Record(SimplexPoint(np.eye(p)[0]), (0,)),
+                   Record(SimplexPoint(half), (0, 1)))
+        C = zero_row_matrix(records)
         samples = []
         for _ in range(40):
             D = sample_copositive(p, rng)
@@ -224,12 +225,15 @@ def test_memberships_match_the_copositivity_first_definition():
         bad = np.zeros((p, p))
         bad[-1, -1] = -1.0
         samples.append(bad)
-        for D in samples:
-            ref = _copositivity_first(face.records, D)
-            assert face._memberships(D) == ref
-            assert face_membership(face.records, D) == ref[1]
-            seen.add((is_copositive(D).copositive,
-                      face_rows(face.records, D)[1]))
+        refs = [_copositivity_first(records, D) for D in samples]
+        for D, ref in zip(samples, refs):
+            assert face_membership(records, D) == ref[1]
+            seen.add((is_copositive(D).copositive, face_rows(records, D)[1]))
+        monkeypatch.setattr(REGULARIZE, "_face_samples",
+                            lambda *_a, samples=samples: iter(samples))
+        assert face_forms_agree(records, n_samples=len(samples)) == {
+            "checked": len(samples), "members": sum(a for a, _b in refs),
+            "disagreements": sum(a and not b for a, b in refs)}
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
@@ -373,6 +377,17 @@ def test_one_step_incomplete_vertex_set(e3):
         one_step_regularize(e3, [simplex(1, 0)])
 
 
+def test_one_step_checks_w_at_the_origin_before_the_solve(e2, monkeypatch):
+    # A_0 is copositive, so x = 0 is feasible, and t'A(0)t = 1 at (0, 1)
+    def no_solve(*_a, **_kw):
+        raise AssertionError("solve_sip called")
+
+    monkeypatch.setattr(REGULARIZE, "solve_sip", no_solve)
+    with pytest.raises(ValueError, match=r"supplied point \[0.0, 1.0\] is not "
+                       "immobile: quadratic value 1.000e\\+00 at a feasible x"):
+        one_step_regularize(e2, [simplex(0, 1)])
+
+
 def test_one_step_give_up_raises(e2):
     with pytest.raises(SipError, match="round cap exceeded") as info:
         one_step_regularize(e2, [simplex(1, 0)], DEFAULT.replace(cut_rounds=1))
@@ -509,23 +524,34 @@ def test_excluded_rows_are_positive_at_feasible_points(face_cases, name,
 
 def test_minimal_face_e2(e2, reg_e2):
     face = minimal_face(e2, [simplex(1, 0)], reg_e2.regularized)
-    assert face.M[0] == (0,)
-    assert face.member_eq(np.array([[0.0, 0.0], [0.0, 1.0]]))
-    assert not face.member_eq(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    assert face.member_eq(np.zeros((2, 2)))
-    report = face.cross_check(n_samples=200, seed=5)
+    assert [(r.tau, r.L) for r in face] == [(simplex(1, 0), {0})]
+    assert face_membership(face, np.array([[0.0, 0.0], [0.0, 1.0]]))
+    assert not face_membership(face, np.array([[1.0, 0.0], [0.0, 0.0]]))
+    assert face_membership(face, np.zeros((2, 2)))
+    report = face_forms_agree(face, n_samples=200, seed=5)
     assert report["disagreements"] == 0
     assert report["members"] > 0
 
 
 def test_minimal_face_e3(e3, reg_e3):
     face = minimal_face(e3, [simplex(0.5, 0.5)], reg_e3.regularized)
-    assert face.M[0] == (0, 1)
+    assert [(r.tau, r.L) for r in face] == [(simplex(0.5, 0.5), {0, 1})]
     D = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    assert face.member_eq(D) and face.member_eq_ineq(D)
-    assert face.member_eq(3.0 * D)
-    assert not face.member_eq(np.eye(2))
-    assert face.cross_check(n_samples=200, seed=5)["disagreements"] == 0
+    assert face_rows(face, D) == (True, True) and face_membership(face, D)
+    assert face_membership(face, 3.0 * D)
+    assert not face_membership(face, np.eye(2))
+    assert face_forms_agree(face, n_samples=200, seed=5)["disagreements"] == 0
+
+
+def test_face_forms_agree_counts_a_wrong_row_set(e2, reg_e2, monkeypatch):
+    # with no forced-zero rows the sign rows cut samples that the equality
+    # form (no rows at all) keeps: the disagreements are counted, not raised
+    monkeypatch.setattr(REGULARIZE, "forced_zero_rows", lambda *_a: ())
+    face = minimal_face(e2, [simplex(1, 0)], reg_e2.regularized)
+    assert face[0].L == frozenset()
+    report = face_forms_agree(face, n_samples=200, seed=5)
+    assert report["checked"] == 200
+    assert 0 < report["disagreements"] <= report["members"]
 
 
 # ---------------------------------------------------------------------------

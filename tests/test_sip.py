@@ -17,8 +17,9 @@ from conftest import simplex
 def test_sip0_e1_negative(e1):
     out = solve_sip(SipInstance(e1, ()), DEFAULT,
                     a0_copositive=True)
-    assert out.negative_feasible
-    x_bar, mu_bar = out.point.x, out.point.mu
+    assert out.kind == "negative"
+    x_bar, mu_bar = out.x, out.mu
+    assert not out.x.flags.writeable
     assert mu_bar <= -0.25 + 1e-6
     # the witness really is strictly feasible with the claimed slack
     assert min_quad_over_simplex(eval_constraint(e1, x_bar)).value >= -mu_bar
@@ -27,7 +28,7 @@ def test_sip0_e1_negative(e1):
 def test_sip0_e2_zero_certificate(e2):
     out = solve_sip(SipInstance(e2, ()), DEFAULT,
                     a0_copositive=True)
-    assert out.optimal_zero
+    assert out.kind == "zero"
     cert = out.certificate
     assert len(cert.new_indices) == 1
     t, g = cert.new_indices[0]
@@ -45,9 +46,9 @@ def test_sip1_e2_negative(e2):
     omega = ReducedRegion([tau])
     inst = SipInstance(e2, (Record(tau, {0}),), omega)
     out = solve_sip(inst, DEFAULT, a0_copositive=True)
-    assert out.negative_feasible
-    assert out.point.mu <= -0.25 + 1e-6
-    assert out.point.x[0] >= -1e-9
+    assert out.kind == "negative"
+    assert out.mu <= -0.25 + 1e-6
+    assert out.x[0] >= -1e-9
 
 
 def test_sip_evaluates_region_only_at_reported_resolution(e2, monkeypatch):
@@ -76,7 +77,7 @@ def test_sip_evaluates_region_only_at_reported_resolution(e2, monkeypatch):
     tau = simplex(1, 0)
     inst = SipInstance(e2, (Record(tau, {0}),), ReducedRegion([tau]))
     out = solve_sip(inst, DEFAULT, a0_copositive=True)
-    assert out.negative_feasible and seen
+    assert out.kind == "negative" and seen
     assert all(h >= out.diagnostics["h"] for h in seen)
 
     W = [simplex(1, 0, 0), simplex(0, 1, 0)]
@@ -90,7 +91,7 @@ def test_sip_evaluates_region_only_at_reported_resolution(e2, monkeypatch):
 def test_sip0_e3_zero(e3):
     out = solve_sip(SipInstance(e3, ()), DEFAULT,
                     a0_copositive=True)
-    assert out.optimal_zero
+    assert out.kind == "zero"
     t, g = out.certificate.new_indices[0]
     assert np.allclose(t.coords, [0.5, 0.5])
     assert g == pytest.approx(1.0)
@@ -112,7 +113,7 @@ def test_zero_optimum_not_an_artifact_of_origin(e2):
 
 def test_cut_points_active_at_master(e2):
     out = solve_sip(SipInstance(e2, ()), DEFAULT)
-    x_star = out.point.x
+    x_star = out.x
     ax = eval_constraint(e2, x_star)
     for t, _g in out.certificate.new_indices:
         assert abs(float(t.coords @ ax @ t.coords)) <= DEFAULT.tol_feas * 10
@@ -176,8 +177,8 @@ def test_empty_region_reduces_to_lp():
     inst = SipInstance(prog, (Record(taus[0], {0}), Record(taus[1], {1})),
                        omega)
     out = solve_sip(inst, DEFAULT)
-    assert out.negative_feasible
-    assert out.point.mu == -1.0
+    assert out.kind == "negative"
+    assert out.mu == -1.0
     assert out.diagnostics.get("omega_empty")
 
 
@@ -235,10 +236,9 @@ def test_record_rows_are_built_once_per_instance(e2, monkeypatch):
     inst = SipInstance(e2, (Record(tau, {0}),), ReducedRegion([tau]))
     assert calls == [1]
     out = solve_sip(inst, DEFAULT, a0_copositive=True)
-    assert out.negative_feasible and out.diagnostics["rounds"] > 1
+    assert out.kind == "negative" and out.diagnostics["rounds"] > 1
     assert calls == [1]
-    reg = RegularizedProblem(e2, inst.records, inst.omega, out.point.x,
-                             -out.point.mu)
+    reg = RegularizedProblem(e2, inst.records, inst.omega, out.x, -out.mu)
     assert calls == [1, 1]
     assert forced_zero_rows(e2, tau, reg) == (0,)
     assert calls == [1, 1]
@@ -294,9 +294,9 @@ def test_box_escalation_reaches_a_witness_outside_the_first_box():
     assert DEFAULT.box_r == 1000.0
     out = solve_sip(SipInstance(prog, ()), DEFAULT)
     assert out.kind == "negative"
-    assert out.point.x.tolist() == [1e4]
+    assert out.x.tolist() == [1e4]
     res = regularize(prog)
-    assert res.status == "regular" and res.witness.x.tolist() == [1e4]
+    assert res.status == "regular" and res.witness.tolist() == [1e4]
 
 
 def test_master_infeasible_in_the_box_names_the_box():
