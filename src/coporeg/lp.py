@@ -2,10 +2,24 @@
 
 Two-phase simplex on a standard form built from arrays: free variables are
 split, lower-bounded variables shifted, upper bounds become internal rows.
+A program builds its standard form once, from its rows and bounds, and
+keeps it read-only; ``LinearProgram.with_objective`` returns a program
+with another objective that shares the checked rows, the bounds and the
+standard form, so LPs that differ only in their objective (the
+hull-distance LPs of one hull) build it once.  A solve builds only its
+cost vector.
+
 Pivoting is Dantzig's rule with deterministic lowest-index tie-breaking,
 falling back to Bland's rule once a run of degenerate pivots trips the
-cycling heuristic.  Dual multipliers follow the convention (min problem):
->= rows nonnegative, <= rows nonpositive, == rows free.
+cycling heuristic.  A pivot makes two ``np.linalg.solve`` calls: one over
+the stack (B, B') gives the basic solution and the duals, and one gives
+the entering column.  LAPACK still factorises each matrix of the stack on
+its own (one ``gesv`` with one right-hand side each), so the results are
+the bits of separate solves, and B is factorised three times per pivot.
+Solving all three against one factorisation would round differently and
+so move pivots, which are kept bit-identical.  Dual multipliers follow
+the convention (min problem): >= rows nonnegative, <= rows nonpositive,
+== rows free.
 """
 
 import numpy as np
@@ -23,6 +37,32 @@ class LpError(RuntimeError):
     """Numerical failure inside the simplex engine."""
 
 
+def _first(mask):
+    """Index of the first True entry of a boolean vector."""
+    return int(mask.nonzero()[0][0])
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+
+
+def _checked_objective(objective, nvar=None):
+    """The objective as a read-only float vector (a copy), finite and, when
+    ``nvar`` is given, of that length."""
+    c = np.array(objective, dtype=float)
+    if c.ndim != 1:
+        raise ValueError("objective must be a vector")
+    if nvar is not None and c.size != nvar:
+        raise ValueError(f"objective has {c.size} coefficients, expected {nvar}")
+    finite = np.isfinite(c)
+    if not finite.all():
+        raise ValueError(f"objective coefficient of variable {_first(~finite)} "
+                         "is not finite")
+    _read_only(c)
+    return c
+
+
 class LinearProgram:
     """min objective . x subject to rows (coeffs, relation, rhs) and bounds.
 
@@ -30,16 +70,12 @@ class LinearProgram:
     default to free.  The objective, the coefficients and the right-hand
     sides must be finite.  The rows are stacked into ``A``, ``rel`` and
     ``b``; ``rows`` gives them back as (coeffs, relation, rhs) tuples.
+    Every array is read-only, and the standard form is built here, once.
     """
 
     def __init__(self, objective, rows, bounds=None):
-        self.objective = np.asarray(objective, dtype=float)
-        if self.objective.ndim != 1:
-            raise ValueError("objective must be a vector")
+        self.objective = _checked_objective(objective)
         nvar = self.objective.size
-        bad = np.flatnonzero(~np.isfinite(self.objective))
-        if bad.size:
-            raise ValueError(f"objective coefficient of variable {bad[0]} is not finite")
         A, rel, b = [], [], []
         for i, (coeffs, r, rhs) in enumerate(rows):
             a = np.asarray(coeffs, dtype=float)
@@ -53,24 +89,33 @@ class LinearProgram:
         self.A = np.array(A, dtype=float).reshape(len(A), nvar)
         self.rel = np.array(rel, dtype="<U2")
         self.b = np.array(b, dtype=float)
-        bad = np.flatnonzero(~np.isfinite(self.A).all(axis=1))
-        if bad.size:
-            raise ValueError(f"row {bad[0]} has a non-finite coefficient")
-        bad = np.flatnonzero(~np.isfinite(self.b))
-        if bad.size:
-            raise ValueError(f"row {bad[0]} rhs must be finite")
+        finite = np.isfinite(self.A).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"row {_first(~finite)} has a non-finite coefficient")
+        finite = np.isfinite(self.b)
+        if not finite.all():
+            raise ValueError(f"row {_first(~finite)} rhs must be finite")
         if bounds is None:
             bounds = [(-np.inf, np.inf)] * nvar
         if len(bounds) != nvar:
             raise ValueError("bounds length must match the variable count")
         self.lo, self.hi = np.array(bounds, dtype=float).reshape(nvar, 2).T
-        bad = np.flatnonzero(~(self.lo <= self.hi) | np.isposinf(self.lo)
-                             | np.isneginf(self.hi))
-        if bad.size:
-            j = bad[0]
+        bad = ~(self.lo <= self.hi) | np.isposinf(self.lo) | np.isneginf(self.hi)
+        if bad.any():
+            j = _first(bad)
             raise ValueError(f"variable {j} has invalid bounds "
                              f"[{self.lo[j]}, {self.hi[j]}]")
+        _read_only(self.A, self.rel, self.b, self.lo, self.hi)
         self.nvar = nvar
+        self._std = _Std(self)
+
+    def with_objective(self, objective):
+        """This program with another objective, checked as the constructor
+        checks one; the rows, the bounds and the standard form are shared."""
+        prog = object.__new__(LinearProgram)
+        prog.__dict__.update(self.__dict__)
+        prog.objective = _checked_objective(objective, self.nvar)
+        return prog
 
     @property
     def rows(self):
@@ -101,51 +146,57 @@ class _Std:
     variable is split (signs +1, -1, shift 0), a lower-bounded one shifted
     by its bound, an upper-only one negated and shifted by its bound.
     Finite upper bounds of lower-bounded variables follow the user rows as
-    ``<=`` rows.  Slack columns come next, artificial columns last.
+    ``<=`` rows.  Slack columns come next, artificial columns last.  A row
+    with a negative right-hand side is flipped: its structural entries,
+    its right-hand side and its slack sign are negated.  Only the rows and
+    bounds enter; the arrays are read-only.
     """
 
     def __init__(self, lp):
         lo, hi = lp.lo, lp.hi
         free = np.isneginf(lo) & np.isposinf(hi)
         upper_only = np.isneginf(lo) & np.isfinite(hi)
-        self.orig = np.repeat(np.arange(lp.nvar), np.where(free, 2, 1))
-        self.sign = np.where(upper_only, -1.0, 1.0)[self.orig]
-        self.sign[1:][self.orig[1:] == self.orig[:-1]] = -1.0   # split halves
+        self.orig = orig = np.repeat(np.arange(lp.nvar), np.where(free, 2, 1))
+        self.sign = sign = np.where(upper_only, -1.0, 1.0)[orig]
+        sign[1:][orig[1:] == orig[:-1]] = -1.0   # split halves
         shift = np.where(upper_only, hi, np.where(free, 0.0, lo))
-        self.shift = shift[self.orig]
-        self.nstruct = nstruct = self.orig.size
+        self.shift = shift[orig]
+        self.nstruct = nstruct = orig.size
         self.nvar = lp.nvar
 
-        # + 0.0: a zero coefficient stays +0.0 in a negated column
-        A = lp.A[:, self.orig] * self.sign + 0.0
-        b = lp.b.copy()
-        for j in np.flatnonzero(shift != 0.0):   # b_i - a_i1 s_1 - a_i2 s_2 - ..., in turn
-            b -= lp.A[:, j] * shift[j]
-        ub = np.flatnonzero(np.isfinite(lo[self.orig]) & np.isfinite(hi[self.orig]))
-        A = np.vstack([A, np.eye(nstruct)[ub]])
-        b = np.concatenate([b, (hi - lo)[self.orig[ub]]])
-        sense = np.concatenate([np.where(lp.rel == REL_LE, 1.0,
-                                         np.where(lp.rel == REL_GE, -1.0, 0.0)),
-                                np.ones(ub.size)])   # slack sign; 0 for ==
-
+        m_user = lp.b.size
+        ub = (np.isfinite(lo[orig]) & np.isfinite(hi[orig])).nonzero()[0]
+        m = m_user + ub.size
+        b = np.empty(m)
+        b[:m_user] = lp.b
+        for j in (shift != 0.0).nonzero()[0]:   # b_i - a_i1 s_1 - a_i2 s_2 - ..., in turn
+            b[:m_user] -= lp.A[:, j] * shift[j]
+        b[m_user:] = (hi - lo)[orig[ub]]
+        sense = np.ones(m)                       # slack sign; 0 for ==
+        sense[:m_user] = np.where(lp.rel == REL_LE, 1.0,
+                                  np.where(lp.rel == REL_GE, -1.0, 0.0))
         flip = b < 0.0
-        A[flip] = -A[flip]
         b[flip] = -b[flip]
         sense[flip] = -sense[flip]
-        self.row_flip = np.where(flip, -1.0, 1.0)[:lp.b.size]
+        self.row_flip = np.where(flip, -1.0, 1.0)[:m_user]
 
-        m = b.size
-        slack = np.flatnonzero(sense != 0.0)
-        art = np.flatnonzero(sense <= 0.0)
-        self.A = np.hstack([A, np.diag(sense)[:, slack], np.eye(m)[:, art]])
-        self.b = b
-        self.n_real_cols = nstruct + slack.size
+        slack = (sense != 0.0).nonzero()[0]
+        art = (sense <= 0.0).nonzero()[0]
+        self.n_real_cols = n_real = nstruct + slack.size
+        A = np.zeros((m, n_real + art.size))
+        # + 0.0: a zero coefficient stays +0.0 in a negated column
+        A[:m_user, :nstruct] = lp.A[:, orig] * sign + 0.0
+        A[m_user + np.arange(ub.size), ub] = 1.0
+        A[flip, :nstruct] = -A[flip, :nstruct]
+        A[slack, nstruct + np.arange(slack.size)] = sense[slack]
+        A[art, n_real + np.arange(art.size)] = 1.0
+        self.A, self.b = A, b
         basis = np.empty(m, dtype=int)
         basis[slack] = nstruct + np.arange(slack.size)
-        basis[art] = self.n_real_cols + np.arange(art.size)   # >= rows too
-        self.basis = basis.tolist()
-        self.c = np.zeros(self.A.shape[1])
-        self.c[:nstruct] = self.sign * lp.objective[self.orig]
+        basis[art] = n_real + np.arange(art.size)   # >= rows too
+        self.basis = basis
+        self.scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
+        _read_only(self.orig, self.sign, self.shift, self.row_flip, A, b, basis)
 
     def to_original(self, v):
         """Original-variable point of the standard-form point ``v``."""
@@ -153,8 +204,17 @@ class _Std:
                            minlength=self.nvar)
 
 
+def _basic_solution(stack, rhs):
+    """``(x_B, y)`` from one ``np.linalg.solve`` call: ``stack`` holds
+    (B, B'), ``rhs`` holds (b, c_B) as (2, m, 1).  LAPACK solves each
+    matrix on its own, with one right-hand side, as two calls would."""
+    xy = np.linalg.solve(stack, rhs)
+    return xy[0, :, 0], xy[1, :, 0]
+
+
 def _simplex(A, b, c, basis, n_allow, tol):
-    """Iterate to optimality, pricing the columns ``0 .. n_allow - 1``.
+    """Iterate to optimality, pricing the columns ``0 .. n_allow - 1``;
+    ``basis`` (an int array) is updated in place.
 
     Returns (xb, y, unbounded).
     """
@@ -163,36 +223,42 @@ def _simplex(A, b, c, basis, n_allow, tol):
         return np.zeros(0), np.zeros(0), bool(np.any(c[:n_allow] < -tol))
     degenerate_run = 0
     use_bland = False
-    priced = A[:, :n_allow]
+    priced_t = A[:, :n_allow].T
+    c_priced = c[:n_allow]
     in_basis = np.zeros(A.shape[1], dtype=bool)
     in_basis[basis] = True
+    basic_priced = in_basis[:n_allow]              # a view: follows in_basis
+    stack = np.empty((2, m, m))
+    B = stack[0]
+    rhs = np.empty((2, m, 1))
+    rhs[0, :, 0] = b
     for _ in range(_MAX_ITERS):
+        A.take(basis, axis=1, out=B)
+        stack[1] = B.T
+        c.take(basis, out=rhs[1, :, 0])
         try:
-            B = A[:, basis]
-            xb = np.linalg.solve(B, b)
-            y = np.linalg.solve(B.T, c[basis])
+            xb, y = _basic_solution(stack, rhs)
         except np.linalg.LinAlgError as e:
-            raise LpError(f"singular basis {tuple(basis)}: {e}") from e
-        reduced = c[:n_allow] - priced.T @ y
-        mask = ~in_basis[:n_allow] & (reduced < -tol)
-        if not np.any(mask):
+            raise LpError(f"singular basis {tuple(basis.tolist())}: {e}") from e
+        reduced = c_priced - priced_t @ y
+        cand = (~basic_priced & (reduced < -tol)).nonzero()[0]
+        if cand.size == 0:
             return xb, y, False
-        cand = np.flatnonzero(mask)
         if use_bland:
             enter = int(cand[0])
         else:
-            enter = int(cand[int(np.argmin(reduced[mask]))])
+            enter = int(cand[reduced[cand].argmin()])
         try:
             d = np.linalg.solve(B, A[:, enter])
         except np.linalg.LinAlgError as e:
             raise LpError(f"singular basis on pivot: {e}") from e
-        pos = np.nonzero(d > _PIV_TOL)[0]
+        pos = (d > _PIV_TOL).nonzero()[0]
         if pos.size == 0:
             return xb, y, True
         ratios = xb[pos] / d[pos]
-        best = float(np.min(ratios))
+        best = float(ratios.min())
         ties = pos[ratios <= best + _PIV_TOL * (1.0 + abs(best))]
-        leave_row = int(min(ties, key=lambda r: basis[r]))
+        leave_row = int(ties[basis[ties].argmin()])
         if best <= _PIV_TOL:
             degenerate_run += 1
             if degenerate_run >= _DEGENERATE_RUN:
@@ -207,11 +273,11 @@ def _simplex(A, b, c, basis, n_allow, tol):
 
 def solve_lp(lp, tol=1e-9):
     """Solve a LinearProgram; see module docstring for conventions."""
-    std = _Std(lp)
-    A, b, c = std.A, std.b, std.c
+    std = lp._std
+    A, b = std.A, std.b
     m, ncols = A.shape
     n_real = std.n_real_cols
-    basis = list(std.basis)
+    basis = std.basis.copy()
 
     if m > 0 and n_real < ncols:
         c1 = np.zeros(ncols)
@@ -219,7 +285,7 @@ def solve_lp(lp, tol=1e-9):
         xb, _y, unbounded = _simplex(A, b, c1, basis, ncols, tol)
         if unbounded:
             raise LpError("phase-1 objective reported unbounded")
-        if float(c1[basis] @ xb) > 10.0 * tol * (1.0 + float(np.max(np.abs(b), initial=0.0))):
+        if float(c1[basis] @ xb) > 10.0 * tol * std.scale:
             return LpSolution("Infeasible")
         for row in range(m):
             if basis[row] >= n_real:
@@ -229,14 +295,16 @@ def solve_lp(lp, tol=1e-9):
                 except np.linalg.LinAlgError as e:
                     raise LpError(f"singular basis after phase 1: {e}") from e
                 usable = np.abs(binv_row @ A[:, :n_real]) > _PIV_TOL
-                usable[[j for j in basis if j < n_real]] = False
-                if np.any(usable):
+                usable[basis[basis < n_real]] = False
+                if usable.any():
                     basis[row] = int(np.argmax(usable))
                 # a stuck artificial marks a redundant row; it stays basic at 0
 
+    c = np.zeros(ncols)
+    c[:std.nstruct] = std.sign * lp.objective[std.orig]
     xb, y, unbounded = _simplex(A, b, c, basis, n_real, tol)
     if unbounded:
-        return LpSolution("Unbounded", basis=tuple(basis))
+        return LpSolution("Unbounded", basis=tuple(basis.tolist()))
 
     x_std = np.zeros(ncols)
     x_std[basis] = xb
@@ -244,15 +312,14 @@ def solve_lp(lp, tol=1e-9):
     dual = std.row_flip * y[:std.row_flip.size]
 
     residual = _feas_residual(lp, x)
-    scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
-    if residual > 1e-6 * scale:
+    if residual > 1e-6 * std.scale:
         raise LpError(f"optimal basis fails feasibility, residual {residual:.3e}")
     return LpSolution("Optimal", primal=x, dual=dual,
                       objective_value=float(lp.objective @ x),
-                      basis=tuple(basis), residual=residual)
+                      basis=tuple(basis.tolist()), residual=residual)
 
 
 def _feas_residual(lp, x):
     v = lp.A @ x - lp.b
     row = np.where(lp.rel == REL_EQ, np.abs(v), np.where(lp.rel == REL_LE, v, -v))
-    return float(np.max(np.concatenate([row, lp.lo - x, x - lp.hi]), initial=0.0))
+    return float(np.concatenate([row, lp.lo - x, x - lp.hi]).max(initial=0.0))

@@ -185,6 +185,19 @@ def is_strictly_copositive(D, tol_strict=1e-9, p_max=14):
     return min_quad_over_simplex(D, p_max=p_max).value > tol_strict
 
 
+@lru_cache(maxsize=64)
+def _hull_lp(coords, shape):
+    """The hull-distance LP of the hull points whose (m, p) coordinate
+    array has the bytes ``coords``, with a zero objective (cached: every t
+    shares its rows, its bounds and its standard form)."""
+    V = np.frombuffer(coords).reshape(shape)
+    p = shape[1]
+    # variables g (p) then s; minimize s - g.t
+    rows = [(np.append(v, -1.0), REL_LE, 0.0) for v in V]
+    bounds = [(-1.0, 1.0)] * p + [(-np.inf, np.inf)]
+    return LinearProgram(np.zeros(p + 1), rows, bounds)
+
+
 def l1_dist_to_hull(t, V):
     """l1 distance from t to the convex hull of the points in V (an LP).
 
@@ -195,7 +208,11 @@ def l1_dist_to_hull(t, V):
     g + 1 >= 0, which makes row j's right-hand side sum_k v_jk, so for
     points of the simplex the all-slack basis at g = -1, s = 0 is feasible
     and the solve has no phase 1; hull points with a negative coordinate sum
-    take the two-phase path.
+    take the two-phase path.  Only the objective depends on t: the program
+    of each hull, rows, bounds and standard form, is built once and cached
+    by V's coordinate bytes (the per-hull template cache), and each call
+    solves it ``with_objective``, building only its cost vector; each
+    pivot then costs two ``np.linalg.solve`` calls (see ``coporeg.lp``).
     """
     tc = t.coords if isinstance(t, SimplexPoint) else np.asarray(t, dtype=float)
     pts = [v.coords if isinstance(v, SimplexPoint) else np.asarray(v, dtype=float)
@@ -206,10 +223,9 @@ def l1_dist_to_hull(t, V):
     for v in pts:
         if v.size != p:
             raise DimensionError("hull points must match the dimension of t")
-    # variables g (p) then s; minimize s - g.t
-    rows = [(np.append(v, -1.0), REL_LE, 0.0) for v in pts]
-    bounds = [(-1.0, 1.0)] * p + [(-np.inf, np.inf)]
-    sol = solve_lp(LinearProgram(np.append(-tc, 1.0), rows, bounds))
+    vmat = np.array([v.ravel() for v in pts])
+    hull = _hull_lp(vmat.tobytes(), vmat.shape)
+    sol = solve_lp(hull.with_objective(np.append(-tc, 1.0)))
     if sol.status != "Optimal":
         raise LpError(f"hull-distance LP reported {sol.status}; this cannot "
                       "happen for nonempty V")
@@ -236,8 +252,11 @@ class ReducedRegion:
     dual form.  A cheap sandwich (dual sign vectors below, nearest-point
     distance above) decides almost every grid point; a point it leaves
     undecided at either cut of ``grid_mask`` gets one exact LP, which
-    decides both cuts.  With one hull point the nearest-point distance is
-    the hull distance, so its masks need no sign vectors and no LP.
+    decides both cuts.  The LPs of one hull differ only in their
+    objective: the hull's program and its standard form come from a
+    per-hull template cache, so each LP builds only its cost vector.  With
+    one hull point the nearest-point distance is the hull distance, so its
+    masks need no sign vectors and no LP.
 
     ``empty`` is exact from the vertices, with no grid and no LP: the hull
     distance is convex, so it peaks at a simplex vertex e_k, where it is

@@ -403,16 +403,17 @@ def forced_zero_rows(prog, t_j, reg, cfg=DEFAULT):
     record rows and aff F = aff P.  For an immobile t_j the row is >= 0 on
     F, so it vanishes on F exactly when its maximum over P intersected
     with a box around the witness is at the numerical zero level: one LP
-    per row, no separation.
+    per row, no separation.  The LPs differ only in their objective, so
+    they share one program's rows, bounds and standard form.
     """
     # the box must hold a neighbourhood of the witness, where P and F agree;
     # witnesses of `regularize` often sit on the master's box |x_j| <= box_r
     r = max(cfg.box_r, 2.0 * float(np.max(np.abs(reg.witness), initial=0.0)))
-    box = [(-r, r)] * prog.n
+    rows_lp = LinearProgram(np.zeros(prog.n), reg.rows, [(-r, r)] * prog.n)
     members = []
     for k in range(prog.p):
         coefs, rhs = linear_row_data(prog, t_j, k)
-        sol = solve_lp(LinearProgram(-coefs, reg.rows, box), tol=cfg.tol_lp)
+        sol = solve_lp(rows_lp.with_objective(-coefs), tol=cfg.tol_lp)
         if sol.status != "Optimal":
             raise LpError(f"row maximization LP reported {sol.status}")
         if float(coefs @ sol.primal) - rhs <= cfg.tol_feas:

@@ -54,6 +54,15 @@ def test_regularize_writes_report(workdir, capsys, e2):
     assert report["tolerances"]["tol_cert"] == DEFAULT.tol_cert
 
 
+def test_two_vertex_fixture_is_the_planting_of_seed_50():
+    # the CI job regularizes this file from a bare install
+    with open(fixture_path("two_vertex50.json"), "rb") as fh:
+        data = fh.read()
+    prog = generate_instance(seed=50, p=3, n=2,
+                             planted=[simplex(1, 0, 0), simplex(0, 1, 0)])
+    assert data == serialize_problem(prog)
+
+
 def test_regularize_regular_status(workdir, capsys):
     rc = main(["regularize", "--problem", workdir["e1"]])
     assert rc == 0

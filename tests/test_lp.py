@@ -1,7 +1,11 @@
+import collections
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from coporeg import LinearProgram, LpError, solve_lp
+from coporeg import (LinearProgram, LpError, SimplexPoint, generate_instance,
+                     oracle, regularize, sip, solve_lp)
 from coporeg import lp as lp_mod
 from coporeg.lp import REL_EQ, REL_GE, REL_LE
 
@@ -125,6 +129,10 @@ def test_bland_rule_breaks_beales_cycle(monkeypatch):
     ([1.0, np.inf], [], None, "variable 1"),
     ([1.0], [([np.nan], REL_GE, 1.0)], [(0.0, np.inf)], "row 0"),
     ([1.0], [([1.0], REL_LE, 2.0), ([np.inf], REL_GE, 1.0)], None, "row 1"),
+    ([1.0], [([1.0], REL_LE, 2.0), ([np.inf], REL_GE, 1.0), ([np.nan], REL_LE, 1.0)],
+     None, "row 1 has"),
+    ([1.0], [([1.0], REL_LE, 2.0), ([1.0], REL_GE, np.inf), ([1.0], REL_LE, np.nan)],
+     None, "row 1 rhs"),
     ([1.0], [([1.0], REL_GE, np.nan)], None, "row 0"),
     ([1.0], [], [(np.nan, 1.0)], "variable 0"),
     ([1.0, 1.0], [], [(0.0, 1.0), (0.0, np.nan)], "variable 1"),
@@ -132,8 +140,8 @@ def test_bland_rule_breaks_beales_cycle(monkeypatch):
     ([1.0], [], [(-np.inf, -np.inf)], "variable 0"),
     ([1.0], [], [(2.0, 1.0)], "variable 0"),
 ], ids=["nan-objective", "inf-objective", "nan-coefficient", "inf-coefficient",
-        "nan-rhs", "nan-lower", "nan-upper", "lower-plus-inf", "upper-minus-inf",
-        "empty-interval"])
+        "two-bad-rows", "two-bad-rhs", "nan-rhs", "nan-lower", "nan-upper",
+        "lower-plus-inf", "upper-minus-inf", "empty-interval"])
 def test_non_finite_data_is_rejected(objective, rows, bounds, needle):
     with pytest.raises(ValueError, match=needle):
         LinearProgram(objective, rows, bounds)
@@ -220,3 +228,351 @@ def test_agrees_with_highs(kind):
         assert ours.status == _HIGHS_STATUS[ref.status] == expected, (ours, ref.message)
         if expected == "Optimal":
             assert abs(ours.objective_value - ref.fun) <= 1e-7 * (1.0 + abs(ref.fun))
+
+
+# --- bit identity with the engine that rebuilt its standard form per solve ---
+#
+# The reference below is the engine as it was before programs kept their
+# standard form and the simplex stacked its basis solves: a standard form
+# built with vstack/hstack/diag/eye on every solve, and three separate
+# np.linalg.solve calls per pivot.  Its arithmetic is kept as it was; it
+# only records which branches a solve took, in ``events``.
+
+_REF_PIV_TOL = 1e-10
+_REF_DEGENERATE_RUN = 50
+_REF_MAX_ITERS = 20000
+
+
+class _RefStd:
+    def __init__(self, lp):
+        lo, hi = lp.lo, lp.hi
+        free = np.isneginf(lo) & np.isposinf(hi)
+        upper_only = np.isneginf(lo) & np.isfinite(hi)
+        self.orig = np.repeat(np.arange(lp.nvar), np.where(free, 2, 1))
+        self.sign = np.where(upper_only, -1.0, 1.0)[self.orig]
+        self.sign[1:][self.orig[1:] == self.orig[:-1]] = -1.0   # split halves
+        shift = np.where(upper_only, hi, np.where(free, 0.0, lo))
+        self.shift = shift[self.orig]
+        self.nstruct = nstruct = self.orig.size
+        self.nvar = lp.nvar
+
+        A = lp.A[:, self.orig] * self.sign + 0.0
+        b = lp.b.copy()
+        for j in np.flatnonzero(shift != 0.0):
+            b -= lp.A[:, j] * shift[j]
+        ub = np.flatnonzero(np.isfinite(lo[self.orig]) & np.isfinite(hi[self.orig]))
+        A = np.vstack([A, np.eye(nstruct)[ub]])
+        b = np.concatenate([b, (hi - lo)[self.orig[ub]]])
+        sense = np.concatenate([np.where(lp.rel == REL_LE, 1.0,
+                                         np.where(lp.rel == REL_GE, -1.0, 0.0)),
+                                np.ones(ub.size)])
+
+        flip = b < 0.0
+        A[flip] = -A[flip]
+        b[flip] = -b[flip]
+        sense[flip] = -sense[flip]
+        self.row_flip = np.where(flip, -1.0, 1.0)[:lp.b.size]
+
+        m = b.size
+        slack = np.flatnonzero(sense != 0.0)
+        art = np.flatnonzero(sense <= 0.0)
+        self.A = np.hstack([A, np.diag(sense)[:, slack], np.eye(m)[:, art]])
+        self.b = b
+        self.n_real_cols = nstruct + slack.size
+        basis = np.empty(m, dtype=int)
+        basis[slack] = nstruct + np.arange(slack.size)
+        basis[art] = self.n_real_cols + np.arange(art.size)
+        self.basis = basis.tolist()
+        self.c = np.zeros(self.A.shape[1])
+        self.c[:nstruct] = self.sign * lp.objective[self.orig]
+
+    def to_original(self, v):
+        return np.bincount(self.orig, weights=self.sign * v[:self.nstruct] + self.shift,
+                           minlength=self.nvar)
+
+
+def _ref_simplex(A, b, c, basis, n_allow, tol):
+    m = A.shape[0]
+    if m == 0:
+        return np.zeros(0), np.zeros(0), bool(np.any(c[:n_allow] < -tol))
+    degenerate_run = 0
+    use_bland = False
+    priced = A[:, :n_allow]
+    in_basis = np.zeros(A.shape[1], dtype=bool)
+    in_basis[basis] = True
+    for _ in range(_REF_MAX_ITERS):
+        try:
+            B = A[:, basis]
+            xb = np.linalg.solve(B, b)
+            y = np.linalg.solve(B.T, c[basis])
+        except np.linalg.LinAlgError as e:
+            raise LpError(f"singular basis {tuple(basis)}: {e}") from e
+        reduced = c[:n_allow] - priced.T @ y
+        mask = ~in_basis[:n_allow] & (reduced < -tol)
+        if not np.any(mask):
+            return xb, y, False
+        cand = np.flatnonzero(mask)
+        if use_bland:
+            enter = int(cand[0])
+        else:
+            enter = int(cand[int(np.argmin(reduced[mask]))])
+        try:
+            d = np.linalg.solve(B, A[:, enter])
+        except np.linalg.LinAlgError as e:
+            raise LpError(f"singular basis on pivot: {e}") from e
+        pos = np.nonzero(d > _REF_PIV_TOL)[0]
+        if pos.size == 0:
+            return xb, y, True
+        ratios = xb[pos] / d[pos]
+        best = float(np.min(ratios))
+        ties = pos[ratios <= best + _REF_PIV_TOL * (1.0 + abs(best))]
+        leave_row = int(min(ties, key=lambda r: basis[r]))
+        if best <= _REF_PIV_TOL:
+            degenerate_run += 1
+            if degenerate_run >= _REF_DEGENERATE_RUN:
+                use_bland = True
+        else:
+            degenerate_run = 0
+        in_basis[basis[leave_row]] = False
+        in_basis[enter] = True
+        basis[leave_row] = enter
+    raise LpError("simplex iteration cap exceeded")
+
+
+def _ref_solve_lp(lp, tol=1e-9, events=None):
+    events = collections.Counter() if events is None else events
+    std = _RefStd(lp)
+    A, b, c = std.A, std.b, std.c
+    m, ncols = A.shape
+    n_real = std.n_real_cols
+    basis = list(std.basis)
+
+    if m > 0 and n_real < ncols:
+        events["phase 1"] += 1
+        c1 = np.zeros(ncols)
+        c1[n_real:] = 1.0
+        xb, _y, unbounded = _ref_simplex(A, b, c1, basis, ncols, tol)
+        if unbounded:
+            raise LpError("phase-1 objective reported unbounded")
+        if float(c1[basis] @ xb) > 10.0 * tol * (1.0 + float(np.max(np.abs(b), initial=0.0))):
+            return lp_mod.LpSolution("Infeasible")
+        for row in range(m):
+            if basis[row] >= n_real:
+                try:
+                    binv_row = np.linalg.solve(A[:, basis].T, np.eye(m)[row])
+                except np.linalg.LinAlgError as e:
+                    raise LpError(f"singular basis after phase 1: {e}") from e
+                usable = np.abs(binv_row @ A[:, :n_real]) > _REF_PIV_TOL
+                usable[[j for j in basis if j < n_real]] = False
+                if np.any(usable):
+                    events["artificial pivoted out"] += 1
+                    basis[row] = int(np.argmax(usable))
+                else:
+                    events["artificial stuck"] += 1
+
+    xb, y, unbounded = _ref_simplex(A, b, c, basis, n_real, tol)
+    if unbounded:
+        return lp_mod.LpSolution("Unbounded", basis=tuple(basis))
+
+    x_std = np.zeros(ncols)
+    x_std[basis] = xb
+    x = std.to_original(x_std)
+    dual = std.row_flip * y[:std.row_flip.size]
+
+    residual = _ref_feas_residual(lp, x)
+    scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
+    if residual > 1e-6 * scale:
+        raise LpError(f"optimal basis fails feasibility, residual {residual:.3e}")
+    return lp_mod.LpSolution("Optimal", primal=x, dual=dual,
+                             objective_value=float(lp.objective @ x),
+                             basis=tuple(basis), residual=residual)
+
+
+def _ref_feas_residual(lp, x):
+    v = lp.A @ x - lp.b
+    row = np.where(lp.rel == REL_EQ, np.abs(v), np.where(lp.rel == REL_LE, v, -v))
+    return float(np.max(np.concatenate([row, lp.lo - x, x - lp.hi]), initial=0.0))
+
+
+def _outcome(solve, prog, **kwargs):
+    """Status, basis and the bytes of every float a solve returns, or the
+    LpError message it raised."""
+    try:
+        sol = solve(prog, **kwargs)
+    except LpError as e:
+        return ("LpError", str(e))
+    fields = (sol.primal, sol.dual, sol.objective_value, sol.residual)
+    return (sol.status, sol.basis,
+            *(None if f is None else np.asarray(f, dtype=float).tobytes() for f in fields))
+
+
+def _rebuilt(prog):
+    return LinearProgram(prog.objective, prog.rows, list(zip(prog.lo, prog.hi)))
+
+
+def _assert_bit_identical(prog, events=None, **kwargs):
+    want = _outcome(_ref_solve_lp, prog, events=events, **kwargs)
+    assert _outcome(solve_lp, prog, **kwargs) == want
+    assert _outcome(solve_lp, _rebuilt(prog), **kwargs) == want
+    return want
+
+
+def _recorded_lps(monkeypatch, owner, run):
+    """The (program, keyword arguments) of every solve_lp call that
+    ``run()`` makes through ``owner``'s binding."""
+    calls = []
+    solve = owner.solve_lp
+
+    def recording(prog, **kwargs):
+        calls.append((prog, kwargs))
+        return solve(prog, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(owner, "solve_lp", recording)
+        run()
+    return calls
+
+
+def test_hull_lps_of_a_two_vertex_region_are_bit_identical(monkeypatch):
+    region = oracle.ReducedRegion([SimplexPoint([1.0, 0.0, 0.0]),
+                                   SimplexPoint([0.0, 1.0, 0.0])])
+    calls = _recorded_lps(monkeypatch, oracle, lambda: region.grid_mask(
+        oracle.simplex_grid(3, 32), 3 / 64))
+    assert len(calls) == 136          # every point the mask leaves undecided
+    for prog, kwargs in calls:
+        assert _assert_bit_identical(prog, **kwargs)[0] == "Optimal"
+
+
+def test_master_lps_of_regularize_are_bit_identical(monkeypatch, e4):
+    gen35 = generate_instance(seed=35, p=4, n=2,
+                              planted=[SimplexPoint([0.5, 0.25, 0.25, 0.0])])
+    for prog, count in ((e4, 5), (gen35, 13)):
+        calls = _recorded_lps(monkeypatch, sip, lambda: regularize(prog))
+        assert len(calls) == count
+        for lp, kwargs in calls:
+            assert set(kwargs) == {"tol"}      # cfg.tol_lp, passed to both engines
+            _assert_bit_identical(lp, **kwargs)
+
+
+_MODES = ("free", "lower", "upper", "boxed", "fixed")
+
+
+@st.composite
+def small_lps(draw):
+    """Small integer LPs over every bound mode and relation, with negative
+    right-hand sides, degenerate and redundant rows: (objective, another
+    objective, rows, bounds, modes)."""
+    nvar = draw(st.integers(1, 4))
+    small = st.integers(-2, 2).map(float)
+    modes = draw(st.lists(st.sampled_from(_MODES), min_size=nvar, max_size=nvar))
+    bounds = []
+    for mode in modes:
+        lo, width = draw(small), float(draw(st.integers(1, 3)))
+        bounds.append({"free": (-np.inf, np.inf), "lower": (lo, np.inf),
+                       "upper": (-np.inf, lo), "boxed": (lo, lo + width),
+                       "fixed": (lo, lo)}[mode])
+    vector = st.lists(small, min_size=nvar, max_size=nvar)
+    rows = draw(st.lists(st.tuples(vector, st.sampled_from(_RELS),
+                                   st.integers(-3, 3).map(float)), max_size=5))
+    return draw(vector), draw(vector), rows, bounds, modes
+
+
+_BRANCHES = {"free", "lower", "upper", "boxed", "fixed", REL_LE, REL_EQ, REL_GE,
+             "negative rhs", "phase 1", "artificial pivoted out", "artificial stuck",
+             "Optimal", "Infeasible", "Unbounded"}
+
+
+def test_generated_lps_are_bit_identical_on_every_branch():
+    seen = collections.Counter()
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=400)
+    @given(small_lps())
+    def check(case):
+        objective, other, rows, bounds, modes = case
+        prog = LinearProgram(objective, rows, bounds)
+        events = collections.Counter()
+        want = _assert_bit_identical(prog, events=events)
+        shared = LinearProgram(other, rows, bounds).with_objective(objective)
+        assert _outcome(solve_lp, shared) == want
+        # the standard form itself, signed zeros included
+        ref, std = _RefStd(prog), prog._std
+        assert std.A.tobytes() == ref.A.tobytes() and std.b.tobytes() == ref.b.tobytes()
+        assert std.row_flip.tobytes() == ref.row_flip.tobytes()
+        assert std.basis.tolist() == ref.basis
+        seen.update(events.keys())
+        seen.update(set(modes) | {rel for _, rel, _ in rows} | {want[0]})
+        if (ref.row_flip < 0.0).any():
+            seen["negative rhs"] += 1
+
+    check()
+    assert _BRANCHES <= set(seen), _BRANCHES - set(seen)
+
+
+# --- the assumptions the bit identity rests on -------------------------------
+
+def test_stacked_basis_solve_matches_two_solves_bitwise():
+    # one np.linalg.solve over (B, B') must give the bits of two calls; a
+    # numpy or LAPACK change that breaks this would move pivots silently
+    rng = np.random.default_rng(18)
+    singular = 0
+    for k in range(5000):
+        m = int(rng.integers(2, 16))
+        if k % 2:
+            B = rng.normal(size=(m, m))
+        else:   # a simplex basis: integer structural columns and unit columns
+            pool = np.hstack([rng.integers(-3, 4, size=(m, m)), np.eye(m), -np.eye(m)])
+            B = pool[:, rng.choice(3 * m, size=m, replace=False)].astype(float)
+        b, cb = rng.normal(size=m), rng.normal(size=m)
+        stack, rhs = np.stack((B, B.T)), np.stack((b, cb))[:, :, None]
+        try:
+            xb, y = lp_mod._basic_solution(stack, rhs)
+        except np.linalg.LinAlgError:
+            # the simplex raises the same LpError when either call would
+            singular += 1
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.solve(B, b)
+                np.linalg.solve(B.T, cb)
+            continue
+        assert xb.tobytes() == np.linalg.solve(B, b).tobytes()
+        assert y.tobytes() == np.linalg.solve(B.T, cb).tobytes()
+    assert singular < 2000           # over 3,000 bases compared
+
+
+def test_program_arrays_are_read_only_and_shared():
+    prog = LinearProgram([1.0, -1.0, 0.5],
+                         [([1.0, 1.0, 0.0], REL_LE, 2.0), ([1.0, -1.0, 1.0], REL_GE, -1.0),
+                          ([0.0, 1.0, 1.0], REL_EQ, 1.0)],
+                         [(0.0, 1.0), (-np.inf, np.inf), (-np.inf, 3.0)])
+    other = prog.with_objective([0.0, 1.0, 0.0])
+    std = prog._std
+    assert other._std is std
+    assert all(getattr(other, k) is getattr(prog, k) for k in ("A", "rel", "b", "lo", "hi"))
+    assert prog.objective.tolist() == [1.0, -1.0, 0.5]
+    arrays = [prog.objective, other.objective, prog.A, prog.rel, prog.b, prog.lo,
+              prog.hi, std.A, std.b, std.basis, std.orig, std.sign, std.shift,
+              std.row_flip]
+    for a in arrays:
+        assert a.size and not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = a[(0,) * a.ndim]
+    assert _outcome(solve_lp, prog) == _outcome(solve_lp, prog)
+
+
+@pytest.mark.parametrize("objective, first", [
+    ([np.nan, 1.0, 2.0], 0), ([1.0, np.inf, -np.inf], 1), ([1.0, 2.0, np.nan], 2)])
+def test_with_objective_rejects_a_non_finite_objective(objective, first):
+    prog = LinearProgram([0.0] * 3, [([1.0, 1.0, 1.0], REL_LE, 1.0)])
+    with pytest.raises(ValueError) as built:
+        LinearProgram(objective, prog.rows)
+    with pytest.raises(ValueError) as shared:
+        prog.with_objective(objective)
+    assert str(shared.value) == str(built.value) == (
+        f"objective coefficient of variable {first} is not finite")
+
+
+def test_with_objective_rejects_a_wrong_length():
+    prog = LinearProgram([0.0] * 3, [([1.0, 1.0, 1.0], REL_LE, 1.0)])
+    with pytest.raises(ValueError, match="objective has 2 coefficients, expected 3"):
+        prog.with_objective([1.0, 2.0])
+    with pytest.raises(ValueError, match="objective must be a vector"):
+        prog.with_objective([[1.0, 2.0, 3.0]])
