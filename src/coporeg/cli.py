@@ -2,17 +2,19 @@
 
 Subcommands: regularize, check-copositive, one-step, minimal-face,
 verify-ledger, equiv-check.  Exit codes: 0 success, 1 domain errors,
-2 usage errors.  The environment variable COPOREG_CONFIG may point to a
-JSON RunConfig; explicit flags win over it.
+2 usage errors.  Each subcommand takes the flags of the RunConfig fields
+it reads.  The environment variable COPOREG_CONFIG may point to a JSON
+RunConfig; explicit flags win over it.
 """
 
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
-from .config import load_env_config
+from .config import RunConfig, load_env_config
 from .model import (ProblemFormatError, SimplexPoint, _float_array, _json_repr,
                     _load_json, _require, _require_int, certificate_matrix,
                     kernel_residual, parse_matrix, parse_problem,
@@ -222,50 +224,43 @@ def _array(v, shape, what):
 def _write_json(doc, path):
     """Write an ``--out`` document; nothing when no path was given."""
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(_jsonable(doc), fh, indent=2)
-            fh.write("\n")
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(_jsonable(doc), fh, indent=2)
+                fh.write("\n")
+        except OSError as e:
+            raise ProblemFormatError(f"--out {path!r}: {e.strerror or e}") from e
 
 
 # ---------------------------------------------------------------------------
 # argument handling
 
-_TOL_FLAGS = ["tol-feas", "tol-support", "tol-rank", "tol-cop", "tol-lp",
-              "tol-mult", "tol-cert", "tol-zero", "tol-neg", "tol-band"]
+# RunConfig field -> (flag, type, help); a flag's dest is its field
+_FLAGS = {f.name: (f"--{f.name.replace('_', '-')}",
+                   int if f.type in (int, int | None) else float, None)
+          for f in fields(RunConfig)} | {
+    "h": ("--h", float, "grid resolution (<= 1/4)"),
+    "iteration_cap": ("--cap", int, "iteration cap (default 2n+2)"),
+    "box_r": ("--box", float, "decision box bound R")}
+
+# what a driver run reads: every field but the sample seed and count
+_DRIVER_FIELDS = [name for name in _FLAGS if name not in ("seed", "samples")]
 
 
-# (flag, type, help) of every RunConfig flag
-_CONFIG_FLAGS = [*((f"--{flag}", float, None) for flag in _TOL_FLAGS),
-                 ("--h", float, "grid resolution (<= 1/4)"),
-                 ("--cap", int, "iteration cap (default 2n+2)"),
-                 ("--box", float, "decision box bound R"),
-                 ("--p-max", int, None), ("--seed", int, None),
-                 ("--samples", int, None)]
-
-
-def _add_common(parser, only=None):
-    """The RunConfig flags (those named in ``only``, when given) and --out."""
-    for flag, kind, help_ in _CONFIG_FLAGS:
-        if only is None or flag in only:
-            parser.add_argument(flag, type=kind, default=None, help=help_)
+def _add_common(parser, names=_FLAGS):
+    """The flags of the RunConfig fields ``names``, those that the
+    subcommand reads, and --out."""
+    for name in names:
+        flag, kind, help_ = _FLAGS[name]
+        parser.add_argument(flag, dest=name, type=kind, default=None,
+                            help=help_, metavar=flag[2:].replace("-", "_").upper())
     parser.add_argument("--out", type=str, default=None,
                         help="write the JSON report here")
 
 
 def _config_from_args(args):
-    overrides = {}
-    for flag in _TOL_FLAGS:
-        name = flag.replace("-", "_")
-        v = getattr(args, name, None)
-        if v is not None:
-            overrides[name] = v
-    mapping = {"h": "h", "cap": "iteration_cap", "box": "box_r",
-               "p_max": "p_max", "seed": "seed", "samples": "samples"}
-    for arg_name, cfg_name in mapping.items():
-        v = getattr(args, arg_name, None)
-        if v is not None:
-            overrides[cfg_name] = v
-    return load_env_config(overrides)
+    return load_env_config({k: v for k, v in vars(args).items()
+                            if k in _FLAGS and v is not None})
 
 
 def _read(path, what):
@@ -276,7 +271,7 @@ def _read(path, what):
         raise ProblemFormatError(f"{what} {path!r}: {e.strerror or e}") from e
 
 
-def _load_problem(args, cfg):
+def _load_problem(args):
     prog = parse_problem(_read(args.problem, "problem file"))
     if getattr(args, "shift", None):
         try:  # bad numbers, a wrong count and a shift off the finite range
@@ -317,9 +312,8 @@ def _driver_result(prog, cfg, regular_note=None):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_regularize(args):
-    cfg = _config_from_args(args)
-    prog = _load_problem(args, cfg)
+def _cmd_regularize(args, cfg):
+    prog = _load_problem(args)
     result = regularize(prog, cfg)
     _write_json(build_report(result, prog, cfg), args.out)
     print(f"status: {result.status}")
@@ -338,8 +332,7 @@ def _cmd_regularize(args):
     return 0
 
 
-def _cmd_check_copositive(args):
-    cfg = _config_from_args(args)
+def _cmd_check_copositive(args, cfg):
     D = parse_matrix(_read(args.matrix, "matrix file"))
     res = is_copositive(D, cfg.tol_cop, cfg.p_max)
     if res.copositive:
@@ -353,9 +346,8 @@ def _cmd_check_copositive(args):
     return 0
 
 
-def _cmd_one_step(args):
-    cfg = _config_from_args(args)
-    prog = _load_problem(args, cfg)
+def _cmd_one_step(args, cfg):
+    prog = _load_problem(args)
     W = _load_points(args.W, prog.p)
     reg = one_step_regularize(prog, W, cfg, strict=not args.loose)
     print(f"witness: {reg.witness.tolist()} (margin {reg.margin:.6g})")
@@ -365,9 +357,8 @@ def _cmd_one_step(args):
     return 0
 
 
-def _cmd_minimal_face(args):
-    cfg = _config_from_args(args)
-    prog = _load_problem(args, cfg)
+def _cmd_minimal_face(args, cfg):
+    prog = _load_problem(args)
     result = _driver_result(prog, cfg, "program satisfies the strict "
                             "feasibility condition; the minimal face is the full cone")
     if isinstance(result, int):
@@ -389,9 +380,8 @@ def _cmd_minimal_face(args):
     return 0 if check["disagreements"] == 0 else 1
 
 
-def _cmd_verify_ledger(args):
-    cfg = _config_from_args(args)
-    prog = _load_problem(args, cfg)
+def _cmd_verify_ledger(args, cfg):
+    prog = _load_problem(args)
     if args.report:
         what = f"report file {args.report!r}"
         report = _load_json(_read(args.report, "report file"), what)
@@ -412,9 +402,8 @@ def _cmd_verify_ledger(args):
     return 0 if rep["ok"] else 1
 
 
-def _cmd_equiv_check(args):
-    cfg = _config_from_args(args)
-    prog = _load_problem(args, cfg)
+def _cmd_equiv_check(args, cfg):
+    prog = _load_problem(args)
     result = _driver_result(prog, cfg, "program is strictly feasible; "
                             "equivalence is trivial")
     if isinstance(result, int):
@@ -438,14 +427,14 @@ def build_parser():
     p.add_argument("--problem", required=True)
     p.add_argument("--shift", default=None,
                    help="comma-separated feasible point; shifts A_0 to A(y)")
-    _add_common(p)
+    _add_common(p, _DRIVER_FIELDS)
     p.set_defaults(func=_cmd_regularize)
 
     # no prefix matching, so that "--h" is not read as "--help"
     p = sub.add_parser("check-copositive", help="test a matrix for copositivity",
                        allow_abbrev=False)
     p.add_argument("--matrix", required=True)
-    _add_common(p, only=("--tol-cop", "--p-max"))
+    _add_common(p, ("tol_cop", "p_max"))
     p.set_defaults(func=_cmd_check_copositive)
 
     p = sub.add_parser("one-step", help="one-step regularization from a "
@@ -455,7 +444,7 @@ def build_parser():
     p.add_argument("--loose", action="store_true",
                    help="emit all rows as inequalities")
     p.add_argument("--shift", default=None)
-    _add_common(p)
+    _add_common(p, [name for name in _DRIVER_FIELDS if name != "iteration_cap"])
     p.set_defaults(func=_cmd_one_step)
 
     p = sub.add_parser("minimal-face", help="describe the minimal face")
@@ -490,7 +479,7 @@ def main(argv=None):
     except SystemExit as e:
         return e.code if e.code is not None else 2
     try:
-        return args.func(args)
+        return args.func(args, _config_from_args(args))
     except (ValueError, RuntimeError) as e:  # ProblemFormatError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -1,10 +1,11 @@
 """Run configuration: tolerances, grid resolution, box bounds, caps."""
 
-import json
 import math
 import os
 from dataclasses import asdict, dataclass, fields
 from numbers import Real
+
+from .model import _load_json
 
 
 @dataclass(frozen=True)
@@ -32,9 +33,6 @@ class RunConfig:
     h: float = 2.0 ** -7         # grid resolution (scaled down for p >= 4)
     box_r: float = 1e3           # box |x_j| <= R and mu >= -R in masters
     iteration_cap: int | None = None
-    cut_rounds: int = 300        # cutting-plane rounds per SIP solve
-    refine_rounds: int = 4       # grid halvings before giving up
-    max_grid_points: int = 3_000_000
     seed: int = 0
     samples: int = 1000          # default sample count for equivalence checks
 
@@ -53,14 +51,12 @@ class RunConfig:
                 raise ValueError(f"{f.name} must be positive, got {v}")
         if not (0.0 < self.h <= 0.25):
             raise ValueError(f"h must lie in (0, 1/4], got {self.h}")
-        if self.iteration_cap is not None and self.iteration_cap < 1:
-            raise ValueError("iteration_cap must be >= 1")
-        if self.box_r <= 0 or self.p_max < 2:
-            raise ValueError("box_r must be positive and p_max >= 2")
-        for name, least in (("samples", 1), ("cut_rounds", 1),
-                            ("refine_rounds", 0), ("max_grid_points", 1)):
+        if not self.box_r > 0.0:
+            raise ValueError(f"box_r must be positive, got {self.box_r}")
+        for name, least in (("iteration_cap", 1), ("p_max", 2),
+                            ("samples", 1), ("seed", 0)):
             v = getattr(self, name)
-            if v < least:
+            if v is not None and v < least:
                 raise ValueError(f"{name} must be >= {least}, got {v}")
 
     def cap_for(self, n):
@@ -94,10 +90,11 @@ def load_env_config(base=None):
     merged = {}
     if path:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                file_cfg = json.load(fh)
-        except (OSError, ValueError) as e:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except OSError as e:
             raise ValueError(f"config file {path!r}: {e}") from e
+        file_cfg = _load_json(data, f"config file {path!r}")
         if not isinstance(file_cfg, dict):
             raise ValueError(f"config file {path!r} must hold a JSON object")
         known = {f.name for f in fields(RunConfig)}

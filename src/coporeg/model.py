@@ -118,7 +118,8 @@ class SimplexPoint:
             np.all(self.coords == other.coords))
 
     def __hash__(self):
-        return hash(self.coords.tobytes())
+        # + 0.0 turns -0.0 into 0.0, which == already equates
+        return hash((self.coords + 0.0).tobytes())
 
     def __repr__(self):
         return f"SimplexPoint({self.coords.tolist()})"

@@ -383,7 +383,10 @@ def _row_spread(G):
     return hi
 
 
-def min_quad_over_omega(D, omega, h, max_grid_points=3_000_000):
+_MAX_GRID_POINTS = 3_000_000   # larger grids raise a CapabilityError
+
+
+def min_quad_over_omega(D, omega, h):
     """Grid minimum of t' D t over the reduced region, certified below.
 
     t' D t is evaluated once on the grid points within the covering radius
@@ -409,10 +412,10 @@ def min_quad_over_omega(D, omega, h, max_grid_points=3_000_000):
     if omega.empty:
         return OracleResult(np.inf, None, "empty", value_lb=np.inf)
     N = int(np.ceil(1.0 / h))
-    if grid_point_count(p, N) > max_grid_points:
+    if grid_point_count(p, N) > _MAX_GRID_POINTS:
         raise CapabilityError(
             f"grid of {grid_point_count(p, N)} points exceeds the cap "
-            f"{max_grid_points} (p={p}, 1/h={N})")
+            f"{_MAX_GRID_POINTS} (p={p}, 1/h={N})")
     sel, inside, r = omega.selected_points(N)
     maxd = float(np.max(np.abs(D)))
     L = 2.0 * maxd

@@ -495,8 +495,7 @@ def _omega_margin(ax, reg, h, cfg, candidates):
     violation)."""
     if reg.omega.empty:
         return np.inf
-    best = min_quad_over_omega(ax, reg.omega, h,
-                               max_grid_points=cfg.max_grid_points).value
+    best = min_quad_over_omega(ax, reg.omega, h).value
     # ascending values: the first candidate inside is the least one, and
     # only a candidate below the grid value can lower the margin
     for val, t in sorted(candidates, key=lambda c: c[0]):

@@ -133,6 +133,10 @@ def _build_master(inst, cuts, box_r):
     return LinearProgram(objective, rows)
 
 
+_CUT_ROUNDS = 300     # cutting-plane rounds per SIP solve
+_REFINE_ROUNDS = 4    # grid halvings before giving up
+
+
 def solve_sip(inst, cfg, a0_copositive=False):
     """Run the cutting-plane loop to a SipOutcome, or raise a SipError."""
     prog = inst.prog
@@ -144,7 +148,7 @@ def solve_sip(inst, cfg, a0_copositive=False):
     cuts = []
     mu_star = None
 
-    for rounds in range(1, cfg.cut_rounds + 1):
+    for rounds in range(1, _CUT_ROUNDS + 1):
         master = _build_master(inst, cuts, box_r)
         # with A_0 copositive, (x=0, mu=0) satisfies every master row
         if a0_copositive and np.any(np.where(
@@ -172,8 +176,7 @@ def solve_sip(inst, cfg, a0_copositive=False):
             res = min_quad_over_simplex(ax, p_max=cfg.p_max)
         else:
             try:
-                res = min_quad_over_omega(ax, inst.omega, h_cur,
-                                          max_grid_points=cfg.max_grid_points)
+                res = min_quad_over_omega(ax, inst.omega, h_cur)
             except CapabilityError as e:
                 raise SipError(f"grid exhausted: {e}", mu_star, rounds) from e
             if res.empty:
@@ -231,7 +234,7 @@ def solve_sip(inst, cfg, a0_copositive=False):
             # mu* in the ambiguous gap (-tol_neg, -tol_zero)
             reason = "optimum stuck between tol_zero and tol_neg"
 
-        if refinements >= cfg.refine_rounds:
+        if refinements >= _REFINE_ROUNDS:
             raise SipError(reason, mu_star, rounds)
         refinements += 1
         h_cur *= 0.5

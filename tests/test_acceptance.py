@@ -246,8 +246,7 @@ def _omega_margin_all_candidates(ax, reg, h, cfg, candidates):
     best = min((val for val, t in candidates
                 if val < -cfg.tol_band and reg.omega.contains(t)),
                default=np.inf)
-    res = min_quad_over_omega(ax, reg.omega, h,
-                              max_grid_points=cfg.max_grid_points)
+    res = min_quad_over_omega(ax, reg.omega, h)
     return best if res.empty else min(best, res.value)
 
 

@@ -1,6 +1,8 @@
+import argparse
 import importlib
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from coporeg import (CopositiveProgram, ProblemFormatError, generate_instance,
                      parse_problem, regularize, serialize_matrix,
                      serialize_problem)
-from coporeg.cli import build_report, ledger_from_report, main
+from coporeg.cli import build_parser, build_report, ledger_from_report, main
 from coporeg.config import DEFAULT, RunConfig
 from coporeg.model import _load_json
 from coporeg.regularize import verify_ledger
@@ -98,6 +100,42 @@ def test_check_copositive_takes_only_the_flags_it_reads(workdir, capsys,
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+_TOL_FIELDS = [f.name for f in fields(RunConfig) if f.name.startswith("tol_")]
+_FIELDS = {*_TOL_FIELDS, "p_max", "h", "box_r", "iteration_cap", "seed", "samples"}
+
+
+def test_each_subcommand_takes_the_config_flags_it_reads():
+    assert {f.name for f in fields(RunConfig)} == _FIELDS
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {cmd: {a.dest: (a.option_strings, a.type, a.help)
+                   for a in p._actions if a.dest in _FIELDS}
+             for cmd, p in sub.choices.items()}
+    assert {cmd: set(f) for cmd, f in flags.items()} == {
+        "regularize": _FIELDS - {"seed", "samples"},
+        "check-copositive": {"tol_cop", "p_max"},
+        "one-step": _FIELDS - {"iteration_cap", "seed", "samples"},
+        "minimal-face": _FIELDS, "verify-ledger": _FIELDS, "equiv-check": _FIELDS}
+    every = {**{t: ([f"--{t.replace('_', '-')}"], float, None) for t in _TOL_FIELDS},
+             "h": (["--h"], float, "grid resolution (<= 1/4)"),
+             "iteration_cap": (["--cap"], int, "iteration cap (default 2n+2)"),
+             "box_r": (["--box"], float, "decision box bound R"),
+             "p_max": (["--p-max"], int, None), "seed": (["--seed"], int, None),
+             "samples": (["--samples"], int, None)}
+    for f in flags.values():
+        assert f == {name: every[name] for name in f}
+
+
+@pytest.mark.parametrize("cmd, flag", [
+    ("regularize", "--seed"), ("regularize", "--samples"), ("one-step", "--cap"),
+    ("one-step", "--seed"), ("one-step", "--samples")])
+def test_driver_subcommands_take_only_the_flags_they_read(workdir, capsys,
+                                                          cmd, flag):
+    w = ["--W", workdir["w_e3"]] if cmd == "one-step" else []
+    assert main([cmd, "--problem", workdir["e3"], *w, flag, "5"]) == 2
+    assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+
+
 def test_check_copositive_reads_its_flags_and_the_env_config(
         workdir, tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "cfg.json"
@@ -131,6 +169,35 @@ def test_non_finite_flag_names_the_field(workdir, capsys, flag, value, needle):
 def test_fractional_integer_field_rejected():
     with pytest.raises(ValueError, match="samples"):
         RunConfig(samples=2.5)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("iteration_cap", 0, "iteration_cap must be >= 1, got 0"),
+    ("p_max", 1, "p_max must be >= 2, got 1"),
+    ("samples", 0, "samples must be >= 1, got 0"),
+    ("seed", -1, "seed must be >= 0, got -1"),
+    ("box_r", 0.0, "box_r must be positive, got 0.0"),
+    ("h", 0.5, "h must lie in (0, 1/4], got 0.5"),
+], ids=["iteration-cap", "p-max", "samples", "seed", "box", "h"])
+def test_each_bound_names_only_its_field(field, value, message):
+    with pytest.raises(ValueError) as info:
+        RunConfig(**{field: value})
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", "-1", "seed must be >= 0, got -1"),
+    ("--p-max", "1", "p_max must be >= 2, got 1"),
+], ids=["seed", "p-max"])
+def test_out_of_range_flag_fails_before_the_driver(workdir, capsys, monkeypatch,
+                                                   flag, value, message):
+    def no_run(*_a):
+        raise AssertionError("the driver ran")
+
+    monkeypatch.setattr(importlib.import_module("coporeg.cli"), "regularize",
+                        no_run)
+    assert main(["equiv-check", "--problem", workdir["e2"], flag, value]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_missing_file_is_domain_error(workdir, capsys):
@@ -337,13 +404,12 @@ def test_env_config_merges_under_flags(workdir, tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("content", [None, '{"h": "0.1"}', "null",
-                                     '{"seed": 1.5}', '{"cut_rounds": 2.5}',
-                                     '{"cut_rounds": 0}', '{"refine_rounds": -1}',
-                                     '{"max_grid_points": 0}', '{"box_r": NaN}'],
+                                     '{"seed": 1.5}', '{"p_max": 2.5}',
+                                     '{"iteration_cap": 0}', '{"seed": -1}',
+                                     '{"box_r": NaN}'],
                          ids=["missing", "string-value", "null",
-                              "float-seed", "float-cut-rounds", "zero-cut-rounds",
-                              "negative-refine-rounds", "zero-grid-points",
-                              "nan-box"])
+                              "float-seed", "float-p-max", "zero-iteration-cap",
+                              "negative-seed", "nan-box"])
 def test_bad_env_config_is_domain_error(workdir, tmp_path, monkeypatch, capsys,
                                         content):
     cfg = tmp_path / "cfg.json"
@@ -354,6 +420,47 @@ def test_bad_env_config_is_domain_error(workdir, tmp_path, monkeypatch, capsys,
     err = capsys.readouterr().err
     assert rc == 1
     assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["cut_rounds", "refine_rounds",
+                                 "max_grid_points"])
+def test_env_config_naming_a_loop_cap_is_an_unknown_key(
+        workdir, tmp_path, monkeypatch, capsys, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 1}))
+    monkeypatch.setenv("COPOREG_CONFIG", str(cfg))
+    assert main(["regularize", "--problem", workdir["e2"]]) == 1
+    assert capsys.readouterr().err == (
+        f"error: unknown config keys in {cfg}: ['{key}']\n")
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "{path!r}: [Errno 2] No such file or directory: {path!r}"),
+    ("[1]", "{path!r} must hold a JSON object"),
+    ("{", "{path!r}: invalid JSON at line 1, column 2"),
+    (b"\xff{}", "{path!r}: not UTF-8 text"),
+    ("[" * 100_000 + "]" * 100_000, "{path!r}: JSON nested too deeply"),
+], ids=["missing", "not-an-object", "invalid", "not-utf8", "too-deep"])
+def test_env_config_defect_names_the_file(workdir, tmp_path, monkeypatch,
+                                          capsys, content, message):
+    cfg = tmp_path / "cfg.json"
+    if isinstance(content, str):
+        cfg.write_text(content)
+    elif content is not None:
+        cfg.write_bytes(content)
+    monkeypatch.setenv("COPOREG_CONFIG", str(cfg))
+    assert main(["regularize", "--problem", workdir["e2"]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config file " + message.format(path=str(cfg)))
+
+
+@pytest.mark.parametrize("cmd, flag, key", [
+    ("regularize", "--problem", "e2"), ("check-copositive", "--matrix", "horn")])
+def test_unwritable_out_names_the_path(workdir, capsys, cmd, flag, key):
+    out = os.path.join(workdir["dir"], "missing-dir", "r.json")
+    assert main([cmd, flag, workdir[key], "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --out {out!r}: No such file or directory\n"
 
 
 def test_build_report_failed_status(e2):

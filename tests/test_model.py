@@ -258,6 +258,12 @@ def test_simplex_point_immutable():
         t.coords[0] = 0.0
 
 
+def test_simplex_point_hash_agrees_with_eq():
+    a, b = SimplexPoint([0.0, 1.0]), SimplexPoint([-0.0, 1.0])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
 def test_shift_to_feasible(e2):
     shifted = shift_to_feasible(e2, [1.0])
     assert np.allclose(shifted.A[0], [[0, 1], [1, 1]])

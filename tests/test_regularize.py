@@ -388,9 +388,10 @@ def test_one_step_checks_w_at_the_origin_before_the_solve(e2, monkeypatch):
         one_step_regularize(e2, [simplex(0, 1)])
 
 
-def test_one_step_give_up_raises(e2):
+def test_one_step_give_up_raises(e2, monkeypatch):
+    monkeypatch.setattr(importlib.import_module("coporeg.sip"), "_CUT_ROUNDS", 1)
     with pytest.raises(SipError, match="round cap exceeded") as info:
-        one_step_regularize(e2, [simplex(1, 0)], DEFAULT.replace(cut_rounds=1))
+        one_step_regularize(e2, [simplex(1, 0)])
     assert info.value.rounds == 1
 
 

@@ -13,6 +13,8 @@ from coporeg.sip import _build_master, cut_row_data
 
 from conftest import simplex
 
+SIP = importlib.import_module("coporeg.sip")
+
 
 def test_sip0_e1_negative(e1):
     out = solve_sip(SipInstance(e1, ()), DEFAULT,
@@ -198,26 +200,39 @@ def test_row_data_shapes(e2):
     assert rhs == pytest.approx(-0.25)
 
 
-def test_round_cap_is_a_give_up(e2):
+def test_round_cap_is_a_give_up(e2, monkeypatch):
     # one round adds the first cut and the cap ends the loop
+    monkeypatch.setattr(SIP, "_CUT_ROUNDS", 1)
     with pytest.raises(SipError) as info:
-        solve_sip(SipInstance(e2, ()), DEFAULT.replace(cut_rounds=1),
-                  a0_copositive=True)
+        solve_sip(SipInstance(e2, ()), DEFAULT, a0_copositive=True)
     e = info.value
     assert (e.reason, e.mu_star, e.rounds) == (
         "cutting-plane round cap exceeded", -1000.0, 1)
     assert str(e) == e.reason
 
 
-def test_grid_exhausted_is_a_give_up(e2):
+def test_grid_exhausted_is_a_give_up(e2, monkeypatch):
     tau = simplex(1, 0)
     inst = SipInstance(e2, (Record(tau, {0}),), ReducedRegion([tau]))
+    monkeypatch.setattr(importlib.import_module("coporeg.oracle"),
+                        "_MAX_GRID_POINTS", 1)
     with pytest.raises(SipError) as info:
-        solve_sip(inst, DEFAULT.replace(max_grid_points=1),
-                  a0_copositive=True)
+        solve_sip(inst, DEFAULT, a0_copositive=True)
     e = info.value
     assert e.reason.startswith("grid exhausted")
     assert (e.mu_star, e.rounds) == (-1000.0, 1)
+
+
+def test_refine_cap_is_a_give_up(monkeypatch):
+    # gen35 of the acceptance gate certifies its witness only after a grid
+    # halving; with none allowed, the first uncertified optimum ends the run
+    prog = generate_instance(seed=35, p=4, n=2,
+                             planted=[simplex(0.5, 0.25, 0.25, 0.0)])
+    monkeypatch.setattr(SIP, "_REFINE_ROUNDS", 0)
+    res = regularize(prog)
+    assert res.status == "failed"
+    assert res.diagnostics["reason"] == ("negative optimum not certifiable "
+                                         "at the finest grid")
 
 
 def test_record_rows_are_built_once_per_instance(e2, monkeypatch):
