@@ -3,12 +3,14 @@
 Subcommands: regularize, check-copositive, one-step, minimal-face,
 verify-ledger, equiv-check.  Exit codes: 0 success, 1 domain errors,
 2 usage errors.  Each subcommand takes the flags of the RunConfig fields
-it reads.  The environment variable COPOREG_CONFIG may point to a JSON
-RunConfig; explicit flags win over it.
+it reads, and checks that its --out path can be written before any work.
+The environment variable COPOREG_CONFIG may point to a JSON RunConfig;
+explicit flags win over it.
 """
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 
@@ -221,6 +223,25 @@ def _array(v, shape, what):
     return a
 
 
+def _out_error(path, e):
+    return ProblemFormatError(f"--out {path!r}: {e.strerror or e}")
+
+
+def _check_out(path):
+    """Fail before any work when the ``--out`` path cannot be written:
+    open it for appending, which truncates nothing, and remove it again if
+    the check created it."""
+    if path:
+        existed = os.path.lexists(path)
+        try:
+            with open(path, "a", encoding="utf-8"):
+                pass
+        except OSError as e:
+            raise _out_error(path, e) from e
+        if not existed:
+            os.remove(path)
+
+
 def _write_json(doc, path):
     """Write an ``--out`` document; nothing when no path was given."""
     if path:
@@ -229,7 +250,7 @@ def _write_json(doc, path):
                 json.dump(_jsonable(doc), fh, indent=2)
                 fh.write("\n")
         except OSError as e:
-            raise ProblemFormatError(f"--out {path!r}: {e.strerror or e}") from e
+            raise _out_error(path, e) from e
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +500,9 @@ def main(argv=None):
     except SystemExit as e:
         return e.code if e.code is not None else 2
     try:
-        return args.func(args, _config_from_args(args))
+        cfg = _config_from_args(args)
+        _check_out(args.out)
+        return args.func(args, cfg)
     except (ValueError, RuntimeError) as e:  # ProblemFormatError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 1

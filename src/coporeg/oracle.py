@@ -4,9 +4,11 @@ constructions (exclusion radius, hull distance, reduced index region).
 
 The exact oracle enumerates all nonempty supports, solving the stationarity
 system on each face and comparing against the vertices; it is exact for
-dimensions up to ``p_max``.  The faces of one support size are solved as
-one stack (a stack with a singular face is retried face by face), and the
-candidates keep the support-mask order.  The reduced-region oracle works
+dimensions up to ``p_max``.  It takes a stack of matrices: the faces of one
+support size, across the whole stack, are solved as one stack of bordered
+systems (a stack that raises is retried one matrix at a time, and a matrix
+that fails face by face), and the candidates keep the support-mask order.
+A single matrix is the stack of one.  The reduced-region oracle works
 on the rational grid of the simplex; its certified lower bound is the
 larger of a Lipschitz bound and a per-point centered-gradient bound.
 Per-point quantities over a grid (the gradient's row spread, the
@@ -87,83 +89,105 @@ def _support_groups(p):
 def _solve_faces(K, scale):
     """Solve the stack of bordered systems K z = e_last, one per face.
 
-    Returns ``(z, solved)``: ``solved`` is False where a face has no
-    stationary point.  One LAPACK call covers the stack; if a face is
-    singular the faces are retried one at a time, and a face whose solve
-    fails or is non-finite takes the least-squares solution when its
+    ``K`` is (..., m, m) and ``scale`` holds one entry per face (shape
+    ``K.shape[:-2]``).  Returns ``(z, solved)``: ``solved`` is False where a
+    face has no stationary point.  One LAPACK call covers the stack.  A
+    stack that raises is split along its leading axis and each part is
+    solved on its own, so a singular face sends only its own matrix's
+    faces, not the whole block, down to one solve per face.  A face whose
+    solve fails or is non-finite takes the least-squares solution when its
     residual is within ``1e-9 (1 + scale)``.
     """
-    F, m, _ = K.shape
-    rhs = np.zeros(m)
-    rhs[-1] = 1.0
-    B = np.zeros((F, m, 1))
-    B[:, -1] = 1.0
+    m = K.shape[-1]
+    B = np.zeros(K.shape[:-1] + (1,))
+    B[..., -1, 0] = 1.0
     try:
         z = np.linalg.solve(K, B)[..., 0]
-        retry = np.nonzero(~np.isfinite(z).all(axis=1))[0]
     except np.linalg.LinAlgError:
-        z = np.empty((F, m))
-        retry = range(F)
-    solved = np.ones(F, dtype=bool)
-    for f in retry:
-        try:
-            zf = np.linalg.solve(K[f], rhs)
-            ok = np.all(np.isfinite(zf))
-        except np.linalg.LinAlgError:
-            ok = False
-        if not ok:
-            zf, *_ = np.linalg.lstsq(K[f], rhs, rcond=None)
-            solved[f] = float(np.max(np.abs(K[f] @ zf - rhs))) <= 1e-9 * (1.0 + scale)
-        z[f] = zf
+        if K.ndim == 2:
+            z = np.full(m, np.nan)
+        else:
+            parts = [_solve_faces(k, s) for k, s in zip(K, scale)]
+            return (np.array([z for z, _ok in parts]),
+                    np.array([ok for _z, ok in parts]))
+    if K.ndim == 2:
+        if np.all(np.isfinite(z)):
+            return z, True
+        z, *_ = np.linalg.lstsq(K, B[:, 0], rcond=None)
+        return z, float(np.max(np.abs(K @ z - B[:, 0]))) <= 1e-9 * (1.0 + scale)
+    solved = np.ones(K.shape[:-2], dtype=bool)
+    for f in zip(*np.nonzero(~np.isfinite(z).all(axis=-1))):
+        z[f], solved[f] = _solve_faces(K[f], scale[f])
     return z, solved
+
+
+def stationary_candidate_stack(Ds, p_max=14):
+    """The stationary points of t' D_i t on every face of the simplex, for
+    each matrix of the (S, p, p) stack ``Ds``.
+
+    Returns ``(values, coords)`` of shapes (S, 2^p - 1) and
+    (S, 2^p - 1, p), one column per support in mask order (mask 1, 2, ...,
+    2^p - 1, bit k for coordinate k).  A vertex always has a candidate,
+    with value D_kk; a larger support has one where its bordered
+    stationarity system is solvable with nonnegative weights, and
+    otherwise value +inf and zero coordinates.  The faces of each support
+    size s are solved together, as one (S, F, s+1, s+1) stack of bordered
+    systems, one ``np.linalg.solve`` call per size; a stack with a
+    singular face is retried one matrix at a time, and only a matrix that
+    fails is retried one face at a time.  Faces whose stationarity system
+    is inconsistent contribute nothing: their minima live on smaller
+    faces, which are enumerated separately (p <= p_max; the largest stack
+    per matrix, at p = 14, is C(14, 7) = 3,432 systems of 8 x 8).  The
+    values are one stacked ``matmul``, (t' D) t per candidate, bit for bit
+    the values ``t @ D @ t``.
+    """
+    Ds = np.asarray(Ds, dtype=float)
+    S, p = Ds.shape[0], Ds.shape[-1]
+    if p > p_max:
+        raise CapabilityError(
+            f"exact support enumeration capped at p_max={p_max} (got p={p}); "
+            f"raise p_max (--p-max) to {p} or more to enumerate all 2^p - 1 "
+            "supports")
+    scale = np.maximum(1.0, np.max(np.abs(Ds), axis=(1, 2)))
+    (_s, vertices, k), *groups = _support_groups(p)
+    coords = np.zeros((S, (1 << p) - 1, p))
+    coords[:, vertices, k[:, 0]] = 1.0
+    found = np.zeros((S, (1 << p) - 1), dtype=bool)
+    for s, positions, cols in groups:
+        F = positions.size
+        K = np.zeros((S, F, s + 1, s + 1))
+        K[:, :, :s, :s] = 2.0 * Ds[:, cols[:, :, None], cols[:, None, :]]
+        K[:, :, :s, s] = -1.0
+        K[:, :, s, :s] = 1.0
+        z, solved = _solve_faces(K, np.broadcast_to(scale[:, None], (S, F)))
+        u = z.reshape(S * F, s + 1)[:, :s]
+        # a stationary point with a negative weight lies outside the face
+        rows = np.flatnonzero(solved.ravel() & (np.min(u, axis=1) >= -1e-10))
+        u = np.clip(u[rows], 0.0, None)
+        total = np.sum(u, axis=1)
+        nonzero = total > 0.0
+        rows, u = rows[nonzero], u[nonzero] / total[nonzero, None]
+        i, f = np.divmod(rows, F)
+        coords[i[:, None], positions[f][:, None], cols[f]] = u
+        found[i, positions[f]] = True
+    values = ((coords[:, :, None, :] @ Ds[:, None]) @ coords[..., None])[..., 0, 0]
+    values[~found] = np.inf
+    values[:, vertices] = Ds[:, k[:, 0], k[:, 0]]
+    return values, coords
 
 
 def stationary_candidates(D, p_max=14):
     """All stationary points of t' D t on faces of the simplex, plus vertices.
 
     Returns (value, coords) pairs in mask order (mask 1, 2, ..., 2^p - 1,
-    bit k for coordinate k), so the first minimum is deterministic.  The
-    faces of each support size s are solved together, as one (F, s+1, s+1)
-    stack of bordered stationarity systems; a stack with a singular face
-    is retried one face at a time.  Faces whose stationarity system is
-    inconsistent contribute nothing: their minima live on smaller faces,
-    which are enumerated separately (p <= p_max; the largest stack, at
-    p = 14, is C(14, 7) = 3,432 systems of 8 x 8).
+    bit k for coordinate k), so the first minimum is deterministic: the
+    stack of one matrix (``stationary_candidate_stack``), with the supports
+    that have no candidate left out.  Each candidate owns its coordinates.
     """
-    D = np.asarray(D, dtype=float)
-    p = D.shape[0]
-    if p > p_max:
-        raise CapabilityError(
-            f"exact support enumeration capped at p_max={p_max} (got p={p}); "
-            f"raise p_max (--p-max) to {p} or more to enumerate all 2^p - 1 "
-            "supports")
-    scale = max(1.0, float(np.max(np.abs(D))))
-    slots = [None] * ((1 << p) - 1)
-    for s, positions, cols in _support_groups(p):
-        if s == 1:
-            for pos, k in zip(positions, cols[:, 0]):
-                t = np.zeros(p)
-                t[k] = 1.0
-                slots[pos] = (float(D[k, k]), t)
-            continue
-        K = np.zeros((positions.size, s + 1, s + 1))
-        K[:, :s, :s] = 2.0 * D[cols[:, :, None], cols[:, None, :]]
-        K[:, :s, s] = -1.0
-        K[:, s, :s] = 1.0
-        z, solved = _solve_faces(K, scale)
-        u = z[:, :s]
-        # a stationary point with a negative weight lies outside the face
-        rows = np.flatnonzero(solved & (np.min(u, axis=1) >= -1e-10))
-        u = np.clip(u[rows], 0.0, None)
-        total = np.sum(u, axis=1)
-        nonzero = total > 0.0
-        rows, u = rows[nonzero], u[nonzero] / total[nonzero, None]
-        T = np.zeros((rows.size, p))
-        T[np.arange(rows.size)[:, None], cols[rows]] = u
-        for pos, t in zip(positions[rows], T):
-            t = t.copy()                 # each candidate owns its coordinates
-            slots[pos] = (float(t @ D @ t), t)
-    return [c for c in slots if c is not None]
+    values, coords = stationary_candidate_stack(
+        np.asarray(D, dtype=float)[None], p_max)
+    keep = np.flatnonzero(values[0] != np.inf)
+    return [(float(v), t.copy()) for v, t in zip(values[0, keep], coords[0, keep])]
 
 
 def min_quad_over_simplex(D, p_max=14):

@@ -10,6 +10,8 @@ face descriptor it exposes; the ledger can be verified, compressed to a
 linearly independent core, and rendered as the final regularized problem.
 """
 
+from itertools import islice
+
 import numpy as np
 
 from .config import DEFAULT
@@ -17,8 +19,11 @@ from .lp import LinearProgram, LpError, solve_lp
 from .model import (SimplexPoint, eval_constraint, kernel_dimension,
                     kernel_residual, project_to_zero_rows, quad_form,
                     row_residuals, zero_row_matrix)
+# ``stationary_candidates`` is not called here; it stays bound so that
+# perfbench/spans.py can wrap it where it wraps the other oracle calls
 from .oracle import (CapabilityError, ReducedRegion, is_copositive,
-                     min_quad_over_omega, stationary_candidates)
+                     min_quad_over_omega, stationary_candidate_stack,
+                     stationary_candidates)  # noqa: F401
 from .sip import (CertificateError, SipError, SipInstance, linear_row_data,
                   solve_sip)
 
@@ -175,13 +180,51 @@ def _face_samples(p, records, n_samples, rng):
         yield project_to_zero_rows(D, C) if s % 2 == 1 else D
 
 
+# candidate coordinates, b (2^p - 1) p, of one block's stacked enumeration:
+# 8 MB of coordinates, 4 samples at p = 14
+_STACK_ENTRIES = 1 << 20
+
+
+def _block_size(p):
+    """Samples per stacked support enumeration at dimension p (at least 1)."""
+    return max(1, _STACK_ENTRIES // (p * ((1 << p) - 1)))
+
+
+def _blocks(samples, p):
+    """The samples in consecutive lists of at most ``_block_size(p)``."""
+    it = iter(samples)
+    while block := list(islice(it, _block_size(p))):
+        yield block
+
+
+def _face_members(records, samples, p, cfg, equalities_only=False):
+    """``(D, sign_rows_hold)`` for each sample D in the face of ``records``,
+    in sample order.  A sample's rows are tested first (the equality rows
+    alone when ``equalities_only``); the row members of each block of
+    samples are then tested for copositivity together, by one stacked
+    support enumeration."""
+    for block in _blocks(samples, p):
+        rows = [(D, *face_rows(records, D, cfg)) for D in block]
+        members = [(D, both) for D, eq, both in rows
+                   if (eq if equalities_only else both)]
+        if not members:
+            continue
+        values, _coords = stationary_candidate_stack(
+            np.array([D for D, _both in members]), cfg.p_max)
+        for (D, both), margin in zip(members, values.min(axis=1)):
+            if margin >= -cfg.tol_cop:
+                yield D, both
+
+
 def verify_ledger(entries, prog, cfg=DEFAULT, n_samples=200, seed=0):
     """Check the construction conditions of every entry.
 
     Kernel membership is exact; the face chain is sampled:
     copositive samples (raw and projected onto the entry's zero rows) that
     land in entry m must satisfy the rows of entry m-1 (it is copositive
-    already) and be orthogonal to Y_m.
+    already) and be orthogonal to Y_m.  Membership tests the rows first;
+    the row members of each block of samples share one stacked support
+    enumeration (``_face_members``).
     """
     rng = np.random.default_rng(seed)
     report = {"entries": [], "ok": True}
@@ -205,9 +248,8 @@ def verify_ledger(entries, prog, cfg=DEFAULT, n_samples=200, seed=0):
 
         members = mono_viol = orth_viol = 0
         max_orth = 0.0
-        for D in _face_samples(prog.p, entry.records, n_samples, rng):
-            if not face_membership(entry.records, D, cfg):
-                continue
+        samples = _face_samples(prog.p, entry.records, n_samples, rng)
+        for D, _both in _face_members(entry.records, samples, prog.p, cfg):
             members += 1
             orth = abs(float(np.sum(D * entry.reducer)))
             max_orth = max(max_orth, orth)
@@ -434,14 +476,15 @@ def face_forms_agree(records, cfg=DEFAULT, n_samples=500, seed=0):
     """Count the copositive samples (raw and projected onto the records'
     zero rows, as ``verify_ledger`` draws them) on which the face's two
     forms disagree: the equality rows alone, and the equality plus sign
-    rows.  Each sample is decided by its rows first, copositivity second."""
-    rng = np.random.default_rng(seed)
+    rows.  Each sample is decided by its equality rows first, copositivity
+    second."""
+    p = records[0].tau.p
+    samples = _face_samples(p, records, n_samples, np.random.default_rng(seed))
     members = disagreements = 0
-    for D in _face_samples(records[0].tau.p, records, n_samples, rng):
-        eq, both = face_rows(records, D, cfg)
-        if eq and is_copositive(D, cfg.tol_cop, cfg.p_max).copositive:
-            members += 1
-            disagreements += int(not both)
+    for _D, both in _face_members(records, samples, p, cfg,
+                                  equalities_only=True):
+        members += 1
+        disagreements += int(not both)
     return {"checked": n_samples, "members": members,
             "disagreements": disagreements}
 
@@ -458,49 +501,57 @@ def feasibility_equiv_sample(prog, reg, n_samples, seed, cfg=DEFAULT):
     of half-width ``_EQUIV_BOX`` around the witness.
 
     Samples where the two decisions differ but either margin falls inside
-    ``tol_band`` are excluded as ties.
+    ``tol_band`` are excluded as ties.  The samples are taken in blocks of
+    ``_block_size(p)``: one uniform draw and one stacked support
+    enumeration per block, whose row for a sample gives both its direct
+    margin and the candidates of its region margin.
     """
     rng = np.random.default_rng(seed)
     report = {"samples": int(n_samples), "agreements": 0, "ties": 0,
               "disagreements": []}
     h = cfg.grid_h(prog.p)
-    for _ in range(int(n_samples)):
-        x = reg.witness + rng.uniform(-_EQUIV_BOX, _EQUIV_BOX, size=prog.n)
-        ax = eval_constraint(prog, x)
-        candidates = stationary_candidates(ax, cfg.p_max)
-        margin_a = min(val for val, _t in candidates)
-        dec_a = margin_a >= -cfg.tol_cop
+    for block in _blocks(range(int(n_samples)), prog.p):
+        # one draw per block gives the stream of one draw per sample
+        X = reg.witness + rng.uniform(-_EQUIV_BOX, _EQUIV_BOX,
+                                      size=(len(block), prog.n))
+        AX = np.array([eval_constraint(prog, x) for x in X])
+        values, coords = stationary_candidate_stack(AX, cfg.p_max)
+        for x, ax, vals, ts in zip(X, AX, values, coords):
+            margin_a = float(np.min(vals))
+            dec_a = margin_a >= -cfg.tol_cop
 
-        eq_res, ineq_margin = row_residuals(ax, reg.records)
-        omega_margin = _omega_margin(ax, reg, h, cfg, candidates)
-        margin_b = min(-eq_res, ineq_margin, omega_margin)
-        dec_b = (eq_res <= cfg.tol_band and ineq_margin >= -cfg.tol_band
-                 and omega_margin >= -cfg.tol_band)
+            eq_res, ineq_margin = row_residuals(ax, reg.records)
+            omega_margin = _omega_margin(ax, reg, h, cfg, vals, ts)
+            margin_b = min(-eq_res, ineq_margin, omega_margin)
+            dec_b = (eq_res <= cfg.tol_band and ineq_margin >= -cfg.tol_band
+                     and omega_margin >= -cfg.tol_band)
 
-        if dec_a == dec_b:
-            report["agreements"] += 1
-        elif min(abs(margin_a), abs(margin_b)) <= cfg.tol_band:
-            report["ties"] += 1
-        else:
-            report["disagreements"].append(
-                {"x": x.tolist(), "margin_direct": margin_a,
-                 "margin_regularized": margin_b})
+            if dec_a == dec_b:
+                report["agreements"] += 1
+            elif min(abs(margin_a), abs(margin_b)) <= cfg.tol_band:
+                report["ties"] += 1
+            else:
+                report["disagreements"].append(
+                    {"x": x.tolist(), "margin_direct": margin_a,
+                     "margin_regularized": margin_b})
     report["n_disagreements"] = len(report["disagreements"])
     return report
 
 
-def _omega_margin(ax, reg, h, cfg, candidates):
+def _omega_margin(ax, reg, h, cfg, values, coords):
     """min t'(ax)t over the region: the grid value, lowered by the least
     stationary candidate inside the region below -tol_band (an exact
-    violation)."""
+    violation).  ``values`` and ``coords`` are the sample's row of
+    ``stationary_candidate_stack``."""
     if reg.omega.empty:
         return np.inf
     best = min_quad_over_omega(ax, reg.omega, h).value
-    # ascending values: the first candidate inside is the least one, and
-    # only a candidate below the grid value can lower the margin
-    for val, t in sorted(candidates, key=lambda c: c[0]):
-        if val >= min(-cfg.tol_band, best):
+    # ascending values, ties in mask order: the first candidate inside is
+    # the least one, and only a candidate below the grid value can lower
+    # the margin (a support without a candidate is +inf)
+    for j in np.argsort(values, kind="stable"):
+        if values[j] >= min(-cfg.tol_band, best):
             break
-        if reg.omega.contains(t):
-            return val
+        if reg.omega.contains(coords[j]):
+            return float(values[j])
     return best

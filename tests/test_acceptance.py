@@ -14,7 +14,7 @@ from coporeg import (DEFAULT, DualCertificate, FaceLedgerEntry,
                      regularize, solve_lp, LinearProgram, SimplexPoint,
                      eval_constraint, min_quad_over_omega, verify_ledger)
 from coporeg.lp import REL_GE, REL_LE
-from coporeg.oracle import stationary_candidates
+from coporeg.oracle import stationary_candidate_stack, stationary_candidates
 from coporeg.regularize import _omega_margin
 from coporeg.sip import linear_row_data
 
@@ -266,7 +266,8 @@ def test_omega_margin_matches_the_all_candidate_margin(e4, successful_runs):
             x = reg.witness + rng.uniform(-2.0, 2.0, size=prog.n)
             ax = eval_constraint(prog, x)
             cands = stationary_candidates(ax, DEFAULT.p_max)
-            got = _omega_margin(ax, reg, h, DEFAULT, cands)
+            values, coords = stationary_candidate_stack(ax[None], DEFAULT.p_max)
+            got = _omega_margin(ax, reg, h, DEFAULT, values[0], coords[0])
             assert got == _omega_margin_all_candidates(ax, reg, h, DEFAULT,
                                                        cands), name
             by_candidate += got in {val for val, _t in cands}

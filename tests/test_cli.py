@@ -459,8 +459,44 @@ def test_env_config_defect_names_the_file(workdir, tmp_path, monkeypatch,
 def test_unwritable_out_names_the_path(workdir, capsys, cmd, flag, key):
     out = os.path.join(workdir["dir"], "missing-dir", "r.json")
     assert main([cmd, flag, workdir[key], "--out", out]) == 1
-    err = capsys.readouterr().err
-    assert err == f"error: --out {out!r}: No such file or directory\n"
+    cap = capsys.readouterr()
+    assert cap.err == f"error: --out {out!r}: No such file or directory\n"
+    assert cap.out == ""    # no verdict before the error
+
+
+@pytest.mark.parametrize("cmd", ["regularize", "minimal-face", "verify-ledger",
+                                 "equiv-check"])
+def test_unwritable_out_fails_before_the_driver(workdir, capsys, monkeypatch,
+                                                cmd):
+    cli = importlib.import_module("coporeg.cli")
+    calls = []
+    driver = cli.regularize
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return driver(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "regularize", counted)
+    monkeypatch.chdir(workdir["dir"])
+    out = os.path.join("missing-dir", "r.json")
+    assert main([cmd, "--problem", workdir["e2"], "--out", out]) == 1
+    assert calls == []
+    assert capsys.readouterr().err == (
+        f"error: --out {out!r}: No such file or directory\n")
+
+
+def test_out_check_leaves_no_file_and_truncates_none(workdir, capsys):
+    missing = os.path.join(workdir["dir"], "no-such-problem.json")
+    new = os.path.join(workdir["dir"], "new.json")
+    old = os.path.join(workdir["dir"], "old.json")
+    with open(old, "w") as fh:
+        fh.write("kept")
+    for out in (new, old):
+        # the --out check passes, then the problem file is missing
+        assert main(["regularize", "--problem", missing, "--out", out]) == 1
+        assert "problem file" in capsys.readouterr().err
+    assert not os.path.exists(new)
+    assert open(old).read() == "kept"
 
 
 def test_build_report_failed_status(e2):

@@ -128,13 +128,32 @@ def _reference_candidates(D):
     return out
 
 
-def assert_same_candidates(D):
-    got = oracle.stationary_candidates(D)
-    want = _reference_candidates(D)
+def assert_same_list(got, want):
+    """Equal candidate lists, bit for bit (values and coordinates)."""
     assert len(got) == len(want)
     for (gv, gt), (wv, wt) in zip(got, want):
-        assert gv == wv
-        assert np.array_equal(gt, wt)
+        assert np.float64(gv).tobytes() == np.float64(wv).tobytes()
+        assert gt.tobytes() == wt.tobytes()
+
+
+def assert_same_candidates(D):
+    got = oracle.stationary_candidates(D)
+    assert_same_list(got, _reference_candidates(D))
+    assert all(t.base is None for _v, t in got)   # each owns its coordinates
+
+
+def assert_same_stack(Ds):
+    """Each matrix's row of the stack is its reference list, with +inf and
+    zero coordinates at the supports that have no candidate."""
+    values, coords = oracle.stationary_candidate_stack(Ds)
+    S, p = Ds.shape[:2]
+    assert values.shape == (S, (1 << p) - 1)
+    assert coords.shape == (S, (1 << p) - 1, p)
+    for D, vals, ts in zip(Ds, values, coords):
+        found = vals != np.inf
+        assert not ts[~found].any()
+        assert_same_list(list(zip(vals[found], ts[found])),
+                         _reference_candidates(D))
 
 
 def test_candidates_match_the_scalar_reference(horn, e1, e2, e3, e4):
@@ -176,10 +195,10 @@ _entries = st.one_of(st.integers(-4, 4).map(lambda k: k / 2.0),
 
 
 @st.composite
-def structured_sym(draw):
-    """Symmetric matrices at p = 2..8: general, low-rank Gram, or with
-    repeated coordinates (singular faces)."""
-    p = draw(st.integers(2, 8))
+def structured_sym(draw, p=None):
+    """Symmetric matrices at p = 2..8 (or the given p): general, low-rank
+    Gram, or with repeated coordinates (singular faces)."""
+    p = draw(st.integers(2, 8)) if p is None else p
     M = np.array(draw(st.lists(_entries, min_size=p * p, max_size=p * p)))
     M = M.reshape(p, p)
     kind = draw(st.sampled_from(["sym", "gram", "repeat"]))
@@ -714,3 +733,55 @@ def test_grid_point_budget():
     region = ReducedRegion([simplex(*([0.2] * 5))])
     with pytest.raises(CapabilityError):
         min_quad_over_omega(np.eye(5), region, 2.0 ** -9)
+
+
+@st.composite
+def sym_stacks(draw):
+    """Stacks of one to five ``structured_sym`` matrices of one dimension."""
+    p = draw(st.integers(2, 8))
+    return np.array(draw(st.lists(structured_sym(p), min_size=1, max_size=5)))
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(sym_stacks())
+def test_candidate_stack_matches_the_scalar_reference_property(Ds):
+    assert_same_stack(Ds)
+
+
+def _bordered(D, cols):
+    """The bordered stationarity system of D on the support ``cols``."""
+    s = len(cols)
+    K = np.zeros((s + 1, s + 1))
+    K[:s, :s] = 2.0 * D[np.ix_(cols, cols)]
+    K[:s, s] = -1.0
+    K[s, :s] = 1.0
+    return K
+
+
+def test_one_singular_matrix_is_retried_alone(monkeypatch):
+    # matrix 1 repeats coordinate 0, so its faces holding coordinates 0 and
+    # 1 are singular and every stack of sizes 2-4 raises; matrices 0 and 2
+    # are nonsingular.  Only matrix 1's 6 + 4 + 1 faces are solved alone.
+    rng = np.random.default_rng(37)
+    idx = [0, 0, 1, 2]
+    Ds = np.array([random_sym(rng, 4), random_sym(rng, 3)[np.ix_(idx, idx)],
+                   random_sym(rng, 4)])
+    faces = [cols for s, _pos, group in oracle._support_groups(4)[1:]
+             for cols in group]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(np.array([_bordered(Ds[1], c) for c in faces[:6]]),
+                        np.ones((6, 3, 1)))
+    single = []
+    solve = np.linalg.solve
+
+    def recording(K, B):
+        if K.ndim == 2:
+            single.append(K.tobytes())
+        return solve(K, B)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    oracle.stationary_candidate_stack(Ds)
+    monkeypatch.undo()
+    # one solve per face of the singular matrix, none for the others
+    assert sorted(single) == sorted(_bordered(Ds[1], c).tobytes() for c in faces)
+    assert_same_stack(Ds)

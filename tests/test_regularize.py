@@ -254,26 +254,136 @@ def test_verify_ledger_runs_the_oracle_only_where_the_rows_hold(
     entry, = reg_e2.ledger
     C = zero_row_matrix(entry.records)
     rng = np.random.default_rng(3)
-    row_members = 0
+    row_members = []
     for s in range(200):
         D = sample_copositive(2, rng)
         if s % 2 == 1:
             D = project_to_zero_rows(D, C)
-        row_members += face_rows(entry.records, D)[1]
-    calls = _count_calls(monkeypatch, REGULARIZE, "is_copositive")
+        if face_rows(entry.records, D)[1]:
+            row_members.append(D)
+    calls = _count_calls(monkeypatch, REGULARIZE, "stationary_candidate_stack")
+    single = _count_calls(monkeypatch, REGULARIZE, "is_copositive")
     rep = verify_ledger(reg_e2.ledger, e2, n_samples=200, seed=3)
-    assert 0 < row_members < 200
-    assert len(calls) == row_members
-    assert rep["entries"][0]["members_sampled"] <= row_members
+    assert 0 < len(row_members) < 200
+    # the stacks hold exactly the row members, in sample order
+    stacked = np.concatenate([args[0] for args in calls])
+    assert np.array_equal(stacked, np.array(row_members))
+    assert single == []
+    assert rep["entries"][0]["members_sampled"] <= len(row_members)
 
 
 def test_equivalence_enumerates_each_sample_once(e2, reg_e2, monkeypatch):
     from coporeg import oracle
-    calls_oracle = _count_calls(monkeypatch, oracle, "stationary_candidates")
-    calls_reg = _count_calls(monkeypatch, REGULARIZE, "stationary_candidates")
+    stacks = _count_calls(monkeypatch, REGULARIZE, "stationary_candidate_stack")
+    single = [_count_calls(monkeypatch, module, "stationary_candidates")
+              for module in (oracle, REGULARIZE)]
     rep = feasibility_equiv_sample(e2, reg_e2.regularized, 50, seed=4)
     assert rep["samples"] == 50
-    assert len(calls_oracle) + len(calls_reg) == 50
+    assert sum(len(args[0]) for args in stacks) == 50
+    assert single == [[], []]
+
+
+def _members_one_at_a_time(records, samples, _p, cfg, equalities_only=False):
+    """``_face_members`` deciding each sample on its own: its rows, then
+    ``is_copositive``."""
+    for D in samples:
+        eq, both = face_rows(records, D, cfg)
+        if ((eq if equalities_only else both)
+                and is_copositive(D, cfg.tol_cop, cfg.p_max).copositive):
+            yield D, both
+
+
+def _equiv_one_at_a_time(prog, reg, n_samples, seed, xs, cfg=DEFAULT):
+    """Equivalence sampling with one draw, one enumeration and one sorted
+    candidate walk per sample; each x is appended to ``xs``."""
+    from coporeg.oracle import min_quad_over_omega, stationary_candidates
+    rng = np.random.default_rng(seed)
+    report = {"samples": n_samples, "agreements": 0, "ties": 0,
+              "disagreements": []}
+    box = REGULARIZE._EQUIV_BOX
+    for _ in range(n_samples):
+        x = reg.witness + rng.uniform(-box, box, size=prog.n)
+        xs.append(x)
+        ax = eval_constraint(prog, x)
+        cands = stationary_candidates(ax, cfg.p_max)
+        margin_a = min(v for v, _t in cands)
+        eq_res, ineq_margin = row_residuals(ax, reg.records)
+        omega_margin = np.inf
+        if not reg.omega.empty:
+            omega_margin = min_quad_over_omega(ax, reg.omega,
+                                               cfg.grid_h(prog.p)).value
+            for v, t in sorted(cands, key=lambda c: c[0]):
+                if v >= min(-cfg.tol_band, omega_margin):
+                    break
+                if reg.omega.contains(t):
+                    omega_margin = v
+                    break
+        margin_b = min(-eq_res, ineq_margin, omega_margin)
+        dec_b = (eq_res <= cfg.tol_band and ineq_margin >= -cfg.tol_band
+                 and omega_margin >= -cfg.tol_band)
+        if (margin_a >= -cfg.tol_cop) == dec_b:
+            report["agreements"] += 1
+        elif min(abs(margin_a), abs(margin_b)) <= cfg.tol_band:
+            report["ties"] += 1
+        else:
+            report["disagreements"].append(
+                {"x": x.tolist(), "margin_direct": margin_a,
+                 "margin_regularized": margin_b})
+    report["n_disagreements"] = len(report["disagreements"])
+    return report
+
+
+def test_blocked_sampling_matches_one_sample_at_a_time(e2, e4, reg_e2,
+                                                       monkeypatch):
+    two = [simplex(1, 0, 0), simplex(0, 1, 0)]
+    planting = generate_instance(seed=50, p=3, n=2, planted=two)
+    # no forced-zero rows: the two face forms disagree on some samples
+    loose = (Record(simplex(1, 0), ()),)
+    runs = {"e2": (e2, reg_e2), "e4": (e4, regularize(e4)),
+            "planting50": (planting, regularize(planting))}
+    reports = {}
+    for name, (prog, res) in runs.items():
+        faces = [res.regularized.records] + ([loose] if name == "e2" else [])
+        # blocks of 7 samples: 50 samples end in a block of 1
+        monkeypatch.setattr(REGULARIZE, "_STACK_ENTRIES",
+                            7 * prog.p * ((1 << prog.p) - 1))
+        assert REGULARIZE._block_size(prog.p) == 7
+        xs, want_xs = [], []
+
+        def recorded(prog, x, xs=xs):
+            xs.append(x)
+            return eval_constraint(prog, x)
+
+        monkeypatch.setattr(REGULARIZE, "eval_constraint", recorded)
+        blocked = (feasibility_equiv_sample(prog, res.regularized, 50, seed=8),
+                   verify_ledger(res.ledger, prog, n_samples=50, seed=9),
+                   [face_forms_agree(f, n_samples=50, seed=10) for f in faces])
+        monkeypatch.setattr(REGULARIZE, "_face_members", _members_one_at_a_time)
+        want = (_equiv_one_at_a_time(prog, res.regularized, 50, 8, want_xs),
+                verify_ledger(res.ledger, prog, n_samples=50, seed=9),
+                [face_forms_agree(f, n_samples=50, seed=10) for f in faces])
+        monkeypatch.undo()
+        assert blocked == want, name
+        # the same x, bit for bit, in the same order
+        assert np.array(xs).tobytes() == np.array(want_xs).tobytes(), name
+        reports[name] = want
+    for name, (equiv, ledger, agree) in reports.items():
+        assert equiv["samples"] == 50
+        assert all(e["members_sampled"] > 0 for e in ledger["entries"]), name
+        assert agree[0]["members"] > 0 and agree[0]["disagreements"] == 0
+    assert reports["e2"][2][1]["disagreements"] > 0
+
+
+def test_block_size_keeps_within_the_entry_cap():
+    cap = REGULARIZE._STACK_ENTRIES
+    for p, b in ((3, 49_932), (14, 4)):
+        per_sample = p * ((1 << p) - 1)
+        assert REGULARIZE._block_size(p) == b
+        # the largest block within the cap
+        assert b * per_sample <= cap < (b + 1) * per_sample
+    assert [len(blk) for blk in REGULARIZE._blocks(range(10), 14)] == [4, 4, 2]
+    # a dimension whose one sample exceeds the cap still makes progress
+    assert REGULARIZE._block_size(20) == 1
 
 
 def test_verify_ledger_passes(e2, reg_e2):
