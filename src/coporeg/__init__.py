@@ -5,19 +5,18 @@ from .generate import GeneratorError, generate_instance
 from .lp import LinearProgram, LpError, LpSolution, solve_lp
 from .model import (CopositiveProgram, DimensionError, ProblemFormatError,
                     SimplexPoint, eval_constraint, kernel_dimension,
-                    parse_matrix, parse_problem, quad_form, row_action,
-                    serialize_matrix, serialize_problem, shift_to_feasible)
+                    parse_matrix, parse_problem, quad_form, serialize_matrix,
+                    serialize_problem, shift_to_feasible)
 from .oracle import (CapabilityError, CopositivityResult, OracleResult,
                      ReducedRegion, exclusion_radius, grid_min_full,
-                     is_copositive, is_strictly_copositive, l1_dist_to_hull,
-                     min_quad_over_omega, min_quad_over_simplex, simplex_grid)
+                     is_copositive, l1_dist_to_hull, min_quad_over_omega,
+                     min_quad_over_simplex, simplex_grid)
 from .regularize import (CompressedLedger, FaceLedgerEntry, LedgerError,
                          Record, RegularizationResult, RegularizedProblem,
                          compress_ledger, disjointness_condition,
-                         face_forms_agree, face_membership,
-                         feasibility_equiv_sample, forced_zero_rows,
-                         minimal_face, one_step_regularize, regularize,
-                         sample_copositive, sample_feasible,
+                         face_forms_agree, feasibility_equiv_sample,
+                         forced_zero_rows, minimal_face, one_step_regularize,
+                         regularize, sample_copositive, sample_feasible,
                          update_index_sets, verify_ledger)
 from .sip import (CertificateError, DualCertificate, SipError, SipInstance,
                   SipOutcome, extract_certificate, solve_sip)
@@ -34,12 +33,11 @@ __all__ = [
     "SimplexPoint", "SipError", "SipInstance", "SipOutcome", "DEFAULT",
     "compress_ledger", "disjointness_condition", "eval_constraint",
     "exclusion_radius", "extract_certificate", "face_forms_agree",
-    "face_membership", "feasibility_equiv_sample", "forced_zero_rows",
-    "generate_instance", "grid_min_full", "is_copositive",
-    "is_strictly_copositive", "kernel_dimension", "l1_dist_to_hull",
+    "feasibility_equiv_sample", "forced_zero_rows", "generate_instance",
+    "grid_min_full", "is_copositive", "kernel_dimension", "l1_dist_to_hull",
     "min_quad_over_omega", "min_quad_over_simplex", "minimal_face",
     "one_step_regularize", "parse_matrix", "parse_problem", "quad_form",
-    "regularize", "row_action", "sample_copositive", "sample_feasible",
+    "regularize", "sample_copositive", "sample_feasible",
     "serialize_matrix", "serialize_problem", "shift_to_feasible",
     "simplex_grid", "solve_lp", "solve_sip", "update_index_sets",
     "verify_ledger",

@@ -7,6 +7,7 @@ threads without synchronization.
 """
 
 import json
+from functools import lru_cache
 
 import numpy as np
 
@@ -191,21 +192,19 @@ def quad_form(D, t):
     return float(tc @ D @ tc)
 
 
-def row_action(D, t, k):
-    """k-th entry of D t.  The index k is 1-based (math convention)."""
-    D = np.asarray(D, dtype=float)
-    tc = _coords(t)
-    if D.shape != (tc.size, tc.size):
-        raise DimensionError(f"matrix {D.shape} vs point of dimension {tc.size}")
-    if not 1 <= k <= tc.size:
-        raise IndexError(f"row index {k} out of range 1..{tc.size}")
-    return float(D[k - 1] @ tc)
+@lru_cache(maxsize=None)
+def upper_triangle(p):
+    """``np.triu_indices(p)`` as read-only arrays, built once per p: the
+    upper-triangle coordinates of a symmetric p x p matrix."""
+    iu = np.triu_indices(p)
+    for a in iu:
+        a.setflags(write=False)
+    return iu
 
 
 def sym_functional_row(M):
     """Coefficients of D -> M . D over the upper-triangle coordinates of D."""
-    p = M.shape[0]
-    iu = np.triu_indices(p)
+    iu = upper_triangle(M.shape[0])
     w = np.where(iu[0] == iu[1], 1.0, 2.0)
     return M[iu] * w
 
@@ -239,7 +238,7 @@ def row_functionals(tau, ks):
     Row k equals ``sym_functional_row((tau e_k' + e_k tau') / 2)``.
     """
     t = _coords(tau)
-    iu, ju = np.triu_indices(t.size)
+    iu, ju = upper_triangle(t.size)
     k = np.asarray(ks, dtype=int).reshape(-1, 1)
     return (np.where(iu == k, t[ju], 0.0)
             + np.where((ju == k) & (iu != ju), t[iu], 0.0))
@@ -259,7 +258,7 @@ def project_to_zero_rows(D, C):
     if len(C) == 0:
         return D
     D = np.asarray(D, dtype=float)
-    iu = np.triu_indices(D.shape[0])
+    iu = upper_triangle(D.shape[0])
     vec = D[iu]
     vec = vec - C.T @ np.linalg.lstsq(C @ C.T, C @ vec, rcond=None)[0]
     out = np.zeros(D.shape)
@@ -276,51 +275,32 @@ def row_pairs(records, p):
     return tuple(eq), tuple(ineq)
 
 
-def row_residuals(D, records):
+def row_residuals(Ds, records):
     """(max |(D tau)_k| over equality rows, min (D tau)_k over inequality
-    rows); 0.0 and inf where there is no row of that kind."""
-    if not records:
-        return 0.0, np.inf
-    D = np.asarray(D, dtype=float)
-    T = np.array([_coords(rec.tau) for rec in records])
-    vals = (D @ T[:, :, None])[:, :, 0]   # row i is D @ tau_i
-    on_L = np.zeros(vals.shape, dtype=bool)
+    rows) for each D of the (S, p, p) stack ``Ds``, as two (S,) arrays;
+    0.0 and inf where there is no row of that kind."""
+    Ds = np.asarray(Ds, dtype=float)
+    T = np.array([_coords(rec.tau) for rec in records]).reshape(
+        len(records), Ds.shape[-1])
+    on_L = np.zeros(T.shape, dtype=bool)
     for i, rec in enumerate(records):
         on_L[i, list(rec.L)] = True
-    return (float(np.max(np.abs(vals[on_L]), initial=0.0)),
-            float(np.min(vals[~on_L], initial=np.inf)))
+    # vals[s, i] is Ds[s] @ tau_i
+    vals = (Ds[:, None] @ T[None, :, :, None])[..., 0]
+    return (np.max(np.abs(vals), axis=(1, 2), where=on_L, initial=0.0),
+            np.min(vals, axis=(1, 2), where=~on_L, initial=np.inf))
 
 
 def kernel_dimension(prog, tol_rank=1e-10):
     """dim of {D symmetric : A_j . D = 0 for all j}.
 
-    Computed as p(p+1)/2 minus the rank of the n+1 functionals, with rank
-    found by Gaussian elimination under full pivoting at ``tol_rank``.
+    Computed as p(p+1)/2 minus the rank of the n+1 functionals, counting
+    singular values above ``tol_rank`` times the largest entry (at least 1).
     """
     rows = np.array([sym_functional_row(Aj) for Aj in prog.A])
-    dim = prog.p * (prog.p + 1) // 2
-    return dim - _pivoted_rank(rows, tol_rank)
-
-
-def _pivoted_rank(rows, tol):
-    a = np.array(rows, dtype=float)
-    if a.size == 0:
-        return 0
-    scale = max(1.0, float(np.max(np.abs(a))))
-    rank = 0
-    m, n = a.shape
-    for _ in range(min(m, n)):
-        sub = np.abs(a[rank:, :])
-        if sub.size == 0:
-            break
-        i, j = np.unravel_index(int(np.argmax(sub)), sub.shape)
-        piv = a[rank + i, j]
-        if abs(piv) <= tol * scale:
-            break
-        a[[rank, rank + i]] = a[[rank + i, rank]]
-        a[rank + 1:, :] -= np.outer(a[rank + 1:, j] / piv, a[rank, :])
-        rank += 1
-    return rank
+    tol = tol_rank * max(1.0, float(np.max(np.abs(rows))))
+    rank = int(np.linalg.matrix_rank(rows, tol=tol))
+    return prog.p * (prog.p + 1) // 2 - rank
 
 
 def shift_to_feasible(prog, y):

@@ -205,10 +205,6 @@ def is_copositive(D, tol_cop=1e-9, p_max=14):
     return CopositivityResult(False, res.value, witness=res.argmin)
 
 
-def is_strictly_copositive(D, tol_strict=1e-9, p_max=14):
-    return min_quad_over_simplex(D, p_max=p_max).value > tol_strict
-
-
 @lru_cache(maxsize=64)
 def _hull_lp(coords, shape):
     """The hull-distance LP of the hull points whose (m, p) coordinate

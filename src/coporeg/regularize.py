@@ -18,7 +18,7 @@ from .config import DEFAULT
 from .lp import LinearProgram, LpError, solve_lp
 from .model import (SimplexPoint, eval_constraint, kernel_dimension,
                     kernel_residual, project_to_zero_rows, quad_form,
-                    row_residuals, zero_row_matrix)
+                    row_residuals, upper_triangle, zero_row_matrix)
 # ``stationary_candidates`` is not called here; it stays bound so that
 # perfbench/spans.py can wrap it where it wraps the other oracle calls
 from .oracle import (CapabilityError, ReducedRegion, is_copositive,
@@ -149,19 +149,13 @@ def disjointness_condition(records_old, cert, tol_support=1e-7):
     return True
 
 
-def face_rows(records, D, cfg=DEFAULT):
-    """(equality rows hold, equality and sign rows hold) for D: zero rows
-    on each record's L, nonnegative rows elsewhere."""
-    eq_res, ineq_margin = row_residuals(D, records)
+def face_rows(records, Ds, cfg=DEFAULT):
+    """(equality rows hold, equality and sign rows hold) for each D of the
+    (S, p, p) stack ``Ds``, as two (S,) boolean arrays: zero rows on each
+    record's L, nonnegative rows elsewhere."""
+    eq_res, ineq_margin = row_residuals(Ds, records)
     eq = eq_res <= cfg.tol_feas
-    return eq, eq and ineq_margin >= -cfg.tol_feas
-
-
-def face_membership(records, D, cfg=DEFAULT):
-    """D lies in the face of ``records``: its rows hold (checked first) and
-    it is copositive."""
-    return (face_rows(records, D, cfg)[1]
-            and is_copositive(D, cfg.tol_cop, cfg.p_max).copositive)
+    return eq, eq & (ineq_margin >= -cfg.tol_feas)
 
 
 def sample_copositive(p, rng):
@@ -198,22 +192,22 @@ def _blocks(samples, p):
 
 
 def _face_members(records, samples, p, cfg, equalities_only=False):
-    """``(D, sign_rows_hold)`` for each sample D in the face of ``records``,
-    in sample order.  A sample's rows are tested first (the equality rows
-    alone when ``equalities_only``); the row members of each block of
-    samples are then tested for copositivity together, by one stacked
+    """``(Ds, sign_rows_hold)`` per block of samples: the stack of the
+    block's samples in the face of ``records``, in sample order, and
+    whether each one's sign rows hold.  A block's rows are tested first,
+    in one call (the equality rows alone when ``equalities_only``); its row
+    members are then tested for copositivity together, by one stacked
     support enumeration."""
     for block in _blocks(samples, p):
-        rows = [(D, *face_rows(records, D, cfg)) for D in block]
-        members = [(D, both) for D, eq, both in rows
-                   if (eq if equalities_only else both)]
-        if not members:
+        Ds = np.array(block)
+        eq, both = face_rows(records, Ds, cfg)
+        rows = eq if equalities_only else both
+        if not rows.any():
             continue
-        values, _coords = stationary_candidate_stack(
-            np.array([D for D, _both in members]), cfg.p_max)
-        for (D, both), margin in zip(members, values.min(axis=1)):
-            if margin >= -cfg.tol_cop:
-                yield D, both
+        Ds, both = Ds[rows], both[rows]
+        values, _coords = stationary_candidate_stack(Ds, cfg.p_max)
+        cop = values.min(axis=1) >= -cfg.tol_cop
+        yield Ds[cop], both[cop]
 
 
 def verify_ledger(entries, prog, cfg=DEFAULT, n_samples=200, seed=0):
@@ -249,14 +243,16 @@ def verify_ledger(entries, prog, cfg=DEFAULT, n_samples=200, seed=0):
         members = mono_viol = orth_viol = 0
         max_orth = 0.0
         samples = _face_samples(prog.p, entry.records, n_samples, rng)
-        for D, _both in _face_members(entry.records, samples, prog.p, cfg):
-            members += 1
-            orth = abs(float(np.sum(D * entry.reducer)))
-            max_orth = max(max_orth, orth)
-            if orth > cfg.tol_cert * max(1.0, float(np.max(np.abs(D)))):
-                orth_viol += 1
-            if idx > 0 and not face_rows(entries[idx - 1].records, D, cfg)[1]:
-                mono_viol += 1
+        for Ds, _both in _face_members(entry.records, samples, prog.p, cfg):
+            members += len(Ds)
+            for D in Ds:
+                orth = abs(float(np.sum(D * entry.reducer)))
+                max_orth = max(max_orth, orth)
+                if orth > cfg.tol_cert * max(1.0, float(np.max(np.abs(D)))):
+                    orth_viol += 1
+            if idx > 0:
+                prev_rows = face_rows(entries[idx - 1].records, Ds, cfg)[1]
+                mono_viol += int(np.count_nonzero(~prev_rows))
         entry_report = {
             "index": entry.index,
             "kernel_residual": kernel_res,
@@ -281,7 +277,7 @@ def compress_ledger(entries, prog=None, tol_rank=1e-10):
     core, mapping = [], []
     for entry in entries:
         Y = np.asarray(entry.reducer, dtype=float)
-        vec = resid = Y[np.triu_indices(Y.shape[0])]
+        vec = resid = Y[upper_triangle(Y.shape[0])]
         scale = max(1.0, float(np.linalg.norm(vec)))
         if kept_vecs:
             K = np.array(kept_vecs).T
@@ -481,10 +477,10 @@ def face_forms_agree(records, cfg=DEFAULT, n_samples=500, seed=0):
     p = records[0].tau.p
     samples = _face_samples(p, records, n_samples, np.random.default_rng(seed))
     members = disagreements = 0
-    for _D, both in _face_members(records, samples, p, cfg,
-                                  equalities_only=True):
-        members += 1
-        disagreements += int(not both)
+    for _Ds, both in _face_members(records, samples, p, cfg,
+                                   equalities_only=True):
+        members += len(both)
+        disagreements += int(np.count_nonzero(~both))
     return {"checked": n_samples, "members": members,
             "disagreements": disagreements}
 
@@ -502,9 +498,9 @@ def feasibility_equiv_sample(prog, reg, n_samples, seed, cfg=DEFAULT):
 
     Samples where the two decisions differ but either margin falls inside
     ``tol_band`` are excluded as ties.  The samples are taken in blocks of
-    ``_block_size(p)``: one uniform draw and one stacked support
-    enumeration per block, whose row for a sample gives both its direct
-    margin and the candidates of its region margin.
+    ``_block_size(p)``: one uniform draw, one row test and one stacked
+    support enumeration per block, whose row for a sample gives both its
+    direct margin and the candidates of its region margin.
     """
     rng = np.random.default_rng(seed)
     report = {"samples": int(n_samples), "agreements": 0, "ties": 0,
@@ -516,11 +512,12 @@ def feasibility_equiv_sample(prog, reg, n_samples, seed, cfg=DEFAULT):
                                       size=(len(block), prog.n))
         AX = np.array([eval_constraint(prog, x) for x in X])
         values, coords = stationary_candidate_stack(AX, cfg.p_max)
-        for x, ax, vals, ts in zip(X, AX, values, coords):
+        eq_all, ineq_all = row_residuals(AX, reg.records)
+        for x, ax, vals, ts, eq_res, ineq_margin in zip(
+                X, AX, values, coords, eq_all.tolist(), ineq_all.tolist()):
             margin_a = float(np.min(vals))
             dec_a = margin_a >= -cfg.tol_cop
 
-            eq_res, ineq_margin = row_residuals(ax, reg.records)
             omega_margin = _omega_margin(ax, reg, h, cfg, vals, ts)
             margin_b = min(-eq_res, ineq_margin, omega_margin)
             dec_b = (eq_res <= cfg.tol_band and ineq_margin >= -cfg.tol_band

@@ -3,7 +3,7 @@ import pytest
 
 from coporeg import (DEFAULT, GeneratorError, eval_constraint,
                      generate_instance, is_copositive,
-                     is_strictly_copositive, quad_form, regularize,
+                     min_quad_over_simplex, quad_form, regularize,
                      sample_feasible, serialize_problem)
 
 from conftest import simplex
@@ -22,7 +22,8 @@ def test_planted_point_kills_the_form():
 def test_unplanted_instance_is_strictly_feasible():
     prog = generate_instance(seed=2, p=3, n=2, planted=())
     assert np.allclose(prog.A[0], np.eye(3))
-    assert is_strictly_copositive(eval_constraint(prog, np.zeros(2)))
+    A0 = eval_constraint(prog, np.zeros(2))
+    assert min_quad_over_simplex(A0).value > 1e-9
 
 
 def test_determinism():
@@ -52,7 +53,7 @@ def test_slater_fails_and_driver_recovers_planted():
                for r in reg.records)
     # strict feasibility fails at every sampled feasible point
     for x in sample_feasible(prog, reg.witness, 25, 0, DEFAULT):
-        assert not is_strictly_copositive(eval_constraint(prog, x))
+        assert not min_quad_over_simplex(eval_constraint(prog, x)).value > 1e-9
 
 
 def test_two_planted_vertices():

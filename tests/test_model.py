@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from coporeg import (CopositiveProgram, ProblemFormatError, Record,
                      SimplexPoint, eval_constraint, kernel_dimension,
-                     parse_matrix, parse_problem, quad_form, row_action,
+                     parse_matrix, parse_problem, quad_form,
                      serialize_problem, shift_to_feasible)
 from coporeg.model import (project_to_zero_rows, row_functionals,
                            row_residuals, zero_row_matrix)
@@ -58,16 +58,6 @@ def test_quad_form_matches_double_loop():
         assert abs(quad_form(D, t) - brute) <= 1e-12
 
 
-def test_row_action_examples():
-    D = np.array([[0.0, 2.0], [2.0, 1.0]])
-    t = SimplexPoint([1.0, 0.0])
-    assert row_action(D, t, 1) == pytest.approx(0.0)
-    assert row_action(D, t, 2) == pytest.approx(2.0)
-    assert row_action(np.eye(2), SimplexPoint([0.5, 0.5]), 1) == pytest.approx(0.5)
-    with pytest.raises(IndexError):
-        row_action(D, t, 3)
-
-
 def test_kernel_dimension(e1, e2):
     # E2 functionals D -> D_22 and D -> 2 D_12 have rank 2; dim S(2) = 3
     assert kernel_dimension(e2) == 1
@@ -114,10 +104,61 @@ def test_project_to_zero_rows_is_an_idempotent_projection():
         C = zero_row_matrix(recs)
         P = project_to_zero_rows(_random_sym(rng, p), C)
         assert np.array_equal(P, P.T)
-        assert row_residuals(P, recs)[0] <= 1e-12
+        assert row_residuals([P], recs)[0][0] <= 1e-12
         assert np.max(np.abs(project_to_zero_rows(P, C) - P)) <= 1e-12
     D = _random_sym(rng, 3)
     assert project_to_zero_rows(D, zero_row_matrix([])) is D
+
+
+def _row_residuals_one(D, records):
+    """The row test of one matrix: all its record rows from one matmul."""
+    if not records:
+        return 0.0, np.inf
+    T = np.array([rec.tau.coords for rec in records])
+    vals = (D @ T[:, :, None])[:, :, 0]
+    on_L = np.zeros(vals.shape, dtype=bool)
+    for i, rec in enumerate(records):
+        on_L[i, list(rec.L)] = True
+    return (np.max(np.abs(vals[on_L]), initial=0.0),
+            np.min(vals[~on_L], initial=np.inf))
+
+
+# entries that make exact zeros, of either sign, likely
+_ROW_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 3.0])
+
+
+@st.composite
+def _stacks_and_records(draw):
+    p = draw(st.integers(2, 4))
+    S = draw(st.integers(1, 7))
+    M = np.array(draw(st.lists(_ROW_ENTRIES, min_size=S * p * p,
+                               max_size=S * p * p))).reshape(S, p, p)
+    # symmetric without adding entries, so a -0.0 survives
+    Ds = np.where(np.triu(np.ones((p, p), dtype=bool)), M,
+                  M.transpose(0, 2, 1))
+    weights = st.lists(st.sampled_from([0, 0, 1, 2, 3]), min_size=p,
+                       max_size=p).filter(any)
+    records = []
+    for w in draw(st.lists(weights, max_size=3)):
+        w = np.array(w, dtype=float)
+        L = draw(st.sets(st.integers(0, p - 1)))
+        records.append(Record(SimplexPoint(w / w.sum()), L))
+    return Ds, records
+
+
+@given(_stacks_and_records())
+@settings(max_examples=300, deadline=None)
+def test_row_residuals_of_a_stack_match_each_matrix(case):
+    Ds, records = case
+    p = Ds.shape[1]
+    tau = records[0].tau if records else SimplexPoint(np.eye(p)[0])
+    # no records, one record with every row an equality, one with none
+    for recs in (records, (), (Record(tau, range(p)),), (Record(tau, ()),)):
+        eq, ineq = row_residuals(Ds, recs)
+        assert eq.shape == ineq.shape == (len(Ds),)
+        want = np.array([_row_residuals_one(D, recs) for D in Ds])
+        assert eq.tobytes() == want[:, 0].tobytes()
+        assert ineq.tobytes() == want[:, 1].tobytes()
 
 
 def test_parse_serialize_round_trip(e2):

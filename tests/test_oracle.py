@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from coporeg import (CapabilityError, ReducedRegion, SimplexPoint,
                      exclusion_radius, grid_min_full, is_copositive,
-                     is_strictly_copositive, l1_dist_to_hull,
+                     l1_dist_to_hull,
                      min_quad_over_omega, min_quad_over_simplex, quad_form,
                      simplex_grid)
 from coporeg import lp, oracle
@@ -292,12 +292,6 @@ def test_witness_validity_random():
             assert abs(np.sum(t.coords) - 1) <= 1e-9
             assert quad_form(D, t) < 0
     assert found > 0
-
-
-def test_strict_copositivity():
-    assert is_strictly_copositive(np.eye(2))
-    assert not is_strictly_copositive(np.array([[1.0, -1.0], [-1.0, 1.0]]))
-    assert not is_strictly_copositive(np.array([[0.0, 1.0], [1.0, 1.0]]))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from coporeg import (DEFAULT, CopositiveProgram, DualCertificate,
                      FaceLedgerEntry, LedgerError, LpError, LpSolution, Record,
                      ReducedRegion, SipError, SipInstance, compress_ledger,
                      disjointness_condition, eval_constraint, face_forms_agree,
-                     face_membership, feasibility_equiv_sample, forced_zero_rows,
+                     feasibility_equiv_sample, forced_zero_rows,
                      generate_instance, kernel_dimension, minimal_face,
                      one_step_regularize, quad_form, regularize,
                      sample_copositive, sample_feasible, update_index_sets,
@@ -187,18 +187,24 @@ def test_reducing_matrix_symmetrized_lambda():
     assert kernel_residual(prog, Y) == 0.0
 
 
+def _in_face(records, D):
+    """D lies in the face of ``records``: its rows hold (a stack of one)
+    and it is copositive."""
+    return bool(face_rows(records, [D])[1][0]) and is_copositive(D).copositive
+
+
 def test_face_membership_examples(reg_e2):
     records = reg_e2.ledger[0].records
-    assert face_membership(records, np.array([[0.0, 0.0], [0.0, 1.0]]))
-    assert not face_membership(records, np.eye(2))
-    assert face_membership((), np.eye(2))
+    assert _in_face(records, np.array([[0.0, 0.0], [0.0, 1.0]]))
+    assert not _in_face(records, np.eye(2))
+    assert _in_face((), np.eye(2))
 
 
 def _copositivity_first(records, D, cfg=DEFAULT):
     """The membership forms decided copositivity first, rows second."""
     if not is_copositive(D, cfg.tol_cop, cfg.p_max).copositive:
         return False, False
-    eq_res, ineq_margin = row_residuals(D, records)
+    (eq_res,), (ineq_margin,) = row_residuals([D], records)
     eq = eq_res <= cfg.tol_feas
     return eq, eq and ineq_margin >= -cfg.tol_feas
 
@@ -227,8 +233,9 @@ def test_memberships_match_the_copositivity_first_definition(monkeypatch):
         samples.append(bad)
         refs = [_copositivity_first(records, D) for D in samples]
         for D, ref in zip(samples, refs):
-            assert face_membership(records, D) == ref[1]
-            seen.add((is_copositive(D).copositive, face_rows(records, D)[1]))
+            assert _in_face(records, D) == ref[1]
+            seen.add((is_copositive(D).copositive,
+                      bool(face_rows(records, [D])[1][0])))
         monkeypatch.setattr(REGULARIZE, "_face_samples",
                             lambda *_a, samples=samples: iter(samples))
         assert face_forms_agree(records, n_samples=len(samples)) == {
@@ -259,7 +266,7 @@ def test_verify_ledger_runs_the_oracle_only_where_the_rows_hold(
         D = sample_copositive(2, rng)
         if s % 2 == 1:
             D = project_to_zero_rows(D, C)
-        if face_rows(entry.records, D)[1]:
+        if face_rows(entry.records, [D])[1][0]:
             row_members.append(D)
     calls = _count_calls(monkeypatch, REGULARIZE, "stationary_candidate_stack")
     single = _count_calls(monkeypatch, REGULARIZE, "is_copositive")
@@ -284,13 +291,13 @@ def test_equivalence_enumerates_each_sample_once(e2, reg_e2, monkeypatch):
 
 
 def _members_one_at_a_time(records, samples, _p, cfg, equalities_only=False):
-    """``_face_members`` deciding each sample on its own: its rows, then
-    ``is_copositive``."""
+    """``_face_members`` deciding each sample on its own, as a stack of
+    one: its rows, then ``is_copositive``."""
     for D in samples:
-        eq, both = face_rows(records, D, cfg)
+        (eq,), (both,) = face_rows(records, [D], cfg)
         if ((eq if equalities_only else both)
                 and is_copositive(D, cfg.tol_cop, cfg.p_max).copositive):
-            yield D, both
+            yield np.array([D]), np.array([both])
 
 
 def _equiv_one_at_a_time(prog, reg, n_samples, seed, xs, cfg=DEFAULT):
@@ -307,7 +314,7 @@ def _equiv_one_at_a_time(prog, reg, n_samples, seed, xs, cfg=DEFAULT):
         ax = eval_constraint(prog, x)
         cands = stationary_candidates(ax, cfg.p_max)
         margin_a = min(v for v, _t in cands)
-        eq_res, ineq_margin = row_residuals(ax, reg.records)
+        (eq_res,), (ineq_margin,) = row_residuals([ax], reg.records)
         omega_margin = np.inf
         if not reg.omega.empty:
             omega_margin = min_quad_over_omega(ax, reg.omega,
@@ -372,6 +379,21 @@ def test_blocked_sampling_matches_one_sample_at_a_time(e2, e4, reg_e2,
         assert all(e["members_sampled"] > 0 for e in ledger["entries"]), name
         assert agree[0]["members"] > 0 and agree[0]["disagreements"] == 0
     assert reports["e2"][2][1]["disagreements"] > 0
+
+
+def test_rows_are_tested_once_per_block(e2, reg_e2, monkeypatch):
+    # blocks of 7: 50 samples make 7 blocks of 7 and one of 1
+    monkeypatch.setattr(REGULARIZE, "_STACK_ENTRIES", 7 * 2 * 3)
+    records = reg_e2.regularized.records
+    samples = list(REGULARIZE._face_samples(2, records, 50,
+                                            np.random.default_rng(3)))
+    calls = _count_calls(monkeypatch, REGULARIZE, "row_residuals")
+    members = list(REGULARIZE._face_members(records, samples, 2, DEFAULT))
+    assert [len(args[0]) for args in calls] == [7] * 7 + [1]
+    assert sum(len(Ds) for Ds, _both in members) > 0
+    calls.clear()
+    feasibility_equiv_sample(e2, reg_e2.regularized, 50, seed=4)
+    assert [len(args[0]) for args in calls] == [7] * 7 + [1]
 
 
 def test_block_size_keeps_within_the_entry_cap():
@@ -636,9 +658,9 @@ def test_excluded_rows_are_positive_at_feasible_points(face_cases, name,
 def test_minimal_face_e2(e2, reg_e2):
     face = minimal_face(e2, [simplex(1, 0)], reg_e2.regularized)
     assert [(r.tau, r.L) for r in face] == [(simplex(1, 0), {0})]
-    assert face_membership(face, np.array([[0.0, 0.0], [0.0, 1.0]]))
-    assert not face_membership(face, np.array([[1.0, 0.0], [0.0, 0.0]]))
-    assert face_membership(face, np.zeros((2, 2)))
+    assert _in_face(face, np.array([[0.0, 0.0], [0.0, 1.0]]))
+    assert not _in_face(face, np.array([[1.0, 0.0], [0.0, 0.0]]))
+    assert _in_face(face, np.zeros((2, 2)))
     report = face_forms_agree(face, n_samples=200, seed=5)
     assert report["disagreements"] == 0
     assert report["members"] > 0
@@ -648,9 +670,10 @@ def test_minimal_face_e3(e3, reg_e3):
     face = minimal_face(e3, [simplex(0.5, 0.5)], reg_e3.regularized)
     assert [(r.tau, r.L) for r in face] == [(simplex(0.5, 0.5), {0, 1})]
     D = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    assert face_rows(face, D) == (True, True) and face_membership(face, D)
-    assert face_membership(face, 3.0 * D)
-    assert not face_membership(face, np.eye(2))
+    eq, both = face_rows(face, [D])
+    assert eq.tolist() == both.tolist() == [True] and _in_face(face, D)
+    assert _in_face(face, 3.0 * D)
+    assert not _in_face(face, np.eye(2))
     assert face_forms_agree(face, n_samples=200, seed=5)["disagreements"] == 0
 
 
