@@ -20,6 +20,20 @@ Solving all three against one factorisation would round differently and
 so move pivots, which are kept bit-identical.  Dual multipliers follow
 the convention (min problem): >= rows nonnegative, <= rows nonpositive,
 == rows free.
+
+``solve_lp(lp, tol, objectives=C)`` solves one program for each row of an
+(S, nvar) objective stack and returns S solutions, each bit for bit the
+solve of ``lp.with_objective(C[i])``.  Phase 1 does not read the
+objective, so it runs once for the stack.  Phase 2 pivots the rows in
+lockstep (``_simplex_stack``), at most ``_STACK_ROWS`` at a time: a step
+makes one ``np.linalg.solve`` call over the (S, 2, m, m) stack of
+(B, B') and one over the entering columns, and each row keeps its own
+pivot choice, ties and degenerate-run switch.  LAPACK still solves each
+matrix on its own, and the reduced costs are one matrix-vector product
+per row, so every row has the bits of its own solve.  A chunk that raises
+is solved again one row at a time, so a failing row raises the error its
+own solve raises.  One objective keeps the scalar ``_simplex``: the
+lockstep bookkeeping costs more than it saves on a stack of one.
 """
 
 import numpy as np
@@ -31,6 +45,7 @@ REL_GE = ">="
 _PIV_TOL = 1e-10
 _DEGENERATE_RUN = 50
 _MAX_ITERS = 20000
+_STACK_ROWS = 256        # objectives pivoted in lockstep at a time
 
 
 class LpError(RuntimeError):
@@ -47,18 +62,21 @@ def _read_only(*arrays):
         a.setflags(write=False)
 
 
-def _checked_objective(objective, nvar=None):
-    """The objective as a read-only float vector (a copy), finite and, when
-    ``nvar`` is given, of that length."""
+def _checked_objective(objective, nvar=None, ndim=1):
+    """The objective (``ndim`` 1), or the stack of objectives, one per row
+    (``ndim`` 2), as a read-only float array (a copy), finite and, when
+    ``nvar`` is given, with that many coefficients per objective."""
     c = np.array(objective, dtype=float)
-    if c.ndim != 1:
-        raise ValueError("objective must be a vector")
-    if nvar is not None and c.size != nvar:
-        raise ValueError(f"objective has {c.size} coefficients, expected {nvar}")
+    if c.ndim != ndim:
+        raise ValueError("objective must be a vector" if ndim == 1 else
+                         "objectives must be an (S, nvar) array")
+    if nvar is not None and c.shape[-1] != nvar:
+        raise ValueError(f"objective has {c.shape[-1]} coefficients, expected {nvar}")
     finite = np.isfinite(c)
     if not finite.all():
-        raise ValueError(f"objective coefficient of variable {_first(~finite)} "
-                         "is not finite")
+        *row, j = np.argwhere(~finite)[0].tolist()
+        which = f"objective {row[0]}" if row else "objective"
+        raise ValueError(f"{which} coefficient of variable {j} is not finite")
     _read_only(c)
     return c
 
@@ -157,8 +175,11 @@ class _Std:
         free = np.isneginf(lo) & np.isposinf(hi)
         upper_only = np.isneginf(lo) & np.isfinite(hi)
         self.orig = orig = np.repeat(np.arange(lp.nvar), np.where(free, 2, 1))
+        split = np.flatnonzero(orig[1:] == orig[:-1]) + 1   # second halves
         self.sign = sign = np.where(upper_only, -1.0, 1.0)[orig]
-        sign[1:][orig[1:] == orig[:-1]] = -1.0   # split halves
+        sign[split] = -1.0
+        # each variable's first column, then the second halves
+        self.terms = (np.delete(np.arange(orig.size), split), split)
         shift = np.where(upper_only, hi, np.where(free, 0.0, lo))
         self.shift = shift[orig]
         self.nstruct = nstruct = orig.size
@@ -196,20 +217,37 @@ class _Std:
         basis[art] = n_real + np.arange(art.size)   # >= rows too
         self.basis = basis
         self.scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
-        _read_only(self.orig, self.sign, self.shift, self.row_flip, A, b, basis)
+        _read_only(self.orig, self.sign, self.shift, self.row_flip, A, b, basis,
+                   *self.terms)
 
     def to_original(self, v):
-        """Original-variable point of the standard-form point ``v``."""
-        return np.bincount(self.orig, weights=self.sign * v[:self.nstruct] + self.shift,
-                           minlength=self.nvar)
+        """Original-variable point of the standard-form point ``v``, or of
+        each row of the array ``v``.  x_j adds the terms sign * x'_pos +
+        shift of its columns to 0.0 in column order: ``np.bincount``'s sum
+        for a point, and for an array the same sums, taken for all rows at
+        once, one column per variable at a time."""
+        w = self.sign * v[..., :self.nstruct] + self.shift
+        if w.ndim == 1:
+            return np.bincount(self.orig, weights=w, minlength=self.nvar)
+        X = np.zeros((w.shape[0], self.nvar))
+        for cols in self.terms:
+            X[:, self.orig[cols]] += w[:, cols]
+        return X
 
 
 def _basic_solution(stack, rhs):
     """``(x_B, y)`` from one ``np.linalg.solve`` call: ``stack`` holds
-    (B, B'), ``rhs`` holds (b, c_B) as (2, m, 1).  LAPACK solves each
-    matrix on its own, with one right-hand side, as two calls would."""
+    (B, B'), ``rhs`` holds (b, c_B) as (..., 2, m, 1), with any leading
+    stack axes.  LAPACK solves each matrix on its own, with one
+    right-hand side, as separate calls would."""
     xy = np.linalg.solve(stack, rhs)
-    return xy[0, :, 0], xy[1, :, 0]
+    return xy[..., 0, :, 0], xy[..., 1, :, 0]
+
+
+def _stacked_reduced_costs(C_priced, priced_t, Y):
+    """``C_priced[i] - priced_t @ Y[i]`` for each row: one matrix-vector
+    product per row, as the scalar simplex forms it."""
+    return C_priced - (priced_t @ Y[:, :, None])[..., 0]
 
 
 def _simplex(A, b, c, basis, n_allow, tol):
@@ -271,14 +309,75 @@ def _simplex(A, b, c, basis, n_allow, tol):
     raise LpError("simplex iteration cap exceeded")
 
 
-def solve_lp(lp, tol=1e-9):
-    """Solve a LinearProgram; see module docstring for conventions."""
-    std = lp._std
+def _simplex_stack(A, b, C, basis, n_allow, tol):
+    """``_simplex`` for each cost vector, row of the (S, ncols) array
+    ``C``, all from ``basis``, pivoting in lockstep; ``basis`` is not
+    changed.  A row leaves the stack when it stops.
+
+    Returns (bases, XB, Y, unbounded), one row per cost vector (XB and Y
+    are zero on an unbounded row).  Raises LpError at the iteration cap;
+    a singular basis raises numpy's LinAlgError, for the caller to solve
+    the rows one at a time.
+    """
+    S, ncols = C.shape
+    m = A.shape[0]
+    bases = np.tile(basis, (S, 1))
+    XB, Y = np.zeros((S, m)), np.zeros((S, m))
+    unbounded = np.zeros(S, dtype=bool)
+    if m == 0:
+        unbounded[:] = np.any(C[:, :n_allow] < -tol, axis=1)
+        return bases, XB, Y, unbounded
+    At = A.T                                       # At[j] is column j of A
+    priced_t = At[:n_allow]
+    in_basis = np.zeros((S, ncols), dtype=bool)
+    in_basis[:, basis] = True
+    degenerate_run = np.zeros(S, dtype=int)
+    use_bland = np.zeros(S, dtype=bool)
+    live = np.arange(S)                            # the rows still pivoting
+    for _ in range(_MAX_ITERS):
+        Bt = At[bases[live]]                       # the transposed bases
+        stack = np.stack((Bt.transpose(0, 2, 1), Bt), axis=1)
+        rhs = np.empty((live.size, 2, m, 1))
+        rhs[:, 0, :, 0] = b
+        rhs[:, 1, :, 0] = np.take_along_axis(C[live], bases[live], axis=1)
+        xb, y = _basic_solution(stack, rhs)
+        reduced = _stacked_reduced_costs(C[live, :n_allow], priced_t, y)
+        eligible = ~in_basis[live, :n_allow] & (reduced < -tol)
+        go = eligible.any(axis=1)
+        XB[live[~go]], Y[live[~go]] = xb[~go], y[~go]
+        live, xb, eligible, reduced = live[go], xb[go], eligible[go], reduced[go]
+        if live.size == 0:
+            return bases, XB, Y, unbounded
+        enter = np.where(use_bland[live], eligible.argmax(axis=1),
+                         np.where(eligible, reduced, np.inf).argmin(axis=1))
+        d = np.linalg.solve(stack[go, 0], At[enter][:, :, None])[..., 0]
+        pos = d > _PIV_TOL
+        ray = ~pos.any(axis=1)
+        unbounded[live[ray]] = True
+        live, xb, d, pos, enter = live[~ray], xb[~ray], d[~ray], pos[~ray], enter[~ray]
+        if live.size == 0:
+            return bases, XB, Y, unbounded
+        ratios = np.divide(xb, d, out=np.full(d.shape, np.inf), where=pos)
+        best = ratios.min(axis=1)
+        ties = pos & (ratios <= (best + _PIV_TOL * (1.0 + np.abs(best)))[:, None])
+        leave = np.where(ties, bases[live], ncols).argmin(axis=1)
+        run = np.where(best <= _PIV_TOL, degenerate_run[live] + 1, 0)
+        degenerate_run[live] = run
+        use_bland[live] |= run >= _DEGENERATE_RUN
+        in_basis[live, bases[live, leave]] = False
+        in_basis[live, enter] = True
+        bases[live, leave] = enter
+    raise LpError("simplex iteration cap exceeded")
+
+
+def _phase_one(std, tol):
+    """A feasible basis of the standard form to start phase 2 from (a new
+    array), or None when the program is infeasible; the objective does
+    not enter."""
     A, b = std.A, std.b
     m, ncols = A.shape
     n_real = std.n_real_cols
     basis = std.basis.copy()
-
     if m > 0 and n_real < ncols:
         c1 = np.zeros(ncols)
         c1[n_real:] = 1.0
@@ -286,7 +385,7 @@ def solve_lp(lp, tol=1e-9):
         if unbounded:
             raise LpError("phase-1 objective reported unbounded")
         if float(c1[basis] @ xb) > 10.0 * tol * std.scale:
-            return LpSolution("Infeasible")
+            return None
         for row in range(m):
             if basis[row] >= n_real:
                 # pivot the artificial out on the first usable real column
@@ -299,19 +398,35 @@ def solve_lp(lp, tol=1e-9):
                 if usable.any():
                     basis[row] = int(np.argmax(usable))
                 # a stuck artificial marks a redundant row; it stays basic at 0
+    return basis
 
-    c = np.zeros(ncols)
+
+def solve_lp(lp, tol=1e-9, objectives=None):
+    """Solve a LinearProgram; see module docstring for conventions.
+
+    With ``objectives``, an (S, nvar) array, solve the program once for
+    each row in place of ``lp.objective`` and return the S solutions, in
+    order; each is the solve of ``lp.with_objective(objectives[i])``, and
+    the error raised is the one the first failing row raises.
+    """
+    if objectives is not None:
+        return _solve_stack(lp, tol, _checked_objective(objectives, lp.nvar, ndim=2))
+    std = lp._std
+    basis = _phase_one(std, tol)
+    if basis is None:
+        return LpSolution("Infeasible")
+    c = np.zeros(std.A.shape[1])
     c[:std.nstruct] = std.sign * lp.objective[std.orig]
-    xb, y, unbounded = _simplex(A, b, c, basis, n_real, tol)
+    xb, y, unbounded = _simplex(std.A, std.b, c, basis, std.n_real_cols, tol)
     if unbounded:
         return LpSolution("Unbounded", basis=tuple(basis.tolist()))
 
-    x_std = np.zeros(ncols)
+    x_std = np.zeros(c.size)
     x_std[basis] = xb
     x = std.to_original(x_std)
     dual = std.row_flip * y[:std.row_flip.size]
 
-    residual = _feas_residual(lp, x)
+    residual = float(_feas_residual(lp, x))
     if residual > 1e-6 * std.scale:
         raise LpError(f"optimal basis fails feasibility, residual {residual:.3e}")
     return LpSolution("Optimal", primal=x, dual=dual,
@@ -319,7 +434,56 @@ def solve_lp(lp, tol=1e-9):
                       basis=tuple(basis.tolist()), residual=residual)
 
 
-def _feas_residual(lp, x):
-    v = lp.A @ x - lp.b
+def _solve_stack(lp, tol, C):
+    """``solve_lp`` for the checked objective stack ``C``: one phase 1,
+    then phase 2 in lockstep chunks of at most ``_STACK_ROWS`` rows."""
+    if C.shape[0] == 0:
+        return []
+    std = lp._std
+    basis = _phase_one(std, tol)
+    if basis is None:
+        return [LpSolution("Infeasible") for _ in C]
+    costs = np.zeros((C.shape[0], std.A.shape[1]))
+    costs[:, :std.nstruct] = std.sign * C[:, std.orig]
+    sols = []
+    for start in range(0, C.shape[0], _STACK_ROWS):
+        chunk = slice(start, start + _STACK_ROWS)
+        try:
+            sols += _stack_solutions(lp, C[chunk], *_simplex_stack(
+                std.A, std.b, costs[chunk], basis, std.n_real_cols, tol))
+        except (np.linalg.LinAlgError, LpError):
+            # one row at a time: the first failing row raises its own error
+            sols += [solve_lp(lp.with_objective(c), tol) for c in C[chunk]]
+    return sols
+
+
+def _stack_solutions(lp, C, bases, XB, Y, unbounded):
+    """The solutions of the objectives, rows of ``C``, from their final
+    bases and basic solutions (``_simplex_stack``'s result), recovered as
+    ``solve_lp`` recovers one, with the same bits.  Raises LpError when an
+    optimal row fails feasibility."""
+    std = lp._std
+    x_std = np.zeros((C.shape[0], std.A.shape[1]))
+    np.put_along_axis(x_std, bases, XB, axis=1)
+    X = std.to_original(x_std)
+    duals = std.row_flip * Y[:, :std.row_flip.size]
+    residuals = _feas_residual(lp, X)
+    bad = ~unbounded & (residuals > 1e-6 * std.scale)
+    if bad.any():
+        raise LpError("optimal basis fails feasibility, residual "
+                      f"{residuals[_first(bad)]:.3e}")
+    values = (C[:, None, :] @ X[:, :, None])[:, 0, 0]   # one dot per row
+    return [LpSolution("Unbounded", basis=tuple(B)) if ray else
+            LpSolution("Optimal", primal=x, dual=dual, objective_value=value,
+                       basis=tuple(B), residual=residual)
+            for B, ray, x, dual, value, residual in zip(
+                bases.tolist(), unbounded.tolist(), X, duals, values.tolist(),
+                residuals.tolist())]
+
+
+def _feas_residual(lp, X):
+    """The largest row or bound violation of the point ``X``, or of each
+    row of the array ``X``: one matrix-vector product per point."""
+    v = (lp.A @ X[..., None])[..., 0] - lp.b
     row = np.where(lp.rel == REL_EQ, np.abs(v), np.where(lp.rel == REL_LE, v, -v))
-    return float(np.concatenate([row, lp.lo - x, x - lp.hi]).max(initial=0.0))
+    return np.concatenate([row, lp.lo - X, X - lp.hi], axis=-1).max(axis=-1, initial=0.0)

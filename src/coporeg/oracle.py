@@ -218,8 +218,10 @@ def _hull_lp(coords, shape):
     return LinearProgram(np.zeros(p + 1), rows, bounds)
 
 
-def l1_dist_to_hull(t, V):
-    """l1 distance from t to the convex hull of the points in V (an LP).
+def l1_dist_to_hull(T, V):
+    """l1 distance to the convex hull of the points in V (an LP) from the
+    point ``T``, a float, or from each row of the (M, p) array ``T``, an
+    (M,) array.
 
     The LP is the dual of min ||t - V w||_1 over simplex weights w:
     maximize g.t - s subject to g.v_j <= s for every hull point and
@@ -230,26 +232,33 @@ def l1_dist_to_hull(t, V):
     and the solve has no phase 1; hull points with a negative coordinate sum
     take the two-phase path.  Only the objective depends on t: the program
     of each hull, rows, bounds and standard form, is built once and cached
-    by V's coordinate bytes (the per-hull template cache), and each call
-    solves it ``with_objective``, building only its cost vector; each
-    pivot then costs two ``np.linalg.solve`` calls (see ``coporeg.lp``).
+    by V's coordinate bytes (the per-hull template cache).  A point is one
+    solve ``with_objective``; the rows of an array are one ``solve_lp``
+    call with their objective stack, pivoted in lockstep, each row with
+    the bits of its own solve (see ``coporeg.lp``).
     """
-    tc = t.coords if isinstance(t, SimplexPoint) else np.asarray(t, dtype=float)
+    tc = T.coords if isinstance(T, SimplexPoint) else np.asarray(T, dtype=float)
     pts = [v.coords if isinstance(v, SimplexPoint) else np.asarray(v, dtype=float)
            for v in V]
     if not pts:
         raise ValueError("V must be nonempty")
-    p = tc.size
+    p = tc.shape[-1]
     for v in pts:
         if v.size != p:
             raise DimensionError("hull points must match the dimension of t")
     vmat = np.array([v.ravel() for v in pts])
     hull = _hull_lp(vmat.tobytes(), vmat.shape)
-    sol = solve_lp(hull.with_objective(np.append(-tc, 1.0)))
-    if sol.status != "Optimal":
-        raise LpError(f"hull-distance LP reported {sol.status}; this cannot "
-                      "happen for nonempty V")
-    return max(0.0, -float(sol.objective_value))
+    C = np.column_stack([-tc.reshape(-1, p), np.ones(tc.size // p)])
+    if tc.ndim == 1:
+        sols = [solve_lp(hull.with_objective(C[0]))]
+    else:
+        sols = solve_lp(hull, objectives=C)
+    for sol in sols:
+        if sol.status != "Optimal":
+            raise LpError(f"hull-distance LP reported {sol.status}; this cannot "
+                          "happen for nonempty V")
+    dist = np.maximum(0.0, [-sol.objective_value for sol in sols])
+    return float(dist[0]) if tc.ndim == 1 else dist
 
 
 def exclusion_radius(V, tol_support=1e-7):
@@ -270,13 +279,15 @@ class ReducedRegion:
 
     Membership is ``l1_dist_to_hull(t, V) >= sigma``, one small LP in its
     dual form.  A cheap sandwich (dual sign vectors below, nearest-point
-    distance above) decides almost every grid point; a point it leaves
-    undecided at either cut of ``grid_mask`` gets one exact LP, which
+    distance above) decides almost every grid point; the points it leaves
+    undecided at either cut of ``grid_mask`` get one exact LP each, which
     decides both cuts.  The LPs of one hull differ only in their
     objective: the hull's program and its standard form come from a
-    per-hull template cache, so each LP builds only its cost vector.  With
-    one hull point the nearest-point distance is the hull distance, so its
-    masks need no sign vectors and no LP.
+    per-hull template cache, and the undecided points of a mask, like the
+    points of one ``contains`` call, are one stacked ``l1_dist_to_hull``
+    call, pivoted in lockstep.  With one hull point the nearest-point
+    distance is the hull distance, so its masks need no sign vectors and
+    no LP.
 
     ``empty`` is exact from the vertices, with no grid and no LP: the hull
     distance is convex, so it peaks at a simplex vertex e_k, where it is
@@ -304,9 +315,11 @@ class ReducedRegion:
         self._sign_offsets = np.max(signs @ self._vmat.T, axis=1)    # (2^p,)
         self._selected = {}                                          # N -> selected_points(N)
 
-    def contains(self, t):
-        """Exact membership via the hull-distance LP."""
-        return l1_dist_to_hull(t, self.V) >= self.sigma - self.tol_feas
+    def contains(self, T):
+        """Exact membership via the hull-distance LP: a bool for a point,
+        a boolean (M,) array for the rows of an (M, p) array (one stacked
+        ``l1_dist_to_hull`` call)."""
+        return l1_dist_to_hull(T, self.V) >= self.sigma - self.tol_feas
 
     def grid_mask(self, points, relax):
         """Vectorized membership for an (M, p) array of simplex points.
@@ -319,6 +332,7 @@ class ReducedRegion:
         M-vector, left to right, never reducing along the short axis.  A
         one-point hull is its own nearest point: the upper bound is exact
         and serves as the lower bound too, so no point is left undecided.
+        The undecided points go to one stacked ``l1_dist_to_hull`` call.
         """
         M = points.shape[0]
         upper = np.full(M, np.inf)
@@ -335,10 +349,11 @@ class ReducedRegion:
                 np.maximum(lower, points @ g - off, out=lower)
         cut = self.sigma - self.tol_feas
         near, inside = lower >= cut - relax, lower >= cut
-        undecided = (~near & (upper >= cut - relax)) | (~inside & (upper >= cut))
-        for i in np.nonzero(undecided)[0]:
-            d = l1_dist_to_hull(points[i], self.V)
-            near[i], inside[i] = d >= cut - relax, d >= cut
+        undecided = np.flatnonzero((~near & (upper >= cut - relax))
+                                   | (~inside & (upper >= cut)))
+        if undecided.size:
+            d = l1_dist_to_hull(points[undecided], self.V)
+            near[undecided], inside[undecided] = d >= cut - relax, d >= cut
         return near, inside
 
     def selected_points(self, denominator):

@@ -442,19 +442,20 @@ def forced_zero_rows(prog, t_j, reg, cfg=DEFAULT):
     F, so it vanishes on F exactly when its maximum over P intersected
     with a box around the witness is at the numerical zero level: one LP
     per row, no separation.  The LPs differ only in their objective, so
-    they share one program's rows, bounds and standard form.
+    the p of them are one ``solve_lp`` call with an objective stack: one
+    program's rows, bounds and standard form, and one phase 1.
     """
     # the box must hold a neighbourhood of the witness, where P and F agree;
     # witnesses of `regularize` often sit on the master's box |x_j| <= box_r
     r = max(cfg.box_r, 2.0 * float(np.max(np.abs(reg.witness), initial=0.0)))
     rows_lp = LinearProgram(np.zeros(prog.n), reg.rows, [(-r, r)] * prog.n)
+    coefs, rhs = zip(*(linear_row_data(prog, t_j, k) for k in range(prog.p)))
+    sols = solve_lp(rows_lp, tol=cfg.tol_lp, objectives=-np.array(coefs))
     members = []
-    for k in range(prog.p):
-        coefs, rhs = linear_row_data(prog, t_j, k)
-        sol = solve_lp(rows_lp.with_objective(-coefs), tol=cfg.tol_lp)
+    for k, sol in enumerate(sols):
         if sol.status != "Optimal":
             raise LpError(f"row maximization LP reported {sol.status}")
-        if float(coefs @ sol.primal) - rhs <= cfg.tol_feas:
+        if float(coefs[k] @ sol.primal) - rhs[k] <= cfg.tol_feas:
             members.append(k)
     return tuple(members)
 
@@ -498,9 +499,10 @@ def feasibility_equiv_sample(prog, reg, n_samples, seed, cfg=DEFAULT):
 
     Samples where the two decisions differ but either margin falls inside
     ``tol_band`` are excluded as ties.  The samples are taken in blocks of
-    ``_block_size(p)``: one uniform draw, one row test and one stacked
-    support enumeration per block, whose row for a sample gives both its
-    direct margin and the candidates of its region margin.
+    ``_block_size(p)``: one uniform draw, one row test, one stacked
+    support enumeration and one region membership call per block; a
+    sample's row of the enumeration gives both its direct margin and the
+    candidates of its region margin.
     """
     rng = np.random.default_rng(seed)
     report = {"samples": int(n_samples), "agreements": 0, "ties": 0,
@@ -513,12 +515,12 @@ def feasibility_equiv_sample(prog, reg, n_samples, seed, cfg=DEFAULT):
         AX = np.array([eval_constraint(prog, x) for x in X])
         values, coords = stationary_candidate_stack(AX, cfg.p_max)
         eq_all, ineq_all = row_residuals(AX, reg.records)
-        for x, ax, vals, ts, eq_res, ineq_margin in zip(
-                X, AX, values, coords, eq_all.tolist(), ineq_all.tolist()):
+        omega_all = _omega_margins(AX, reg, h, cfg, values, coords)
+        for x, vals, eq_res, ineq_margin, omega_margin in zip(
+                X, values, eq_all.tolist(), ineq_all.tolist(), omega_all.tolist()):
             margin_a = float(np.min(vals))
             dec_a = margin_a >= -cfg.tol_cop
 
-            omega_margin = _omega_margin(ax, reg, h, cfg, vals, ts)
             margin_b = min(-eq_res, ineq_margin, omega_margin)
             dec_b = (eq_res <= cfg.tol_band and ineq_margin >= -cfg.tol_band
                      and omega_margin >= -cfg.tol_band)
@@ -535,20 +537,21 @@ def feasibility_equiv_sample(prog, reg, n_samples, seed, cfg=DEFAULT):
     return report
 
 
-def _omega_margin(ax, reg, h, cfg, values, coords):
-    """min t'(ax)t over the region: the grid value, lowered by the least
-    stationary candidate inside the region below -tol_band (an exact
-    violation).  ``values`` and ``coords`` are the sample's row of
-    ``stationary_candidate_stack``."""
+def _omega_margins(AX, reg, h, cfg, values, coords):
+    """min t'(ax)t over the region for each matrix ax of the block ``AX``:
+    the grid value, lowered by the least stationary candidate inside the
+    region below -tol_band (an exact violation).  ``values`` and
+    ``coords`` are the block's ``stationary_candidate_stack``.  Only a
+    candidate below min(-tol_band, grid value) can lower a margin (a
+    support without a candidate is +inf); those of the whole block are
+    tested in one ``contains`` call."""
     if reg.omega.empty:
-        return np.inf
-    best = min_quad_over_omega(ax, reg.omega, h).value
-    # ascending values, ties in mask order: the first candidate inside is
-    # the least one, and only a candidate below the grid value can lower
-    # the margin (a support without a candidate is +inf)
-    for j in np.argsort(values, kind="stable"):
-        if values[j] >= min(-cfg.tol_band, best):
-            break
-        if reg.omega.contains(coords[j]):
-            return float(values[j])
+        return np.full(len(AX), np.inf)
+    best = np.array([min_quad_over_omega(ax, reg.omega, h).value for ax in AX])
+    i, j = np.nonzero(values < np.minimum(-cfg.tol_band, best)[:, None])
+    if i.size:
+        inside = reg.omega.contains(coords[i, j])
+        lowest = np.full(values.shape, np.inf)
+        lowest[i[inside], j[inside]] = values[i[inside], j[inside]]
+        best = np.minimum(best, lowest.min(axis=1))
     return best

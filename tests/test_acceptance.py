@@ -15,7 +15,7 @@ from coporeg import (DEFAULT, DualCertificate, FaceLedgerEntry,
                      eval_constraint, min_quad_over_omega, verify_ledger)
 from coporeg.lp import REL_GE, REL_LE
 from coporeg.oracle import stationary_candidate_stack, stationary_candidates
-from coporeg.regularize import _omega_margin
+from coporeg.regularize import _omega_margins
 from coporeg.sip import linear_row_data
 
 from conftest import simplex
@@ -262,12 +262,12 @@ def test_omega_margin_matches_the_all_candidate_margin(e4, successful_runs):
         reg = res.regularized
         assert len(reg.omega.V) == len(reg.records), name
         h = DEFAULT.grid_h(prog.p)
-        for _ in range(20):
-            x = reg.witness + rng.uniform(-2.0, 2.0, size=prog.n)
-            ax = eval_constraint(prog, x)
+        # the run's 20 samples are one block: one membership call for all
+        AX = np.array([eval_constraint(prog, reg.witness + rng.uniform(
+            -2.0, 2.0, size=prog.n)) for _ in range(20)])
+        values, coords = stationary_candidate_stack(AX, DEFAULT.p_max)
+        for ax, got in zip(AX, _omega_margins(AX, reg, h, DEFAULT, values, coords)):
             cands = stationary_candidates(ax, DEFAULT.p_max)
-            values, coords = stationary_candidate_stack(ax[None], DEFAULT.p_max)
-            got = _omega_margin(ax, reg, h, DEFAULT, values[0], coords[0])
             assert got == _omega_margin_all_candidates(ax, reg, h, DEFAULT,
                                                        cands), name
             by_candidate += got in {val for val, _t in cands}

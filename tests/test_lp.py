@@ -394,16 +394,39 @@ def _ref_feas_residual(lp, x):
     return float(np.max(np.concatenate([row, lp.lo - x, x - lp.hi]), initial=0.0))
 
 
+def _fields(sol):
+    """Status, basis and the bytes of every float of a solution."""
+    fields = (sol.primal, sol.dual, sol.objective_value, sol.residual)
+    return (sol.status, sol.basis,
+            *(None if f is None else np.asarray(f, dtype=float).tobytes() for f in fields))
+
+
 def _outcome(solve, prog, **kwargs):
-    """Status, basis and the bytes of every float a solve returns, or the
-    LpError message it raised."""
+    """``_fields`` of a solve, or the LpError message it raised."""
     try:
         sol = solve(prog, **kwargs)
     except LpError as e:
         return ("LpError", str(e))
-    fields = (sol.primal, sol.dual, sol.objective_value, sol.residual)
-    return (sol.status, sol.basis,
-            *(None if f is None else np.asarray(f, dtype=float).tobytes() for f in fields))
+    return _fields(sol)
+
+
+def _assert_stack_bit_identical(prog, objectives, **kwargs):
+    """A solve of the objective stack against the reference solve of each
+    row's own program: every row's bits, or, when a row fails, the error
+    of the first failing row."""
+    want = []
+    for c in objectives:
+        out = _outcome(_ref_solve_lp, prog.with_objective(c), **kwargs)
+        if out[0] == "LpError":
+            want = out
+            break
+        want.append(out)
+    try:
+        got = [_fields(sol) for sol in solve_lp(prog, objectives=objectives, **kwargs)]
+    except LpError as e:
+        got = ("LpError", str(e))
+    assert got == want
+    return want
 
 
 def _rebuilt(prog):
@@ -438,9 +461,11 @@ def test_hull_lps_of_a_two_vertex_region_are_bit_identical(monkeypatch):
                                    SimplexPoint([0.0, 1.0, 0.0])])
     calls = _recorded_lps(monkeypatch, oracle, lambda: region.grid_mask(
         oracle.simplex_grid(3, 32), 3 / 64))
-    assert len(calls) == 136          # every point the mask leaves undecided
+    # one row for every point the mask leaves undecided
+    assert sum(len(kwargs["objectives"]) for _prog, kwargs in calls) == 136
     for prog, kwargs in calls:
-        assert _assert_bit_identical(prog, **kwargs)[0] == "Optimal"
+        want = _assert_stack_bit_identical(prog, **kwargs)
+        assert {out[0] for out in want} == {"Optimal"}
 
 
 def test_master_lps_of_regularize_are_bit_identical(monkeypatch, e4):
@@ -494,6 +519,7 @@ def test_generated_lps_are_bit_identical_on_every_branch():
         want = _assert_bit_identical(prog, events=events)
         shared = LinearProgram(other, rows, bounds).with_objective(objective)
         assert _outcome(solve_lp, shared) == want
+        _assert_stack_bit_identical(prog, np.array([objective, other]))
         # the standard form itself, signed zeros included
         ref, std = _RefStd(prog), prog._std
         assert std.A.tobytes() == ref.A.tobytes() and std.b.tobytes() == ref.b.tobytes()
@@ -506,6 +532,67 @@ def test_generated_lps_are_bit_identical_on_every_branch():
 
     check()
     assert _BRANCHES <= set(seen), _BRANCHES - set(seen)
+
+
+def test_a_stack_across_chunks_is_bit_identical(monkeypatch):
+    # 2,145 hull LPs: eight full chunks and a partial one
+    V = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    hull = oracle._hull_lp(V.tobytes(), V.shape)
+    points = oracle.simplex_grid(3, 64)
+    chunks = []
+    stacked = lp_mod._simplex_stack
+
+    def counting(A, b, costs, *args):
+        chunks.append(len(costs))
+        return stacked(A, b, costs, *args)
+
+    monkeypatch.setattr(lp_mod, "_simplex_stack", counting)
+    _assert_stack_bit_identical(hull, np.column_stack([-points, np.ones(len(points))]))
+    assert chunks == [lp_mod._STACK_ROWS] * 8 + [97]
+
+
+def test_an_empty_stack_solves_nothing(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("an empty stack ran the simplex")
+
+    monkeypatch.setattr(lp_mod, "_simplex", no_solve)
+    monkeypatch.setattr(lp_mod, "_simplex_stack", no_solve)
+    assert solve_lp(_beale(), objectives=np.empty((0, 4))) == []
+
+
+def test_a_failing_row_raises_its_own_error(monkeypatch):
+    # without the switch to Bland's rule only Beale's own objective cycles;
+    # the chunk is solved again one row at a time, and its first failing
+    # row raises
+    monkeypatch.setattr(lp_mod, "_DEGENERATE_RUN", 10 ** 9)
+    monkeypatch.setattr(lp_mod, "_MAX_ITERS", 1000)
+    prog = _beale()
+    others = np.array([[1.0, 1.0, 1.0, 1.0], [0.0, 0.0, -1.0, 0.0]])
+    assert [s.status for s in solve_lp(prog, objectives=others)] == ["Optimal"] * 2
+    with pytest.raises(LpError, match="iteration cap") as single:
+        solve_lp(prog)
+    with pytest.raises(LpError) as stacked:
+        solve_lp(prog, objectives=np.insert(others, 1, prog.objective, axis=0))
+    assert str(stacked.value) == str(single.value)
+
+
+def test_a_singular_stack_is_solved_one_row_at_a_time(monkeypatch):
+    solve = np.linalg.solve
+    stacks = []
+
+    def singular_stacks(a, b):
+        if a.ndim == 4:
+            stacks.append(a.shape[0])
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    rng = np.random.default_rng(22)
+    c, A, rels, b, bounds = _random_lp(rng)
+    prog = LinearProgram(c, list(zip(A, rels, b)), bounds)
+    objectives = np.array([c, -c, c + rng.normal(size=c.size)])
+    monkeypatch.setattr(np.linalg, "solve", singular_stacks)
+    _assert_stack_bit_identical(prog, objectives)
+    assert stacks == [3]
 
 
 # --- the assumptions the bit identity rests on -------------------------------
@@ -537,6 +624,40 @@ def test_stacked_basis_solve_matches_two_solves_bitwise():
         assert y.tobytes() == np.linalg.solve(B.T, cb).tobytes()
     assert singular < 2000           # over 3,000 bases compared
 
+    # the lockstep simplex's (S, 2, m, m) basis solve, its (S, m, m)
+    # entering-column solve and its stacked reduced costs, over one basis
+    # per objective of a shared A, must give each row the bits of its own
+    # calls
+    compared = 0
+    for k in range(300):
+        m = int(rng.integers(1, 16))
+        A = np.hstack([rng.integers(-3, 4, size=(m, 2 * m)), np.eye(m), -np.eye(m)])
+        A = A.astype(float) if k % 2 else A + rng.normal(size=A.shape)
+        ncols = A.shape[1]
+        bases = np.array([rng.choice(ncols, size=m, replace=False) for _ in range(40)])
+        ok = [np.linalg.matrix_rank(A[:, B]) == m for B in bases]
+        bases = bases[ok]
+        S = len(bases)
+        Bt = A.T[bases]
+        stack = np.stack((Bt.transpose(0, 2, 1), Bt), axis=1)
+        rhs = rng.normal(size=(S, 2, m, 1))
+        cols = rng.normal(size=(S, m))
+        try:
+            XB, Y = lp_mod._basic_solution(stack, rhs)
+            D = np.linalg.solve(stack[:, 0], cols[:, :, None])[..., 0]
+        except np.linalg.LinAlgError:
+            continue        # the engine solves such a stack one row at a time
+        n = int(rng.integers(1, ncols + 1))
+        C = rng.normal(size=(S, n))
+        reduced = lp_mod._stacked_reduced_costs(C, A[:, :n].T, Y)
+        for i, B in enumerate(Bt.transpose(0, 2, 1)):
+            assert XB[i].tobytes() == np.linalg.solve(B, rhs[i, 0, :, 0]).tobytes()
+            assert Y[i].tobytes() == np.linalg.solve(B.T, rhs[i, 1, :, 0]).tobytes()
+            assert D[i].tobytes() == np.linalg.solve(B, cols[i]).tobytes()
+            assert reduced[i].tobytes() == (C[i] - A[:, :n].T @ Y[i]).tobytes()
+            compared += 1
+    assert compared > 5000
+
 
 def test_program_arrays_are_read_only_and_shared():
     prog = LinearProgram([1.0, -1.0, 0.5],
@@ -550,7 +671,7 @@ def test_program_arrays_are_read_only_and_shared():
     assert prog.objective.tolist() == [1.0, -1.0, 0.5]
     arrays = [prog.objective, other.objective, prog.A, prog.rel, prog.b, prog.lo,
               prog.hi, std.A, std.b, std.basis, std.orig, std.sign, std.shift,
-              std.row_flip]
+              std.row_flip, *std.terms]
     for a in arrays:
         assert a.size and not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -568,6 +689,8 @@ def test_with_objective_rejects_a_non_finite_objective(objective, first):
         prog.with_objective(objective)
     assert str(shared.value) == str(built.value) == (
         f"objective coefficient of variable {first} is not finite")
+    with pytest.raises(ValueError, match=f"^objective 1 coefficient of variable {first} "):
+        solve_lp(prog, objectives=[[0.0] * 3, objective])
 
 
 def test_with_objective_rejects_a_wrong_length():
@@ -576,3 +699,7 @@ def test_with_objective_rejects_a_wrong_length():
         prog.with_objective([1.0, 2.0])
     with pytest.raises(ValueError, match="objective must be a vector"):
         prog.with_objective([[1.0, 2.0, 3.0]])
+    with pytest.raises(ValueError, match="objective has 2 coefficients, expected 3"):
+        solve_lp(prog, objectives=[[1.0, 2.0]])
+    with pytest.raises(ValueError, match=r"objectives must be an \(S, nvar\) array"):
+        solve_lp(prog, objectives=[1.0, 2.0, 3.0])

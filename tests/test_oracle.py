@@ -469,6 +469,8 @@ def test_grid_mask_matches_exact_lp():
     pts = simplex_grid(3, 16)
     cut = region.sigma - region.tol_feas
     dist = [l1_dist_to_hull(t, V) for t in pts]
+    # the array form gives each point's distance, as one stacked call
+    assert l1_dist_to_hull(pts, V).tolist() == dist
     for relax in (0.0, 3 / 32):
         near, inside = region.grid_mask(pts, relax)
         for i, d in enumerate(dist):
@@ -477,14 +479,15 @@ def test_grid_mask_matches_exact_lp():
 
 
 def test_grid_mask_solves_at_most_one_lp_per_point(monkeypatch):
-    # a point undecided at both cuts is decided by a single LP
+    # a point undecided at both cuts is decided by a single LP: each row of
+    # each stacked call is one point's LP
     V = [simplex(0.6, 0.2, 0.2), simplex(0.2, 0.7, 0.1)]
     region = ReducedRegion(V)
     calls = collections.Counter()
 
-    def counting(t, hull):
-        calls[tuple(t)] += 1
-        return l1_dist_to_hull(t, hull)
+    def counting(T, hull):
+        calls.update(map(tuple, np.atleast_2d(T)))
+        return l1_dist_to_hull(T, hull)
 
     monkeypatch.setattr(oracle, "l1_dist_to_hull", counting)
     min_quad_over_omega(np.eye(3), region, 1 / 16)
@@ -651,9 +654,9 @@ def test_omega_min_matches_the_row_wise_reference(case):
     D, V, sigma, h = case
     calls = collections.Counter()
 
-    def counting(t, hull):
-        calls[side] += 1
-        return l1_dist_to_hull(t, hull)
+    def counting(T, hull):    # one LP per point, whether stacked or not
+        calls[side] += len(np.atleast_2d(T))
+        return l1_dist_to_hull(T, hull)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "l1_dist_to_hull", counting)

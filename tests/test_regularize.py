@@ -543,8 +543,8 @@ def test_forced_zero_rows_e2(e2, reg_e2):
 
 
 def test_forced_zero_rows_row_lp_failure_is_typed(e2, reg_e2, monkeypatch):
-    monkeypatch.setattr(REGULARIZE, "solve_lp",
-                        lambda lp, **kw: LpSolution("Infeasible"))
+    monkeypatch.setattr(REGULARIZE, "solve_lp", lambda lp, **kw: [
+        LpSolution("Infeasible") for _ in kw["objectives"]])
     with pytest.raises(LpError, match="row maximization LP reported Infeasible"):
         forced_zero_rows(e2, simplex(1, 0), reg_e2.regularized)
 
@@ -577,11 +577,20 @@ def test_forced_zero_rows_solves_one_lp_per_row(face_cases, name, monkeypatch):
         raise AssertionError("forced_zero_rows evaluated the region grid")
 
     monkeypatch.setattr(REGULARIZE, "min_quad_over_omega", no_grid)
-    calls = _count_calls(monkeypatch, REGULARIZE, "solve_lp")
+    stacks = []
+    solve = REGULARIZE.solve_lp
+
+    def recorded(lp, **kwargs):
+        stacks.append(kwargs["objectives"])
+        return solve(lp, **kwargs)
+
+    monkeypatch.setattr(REGULARIZE, "solve_lp", recorded)
     for rec in reg.records:
-        before = len(calls)
+        before = len(stacks)
         forced_zero_rows(prog, rec.tau, reg)
-        assert len(calls) - before == prog.p
+        # one call per record, with one objective per row
+        assert len(stacks) - before == 1
+        assert stacks[-1].shape == (prog.p, prog.n)
 
 
 def _pairwise_rows(prog, records):
@@ -626,9 +635,9 @@ def test_excluded_rows_are_positive_at_feasible_points(face_cases, name,
     orig = REGULARIZE.solve_lp
 
     def recorded(lp, **kwargs):
-        sol = orig(lp, **kwargs)
-        argmaxes.append(sol.primal)
-        return sol
+        sols = orig(lp, **kwargs)
+        argmaxes.extend(sol.primal for sol in sols)
+        return sols
 
     monkeypatch.setattr(REGULARIZE, "solve_lp", recorded)
     M = {}
