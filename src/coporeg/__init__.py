@@ -8,8 +8,8 @@ from .model import (CopositiveProgram, DimensionError, ProblemFormatError,
                     parse_matrix, parse_problem, quad_form, serialize_matrix,
                     serialize_problem, shift_to_feasible)
 from .oracle import (CapabilityError, CopositivityResult, OracleResult,
-                     ReducedRegion, exclusion_radius, grid_min_full,
-                     is_copositive, l1_dist_to_hull, min_quad_over_omega,
+                     ReducedRegion, exclusion_radius, is_copositive,
+                     l1_dist_to_hull, min_quad_over_omega,
                      min_quad_over_simplex, simplex_grid)
 from .regularize import (CompressedLedger, FaceLedgerEntry, LedgerError,
                          Record, RegularizationResult, RegularizedProblem,
@@ -34,7 +34,7 @@ __all__ = [
     "compress_ledger", "disjointness_condition", "eval_constraint",
     "exclusion_radius", "extract_certificate", "face_forms_agree",
     "feasibility_equiv_sample", "forced_zero_rows", "generate_instance",
-    "grid_min_full", "is_copositive", "kernel_dimension", "l1_dist_to_hull",
+    "is_copositive", "kernel_dimension", "l1_dist_to_hull",
     "min_quad_over_omega", "min_quad_over_simplex", "minimal_face",
     "one_step_regularize", "parse_matrix", "parse_problem", "quad_form",
     "regularize", "sample_copositive", "sample_feasible",

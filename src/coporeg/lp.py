@@ -3,11 +3,7 @@
 Two-phase simplex on a standard form built from arrays: free variables are
 split, lower-bounded variables shifted, upper bounds become internal rows.
 A program builds its standard form once, from its rows and bounds, and
-keeps it read-only; ``LinearProgram.with_objective`` returns a program
-with another objective that shares the checked rows, the bounds and the
-standard form, so LPs that differ only in their objective (the
-hull-distance LPs of one hull) build it once.  A solve builds only its
-cost vector.
+keeps it read-only; a solve builds only its cost vectors.
 
 Pivoting is Dantzig's rule with deterministic lowest-index tie-breaking,
 falling back to Bland's rule once a run of degenerate pivots trips the
@@ -21,19 +17,22 @@ so move pivots, which are kept bit-identical.  Dual multipliers follow
 the convention (min problem): >= rows nonnegative, <= rows nonpositive,
 == rows free.
 
-``solve_lp(lp, tol, objectives=C)`` solves one program for each row of an
-(S, nvar) objective stack and returns S solutions, each bit for bit the
-solve of ``lp.with_objective(C[i])``.  Phase 1 does not read the
-objective, so it runs once for the stack.  Phase 2 pivots the rows in
-lockstep (``_simplex_stack``), at most ``_STACK_ROWS`` at a time: a step
-makes one ``np.linalg.solve`` call over the (S, 2, m, m) stack of
-(B, B') and one over the entering columns, and each row keeps its own
-pivot choice, ties and degenerate-run switch.  LAPACK still solves each
-matrix on its own, and the reduced costs are one matrix-vector product
-per row, so every row has the bits of its own solve.  A chunk that raises
-is solved again one row at a time, so a failing row raises the error its
-own solve raises.  One objective keeps the scalar ``_simplex``: the
-lockstep bookkeeping costs more than it saves on a stack of one.
+Every solve is a stack of objectives: ``solve_lp(lp, tol)`` is the stack
+of one, ``lp.objective``, and ``solve_lp(lp, tol, objectives=C)`` solves
+the program once for each row of an (S, nvar) array.  Phase 1 does not
+read the objective, so it runs once for the stack.  Phase 2 takes the
+rows in chunks of at most ``_STACK_ROWS``, and the chunk size alone picks
+the pivot loop: a one-row chunk takes the scalar ``_simplex``, and a
+larger chunk ``_simplex_stack``, which pivots its rows in lockstep.  A
+lockstep step makes one ``np.linalg.solve`` call over the (S, 2, m, m)
+stack of (B, B') and one over the entering columns, and each row keeps
+its own pivot choice, ties and degenerate-run switch.  LAPACK still
+solves each matrix on its own, and the reduced costs are one
+matrix-vector product per row, so every row has the bits of its own
+one-row solve; the lockstep bookkeeping costs more than it saves on a
+stack of one.  A chunk that raises is solved again one row at a time, so
+a failing row raises the error its own solve raises.  Every solution is
+recovered by one routine, ``_stack_solutions``, for a chunk of any size.
 """
 
 import numpy as np
@@ -127,14 +126,6 @@ class LinearProgram:
         self.nvar = nvar
         self._std = _Std(self)
 
-    def with_objective(self, objective):
-        """This program with another objective, checked as the constructor
-        checks one; the rows, the bounds and the standard form are shared."""
-        prog = object.__new__(LinearProgram)
-        prog.__dict__.update(self.__dict__)
-        prog.objective = _checked_objective(objective, self.nvar)
-        return prog
-
     @property
     def rows(self):
         return list(zip(self.A, self.rel.tolist(), self.b.tolist()))
@@ -175,11 +166,8 @@ class _Std:
         free = np.isneginf(lo) & np.isposinf(hi)
         upper_only = np.isneginf(lo) & np.isfinite(hi)
         self.orig = orig = np.repeat(np.arange(lp.nvar), np.where(free, 2, 1))
-        split = np.flatnonzero(orig[1:] == orig[:-1]) + 1   # second halves
         self.sign = sign = np.where(upper_only, -1.0, 1.0)[orig]
-        sign[split] = -1.0
-        # each variable's first column, then the second halves
-        self.terms = (np.delete(np.arange(orig.size), split), split)
+        sign[1:][orig[1:] == orig[:-1]] = -1.0              # second halves
         shift = np.where(upper_only, hi, np.where(free, 0.0, lo))
         self.shift = shift[orig]
         self.nstruct = nstruct = orig.size
@@ -217,22 +205,21 @@ class _Std:
         basis[art] = n_real + np.arange(art.size)   # >= rows too
         self.basis = basis
         self.scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
+        # a user row's violation is |v| on == rows, v on <= rows, -v on >= rows
+        self.eq_rows = lp.rel == REL_EQ
+        self.row_sign = np.where(lp.rel == REL_LE, 1.0, -1.0)
         _read_only(self.orig, self.sign, self.shift, self.row_flip, A, b, basis,
-                   *self.terms)
+                   self.eq_rows, self.row_sign)
 
-    def to_original(self, v):
-        """Original-variable point of the standard-form point ``v``, or of
-        each row of the array ``v``.  x_j adds the terms sign * x'_pos +
-        shift of its columns to 0.0 in column order: ``np.bincount``'s sum
-        for a point, and for an array the same sums, taken for all rows at
-        once, one column per variable at a time."""
-        w = self.sign * v[..., :self.nstruct] + self.shift
-        if w.ndim == 1:
-            return np.bincount(self.orig, weights=w, minlength=self.nvar)
-        X = np.zeros((w.shape[0], self.nvar))
-        for cols in self.terms:
-            X[:, self.orig[cols]] += w[:, cols]
-        return X
+    def to_original(self, V):
+        """Original-variable points of the standard-form points, rows of
+        ``V``: x_j adds the terms sign * x'_pos + shift of its columns to
+        0.0 in column order, one ``np.bincount`` over all the rows."""
+        S = V.shape[0]
+        bins = (self.nvar * np.arange(S)[:, None] + self.orig).ravel()
+        W = self.sign * V[:, :self.nstruct] + self.shift
+        return np.bincount(bins, weights=W.ravel(),
+                           minlength=S * self.nvar).reshape(S, self.nvar)
 
 
 def _basic_solution(stack, rhs):
@@ -406,37 +393,18 @@ def solve_lp(lp, tol=1e-9, objectives=None):
 
     With ``objectives``, an (S, nvar) array, solve the program once for
     each row in place of ``lp.objective`` and return the S solutions, in
-    order; each is the solve of ``lp.with_objective(objectives[i])``, and
-    the error raised is the one the first failing row raises.
+    order, each the solve of the program with that row as its objective;
+    the error raised is the one the first failing row raises.  Without,
+    the program's own objective is the stack of one.
     """
-    if objectives is not None:
-        return _solve_stack(lp, tol, _checked_objective(objectives, lp.nvar, ndim=2))
-    std = lp._std
-    basis = _phase_one(std, tol)
-    if basis is None:
-        return LpSolution("Infeasible")
-    c = np.zeros(std.A.shape[1])
-    c[:std.nstruct] = std.sign * lp.objective[std.orig]
-    xb, y, unbounded = _simplex(std.A, std.b, c, basis, std.n_real_cols, tol)
-    if unbounded:
-        return LpSolution("Unbounded", basis=tuple(basis.tolist()))
-
-    x_std = np.zeros(c.size)
-    x_std[basis] = xb
-    x = std.to_original(x_std)
-    dual = std.row_flip * y[:std.row_flip.size]
-
-    residual = float(_feas_residual(lp, x))
-    if residual > 1e-6 * std.scale:
-        raise LpError(f"optimal basis fails feasibility, residual {residual:.3e}")
-    return LpSolution("Optimal", primal=x, dual=dual,
-                      objective_value=float(lp.objective @ x),
-                      basis=tuple(basis.tolist()), residual=residual)
+    if objectives is None:
+        return _solve_stack(lp, tol, lp.objective[None])[0]
+    return _solve_stack(lp, tol, _checked_objective(objectives, lp.nvar, ndim=2))
 
 
 def _solve_stack(lp, tol, C):
     """``solve_lp`` for the checked objective stack ``C``: one phase 1,
-    then phase 2 in lockstep chunks of at most ``_STACK_ROWS`` rows."""
+    then phase 2 in chunks of at most ``_STACK_ROWS`` rows."""
     if C.shape[0] == 0:
         return []
     std = lp._std
@@ -447,31 +415,46 @@ def _solve_stack(lp, tol, C):
     costs[:, :std.nstruct] = std.sign * C[:, std.orig]
     sols = []
     for start in range(0, C.shape[0], _STACK_ROWS):
-        chunk = slice(start, start + _STACK_ROWS)
+        stop = min(start + _STACK_ROWS, C.shape[0])
         try:
-            sols += _stack_solutions(lp, C[chunk], *_simplex_stack(
-                std.A, std.b, costs[chunk], basis, std.n_real_cols, tol))
+            sols += _phase_two(lp, C[start:stop], costs[start:stop], basis, tol)
         except (np.linalg.LinAlgError, LpError):
+            if stop - start == 1:
+                raise
             # one row at a time: the first failing row raises its own error
-            sols += [solve_lp(lp.with_objective(c), tol) for c in C[chunk]]
+            for i in range(start, stop):
+                sols += _phase_two(lp, C[i:i + 1], costs[i:i + 1], basis, tol)
     return sols
+
+
+def _phase_two(lp, C, costs, basis, tol):
+    """The solutions of the objectives, rows of ``C`` with their standard
+    costs ``costs``, from the feasible ``basis`` (not changed): the scalar
+    ``_simplex`` for one row, the lockstep ``_simplex_stack`` for more."""
+    std = lp._std
+    if C.shape[0] == 1:
+        bases = basis.copy()[None]
+        xb, y, ray = _simplex(std.A, std.b, costs[0], bases[0], std.n_real_cols, tol)
+        return _stack_solutions(lp, C, bases, xb[None], y[None], np.array([ray]))
+    return _stack_solutions(lp, C, *_simplex_stack(
+        std.A, std.b, costs, basis, std.n_real_cols, tol))
 
 
 def _stack_solutions(lp, C, bases, XB, Y, unbounded):
     """The solutions of the objectives, rows of ``C``, from their final
-    bases and basic solutions (``_simplex_stack``'s result), recovered as
-    ``solve_lp`` recovers one, with the same bits.  Raises LpError when an
+    bases and basic solutions (one row each).  Raises LpError when an
     optimal row fails feasibility."""
     std = lp._std
     x_std = np.zeros((C.shape[0], std.A.shape[1]))
-    np.put_along_axis(x_std, bases, XB, axis=1)
+    x_std[np.arange(C.shape[0])[:, None], bases] = XB
     X = std.to_original(x_std)
     duals = std.row_flip * Y[:, :std.row_flip.size]
     residuals = _feas_residual(lp, X)
-    bad = ~unbounded & (residuals > 1e-6 * std.scale)
-    if bad.any():
-        raise LpError("optimal basis fails feasibility, residual "
-                      f"{residuals[_first(bad)]:.3e}")
+    if residuals.max() > 1e-6 * std.scale:      # an unbounded row does not count
+        bad = ~unbounded & (residuals > 1e-6 * std.scale)
+        if bad.any():
+            raise LpError("optimal basis fails feasibility, residual "
+                          f"{residuals[_first(bad)]:.3e}")
     values = (C[:, None, :] @ X[:, :, None])[:, 0, 0]   # one dot per row
     return [LpSolution("Unbounded", basis=tuple(B)) if ray else
             LpSolution("Optimal", primal=x, dual=dual, objective_value=value,
@@ -482,8 +465,8 @@ def _stack_solutions(lp, C, bases, XB, Y, unbounded):
 
 
 def _feas_residual(lp, X):
-    """The largest row or bound violation of the point ``X``, or of each
-    row of the array ``X``: one matrix-vector product per point."""
-    v = (lp.A @ X[..., None])[..., 0] - lp.b
-    row = np.where(lp.rel == REL_EQ, np.abs(v), np.where(lp.rel == REL_LE, v, -v))
-    return np.concatenate([row, lp.lo - X, X - lp.hi], axis=-1).max(axis=-1, initial=0.0)
+    """The largest row or bound violation of each row of the array ``X``:
+    one matrix-vector product per point."""
+    v = (lp.A @ X[:, :, None])[:, :, 0] - lp.b
+    row = np.where(lp._std.eq_rows, np.abs(v), lp._std.row_sign * v)
+    return np.concatenate([row, lp.lo - X, X - lp.hi], axis=1).max(axis=1, initial=0.0)

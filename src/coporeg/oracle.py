@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .lp import REL_LE, LinearProgram, LpError, solve_lp
-from .model import DimensionError, SimplexPoint
+from .model import DimensionError, SimplexPoint, _coords
 
 
 class CapabilityError(RuntimeError):
@@ -205,19 +205,6 @@ def is_copositive(D, tol_cop=1e-9, p_max=14):
     return CopositivityResult(False, res.value, witness=res.argmin)
 
 
-@lru_cache(maxsize=64)
-def _hull_lp(coords, shape):
-    """The hull-distance LP of the hull points whose (m, p) coordinate
-    array has the bytes ``coords``, with a zero objective (cached: every t
-    shares its rows, its bounds and its standard form)."""
-    V = np.frombuffer(coords).reshape(shape)
-    p = shape[1]
-    # variables g (p) then s; minimize s - g.t
-    rows = [(np.append(v, -1.0), REL_LE, 0.0) for v in V]
-    bounds = [(-1.0, 1.0)] * p + [(-np.inf, np.inf)]
-    return LinearProgram(np.zeros(p + 1), rows, bounds)
-
-
 def l1_dist_to_hull(T, V):
     """l1 distance to the convex hull of the points in V (an LP) from the
     point ``T``, a float, or from each row of the (M, p) array ``T``, an
@@ -230,29 +217,24 @@ def l1_dist_to_hull(T, V):
     g + 1 >= 0, which makes row j's right-hand side sum_k v_jk, so for
     points of the simplex the all-slack basis at g = -1, s = 0 is feasible
     and the solve has no phase 1; hull points with a negative coordinate sum
-    take the two-phase path.  Only the objective depends on t: the program
-    of each hull, rows, bounds and standard form, is built once and cached
-    by V's coordinate bytes (the per-hull template cache).  A point is one
-    solve ``with_objective``; the rows of an array are one ``solve_lp``
-    call with their objective stack, pivoted in lockstep, each row with
-    the bits of its own solve (see ``coporeg.lp``).
+    take the two-phase path.  Only the objective depends on t, so a call
+    builds the hull's program once and makes one ``solve_lp`` call with the
+    objective stack of its points (a point is the stack of one); a stack
+    of more than one row is pivoted in lockstep, each row with the bits of
+    its own solve (see ``coporeg.lp``).
     """
-    tc = T.coords if isinstance(T, SimplexPoint) else np.asarray(T, dtype=float)
-    pts = [v.coords if isinstance(v, SimplexPoint) else np.asarray(v, dtype=float)
-           for v in V]
+    tc = _coords(T)
+    pts = [_coords(v).ravel() for v in V]
     if not pts:
         raise ValueError("V must be nonempty")
     p = tc.shape[-1]
-    for v in pts:
-        if v.size != p:
-            raise DimensionError("hull points must match the dimension of t")
-    vmat = np.array([v.ravel() for v in pts])
-    hull = _hull_lp(vmat.tobytes(), vmat.shape)
+    if any(v.size != p for v in pts):
+        raise DimensionError("hull points must match the dimension of t")
+    # variables g (p) then s; minimize s - g.t
+    rows = [(np.append(v, -1.0), REL_LE, 0.0) for v in pts]
+    bounds = [(-1.0, 1.0)] * p + [(-np.inf, np.inf)]
     C = np.column_stack([-tc.reshape(-1, p), np.ones(tc.size // p)])
-    if tc.ndim == 1:
-        sols = [solve_lp(hull.with_objective(C[0]))]
-    else:
-        sols = solve_lp(hull, objectives=C)
+    sols = solve_lp(LinearProgram(np.zeros(p + 1), rows, bounds), objectives=C)
     for sol in sols:
         if sol.status != "Optimal":
             raise LpError(f"hull-distance LP reported {sol.status}; this cannot "
@@ -282,10 +264,9 @@ class ReducedRegion:
     distance above) decides almost every grid point; the points it leaves
     undecided at either cut of ``grid_mask`` get one exact LP each, which
     decides both cuts.  The LPs of one hull differ only in their
-    objective: the hull's program and its standard form come from a
-    per-hull template cache, and the undecided points of a mask, like the
-    points of one ``contains`` call, are one stacked ``l1_dist_to_hull``
-    call, pivoted in lockstep.  With one hull point the nearest-point
+    objective, so the undecided points of a mask, like the points of one
+    ``contains`` call, are one ``l1_dist_to_hull`` call: one hull program
+    and one objective stack.  With one hull point the nearest-point
     distance is the hull distance, so its masks need no sign vectors and
     no LP.
 
@@ -317,8 +298,8 @@ class ReducedRegion:
 
     def contains(self, T):
         """Exact membership via the hull-distance LP: a bool for a point,
-        a boolean (M,) array for the rows of an (M, p) array (one stacked
-        ``l1_dist_to_hull`` call)."""
+        a boolean (M,) array for the rows of an (M, p) array; either way one
+        ``l1_dist_to_hull`` call, which solves one objective stack."""
         return l1_dist_to_hull(T, self.V) >= self.sigma - self.tol_feas
 
     def grid_mask(self, points, relax):
@@ -463,62 +444,3 @@ def min_quad_over_omega(D, omega, h):
     lb_grad = float(np.min(vals - 2.0 * centered * r - maxd * r * r))
     return OracleResult(value, SimplexPoint(sel[i]), "grid",
                         value_lb=max(lb_lip, lb_grad))
-
-
-def grid_min_full(D, denominator):
-    """Exact minimum of t' D t over the full simplex grid.
-
-    The last two coordinates of each slice form a segment on which the form
-    is a one-dimensional quadratic, so the discrete minimum per slice needs
-    only the endpoints and the integers bracketing the vertex.  Returns
-    (value, argmin coords).
-    """
-    D = np.asarray(D, dtype=float)
-    p = D.shape[0]
-    N = int(denominator)
-    if p < 2:
-        raise DimensionError("needs p >= 2")
-    if p == 2:
-        outer = np.zeros((1, 0), dtype=np.int64)
-    else:
-        outer = _compositions_leq(p - 2, N)
-    rem = N - outer.sum(axis=1)                      # segment lengths
-    M = outer.shape[0]
-    U = np.zeros((M, p))
-    if p > 2:
-        U[:, :p - 2] = outer / float(N)
-    U[:, p - 1] = rem / float(N)                     # segment start: all mass on last
-    d = np.zeros(p)
-    d[p - 2] = 1.0 / N
-    d[p - 1] = -1.0 / N
-    a = float(d @ D @ d)
-    Du = U @ D
-    b = 2.0 * (Du[:, p - 2] - Du[:, p - 1]) / N
-    c = np.einsum("ij,ij->i", U, Du)
-
-    cand = [np.zeros(M, dtype=np.int64), rem.astype(np.int64)]
-    if a > 0.0:
-        star = -b / (2.0 * a)
-        lo = np.clip(np.floor(star), 0, rem).astype(np.int64)
-        hi = np.clip(np.ceil(star), 0, rem).astype(np.int64)
-        cand += [lo, hi]
-    best_val = None
-    best_slice = best_s = None
-    for s in cand:
-        vals = a * s.astype(float) ** 2 + b * s + c
-        i = int(np.argmin(vals))
-        v = float(vals[i])
-        if best_val is None or v < best_val:
-            best_val, best_slice, best_s = v, i, int(s[i])
-    t = U[best_slice].copy()
-    t[p - 2] += best_s / float(N)
-    t[p - 1] -= best_s / float(N)
-    return best_val, t
-
-
-def _compositions_leq(parts, total):
-    """Nonnegative integer vectors of the given length with sum <= total
-    (the slack coordinate of a composition absorbs the remainder)."""
-    if parts == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    return _compositions(parts + 1, total)[:, :parts]

@@ -218,7 +218,8 @@ def verify_ledger(entries, prog, cfg=DEFAULT, n_samples=200, seed=0):
     land in entry m must satisfy the rows of entry m-1 (it is copositive
     already) and be orthogonal to Y_m.  Membership tests the rows first;
     the row members of each block of samples share one stacked support
-    enumeration (``_face_members``).
+    enumeration (``_face_members``), and a block's members are tested for
+    orthogonality in one call.
     """
     rng = np.random.default_rng(seed)
     report = {"entries": [], "ok": True}
@@ -245,11 +246,10 @@ def verify_ledger(entries, prog, cfg=DEFAULT, n_samples=200, seed=0):
         samples = _face_samples(prog.p, entry.records, n_samples, rng)
         for Ds, _both in _face_members(entry.records, samples, prog.p, cfg):
             members += len(Ds)
-            for D in Ds:
-                orth = abs(float(np.sum(D * entry.reducer)))
-                max_orth = max(max_orth, orth)
-                if orth > cfg.tol_cert * max(1.0, float(np.max(np.abs(D)))):
-                    orth_viol += 1
+            orth = np.abs(np.sum(Ds * entry.reducer, axis=(1, 2)))
+            max_orth = max(max_orth, float(np.max(orth, initial=0.0)))
+            scale = np.maximum(1.0, np.max(np.abs(Ds), axis=(1, 2), initial=0.0))
+            orth_viol += int(np.count_nonzero(orth > cfg.tol_cert * scale))
             if idx > 0:
                 prev_rows = face_rows(entries[idx - 1].records, Ds, cfg)[1]
                 mono_viol += int(np.count_nonzero(~prev_rows))

@@ -9,7 +9,7 @@ import pytest
 
 from coporeg import (DEFAULT, DualCertificate, FaceLedgerEntry,
                      compress_ledger, face_forms_agree, feasibility_equiv_sample,
-                     generate_instance, grid_min_full, is_copositive,
+                     generate_instance, is_copositive,
                      kernel_dimension, minimal_face, one_step_regularize,
                      regularize, solve_lp, LinearProgram, SimplexPoint,
                      eval_constraint, min_quad_over_omega, verify_ledger)
@@ -19,6 +19,7 @@ from coporeg.regularize import _omega_margins
 from coporeg.sip import linear_row_data
 
 from conftest import simplex
+from grid_reference import grid_min_full
 
 
 def _report(criterion, ok, detail):

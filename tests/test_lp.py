@@ -415,8 +415,9 @@ def _assert_stack_bit_identical(prog, objectives, **kwargs):
     row's own program: every row's bits, or, when a row fails, the error
     of the first failing row."""
     want = []
+    bounds = list(zip(prog.lo, prog.hi))
     for c in objectives:
-        out = _outcome(_ref_solve_lp, prog.with_objective(c), **kwargs)
+        out = _outcome(_ref_solve_lp, LinearProgram(c, prog.rows, bounds), **kwargs)
         if out[0] == "LpError":
             want = out
             break
@@ -517,8 +518,7 @@ def test_generated_lps_are_bit_identical_on_every_branch():
         prog = LinearProgram(objective, rows, bounds)
         events = collections.Counter()
         want = _assert_bit_identical(prog, events=events)
-        shared = LinearProgram(other, rows, bounds).with_objective(objective)
-        assert _outcome(solve_lp, shared) == want
+        _assert_stack_bit_identical(prog, np.array([objective]))
         _assert_stack_bit_identical(prog, np.array([objective, other]))
         # the standard form itself, signed zeros included
         ref, std = _RefStd(prog), prog._std
@@ -534,21 +534,51 @@ def test_generated_lps_are_bit_identical_on_every_branch():
     assert _BRANCHES <= set(seen), _BRANCHES - set(seen)
 
 
+def _hull_stack(monkeypatch, V, points):
+    """The program and objective stack of ``oracle.l1_dist_to_hull``'s one
+    ``solve_lp`` call for the points, rows of ``points``."""
+    (prog, kwargs), = _recorded_lps(monkeypatch, oracle,
+                                    lambda: oracle.l1_dist_to_hull(points, V))
+    return prog, kwargs["objectives"]
+
+
+def _counted_pivot_loops(monkeypatch):
+    """The row count of every run of each pivot loop (phase 1 runs the
+    scalar ``_simplex`` too)."""
+    chunks = {"_simplex": [], "_simplex_stack": []}
+    scalar, lockstep = lp_mod._simplex, lp_mod._simplex_stack
+
+    def one_row(A, b, c, *args):
+        chunks["_simplex"].append(1)
+        return scalar(A, b, c, *args)
+
+    def stacked(A, b, costs, *args):
+        chunks["_simplex_stack"].append(len(costs))
+        return lockstep(A, b, costs, *args)
+
+    monkeypatch.setattr(lp_mod, "_simplex", one_row)
+    monkeypatch.setattr(lp_mod, "_simplex_stack", stacked)
+    return chunks
+
+
 def test_a_stack_across_chunks_is_bit_identical(monkeypatch):
-    # 2,145 hull LPs: eight full chunks and a partial one
-    V = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    hull = oracle._hull_lp(V.tobytes(), V.shape)
-    points = oracle.simplex_grid(3, 64)
-    chunks = []
-    stacked = lp_mod._simplex_stack
+    # 2,145 hull LPs: eight full chunks and a partial one; the points lie
+    # in the simplex, so there is no phase 1
+    hull, objectives = _hull_stack(monkeypatch, np.eye(3)[:2], oracle.simplex_grid(3, 64))
+    chunks = _counted_pivot_loops(monkeypatch)
+    _assert_stack_bit_identical(hull, objectives)
+    assert chunks == {"_simplex": [], "_simplex_stack": [lp_mod._STACK_ROWS] * 8 + [97]}
 
-    def counting(A, b, costs, *args):
-        chunks.append(len(costs))
-        return stacked(A, b, costs, *args)
 
-    monkeypatch.setattr(lp_mod, "_simplex_stack", counting)
-    _assert_stack_bit_identical(hull, np.column_stack([-points, np.ones(len(points))]))
-    assert chunks == [lp_mod._STACK_ROWS] * 8 + [97]
+def test_a_one_row_tail_takes_the_scalar_simplex(monkeypatch):
+    # 257 hull LPs: one full chunk in lockstep, then a one-row chunk
+    points = np.random.default_rng(23).dirichlet(np.ones(4), size=lp_mod._STACK_ROWS + 1)
+    hull, objectives = _hull_stack(monkeypatch, [[0.5, 0.5, 0.0, 0.0], [0.0, 0.25, 0.25, 0.5]],
+                                   points)
+    chunks = _counted_pivot_loops(monkeypatch)
+    want = _assert_stack_bit_identical(hull, objectives)
+    assert {out[0] for out in want} == {"Optimal"}
+    assert chunks == {"_simplex": [1], "_simplex_stack": [lp_mod._STACK_ROWS]}
 
 
 def test_an_empty_stack_solves_nothing(monkeypatch):
@@ -660,46 +690,48 @@ def test_stacked_basis_solve_matches_two_solves_bitwise():
 
 
 def test_program_arrays_are_read_only_and_shared():
+    # every solve of a program, whatever its objectives, reads the one
+    # standard form its constructor built
     prog = LinearProgram([1.0, -1.0, 0.5],
                          [([1.0, 1.0, 0.0], REL_LE, 2.0), ([1.0, -1.0, 1.0], REL_GE, -1.0),
                           ([0.0, 1.0, 1.0], REL_EQ, 1.0)],
                          [(0.0, 1.0), (-np.inf, np.inf), (-np.inf, 3.0)])
-    other = prog.with_objective([0.0, 1.0, 0.0])
     std = prog._std
-    assert other._std is std
-    assert all(getattr(other, k) is getattr(prog, k) for k in ("A", "rel", "b", "lo", "hi"))
+    arrays = [prog.objective, prog.A, prog.rel, prog.b, prog.lo, prog.hi, std.A, std.b,
+              std.basis, std.orig, std.sign, std.shift, std.row_flip,
+              std.eq_rows, std.row_sign]
+    before = [a.tobytes() for a in arrays]
+    first = _outcome(solve_lp, prog)
+    solve_lp(prog, objectives=[[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]])
+    assert _outcome(solve_lp, prog) == first
+    assert prog._std is std and [a.tobytes() for a in arrays] == before
     assert prog.objective.tolist() == [1.0, -1.0, 0.5]
-    arrays = [prog.objective, other.objective, prog.A, prog.rel, prog.b, prog.lo,
-              prog.hi, std.A, std.b, std.basis, std.orig, std.sign, std.shift,
-              std.row_flip, *std.terms]
     for a in arrays:
         assert a.size and not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = a[(0,) * a.ndim]
-    assert _outcome(solve_lp, prog) == _outcome(solve_lp, prog)
 
 
 @pytest.mark.parametrize("objective, first", [
     ([np.nan, 1.0, 2.0], 0), ([1.0, np.inf, -np.inf], 1), ([1.0, 2.0, np.nan], 2)])
-def test_with_objective_rejects_a_non_finite_objective(objective, first):
+def test_an_objective_stack_rejects_a_non_finite_objective(objective, first):
     prog = LinearProgram([0.0] * 3, [([1.0, 1.0, 1.0], REL_LE, 1.0)])
     with pytest.raises(ValueError) as built:
         LinearProgram(objective, prog.rows)
-    with pytest.raises(ValueError) as shared:
-        prog.with_objective(objective)
-    assert str(shared.value) == str(built.value) == (
-        f"objective coefficient of variable {first} is not finite")
+    assert str(built.value) == f"objective coefficient of variable {first} is not finite"
+    with pytest.raises(ValueError, match=f"^objective 0 coefficient of variable {first} "):
+        solve_lp(prog, objectives=[objective])
     with pytest.raises(ValueError, match=f"^objective 1 coefficient of variable {first} "):
         solve_lp(prog, objectives=[[0.0] * 3, objective])
 
 
-def test_with_objective_rejects_a_wrong_length():
+def test_an_objective_stack_rejects_a_wrong_shape():
     prog = LinearProgram([0.0] * 3, [([1.0, 1.0, 1.0], REL_LE, 1.0)])
     with pytest.raises(ValueError, match="objective has 2 coefficients, expected 3"):
-        prog.with_objective([1.0, 2.0])
-    with pytest.raises(ValueError, match="objective must be a vector"):
-        prog.with_objective([[1.0, 2.0, 3.0]])
-    with pytest.raises(ValueError, match="objective has 2 coefficients, expected 3"):
         solve_lp(prog, objectives=[[1.0, 2.0]])
+    with pytest.raises(ValueError, match=r"objectives must be an \(S, nvar\) array"):
+        solve_lp(prog, objectives=[[[1.0, 2.0, 3.0]]])
+    with pytest.raises(ValueError, match="objective must be a vector"):
+        LinearProgram([[1.0, 2.0, 3.0]], prog.rows)
     with pytest.raises(ValueError, match=r"objectives must be an \(S, nvar\) array"):
         solve_lp(prog, objectives=[1.0, 2.0, 3.0])

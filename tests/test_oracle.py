@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coporeg import (CapabilityError, ReducedRegion, SimplexPoint,
-                     exclusion_radius, grid_min_full, is_copositive,
-                     l1_dist_to_hull,
+                     exclusion_radius, is_copositive, l1_dist_to_hull,
                      min_quad_over_omega, min_quad_over_simplex, quad_form,
                      simplex_grid)
 from coporeg import lp, oracle
 from coporeg.lp import REL_EQ, REL_GE, LinearProgram, solve_lp
 
 from conftest import simplex
+from grid_reference import grid_min_full
 
 
 def brute_grid_min(D, p, N):
