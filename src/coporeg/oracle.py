@@ -9,15 +9,16 @@ support size, across the whole stack, are solved as one stack of bordered
 systems (a stack that raises is retried one matrix at a time, and a matrix
 that fails face by face), and the candidates keep the support-mask order.
 A single matrix is the stack of one.  The reduced-region oracle works
-on the rational grid of the simplex; its certified lower bound is the
-larger of a Lipschitz bound and a per-point centered-gradient bound.
+on the rational grid of the simplex, one matrix per call; its certified
+lower bound is the larger of a Lipschitz bound and a per-point
+centered-gradient bound, computed, like the argmin, on first read.
 Per-point quantities over a grid (the gradient's row spread, the
 nearest-hull-point distance of the mask) are built one column at a time:
 a numpy reduction along a row of a few entries costs more than the row's
 arithmetic.
 """
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -34,7 +35,9 @@ class OracleResult:
 
     ``kind`` is "exact" (support enumeration: value_lb == value), "grid"
     (value_lb certified from the grid values, never above value), or
-    "empty" (region empty, value +inf).
+    "empty" (region empty, value +inf).  A grid result computes
+    ``value_lb`` and ``argmin`` on first read and keeps them
+    (``_GridResult``).
     """
 
     def __init__(self, value, argmin, kind, value_lb=None):
@@ -50,6 +53,34 @@ class OracleResult:
     def __repr__(self):
         return (f"OracleResult({self.kind}, value={self.value}, "
                 f"value_lb={self.value_lb})")
+
+
+class _GridResult(OracleResult):
+    """A grid minimum: ``value`` is ``vals[i]``, the least value at a
+    region point among the selected points ``sel``; the bound and the
+    argmin are computed on first read, then kept.  It holds its own copy
+    of D and the (M,) values, and recomputes ``sel @ D`` for the bound, so
+    no (M, p) product outlives the call and a caller that changes its
+    matrix afterwards changes nothing here.  Most callers read ``value``
+    alone."""
+
+    def __init__(self, D, sel, vals, i, r):
+        self.value, self.kind = float(vals[i]), "grid"
+        self._D, self._sel, self._vals, self._i, self._r = D, sel, vals, i, r
+
+    @cached_property
+    def argmin(self):
+        return SimplexPoint(self._sel[self._i])
+
+    @cached_property
+    def value_lb(self):
+        D, vals, r = self._D, self._vals, self._r
+        maxd = float(np.max(np.abs(D)))
+        L = 2.0 * maxd
+        centered = 0.5 * _row_spread(self._sel @ D)
+        lb_lip = float(np.min(vals)) - L * r
+        lb_grad = float(np.min(vals - 2.0 * centered * r - maxd * r * r))
+        return max(lb_lip, lb_grad)
 
 
 class CopositivityResult:
@@ -405,21 +436,25 @@ _MAX_GRID_POINTS = 3_000_000   # larger grids raise a CapabilityError
 def min_quad_over_omega(D, omega, h):
     """Grid minimum of t' D t over the reduced region, certified below.
 
-    t' D t is evaluated once on the grid points within the covering radius
-    r = p/(2N) of the region (nearest grid neighbors of region points can
-    sit just inside the excluded neighborhood); the value and argmin come
-    from the points inside the region.  The certificate combines two bounds
-    over all selected points: the Lipschitz bound grid_min - L*r with
-    L = 2 max|D_kl|, and the per-point expansion
+    ``D`` is one (p, p) matrix.  t' D t is evaluated once on the grid
+    points within the covering radius r = p/(2N) of the region (nearest
+    grid neighbors of region points can sit just inside the excluded
+    neighborhood); the value and argmin come from the points inside the
+    region.  The certificate combines two bounds over all selected points:
+    the Lipschitz bound grid_min - L*r with L = 2 max|D_kl|, and the
+    per-point expansion
         q(t) >= q(g) - (max_k - min_k)(Dg) * r - max|D| * r^2,
     whose centered gradient (displacements on the simplex sum to zero)
     wins near flat minima.  The per-point spread is built one column of
     Dg at a time (``_row_spread``), never reduced along the short axis;
-    max and min are exact, so the order does not change the bound.  An
-    empty region (``omega.empty``) is answered before any grid is built;
-    a nonempty one holds a simplex vertex, and so does every grid.
+    max and min are exact, so the order does not change the bound.  The
+    call computes the value only: the bound and the argmin are computed
+    on their first read (``_GridResult``), bit for bit what an eager
+    computation gives.  An empty region (``omega.empty``) is answered
+    before any grid is built; a nonempty one holds a simplex vertex, and
+    so does every grid.
     """
-    D = np.asarray(D, dtype=float)
+    D = np.array(D, dtype=float)
     p = D.shape[0]
     if omega.p != p:
         raise DimensionError(f"matrix dimension {p} vs region dimension {omega.p}")
@@ -433,14 +468,6 @@ def min_quad_over_omega(D, omega, h):
             f"grid of {grid_point_count(p, N)} points exceeds the cap "
             f"{_MAX_GRID_POINTS} (p={p}, 1/h={N})")
     sel, inside, r = omega.selected_points(N)
-    maxd = float(np.max(np.abs(D)))
-    L = 2.0 * maxd
-    G = sel @ D
-    vals = np.einsum("ij,ij->i", sel, G)
+    vals = np.einsum("ij,ij->i", sel, sel @ D)
     i = int(np.argmin(np.where(inside, vals, np.inf)))
-    value = float(vals[i])
-    centered = 0.5 * _row_spread(G)
-    lb_lip = float(np.min(vals)) - L * r
-    lb_grad = float(np.min(vals - 2.0 * centered * r - maxd * r * r))
-    return OracleResult(value, SimplexPoint(sel[i]), "grid",
-                        value_lb=max(lb_lip, lb_grad))
+    return _GridResult(D, sel, vals, i, r)

@@ -499,10 +499,12 @@ def feasibility_equiv_sample(prog, reg, n_samples, seed, cfg=DEFAULT):
 
     Samples where the two decisions differ but either margin falls inside
     ``tol_band`` are excluded as ties.  The samples are taken in blocks of
-    ``_block_size(p)``: one uniform draw, one row test, one stacked
-    support enumeration and one region membership call per block; a
-    sample's row of the enumeration gives both its direct margin and the
-    candidates of its region margin.
+    ``_block_size(p)``: one uniform draw, one stacked support enumeration
+    (a sample's row gives its direct margin) and one row test per block.
+    Only the samples whose record rows hold within ``tol_band``, or whose
+    direct test says copositive, get a region margin, from one
+    ``_omega_margins`` call per block; on every other sample both
+    decisions are False, an agreement whatever the region margin.
     """
     rng = np.random.default_rng(seed)
     report = {"samples": int(n_samples), "agreements": 0, "ties": 0,
@@ -514,37 +516,40 @@ def feasibility_equiv_sample(prog, reg, n_samples, seed, cfg=DEFAULT):
                                       size=(len(block), prog.n))
         AX = np.array([eval_constraint(prog, x) for x in X])
         values, coords = stationary_candidate_stack(AX, cfg.p_max)
-        eq_all, ineq_all = row_residuals(AX, reg.records)
-        omega_all = _omega_margins(AX, reg, h, cfg, values, coords)
-        for x, vals, eq_res, ineq_margin, omega_margin in zip(
-                X, values, eq_all.tolist(), ineq_all.tolist(), omega_all.tolist()):
-            margin_a = float(np.min(vals))
-            dec_a = margin_a >= -cfg.tol_cop
-
-            margin_b = min(-eq_res, ineq_margin, omega_margin)
-            dec_b = (eq_res <= cfg.tol_band and ineq_margin >= -cfg.tol_band
-                     and omega_margin >= -cfg.tol_band)
-
-            if dec_a == dec_b:
+        margin_a = values.min(axis=1)
+        dec_a = margin_a >= -cfg.tol_cop
+        eq_res, ineq_margin = row_residuals(AX, reg.records)
+        rows_hold = (eq_res <= cfg.tol_band) & (ineq_margin >= -cfg.tol_band)
+        read = np.flatnonzero(rows_hold | dec_a)
+        report["agreements"] += len(block) - read.size
+        omega_margins = _omega_margins(AX[read], reg, h, cfg, values[read],
+                                       coords[read])
+        for k, omega_margin in zip(read.tolist(), omega_margins.tolist()):
+            dec_b = bool(rows_hold[k]) and omega_margin >= -cfg.tol_band
+            if dec_a[k] == dec_b:
                 report["agreements"] += 1
-            elif min(abs(margin_a), abs(margin_b)) <= cfg.tol_band:
+                continue
+            margin_b = min(-float(eq_res[k]), float(ineq_margin[k]), omega_margin)
+            if min(abs(float(margin_a[k])), abs(margin_b)) <= cfg.tol_band:
                 report["ties"] += 1
             else:
                 report["disagreements"].append(
-                    {"x": x.tolist(), "margin_direct": margin_a,
+                    {"x": X[k].tolist(), "margin_direct": float(margin_a[k]),
                      "margin_regularized": margin_b})
     report["n_disagreements"] = len(report["disagreements"])
     return report
 
 
 def _omega_margins(AX, reg, h, cfg, values, coords):
-    """min t'(ax)t over the region for each matrix ax of the block ``AX``:
-    the grid value, lowered by the least stationary candidate inside the
-    region below -tol_band (an exact violation).  ``values`` and
-    ``coords`` are the block's ``stationary_candidate_stack``.  Only a
-    candidate below min(-tol_band, grid value) can lower a margin (a
-    support without a candidate is +inf); those of the whole block are
-    tested in one ``contains`` call."""
+    """min t'(ax)t over the region for each matrix ax of the (S, p, p)
+    stack ``AX``: the grid value (one ``min_quad_over_omega`` call per
+    matrix, which computes the value alone), lowered by the least
+    stationary candidate inside the region below -tol_band (an exact
+    violation).  ``values`` and ``coords`` are the stack's
+    ``stationary_candidate_stack``.  Only a candidate below min(-tol_band,
+    grid value) can lower a margin (a support without a candidate is
+    +inf); those of the whole stack are tested in one ``contains`` call,
+    and none is made when there are none."""
     if reg.omega.empty:
         return np.full(len(AX), np.inf)
     best = np.array([min_quad_over_omega(ax, reg.omega, h).value for ax in AX])

@@ -104,32 +104,28 @@ def record_rows(prog, records):
     return rows
 
 
-def cut_row_data(prog, t):
-    """Coefficients and rhs of the cut  t' A(x) t  (+ mu >= 0 in masters)."""
+def cut_row(prog, t):
+    """The master row of the cut at t:  t' A(x) t + mu >= 0, as (coefs over
+    (x, mu), relation, rhs moved from the constant A_0)."""
     tc = t.coords
-    coefs = np.array([float(tc @ Aj @ tc) for Aj in prog.A[1:]])
-    rhs = -float(tc @ prog.A[0] @ tc)
-    return coefs, rhs
+    coefs = [float(tc @ Aj @ tc) for Aj in prog.A[1:]]
+    return np.array(coefs + [1.0]), REL_GE, -float(tc @ prog.A[0] @ tc)
 
 
-def _build_master(inst, cuts, box_r):
+def _build_master(inst, cut_rows, box_r):
     """Master LP over (x, mu).  Its rows, whose duals ``solve_sip`` and
     ``extract_certificate`` read by position: the record equalities and
     inequalities (zero mu coefficient), 2(n+1) box rows on x and mu, then
-    one row per cut."""
-    prog = inst.prog
-    n = prog.n
-    nvar = n + 1
+    ``cut_rows``, one row per cut (``cut_row``)."""
+    nvar = inst.prog.n + 1
     rows = [(np.append(coefs, 0.0), rel, rhs) for coefs, rel, rhs in inst.rows]
     box = np.empty((2 * nvar, nvar))   # box: var_j >= -R and -var_j >= -R
     box[0::2] = np.eye(nvar)
     box[1::2] = -np.eye(nvar)
     rows += [(e, REL_GE, -box_r) for e in box]
-    for t in cuts:
-        coefs, rhs = cut_row_data(prog, t)
-        rows.append((np.append(coefs, 1.0), REL_GE, rhs))
+    rows += cut_rows
     objective = np.zeros(nvar)
-    objective[n] = 1.0
+    objective[-1] = 1.0
     return LinearProgram(objective, rows)
 
 
@@ -145,11 +141,11 @@ def solve_sip(inst, cfg, a0_copositive=False):
     box_r = cfg.box_r
     refinements = 0
     escalations = 0
-    cuts = []
+    cuts, cut_rows = [], []   # each cut's master row is built once
     mu_star = None
 
     for rounds in range(1, _CUT_ROUNDS + 1):
-        master = _build_master(inst, cuts, box_r)
+        master = _build_master(inst, cut_rows, box_r)
         # with A_0 copositive, (x=0, mu=0) satisfies every master row
         if a0_copositive and np.any(np.where(
                 master.rel == REL_EQ, np.abs(master.b), master.b) > cfg.tol_feas):
@@ -191,6 +187,7 @@ def solve_sip(inst, cfg, a0_copositive=False):
             if not any(np.max(np.abs(res.argmin.coords - t.coords)) <= 1e-12
                        for t in cuts):
                 cuts.append(res.argmin)
+                cut_rows.append(cut_row(prog, res.argmin))
                 continue
             # repeated cut: the grid cannot separate further at this h
             reason = "separation stalled on a duplicate cut"

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from coporeg import (DEFAULT, DualCertificate, FaceLedgerEntry,
-                     compress_ledger, face_forms_agree, feasibility_equiv_sample,
+                     ReducedRegion, RegularizedProblem, compress_ledger,
+                     face_forms_agree, feasibility_equiv_sample,
                      generate_instance, is_copositive,
                      kernel_dimension, minimal_face, one_step_regularize,
                      regularize, solve_lp, LinearProgram, SimplexPoint,
@@ -19,6 +20,7 @@ from coporeg.regularize import _omega_margins
 from coporeg.sip import linear_row_data
 
 from conftest import simplex
+from equiv_reference import equiv_sample_all_margins
 from grid_reference import grid_min_full
 
 
@@ -275,6 +277,36 @@ def test_omega_margin_matches_the_all_candidate_margin(e4, successful_runs):
             empty += reg.omega.empty
     # both sources of the margin and the empty region are exercised
     assert 0 < by_candidate < 20 * len(runs) and empty == 20
+
+
+def test_equivalence_reports_match_the_all_margin_reference(successful_runs):
+    # the report reads a region margin only where the record rows hold or
+    # the direct test says copositive; the reference computes every one.
+    # Beside each certified problem: its first record dropped (the region
+    # kept), its radius halved, and its records and region on a program
+    # they do not belong to, whose Slater point makes many disagreements
+    problems = []
+    for name, prog, res in successful_runs:
+        reg = res.regularized
+        other = generate_instance(seed=7, p=prog.p, n=prog.n)
+        problems += [
+            (name, prog, reg),
+            (name + "/dropped", prog, RegularizedProblem(
+                prog, reg.records[1:], reg.omega, reg.witness, reg.margin)),
+            (name + "/shrunk", prog, RegularizedProblem(
+                prog, reg.records, ReducedRegion(reg.omega.V,
+                                                 sigma=0.5 * reg.omega.sigma),
+                reg.witness, reg.margin)),
+            (name + "/foreign", other, RegularizedProblem(
+                other, reg.records, reg.omega, np.zeros(prog.n), 1.0))]
+    disagreements = ties = 0
+    for name, prog, reg in problems:
+        rep = feasibility_equiv_sample(prog, reg, 300, seed=11)
+        assert rep == equiv_sample_all_margins(prog, reg, 300, seed=11), name
+        disagreements += rep["n_disagreements"]
+        ties += rep["ties"]
+    # every margin_regularized of a disagreement is compared, and ties too
+    assert disagreements > 0 and ties > 0
 
 
 def test_criterion_9_lp_core():

@@ -665,6 +665,7 @@ def test_omega_min_matches_the_row_wise_reference(case):
         side = "kernel"
         region = ReducedRegion(V, sigma=sigma)
         res = min_quad_over_omega(D, region, h)
+        res_argmin_first = min_quad_over_omega(D, region, h)
     value, value_lb, argmin, near, inside = want
     # the region keeps grid[near] and inside[near]; inside implies near
     N = int(np.ceil(1.0 / h))
@@ -674,11 +675,39 @@ def test_omega_min_matches_the_row_wise_reference(case):
     # an empty region is decided from its vertices and classifies no grid
     assert region.empty == (not inside.any())
     assert calls["kernel"] == (0 if region.empty else calls["reference"])
-    assert res.value == value
-    assert res.value_lb == value_lb
-    assert (res.argmin is None) == (argmin is None)
-    if argmin is not None:
-        assert np.array_equal(res.argmin.coords, argmin)
+    # a grid result computes its bound and argmin on first read: both
+    # orders of reads give the reference bits
+    assert _bits(res.value) == _bits(res_argmin_first.value) == _bits(value)
+    lb_first = (_bits(res.value_lb), _coord_bits(res.argmin))
+    argmin_bits = _coord_bits(res_argmin_first.argmin)
+    argmin_first = (_bits(res_argmin_first.value_lb), argmin_bits)
+    want_bits = (_bits(value_lb), None if argmin is None else argmin.tobytes())
+    assert lb_first == argmin_first == want_bits
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def _coord_bits(point):
+    return None if point is None else point.coords.tobytes()
+
+
+def test_grid_result_keeps_its_own_matrix():
+    # the bound and argmin are computed after the call returns, from the
+    # result's own copy of D: changing the caller's matrix changes nothing
+    rng = np.random.default_rng(3)
+    M = rng.normal(size=(4, 4))
+    D = M + M.T
+    region = ReducedRegion([simplex(1, 0, 0, 0), simplex(0, 0.5, 0.5, 0)],
+                           sigma=0.4)
+    want = min_quad_over_omega(D.copy(), region, 1 / 16)
+    want = (_bits(want.value_lb), want.argmin.coords.tobytes())
+    res = min_quad_over_omega(D, region, 1 / 16)
+    D *= -3.0
+    D[0, 0] = 100.0
+    assert res.kind == "grid"
+    assert (_bits(res.value_lb), res.argmin.coords.tobytes()) == want
 
 
 @st.composite

@@ -9,7 +9,7 @@ from coporeg import (DEFAULT, CertificateError, CopositiveProgram, Record,
                      generate_instance, min_quad_over_simplex, regularize,
                      solve_sip)
 from coporeg.lp import REL_GE, LinearProgram, solve_lp
-from coporeg.sip import _build_master, cut_row_data
+from coporeg.sip import _build_master, cut_row
 
 from conftest import simplex
 
@@ -105,7 +105,8 @@ def test_zero_optimum_not_an_artifact_of_origin(e2):
     out = solve_sip(SipInstance(e2, ()), DEFAULT)
     inst = SipInstance(e2, ())
     for direction, dist in ((1.0, 0.01), (-1.0, 0.01)):
-        master = _build_master(inst, list(out.cuts), DEFAULT.box_r)
+        master = _build_master(inst, [cut_row(e2, t) for t in out.cuts],
+                               DEFAULT.box_r)
         rows = list(master.rows)
         rows.append((np.array([direction, 0.0]), REL_GE, dist))
         sol = solve_lp(LinearProgram(master.objective, rows))
@@ -194,9 +195,9 @@ def test_a0_flag_check_fires():
 
 
 def test_row_data_shapes(e2):
-    coefs, rhs = cut_row_data(e2, simplex(0.5, 0.5))
-    # t' A_1 t = 2 t1 t2 = 1/2 and rhs = -t' A_0 t = -1/4
-    assert coefs[0] == pytest.approx(0.5)
+    coefs, rel, rhs = cut_row(e2, simplex(0.5, 0.5))
+    # t' A_1 t = 2 t1 t2 = 1/2, mu has coefficient 1 and rhs = -t' A_0 t = -1/4
+    assert coefs.tolist() == [0.5, 1.0] and rel == REL_GE
     assert rhs == pytest.approx(-0.25)
 
 

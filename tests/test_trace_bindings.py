@@ -5,9 +5,10 @@ or a layer stops being reached through its binding."""
 import contextlib
 import importlib.util
 import io
+import math
 import os
 
-from coporeg import SimplexPoint, cli, oracle, serialize_problem, sip
+from coporeg import DEFAULT, SimplexPoint, cli, oracle, serialize_problem, sip
 
 REGULARIZE = importlib.import_module("coporeg.regularize")
 SPANS_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
@@ -72,3 +73,25 @@ def test_instrumented_hull_layer_counts_mask_and_contains_lps():
     for key in ("lp.hull.calls", "oracle.hull.in_mask", "oracle.hull.in_contains"):
         assert tracer.counts[key] > 0, key
     assert tracer.counts["lp.hull.calls"] == tracer.counts["oracle.hull.calls"]
+
+
+def test_each_grid_call_is_traced_as_one_matrix(e2, reg_e2):
+    # the grid hook counts C(N+p-1, p-1) points with p = len(D): a call
+    # that took a stack of S matrices would count with p = S instead
+    spans = _load_spans()
+    before = _bindings()
+    tracer = spans.Tracer()
+    try:
+        uninstall = spans.instrument(tracer)
+        REGULARIZE.feasibility_equiv_sample(e2, reg_e2.regularized, 300, seed=4)
+        uninstall()
+    finally:
+        for (owner, name), value in before.items():
+            if vars(owner).get(name) is not value:
+                setattr(owner, name, value)
+    calls = tracer.counts["oracle.grid.calls"]
+    N = math.ceil(1.0 / DEFAULT.grid_h(e2.p))
+    assert tracer.counts["regularize.equiv.calls"] == 1
+    assert 0 < calls < 300
+    assert tracer.counts["oracle.grid.points"] == calls * math.comb(N + e2.p - 1,
+                                                                    e2.p - 1)
