@@ -6,8 +6,8 @@ The exact oracle enumerates all nonempty supports, solving the stationarity
 system on each face and comparing against the vertices; it is exact for
 dimensions up to ``p_max``.  It takes a stack of matrices: the faces of one
 support size, across the whole stack, are solved as one stack of bordered
-systems (a stack that raises is retried one matrix at a time, and a matrix
-that fails face by face), and the candidates keep the support-mask order.
+systems (a stack that raises is solved again without its singular faces,
+which take the least-squares step), and the candidates keep the mask order.
 A single matrix is the stack of one.  The reduced-region oracle works
 on the rational grid of the simplex, one matrix per call; its certified
 lower bound is the larger of a Lipschitz bound and a per-point
@@ -120,35 +120,27 @@ def _support_groups(p):
 def _solve_faces(K, scale):
     """Solve the stack of bordered systems K z = e_last, one per face.
 
-    ``K`` is (..., m, m) and ``scale`` holds one entry per face (shape
-    ``K.shape[:-2]``).  Returns ``(z, solved)``: ``solved`` is False where a
-    face has no stationary point.  One LAPACK call covers the stack.  A
-    stack that raises is split along its leading axis and each part is
-    solved on its own, so a singular face sends only its own matrix's
-    faces, not the whole block, down to one solve per face.  A face whose
-    solve fails or is non-finite takes the least-squares solution when its
-    residual is within ``1e-9 (1 + scale)``.
+    ``K`` is (S, F, m, m) and ``scale`` holds one entry per face (shape
+    (S, F)).  Returns ``(z, solved)``: ``solved`` is False where a face has
+    no stationary point.  One LAPACK call covers the stack.  Only when it
+    raises, one ``slogdet`` (the same LU) marks the faces with an exact
+    zero pivot, and the others are solved again as one stack.  A face that
+    is singular or has a non-finite solution takes the least-squares
+    solution when its residual is within ``1e-9 (1 + scale)``.
     """
-    m = K.shape[-1]
     B = np.zeros(K.shape[:-1] + (1,))
     B[..., -1, 0] = 1.0
     try:
         z = np.linalg.solve(K, B)[..., 0]
     except np.linalg.LinAlgError:
-        if K.ndim == 2:
-            z = np.full(m, np.nan)
-        else:
-            parts = [_solve_faces(k, s) for k, s in zip(K, scale)]
-            return (np.array([z for z, _ok in parts]),
-                    np.array([ok for _z, ok in parts]))
-    if K.ndim == 2:
-        if np.all(np.isfinite(z)):
-            return z, True
-        z, *_ = np.linalg.lstsq(K, B[:, 0], rcond=None)
-        return z, float(np.max(np.abs(K @ z - B[:, 0]))) <= 1e-9 * (1.0 + scale)
+        regular = np.linalg.slogdet(K)[0] != 0.0
+        z = np.full(K.shape[:-1], np.nan)
+        z[regular] = np.linalg.solve(K[regular], B[regular])[..., 0]
     solved = np.ones(K.shape[:-2], dtype=bool)
     for f in zip(*np.nonzero(~np.isfinite(z).all(axis=-1))):
-        z[f], solved[f] = _solve_faces(K[f], scale[f])
+        k, b = K[f], B[f][:, 0]
+        z[f], *_ = np.linalg.lstsq(k, b, rcond=None)
+        solved[f] = float(np.max(np.abs(k @ z[f] - b))) <= 1e-9 * (1.0 + scale[f])
     return z, solved
 
 
@@ -164,9 +156,9 @@ def stationary_candidate_stack(Ds, p_max=14):
     otherwise value +inf and zero coordinates.  The faces of each support
     size s are solved together, as one (S, F, s+1, s+1) stack of bordered
     systems, one ``np.linalg.solve`` call per size; a stack with a
-    singular face is retried one matrix at a time, and only a matrix that
-    fails is retried one face at a time.  Faces whose stationarity system
-    is inconsistent contribute nothing: their minima live on smaller
+    singular face is split once, and only its singular or non-finite faces
+    take the least-squares step, one at a time.  Faces whose stationarity
+    system is inconsistent contribute nothing: their minima live on smaller
     faces, which are enumerated separately (p <= p_max; the largest stack
     per matrix, at p = 14, is C(14, 7) = 3,432 systems of 8 x 8).  The
     values are one stacked ``matmul``, (t' D) t per candidate, bit for bit

@@ -401,8 +401,9 @@ def _check_immobile(prog, W, points):
     """Raise a ValueError naming the first t of W with t'A(x)t off zero at
     one of the feasible ``points``."""
     for x in points:
+        Ax = eval_constraint(prog, x)
         for t in W:
-            v = quad_form(eval_constraint(prog, x), t)
+            v = quad_form(Ax, t)
             if abs(v) > 1e-6:
                 raise ValueError(
                     f"supplied point {t.coords.tolist()} is not immobile: "
@@ -498,7 +499,9 @@ def feasibility_equiv_sample(prog, reg, n_samples, seed, cfg=DEFAULT):
     of half-width ``_EQUIV_BOX`` around the witness.
 
     Samples where the two decisions differ but either margin falls inside
-    ``tol_band`` are excluded as ties.  The samples are taken in blocks of
+    ``tol_band`` are excluded as ties; an accepting regularized side's
+    margin leaves out its equality rows, which hold within ``tol_band``
+    and so are no margin.  The samples are taken in blocks of
     ``_block_size(p)``: one uniform draw, one stacked support enumeration
     (a sample's row gives its direct margin) and one row test per block.
     Only the samples whose record rows hold within ``tol_band``, or whose
@@ -529,7 +532,8 @@ def feasibility_equiv_sample(prog, reg, n_samples, seed, cfg=DEFAULT):
             if dec_a[k] == dec_b:
                 report["agreements"] += 1
                 continue
-            margin_b = min(-float(eq_res[k]), float(ineq_margin[k]), omega_margin)
+            margin_b = (min(float(ineq_margin[k]), omega_margin) if dec_b else
+                        min(-float(eq_res[k]), float(ineq_margin[k]), omega_margin))
             if min(abs(float(margin_a[k])), abs(margin_b)) <= cfg.tol_band:
                 report["ties"] += 1
             else:

@@ -30,9 +30,10 @@ def equiv_sample_all_margins(prog, reg, n_samples, seed, cfg=DEFAULT):
             margin_a = float(np.min(vals))
             dec_a = margin_a >= -cfg.tol_cop
 
-            margin_b = min(-eq_res, ineq_margin, omega_margin)
             dec_b = (eq_res <= cfg.tol_band and ineq_margin >= -cfg.tol_band
                      and omega_margin >= -cfg.tol_band)
+            margin_b = (min(ineq_margin, omega_margin) if dec_b else
+                        min(-eq_res, ineq_margin, omega_margin))
 
             if dec_a == dec_b:
                 report["agreements"] += 1

@@ -309,6 +309,28 @@ def test_equivalence_reports_match_the_all_margin_reference(successful_runs):
     assert disagreements > 0 and ties > 0
 
 
+def test_equivalence_sees_a_regularized_set_that_is_too_large(successful_runs):
+    # with every record dropped and the region kept, the regularized side
+    # accepts matrices that are not copositive.  Its equality rows hold
+    # within tol_band there, which is no margin, so these samples count as
+    # disagreements, not ties; the certified problems keep none
+    band = DEFAULT.tol_band
+    seen = set()
+    for name, prog, res in successful_runs:
+        if not name.startswith("gen"):
+            continue
+        reg = res.regularized
+        assert feasibility_equiv_sample(prog, reg, 300, seed=0)[
+            "n_disagreements"] == 0, name
+        rep = feasibility_equiv_sample(prog, RegularizedProblem(
+            prog, (), reg.omega, reg.witness, reg.margin), 300, seed=0)
+        for d in rep["disagreements"]:
+            assert d["margin_direct"] < -band < band < d["margin_regularized"]
+        if rep["n_disagreements"]:
+            seen.add(name)
+    assert {"gen30", "gen34", "gen36", "gen37", "gen38", "gen39"} <= seen
+
+
 def test_criterion_9_lp_core():
     rng = np.random.default_rng(99)
     ok = True

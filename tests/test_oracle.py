@@ -784,30 +784,72 @@ def _bordered(D, cols):
     return K
 
 
-def test_one_singular_matrix_is_retried_alone(monkeypatch):
-    # matrix 1 repeats coordinate 0, so its faces holding coordinates 0 and
-    # 1 are singular and every stack of sizes 2-4 raises; matrices 0 and 2
-    # are nonsingular.  Only matrix 1's 6 + 4 + 1 faces are solved alone.
+def _singular_faces(D):
+    """The bordered systems of D whose own solve raises (an exact zero
+    pivot), in the oracle's face order."""
+    out = []
+    for _s, _pos, group in oracle._support_groups(D.shape[0])[1:]:
+        for cols in group:
+            K = _bordered(D, cols)
+            try:
+                np.linalg.solve(K, np.eye(len(K))[-1])
+            except np.linalg.LinAlgError:
+                out.append(K.tobytes())
+    return out
+
+
+def _record_solves(monkeypatch, Ds):
+    """Run the stack with ``np.linalg.solve`` and ``np.linalg.lstsq``
+    recorded: the dimension of each matrix ``solve`` is called with, and
+    the bytes of each matrix ``lstsq`` is called with."""
+    calls = {"solve": [], "lstsq": []}
+    solve, lstsq = np.linalg.solve, np.linalg.lstsq
+
+    def recording_solve(K, B):
+        calls["solve"].append(K.ndim)
+        return solve(K, B)
+
+    def recording_lstsq(K, b, rcond=None):
+        calls["lstsq"].append(K.tobytes())
+        return lstsq(K, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    monkeypatch.setattr(np.linalg, "lstsq", recording_lstsq)
+    oracle.stationary_candidate_stack(Ds)
+    monkeypatch.undo()
+    return calls
+
+
+def test_only_singular_faces_reach_lstsq(monkeypatch):
+    # matrix 1 repeats coordinate 0, so some of its faces holding
+    # coordinates 0 and 1 are singular and every stack of sizes 2-4 raises;
+    # matrices 0 and 2 are nonsingular.  No face is solved alone, and only
+    # the singular faces take the least-squares step.
     rng = np.random.default_rng(37)
     idx = [0, 0, 1, 2]
     Ds = np.array([random_sym(rng, 4), random_sym(rng, 3)[np.ix_(idx, idx)],
                    random_sym(rng, 4)])
-    faces = [cols for s, _pos, group in oracle._support_groups(4)[1:]
-             for cols in group]
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(np.array([_bordered(Ds[1], c) for c in faces[:6]]),
-                        np.ones((6, 3, 1)))
-    single = []
-    solve = np.linalg.solve
-
-    def recording(K, B):
-        if K.ndim == 2:
-            single.append(K.tobytes())
-        return solve(K, B)
-
-    monkeypatch.setattr(np.linalg, "solve", recording)
-    oracle.stationary_candidate_stack(Ds)
-    monkeypatch.undo()
-    # one solve per face of the singular matrix, none for the others
-    assert sorted(single) == sorted(_bordered(Ds[1], c).tobytes() for c in faces)
+    singular = _singular_faces(Ds[1])
+    assert singular and not _singular_faces(Ds[0]) and not _singular_faces(Ds[2])
+    calls = _record_solves(monkeypatch, Ds)
+    assert 2 not in calls["solve"]   # no face is solved alone
+    assert sorted(calls["lstsq"]) == sorted(singular)
     assert_same_stack(Ds)
+
+
+def test_non_finite_face_takes_lstsq_next_to_a_singular_face(monkeypatch):
+    # finite entries whose face {0, 1} solves without raising but overflows
+    # to a non-finite solution; the flat form's faces are all singular
+    big = np.array([[8e307, 4e307, 1.0], [4e307, 0.0, 2.0], [1.0, 2.0, 3.0]])
+    overflow = _bordered(big, [0, 1])
+    z = np.linalg.solve(overflow, np.eye(3)[-1])
+    assert not np.all(np.isfinite(z))
+    assert not _singular_faces(big)
+    flat = np.ones((3, 3))
+    for Ds in (big[None], np.array([big, flat]), np.array([flat, big])):
+        # the stacked solve succeeds on the first stack, raises on the others
+        calls = _record_solves(monkeypatch, Ds)
+        singular = _singular_faces(flat) if len(Ds) > 1 else []
+        assert sorted(calls["lstsq"]) == sorted([overflow.tobytes()] + singular)
+        assert 2 not in calls["solve"]
+        assert_same_stack(Ds)
