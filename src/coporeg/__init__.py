@@ -2,7 +2,7 @@
 
 from .config import DEFAULT, RunConfig
 from .generate import GeneratorError, generate_instance
-from .lp import LinearProgram, LpError, LpSolution, solve_lp
+from .lp import LinearProgram, LpError, LpSolution, LpStack, solve_lp
 from .model import (CopositiveProgram, DimensionError, ProblemFormatError,
                     SimplexPoint, eval_constraint, kernel_dimension,
                     parse_matrix, parse_problem, quad_form, serialize_matrix,
@@ -27,7 +27,7 @@ __all__ = [
     "CapabilityError", "CertificateError", "CompressedLedger",
     "CopositiveProgram", "CopositivityResult", "DimensionError",
     "DualCertificate", "FaceLedgerEntry", "GeneratorError", "LedgerError",
-    "LinearProgram", "LpError", "LpSolution", "OracleResult",
+    "LinearProgram", "LpError", "LpSolution", "LpStack", "OracleResult",
     "ProblemFormatError", "Record", "ReducedRegion",
     "RegularizationResult", "RegularizedProblem", "RunConfig",
     "SimplexPoint", "SipError", "SipInstance", "SipOutcome", "DEFAULT",

@@ -7,35 +7,43 @@ keeps it read-only; a solve builds only its cost vectors.
 
 Pivoting is Dantzig's rule with deterministic lowest-index tie-breaking,
 falling back to Bland's rule once a run of degenerate pivots trips the
-cycling heuristic.  A pivot makes two ``np.linalg.solve`` calls: one over
-the stack (B, B') gives the basic solution and the duals, and one gives
-the entering column.  LAPACK still factorises each matrix of the stack on
-its own (one ``gesv`` with one right-hand side each), so the results are
-the bits of separate solves, and B is factorised three times per pivot.
-Solving all three against one factorisation would round differently and
-so move pivots, which are kept bit-identical.  Dual multipliers follow
-the convention (min problem): >= rows nonnegative, <= rows nonpositive,
-== rows free.
+cycling heuristic.  A scalar pivot makes two ``np.linalg.solve`` calls:
+one over the stack (B, B') gives the basic solution and the duals, and
+one gives the entering column.  LAPACK still factorises each matrix of
+the stack on its own (one ``gesv`` with one right-hand side each), so the
+results are the bits of separate solves, and B is factorised three times
+per pivot.  Solving all three against one factorisation would round
+differently and so move pivots, which are kept bit-identical.  Dual
+multipliers follow the convention (min problem): >= rows nonnegative,
+<= rows nonpositive, == rows free.
 
 Every solve is a stack of objectives: ``solve_lp(lp, tol)`` is the stack
-of one, ``lp.objective``, and ``solve_lp(lp, tol, objectives=C)`` solves
-the program once for each row of an (S, nvar) array.  Phase 1 does not
-read the objective, so it runs once for the stack.  Phase 2 takes the
-rows in chunks of at most ``_STACK_ROWS``, and the chunk size alone picks
-the pivot loop: a one-row chunk takes the scalar ``_simplex``, and a
-larger chunk ``_simplex_stack``, which pivots its rows in lockstep.  A
-lockstep step makes one ``np.linalg.solve`` call over the (S, 2, m, m)
-stack of (B, B') and one over the entering columns, and each row keeps
-its own pivot choice, ties and degenerate-run switch.  LAPACK still
-solves each matrix on its own, and the reduced costs are one
-matrix-vector product per row, so every row has the bits of its own
-one-row solve; the lockstep bookkeeping costs more than it saves on a
-stack of one.  A chunk that raises is solved again one row at a time, so
-a failing row raises the error its own solve raises.  Every solution is
-recovered by one routine, ``_stack_solutions``, for a chunk of any size.
+of one, ``lp.objective``, and returns an ``LpSolution``;
+``solve_lp(lp, tol, objectives=C)`` solves the program once for each row
+of an (S, nvar) array and returns an ``LpStack``, whose fields are arrays
+with a leading (S,) axis.  Phase 1 does not read the objective, so it runs
+once for the stack.  Phase 2 takes the rows in chunks of at most
+``_STACK_ROWS`` (1024), and the chunk size alone picks the pivot loop: a
+one-row chunk takes the scalar ``_simplex``, and a larger chunk
+``_simplex_stack``, which pivots its rows in lockstep.  A lockstep step
+groups its rows by basis, which they mostly share, in a hash table, and
+makes three stacked ``np.linalg.solve`` calls: B x_B = b once per
+distinct basis, B' y = c_B once per row, and B d = a_enter once per
+distinct (basis, entering column) pair.  Each row keeps its own pivot choice, ties and
+degenerate-run switch.  LAPACK solves each matrix of a stack on its own,
+b is shared by every row, and the reduced costs are one matrix-vector
+product per row, so every row has the bits of its own one-row solve;
+the lockstep bookkeeping costs more than it saves on a stack of one.  A
+chunk that raises is solved again one row at a time, so a failing row
+raises the error its own solve raises.  Every solution is recovered by
+one routine, ``_stack_solutions``, for a chunk of any size, as arrays.
 """
 
+from collections import namedtuple
+
 import numpy as np
+
+from .grouping import key_groups, row_groups
 
 REL_LE = "<="
 REL_EQ = "=="
@@ -44,7 +52,7 @@ REL_GE = ">="
 _PIV_TOL = 1e-10
 _DEGENERATE_RUN = 50
 _MAX_ITERS = 20000
-_STACK_ROWS = 256        # objectives pivoted in lockstep at a time
+_STACK_ROWS = 1024       # objectives pivoted in lockstep at a time
 
 
 class LpError(RuntimeError):
@@ -147,6 +155,15 @@ class LpSolution:
         return f"LpSolution({self.status}, value={self.objective_value})"
 
 
+LpStack = namedtuple("LpStack", "status objective_value primal dual basis residual")
+LpStack.__doc__ = """The solutions of an objective stack, as arrays with a leading (S,)
+axis, row i the solve with objective i: ``status`` ("Optimal", "Unbounded"
+or "Infeasible"), ``objective_value``, ``primal`` (S, nvar), ``dual`` (S,
+rows), ``basis`` (S, m), the standard-form column of each basic row, and
+``residual``.  A row that is not optimal reads NaN in the float arrays,
+and an infeasible row -1 in ``basis``."""
+
+
 class _Std:
     """Standard-form expansion: A x = b, x >= 0 columnwise.
 
@@ -222,15 +239,6 @@ class _Std:
                            minlength=S * self.nvar).reshape(S, self.nvar)
 
 
-def _basic_solution(stack, rhs):
-    """``(x_B, y)`` from one ``np.linalg.solve`` call: ``stack`` holds
-    (B, B'), ``rhs`` holds (b, c_B) as (..., 2, m, 1), with any leading
-    stack axes.  LAPACK solves each matrix on its own, with one
-    right-hand side, as separate calls would."""
-    xy = np.linalg.solve(stack, rhs)
-    return xy[..., 0, :, 0], xy[..., 1, :, 0]
-
-
 def _stacked_reduced_costs(C_priced, priced_t, Y):
     """``C_priced[i] - priced_t @ Y[i]`` for each row: one matrix-vector
     product per row, as the scalar simplex forms it."""
@@ -262,9 +270,10 @@ def _simplex(A, b, c, basis, n_allow, tol):
         stack[1] = B.T
         c.take(basis, out=rhs[1, :, 0])
         try:
-            xb, y = _basic_solution(stack, rhs)
+            xy = np.linalg.solve(stack, rhs)   # LAPACK solves B and B' apart
         except np.linalg.LinAlgError as e:
             raise LpError(f"singular basis {tuple(basis.tolist())}: {e}") from e
+        xb, y = xy[0, :, 0], xy[1, :, 0]
         reduced = c_priced - priced_t @ y
         cand = (~basic_priced & (reduced < -tol)).nonzero()[0]
         if cand.size == 0:
@@ -296,10 +305,24 @@ def _simplex(A, b, c, basis, n_allow, tol):
     raise LpError("simplex iteration cap exceeded")
 
 
+def _entering_columns(B, At, group, enter):
+    """The solution d of B d = a for each row's basis ``B[group]`` and
+    entering column a = ``At[enter]``: one stacked solve, one system per
+    distinct (basis, column) pair."""
+    pair, first = key_groups(group * At.shape[0] + enter)
+    return np.linalg.solve(B[group[first]], At[enter[first]][:, :, None])[pair, :, 0]
+
+
 def _simplex_stack(A, b, C, basis, n_allow, tol):
     """``_simplex`` for each cost vector, row of the (S, ncols) array
     ``C``, all from ``basis``, pivoting in lockstep; ``basis`` is not
     changed.  A row leaves the stack when it stops.
+
+    A step groups the rows by basis (``row_groups``) and solves
+    B x_B = b once per distinct basis, B' y = c_B once per row, and
+    B d = a_enter once per distinct (basis, entering column) pair: each a
+    stacked ``np.linalg.solve`` in which LAPACK solves every matrix on its
+    own, so each row gets the bits of its own solve.
 
     Returns (bases, XB, Y, unbounded), one row per cost vector (XB and Y
     are zero on an unbounded row).  Raises LpError at the iteration cap;
@@ -316,28 +339,31 @@ def _simplex_stack(A, b, C, basis, n_allow, tol):
         return bases, XB, Y, unbounded
     At = A.T                                       # At[j] is column j of A
     priced_t = At[:n_allow]
+    b_col = b[:, None]
     in_basis = np.zeros((S, ncols), dtype=bool)
     in_basis[:, basis] = True
     degenerate_run = np.zeros(S, dtype=int)
     use_bland = np.zeros(S, dtype=bool)
     live = np.arange(S)                            # the rows still pivoting
     for _ in range(_MAX_ITERS):
-        Bt = At[bases[live]]                       # the transposed bases
-        stack = np.stack((Bt.transpose(0, 2, 1), Bt), axis=1)
-        rhs = np.empty((live.size, 2, m, 1))
-        rhs[:, 0, :, 0] = b
-        rhs[:, 1, :, 0] = np.take_along_axis(C[live], bases[live], axis=1)
-        xb, y = _basic_solution(stack, rhs)
+        live_bases = bases[live]
+        group, first = row_groups(live_bases, ncols)
+        Bt = At[live_bases[first]]                 # the distinct bases, transposed
+        B = Bt.transpose(0, 2, 1)
+        xb = np.linalg.solve(B, b_col)[group, :, 0]
+        cb = np.take_along_axis(C[live], live_bases, axis=1)
+        y = np.linalg.solve(Bt[group], cb[:, :, None])[..., 0]
         reduced = _stacked_reduced_costs(C[live, :n_allow], priced_t, y)
         eligible = ~in_basis[live, :n_allow] & (reduced < -tol)
         go = eligible.any(axis=1)
         XB[live[~go]], Y[live[~go]] = xb[~go], y[~go]
-        live, xb, eligible, reduced = live[go], xb[go], eligible[go], reduced[go]
+        live, group, xb = live[go], group[go], xb[go]
         if live.size == 0:
             return bases, XB, Y, unbounded
+        eligible, reduced = eligible[go], reduced[go]
         enter = np.where(use_bland[live], eligible.argmax(axis=1),
                          np.where(eligible, reduced, np.inf).argmin(axis=1))
-        d = np.linalg.solve(stack[go, 0], At[enter][:, :, None])[..., 0]
+        d = _entering_columns(B, At, group, enter)
         pos = d > _PIV_TOL
         ray = ~pos.any(axis=1)
         unbounded[live[ray]] = True
@@ -392,39 +418,69 @@ def solve_lp(lp, tol=1e-9, objectives=None):
     """Solve a LinearProgram; see module docstring for conventions.
 
     With ``objectives``, an (S, nvar) array, solve the program once for
-    each row in place of ``lp.objective`` and return the S solutions, in
-    order, each the solve of the program with that row as its objective;
-    the error raised is the one the first failing row raises.  Without,
-    the program's own objective is the stack of one.
+    each row in place of ``lp.objective`` and return an ``LpStack``, row
+    i the solve of the program with row i as its objective; the error
+    raised is the one the first failing row raises.  Without, solve the
+    program's own objective, the stack of one, and return an
+    ``LpSolution``.
     """
-    if objectives is None:
-        return _solve_stack(lp, tol, lp.objective[None])[0]
-    return _solve_stack(lp, tol, _checked_objective(objectives, lp.nvar, ndim=2))
+    if objectives is not None:
+        C = _checked_objective(objectives, lp.nvar, ndim=2)
+        return _as_stack(lp, C.shape[0], _solve_stack(lp, tol, C))
+    out = _solve_stack(lp, tol, lp.objective[None])
+    if out is None:
+        return LpSolution("Infeasible")
+    bases, unbounded, X, duals, values, residuals = out
+    basis = tuple(bases[0].tolist())
+    if unbounded[0]:
+        return LpSolution("Unbounded", basis=basis)
+    return LpSolution("Optimal", primal=X[0], dual=duals[0],
+                      objective_value=float(values[0]), basis=basis,
+                      residual=float(residuals[0]))
+
+
+def _as_stack(lp, S, out):
+    """The ``LpStack`` of S rows from ``_solve_stack``'s arrays."""
+    if out is None:
+        m = lp._std.A.shape[0]
+        return LpStack(np.full(S, "Infeasible"), np.full(S, np.nan),
+                       np.full((S, lp.nvar), np.nan), np.full((S, lp.b.size), np.nan),
+                       np.full((S, m), -1), np.full(S, np.nan))
+    bases, unbounded, X, duals, values, residuals = out
+    for field in (X, duals, values, residuals):
+        field[unbounded] = np.nan
+    return LpStack(np.where(unbounded, "Unbounded", "Optimal"),
+                   values, X, duals, bases, residuals)
 
 
 def _solve_stack(lp, tol, C):
     """``solve_lp`` for the checked objective stack ``C``: one phase 1,
-    then phase 2 in chunks of at most ``_STACK_ROWS`` rows."""
+    then phase 2 in chunks of at most ``_STACK_ROWS`` rows.  Returns the
+    arrays (bases, unbounded, primal, dual, value, residual), one row per
+    objective, or None when every row is infeasible: the program is, or
+    the stack is empty."""
     if C.shape[0] == 0:
-        return []
+        return None
     std = lp._std
     basis = _phase_one(std, tol)
     if basis is None:
-        return [LpSolution("Infeasible") for _ in C]
+        return None
     costs = np.zeros((C.shape[0], std.A.shape[1]))
     costs[:, :std.nstruct] = std.sign * C[:, std.orig]
-    sols = []
+    parts = []
     for start in range(0, C.shape[0], _STACK_ROWS):
         stop = min(start + _STACK_ROWS, C.shape[0])
         try:
-            sols += _phase_two(lp, C[start:stop], costs[start:stop], basis, tol)
+            parts.append(_phase_two(lp, C[start:stop], costs[start:stop], basis, tol))
         except (np.linalg.LinAlgError, LpError):
             if stop - start == 1:
                 raise
             # one row at a time: the first failing row raises its own error
-            for i in range(start, stop):
-                sols += _phase_two(lp, C[i:i + 1], costs[i:i + 1], basis, tol)
-    return sols
+            parts += [_phase_two(lp, C[i:i + 1], costs[i:i + 1], basis, tol)
+                      for i in range(start, stop)]
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(field) for field in zip(*parts))
 
 
 def _phase_two(lp, C, costs, basis, tol):
@@ -442,7 +498,8 @@ def _phase_two(lp, C, costs, basis, tol):
 
 def _stack_solutions(lp, C, bases, XB, Y, unbounded):
     """The solutions of the objectives, rows of ``C``, from their final
-    bases and basic solutions (one row each).  Raises LpError when an
+    bases and basic solutions (one row each), as the arrays (bases,
+    unbounded, primal, dual, value, residual).  Raises LpError when an
     optimal row fails feasibility."""
     std = lp._std
     x_std = np.zeros((C.shape[0], std.A.shape[1]))
@@ -456,12 +513,7 @@ def _stack_solutions(lp, C, bases, XB, Y, unbounded):
             raise LpError("optimal basis fails feasibility, residual "
                           f"{residuals[_first(bad)]:.3e}")
     values = (C[:, None, :] @ X[:, :, None])[:, 0, 0]   # one dot per row
-    return [LpSolution("Unbounded", basis=tuple(B)) if ray else
-            LpSolution("Optimal", primal=x, dual=dual, objective_value=value,
-                       basis=tuple(B), residual=residual)
-            for B, ray, x, dual, value, residual in zip(
-                bases.tolist(), unbounded.tolist(), X, duals, values.tolist(),
-                residuals.tolist())]
+    return bases, unbounded, X, duals, values, residuals
 
 
 def _feas_residual(lp, X):

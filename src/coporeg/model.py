@@ -63,7 +63,10 @@ def as_sym_matrix(entries, tol=SYM_TOL, what="matrix"):
     if a.size and float(np.max(np.abs(a - a.T))) > tol:
         raise ProblemFormatError(f"{what}: matrix not symmetric (max asymmetry "
                                  f"{float(np.max(np.abs(a - a.T))):.3e} > {tol:.0e})")
-    a = 0.5 * (a + a.T)  # exact for symmetric input, kills representation noise
+    # average the asymmetric pairs only: kills representation noise, and a
+    # symmetric entry near the float maximum does not overflow
+    odd = a != a.T
+    a[odd] = 0.5 * (a[odd] + a.T[odd])
     a.setflags(write=False)
     return a
 

@@ -144,6 +144,9 @@ def _solve_faces(K, scale):
     return z, solved
 
 
+_HALF_MAX = 0.5 * np.finfo(float).max   # |D_ij| above it overflows 2 D
+
+
 def stationary_candidate_stack(Ds, p_max=14):
     """The stationary points of t' D_i t on every face of the simplex, for
     each matrix of the (S, p, p) stack ``Ds``.
@@ -171,7 +174,11 @@ def stationary_candidate_stack(Ds, p_max=14):
             f"exact support enumeration capped at p_max={p_max} (got p={p}); "
             f"raise p_max (--p-max) to {p} or more to enumerate all 2^p - 1 "
             "supports")
-    scale = np.maximum(1.0, np.max(np.abs(Ds), axis=(1, 2)))
+    largest = np.max(np.abs(Ds), axis=(1, 2))
+    if not (largest <= _HALF_MAX).all():
+        raise ValueError(f"matrix entries must be finite and at most {_HALF_MAX:.6g} "
+                         "in magnitude, so that the stationarity systems' 2 D is finite")
+    scale = np.maximum(1.0, largest)
     (_s, vertices, k), *groups = _support_groups(p)
     coords = np.zeros((S, (1 << p) - 1, p))
     coords[:, vertices, k[:, 0]] = 1.0
@@ -258,11 +265,11 @@ def l1_dist_to_hull(T, V):
     bounds = [(-1.0, 1.0)] * p + [(-np.inf, np.inf)]
     C = np.column_stack([-tc.reshape(-1, p), np.ones(tc.size // p)])
     sols = solve_lp(LinearProgram(np.zeros(p + 1), rows, bounds), objectives=C)
-    for sol in sols:
-        if sol.status != "Optimal":
-            raise LpError(f"hull-distance LP reported {sol.status}; this cannot "
-                          "happen for nonempty V")
-    dist = np.maximum(0.0, [-sol.objective_value for sol in sols])
+    failed = sols.status != "Optimal"
+    if failed.any():
+        raise LpError(f"hull-distance LP reported {sols.status[failed.argmax()]}; "
+                      "this cannot happen for nonempty V")
+    dist = np.maximum(0.0, -sols.objective_value)
     return float(dist[0]) if tc.ndim == 1 else dist
 
 

@@ -452,13 +452,11 @@ def forced_zero_rows(prog, t_j, reg, cfg=DEFAULT):
     rows_lp = LinearProgram(np.zeros(prog.n), reg.rows, [(-r, r)] * prog.n)
     coefs, rhs = zip(*(linear_row_data(prog, t_j, k) for k in range(prog.p)))
     sols = solve_lp(rows_lp, tol=cfg.tol_lp, objectives=-np.array(coefs))
-    members = []
-    for k, sol in enumerate(sols):
-        if sol.status != "Optimal":
-            raise LpError(f"row maximization LP reported {sol.status}")
-        if float(coefs[k] @ sol.primal) - rhs[k] <= cfg.tol_feas:
-            members.append(k)
-    return tuple(members)
+    failed = sols.status != "Optimal"
+    if failed.any():
+        raise LpError(f"row maximization LP reported {sols.status[failed.argmax()]}")
+    return tuple(k for k in range(prog.p)
+                 if float(coefs[k] @ sols.primal[k]) - rhs[k] <= cfg.tol_feas)
 
 
 def minimal_face(prog, W, reg, cfg=DEFAULT):

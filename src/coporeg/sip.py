@@ -143,29 +143,33 @@ def solve_sip(inst, cfg, a0_copositive=False):
     escalations = 0
     cuts, cut_rows = [], []   # each cut's master row is built once
     mu_star = None
+    sol = None                # the master's solution, None after it changed
 
     for rounds in range(1, _CUT_ROUNDS + 1):
-        master = _build_master(inst, cut_rows, box_r)
-        # with A_0 copositive, (x=0, mu=0) satisfies every master row
-        if a0_copositive and np.any(np.where(
-                master.rel == REL_EQ, np.abs(master.b), master.b) > cfg.tol_feas):
-            raise SipError(
-                "A_0 was flagged copositive but (x=0, mu=0) violates the "
-                "master; the flag or the record data is wrong", mu_star, rounds)
-        sol = solve_lp(master, tol=cfg.tol_lp)
-        if sol.status == "Infeasible":
-            # the box rows bound mu too: a cut that needs mu > box_r, or
-            # record rows that no x in the box meets, empties the master
-            raise SipError(
-                f"master LP infeasible: no x and mu within the box "
-                f"|x_j|, |mu| <= {box_r:g} meet the cuts"
-                + (" and the record rows" if inst.records else ""),
-                mu_star, rounds)
-        if sol.status == "Unbounded":
-            raise SipError("master LP unbounded despite box rows",
-                           mu_star, rounds)
-        x_star = sol.primal[:n]
-        mu_star = float(sol.primal[n])
+        # only a new cut or a box escalation changes the master; a grid
+        # refinement keeps the last round's master and its solution
+        if sol is None:
+            master = _build_master(inst, cut_rows, box_r)
+            # with A_0 copositive, (x=0, mu=0) satisfies every master row
+            if a0_copositive and np.any(np.where(
+                    master.rel == REL_EQ, np.abs(master.b), master.b) > cfg.tol_feas):
+                raise SipError(
+                    "A_0 was flagged copositive but (x=0, mu=0) violates the "
+                    "master; the flag or the record data is wrong", mu_star, rounds)
+            sol = solve_lp(master, tol=cfg.tol_lp)
+            if sol.status == "Infeasible":
+                # the box rows bound mu too: a cut that needs mu > box_r, or
+                # record rows that no x in the box meets, empties the master
+                raise SipError(
+                    f"master LP infeasible: no x and mu within the box "
+                    f"|x_j|, |mu| <= {box_r:g} meet the cuts"
+                    + (" and the record rows" if inst.records else ""),
+                    mu_star, rounds)
+            if sol.status == "Unbounded":
+                raise SipError("master LP unbounded despite box rows",
+                               mu_star, rounds)
+            x_star = sol.primal[:n]
+            mu_star = float(sol.primal[n])
 
         ax = eval_constraint(prog, x_star)
         if inst.omega is None:
@@ -188,6 +192,7 @@ def solve_sip(inst, cfg, a0_copositive=False):
                        for t in cuts):
                 cuts.append(res.argmin)
                 cut_rows.append(cut_row(prog, res.argmin))
+                sol = None
                 continue
             # repeated cut: the grid cannot separate further at this h
             reason = "separation stalled on a duplicate cut"
@@ -217,6 +222,7 @@ def solve_sip(inst, cfg, a0_copositive=False):
                 if escalations < 2:
                     escalations += 1
                     box_r *= 10.0
+                    sol = None
                     continue
                 raise SipError("zero optimum supported on the box after "
                                "escalation", mu_star, rounds)

@@ -2,6 +2,7 @@ import argparse
 import importlib
 import json
 import os
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -89,6 +90,18 @@ def test_check_copositive_witness(workdir, tmp_path, capsys):
     assert doc["copositive"] is False
     w = np.array(doc["witness"])
     assert doc["margin"] < 0 and float(w @ D @ w) < 0
+
+
+def test_check_copositive_refuses_a_matrix_that_overflows(tmp_path, capsys):
+    # each entry is finite, but 2 D in the stationarity systems is not: one
+    # error line, exit 1, and no warning from symmetrizing the matrix
+    big = tmp_path / "big.json"
+    big.write_text('{"p": 2, "D": [[1e308, 1e308], [1e308, 1e308]]}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check-copositive", "--matrix", str(big)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: matrix entries must be finite") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("flag, value", [("--h", "0.1"), ("--samples", "5"),

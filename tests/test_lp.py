@@ -1,4 +1,5 @@
 import collections
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from coporeg import (LinearProgram, LpError, SimplexPoint, generate_instance,
                      oracle, regularize, sip, solve_lp)
-from coporeg import lp as lp_mod
+from coporeg import grouping, lp as lp_mod
 from coporeg.lp import REL_EQ, REL_GE, REL_LE
 
 
@@ -291,7 +292,7 @@ class _RefStd:
                            minlength=self.nvar)
 
 
-def _ref_simplex(A, b, c, basis, n_allow, tol):
+def _ref_simplex(A, b, c, basis, n_allow, tol, events):
     m = A.shape[0]
     if m == 0:
         return np.zeros(0), np.zeros(0), bool(np.any(c[:n_allow] < -tol))
@@ -329,7 +330,8 @@ def _ref_simplex(A, b, c, basis, n_allow, tol):
         leave_row = int(min(ties, key=lambda r: basis[r]))
         if best <= _REF_PIV_TOL:
             degenerate_run += 1
-            if degenerate_run >= _REF_DEGENERATE_RUN:
+            if degenerate_run >= _REF_DEGENERATE_RUN and not use_bland:
+                events["Bland's rule"] += 1
                 use_bland = True
         else:
             degenerate_run = 0
@@ -351,7 +353,7 @@ def _ref_solve_lp(lp, tol=1e-9, events=None):
         events["phase 1"] += 1
         c1 = np.zeros(ncols)
         c1[n_real:] = 1.0
-        xb, _y, unbounded = _ref_simplex(A, b, c1, basis, ncols, tol)
+        xb, _y, unbounded = _ref_simplex(A, b, c1, basis, ncols, tol, events)
         if unbounded:
             raise LpError("phase-1 objective reported unbounded")
         if float(c1[basis] @ xb) > 10.0 * tol * (1.0 + float(np.max(np.abs(b), initial=0.0))):
@@ -370,7 +372,7 @@ def _ref_solve_lp(lp, tol=1e-9, events=None):
                 else:
                     events["artificial stuck"] += 1
 
-    xb, y, unbounded = _ref_simplex(A, b, c, basis, n_real, tol)
+    xb, y, unbounded = _ref_simplex(A, b, c, basis, n_real, tol, events)
     if unbounded:
         return lp_mod.LpSolution("Unbounded", basis=tuple(basis))
 
@@ -410,20 +412,44 @@ def _outcome(solve, prog, **kwargs):
     return _fields(sol)
 
 
-def _assert_stack_bit_identical(prog, objectives, **kwargs):
+def _stack_fields(stack):
+    """``_fields`` of each row of an ``LpStack``.  A row that is not
+    optimal must read NaN in every float field, and an infeasible row -1
+    in its basis."""
+    S = stack.status.size
+    assert stack.objective_value.shape == stack.residual.shape == (S,)
+    assert stack.primal.shape[0] == stack.dual.shape[0] == stack.basis.shape[0] == S
+    rows = []
+    for i, status in enumerate(stack.status.tolist()):
+        floats = (stack.primal[i], stack.dual[i], stack.objective_value[i], stack.residual[i])
+        basis = tuple(stack.basis[i].tolist())
+        if status == "Optimal":
+            rows.append((status, basis, *(np.asarray(f, dtype=float).tobytes() for f in floats)))
+            continue
+        assert all(np.isnan(f).all() for f in floats)
+        if status == "Infeasible":
+            assert set(basis) <= {-1}
+            basis = None
+        rows.append((status, basis, None, None, None, None))
+    return rows
+
+
+def _assert_stack_bit_identical(prog, objectives, events=None, **kwargs):
     """A solve of the objective stack against the reference solve of each
     row's own program: every row's bits, or, when a row fails, the error
-    of the first failing row."""
+    of the first failing row.  ``events`` gathers the reference's
+    branches."""
     want = []
     bounds = list(zip(prog.lo, prog.hi))
     for c in objectives:
-        out = _outcome(_ref_solve_lp, LinearProgram(c, prog.rows, bounds), **kwargs)
+        out = _outcome(_ref_solve_lp, LinearProgram(c, prog.rows, bounds),
+                       events=events, **kwargs)
         if out[0] == "LpError":
             want = out
             break
         want.append(out)
     try:
-        got = [_fields(sol) for sol in solve_lp(prog, objectives=objectives, **kwargs)]
+        got = _stack_fields(solve_lp(prog, objectives=objectives, **kwargs))
     except LpError as e:
         got = ("LpError", str(e))
     assert got == want
@@ -472,7 +498,9 @@ def test_hull_lps_of_a_two_vertex_region_are_bit_identical(monkeypatch):
 def test_master_lps_of_regularize_are_bit_identical(monkeypatch, e4):
     gen35 = generate_instance(seed=35, p=4, n=2,
                               planted=[SimplexPoint([0.5, 0.25, 0.25, 0.0])])
-    for prog, count in ((e4, 5), (gen35, 13)):
+    # gen35's 13 rounds include two grid refinements, which reuse the
+    # master solve of the round before
+    for prog, count in ((e4, 5), (gen35, 11)):
         calls = _recorded_lps(monkeypatch, sip, lambda: regularize(prog))
         assert len(calls) == count
         for lp, kwargs in calls:
@@ -562,12 +590,14 @@ def _counted_pivot_loops(monkeypatch):
 
 
 def test_a_stack_across_chunks_is_bit_identical(monkeypatch):
-    # 2,145 hull LPs: eight full chunks and a partial one; the points lie
-    # in the simplex, so there is no phase 1
+    # 2,145 hull LPs: at least two full chunks and a partial one; the
+    # points lie in the simplex, so there is no phase 1
     hull, objectives = _hull_stack(monkeypatch, np.eye(3)[:2], oracle.simplex_grid(3, 64))
+    full, tail = divmod(len(objectives), lp_mod._STACK_ROWS)
+    assert full >= 2 and tail >= 2
     chunks = _counted_pivot_loops(monkeypatch)
     _assert_stack_bit_identical(hull, objectives)
-    assert chunks == {"_simplex": [], "_simplex_stack": [lp_mod._STACK_ROWS] * 8 + [97]}
+    assert chunks == {"_simplex": [], "_simplex_stack": [lp_mod._STACK_ROWS] * full + [tail]}
 
 
 def test_a_one_row_tail_takes_the_scalar_simplex(monkeypatch):
@@ -587,7 +617,11 @@ def test_an_empty_stack_solves_nothing(monkeypatch):
 
     monkeypatch.setattr(lp_mod, "_simplex", no_solve)
     monkeypatch.setattr(lp_mod, "_simplex_stack", no_solve)
-    assert solve_lp(_beale(), objectives=np.empty((0, 4))) == []
+    prog = _beale()
+    empty = solve_lp(prog, objectives=np.empty((0, 4)))
+    assert _stack_fields(empty) == []
+    assert empty.primal.shape == (0, 4) and empty.dual.shape == (0, 3)
+    assert empty.basis.shape == (0, prog._std.A.shape[0])
 
 
 def test_a_failing_row_raises_its_own_error(monkeypatch):
@@ -598,7 +632,7 @@ def test_a_failing_row_raises_its_own_error(monkeypatch):
     monkeypatch.setattr(lp_mod, "_MAX_ITERS", 1000)
     prog = _beale()
     others = np.array([[1.0, 1.0, 1.0, 1.0], [0.0, 0.0, -1.0, 0.0]])
-    assert [s.status for s in solve_lp(prog, objectives=others)] == ["Optimal"] * 2
+    assert solve_lp(prog, objectives=others).status.tolist() == ["Optimal"] * 2
     with pytest.raises(LpError, match="iteration cap") as single:
         solve_lp(prog)
     with pytest.raises(LpError) as stacked:
@@ -607,11 +641,14 @@ def test_a_failing_row_raises_its_own_error(monkeypatch):
 
 
 def test_a_singular_stack_is_solved_one_row_at_a_time(monkeypatch):
+    # the lockstep loop's grouped solve of B x_B = b, a stack of bases
+    # against the one right-hand side b, is made to raise; the three rows
+    # all start on one basis
     solve = np.linalg.solve
     stacks = []
 
     def singular_stacks(a, b):
-        if a.ndim == 4:
+        if a.ndim == 3 and b.ndim == 2:
             stacks.append(a.shape[0])
             raise np.linalg.LinAlgError("Singular matrix")
         return solve(a, b)
@@ -622,7 +659,96 @@ def test_a_singular_stack_is_solved_one_row_at_a_time(monkeypatch):
     objectives = np.array([c, -c, c + rng.normal(size=c.size)])
     monkeypatch.setattr(np.linalg, "solve", singular_stacks)
     _assert_stack_bit_identical(prog, objectives)
-    assert stacks == [3]
+    assert stacks == [1]
+
+
+def test_a_stack_over_many_bases_and_entering_columns_is_bit_identical(monkeypatch):
+    # mixed <=, == and >= rows with repeated rows (a degenerate vertex), a
+    # few hundred random objectives each, and the switch to Bland's rule
+    # after a degenerate run of 2, in the engine and in the reference: the
+    # lockstep rows spread over several bases and, on one basis, over
+    # several entering columns, and every row keeps the bits of its own
+    # solve
+    monkeypatch.setattr(lp_mod, "_DEGENERATE_RUN", 2)
+    monkeypatch.setattr(sys.modules[__name__], "_REF_DEGENERATE_RUN", 2)
+    bases, pairs = [], []
+    grouped, entering = lp_mod.row_groups, lp_mod._entering_columns
+
+    def counted_bases(live_bases, ncols):
+        bases.append(len({tuple(r) for r in live_bases.tolist()}))
+        return grouped(live_bases, ncols)
+
+    def counted_pairs(B, At, group, enter):
+        pairs.append((B.shape[0], len(set(zip(group.tolist(), enter.tolist())))))
+        return entering(B, At, group, enter)
+
+    monkeypatch.setattr(lp_mod, "row_groups", counted_bases)
+    monkeypatch.setattr(lp_mod, "_entering_columns", counted_pairs)
+    rng = np.random.default_rng(27)
+    events, statuses = collections.Counter(), collections.Counter()
+    for _ in range(4):
+        c, A, rels, b, bounds = _random_lp(rng, degenerate=True)
+        prog = LinearProgram(c, list(zip(A, rels, b)), bounds)
+        want = _assert_stack_bit_identical(prog, rng.normal(size=(300, c.size)),
+                                           events=events)
+        assert want[0] != "LpError"
+        statuses.update(out[0] for out in want)
+    assert events["Bland's rule"] > 0 and statuses["Optimal"] > 0
+    assert max(bases) > 1
+    assert any(n_pairs > n_bases for n_bases, n_pairs in pairs)
+
+
+def test_a_lockstep_step_solves_each_distinct_basis_once(monkeypatch):
+    # the hull stack of a two-vertex region: its rows share few bases, and
+    # each step solves B x_B = b once per distinct basis of its live rows
+    hull, objectives = _hull_stack(monkeypatch, np.eye(3)[:2], oracle.simplex_grid(3, 64))
+    m = hull._std.A.shape[0]
+    calls = []
+    grouped, solve = lp_mod.row_groups, np.linalg.solve
+
+    def counted_bases(live_bases, ncols):
+        calls.append(("bases", live_bases.shape[0],
+                      len({tuple(r) for r in live_bases.tolist()})))
+        return grouped(live_bases, ncols)
+
+    def counted_solve(a, b):
+        calls.append(("solve", a.shape, b.shape))
+        return solve(a, b)
+
+    monkeypatch.setattr(lp_mod, "row_groups", counted_bases)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    solve_lp(hull, objectives=objectives)
+    monkeypatch.undo()
+    steps = [i for i, call in enumerate(calls) if call[0] == "bases"]
+    for i in steps:
+        _, _rows, distinct = calls[i]
+        assert calls[i + 1] == ("solve", (distinct, m, m), (m, 1))
+    row_steps = sum(calls[i][1] for i in steps)
+    basis_solves = sum(calls[i][2] for i in steps)
+    assert row_steps > 5000 and basis_solves < row_steps / 50
+
+
+@pytest.mark.parametrize("multiplier", ["golden", "one"])
+def test_row_groups_are_the_equal_rows(monkeypatch, multiplier):
+    # rows read as integers (5 entries below 10) and hashed rows (12 below
+    # 100); a multiplier of 1 makes every slot collide and, for hashed rows,
+    # makes the hash a row sum, so rows with equal sums clash
+    if multiplier == "one":
+        monkeypatch.setattr(grouping, "GOLDEN", np.uint64(1))
+    rng = np.random.default_rng(27)
+    for m, ncols in ((5, 10), (12, 100)):
+        pool = rng.integers(0, ncols, size=(60, m))
+        pool[1::2] = pool[::2]
+        pool[1::2, :2] = pool[::2, 1::-1]           # two entries swapped
+        rows = pool[rng.integers(0, 60, size=500)]
+        group, first = grouping.row_groups(rows, ncols)
+        assert (rows == rows[first[group]]).all()
+        assert sorted(group[first].tolist()) == list(range(first.size))
+        distinct = len({tuple(r) for r in rows.tolist()})
+        if multiplier == "golden" or m == 5:
+            assert first.size == distinct
+        else:
+            assert first.size > distinct
 
 
 # --- the assumptions the bit identity rests on -------------------------------
@@ -642,7 +768,7 @@ def test_stacked_basis_solve_matches_two_solves_bitwise():
         b, cb = rng.normal(size=m), rng.normal(size=m)
         stack, rhs = np.stack((B, B.T)), np.stack((b, cb))[:, :, None]
         try:
-            xb, y = lp_mod._basic_solution(stack, rhs)
+            xy = np.linalg.solve(stack, rhs)
         except np.linalg.LinAlgError:
             # the simplex raises the same LpError when either call would
             singular += 1
@@ -650,14 +776,14 @@ def test_stacked_basis_solve_matches_two_solves_bitwise():
                 np.linalg.solve(B, b)
                 np.linalg.solve(B.T, cb)
             continue
-        assert xb.tobytes() == np.linalg.solve(B, b).tobytes()
-        assert y.tobytes() == np.linalg.solve(B.T, cb).tobytes()
+        assert xy[0, :, 0].tobytes() == np.linalg.solve(B, b).tobytes()
+        assert xy[1, :, 0].tobytes() == np.linalg.solve(B.T, cb).tobytes()
     assert singular < 2000           # over 3,000 bases compared
 
-    # the lockstep simplex's (S, 2, m, m) basis solve, its (S, m, m)
-    # entering-column solve and its stacked reduced costs, over one basis
-    # per objective of a shared A, must give each row the bits of its own
-    # calls
+    # the lockstep simplex's stacked solves over the bases of a shared A:
+    # B x_B = b against the one b, B' y = c_B and B d = a, one right-hand
+    # side per basis, and its stacked reduced costs must give each basis
+    # the bits of its own calls
     compared = 0
     for k in range(300):
         m = int(rng.integers(1, 16))
@@ -669,20 +795,19 @@ def test_stacked_basis_solve_matches_two_solves_bitwise():
         bases = bases[ok]
         S = len(bases)
         Bt = A.T[bases]
-        stack = np.stack((Bt.transpose(0, 2, 1), Bt), axis=1)
-        rhs = rng.normal(size=(S, 2, m, 1))
-        cols = rng.normal(size=(S, m))
+        b, cb, cols = rng.normal(size=m), rng.normal(size=(S, m)), rng.normal(size=(S, m))
         try:
-            XB, Y = lp_mod._basic_solution(stack, rhs)
-            D = np.linalg.solve(stack[:, 0], cols[:, :, None])[..., 0]
+            XB = np.linalg.solve(Bt.transpose(0, 2, 1), b[:, None])[..., 0]
+            Y = np.linalg.solve(Bt, cb[:, :, None])[..., 0]
+            D = np.linalg.solve(Bt.transpose(0, 2, 1), cols[:, :, None])[..., 0]
         except np.linalg.LinAlgError:
             continue        # the engine solves such a stack one row at a time
         n = int(rng.integers(1, ncols + 1))
         C = rng.normal(size=(S, n))
         reduced = lp_mod._stacked_reduced_costs(C, A[:, :n].T, Y)
         for i, B in enumerate(Bt.transpose(0, 2, 1)):
-            assert XB[i].tobytes() == np.linalg.solve(B, rhs[i, 0, :, 0]).tobytes()
-            assert Y[i].tobytes() == np.linalg.solve(B.T, rhs[i, 1, :, 0]).tobytes()
+            assert XB[i].tobytes() == np.linalg.solve(B, b).tobytes()
+            assert Y[i].tobytes() == np.linalg.solve(B.T, cb[i]).tobytes()
             assert D[i].tobytes() == np.linalg.solve(B, cols[i]).tobytes()
             assert reduced[i].tobytes() == (C[i] - A[:, :n].T @ Y[i]).tobytes()
             compared += 1

@@ -853,3 +853,24 @@ def test_non_finite_face_takes_lstsq_next_to_a_singular_face(monkeypatch):
         assert sorted(calls["lstsq"]) == sorted([overflow.tobytes()] + singular)
         assert 2 not in calls["solve"]
         assert_same_stack(Ds)
+
+
+@pytest.mark.parametrize("entry", [1e308, -1e308, np.finfo(float).max, np.inf, np.nan])
+def test_an_entry_that_overflows_two_d_is_refused_before_lapack(monkeypatch, entry):
+    # 2 D enters the bordered stationarity systems; an entry above half the
+    # float maximum makes it infinite, and lstsq on such a system never
+    # returned.  The stack refuses it before any LAPACK call
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("LAPACK was called")
+
+    Ds = np.ones((2, 3, 3))
+    Ds[1, 0, 2] = Ds[1, 2, 0] = entry
+    monkeypatch.setattr(np.linalg, "solve", no_lapack)
+    monkeypatch.setattr(np.linalg, "lstsq", no_lapack)
+    with pytest.raises(ValueError, match="2 D is finite"):
+        oracle.stationary_candidate_stack(Ds)
+    # the largest entry that keeps 2 D finite is still solved
+    monkeypatch.undo()
+    Ds[1, 0, 2] = Ds[1, 2, 0] = 0.5 * np.finfo(float).max
+    values, _coords = oracle.stationary_candidate_stack(Ds)
+    assert values.shape == (2, 7)

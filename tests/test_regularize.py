@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from coporeg import (DEFAULT, CopositiveProgram, DualCertificate,
-                     FaceLedgerEntry, LedgerError, LpError, LpSolution, Record,
+                     FaceLedgerEntry, LedgerError, LinearProgram, LpError, Record,
                      ReducedRegion, SipError, SipInstance, compress_ledger,
                      disjointness_condition, eval_constraint, face_forms_agree,
                      feasibility_equiv_sample, forced_zero_rows,
                      generate_instance, kernel_dimension, minimal_face,
                      one_step_regularize, quad_form, regularize,
                      sample_copositive, sample_feasible, update_index_sets,
-                     verify_ledger)
+                     solve_lp, verify_ledger)
 
-from coporeg.lp import REL_EQ, REL_GE
+from coporeg.lp import REL_EQ, REL_GE, REL_LE
 from coporeg.model import (SimplexPoint, certificate_matrix, kernel_residual,
                            project_to_zero_rows, row_pairs, row_residuals,
                            zero_row_matrix)
@@ -543,8 +543,10 @@ def test_forced_zero_rows_e2(e2, reg_e2):
 
 
 def test_forced_zero_rows_row_lp_failure_is_typed(e2, reg_e2, monkeypatch):
-    monkeypatch.setattr(REGULARIZE, "solve_lp", lambda lp, **kw: [
-        LpSolution("Infeasible") for _ in kw["objectives"]])
+    # the same objectives on a program with no feasible point
+    empty = LinearProgram(np.zeros(e2.n), [(np.ones(e2.n), REL_GE, 1.0),
+                                           (np.ones(e2.n), REL_LE, 0.0)])
+    monkeypatch.setattr(REGULARIZE, "solve_lp", lambda lp, **kw: solve_lp(empty, **kw))
     with pytest.raises(LpError, match="row maximization LP reported Infeasible"):
         forced_zero_rows(e2, simplex(1, 0), reg_e2.regularized)
 
@@ -636,7 +638,7 @@ def test_excluded_rows_are_positive_at_feasible_points(face_cases, name,
 
     def recorded(lp, **kwargs):
         sols = orig(lp, **kwargs)
-        argmaxes.extend(sol.primal for sol in sols)
+        argmaxes.extend(sols.primal)
         return sols
 
     monkeypatch.setattr(REGULARIZE, "solve_lp", recorded)

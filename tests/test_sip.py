@@ -14,6 +14,7 @@ from coporeg.sip import _build_master, cut_row
 from conftest import simplex
 
 SIP = importlib.import_module("coporeg.sip")
+REGULARIZE = importlib.import_module("coporeg.regularize")
 
 
 def test_sip0_e1_negative(e1):
@@ -234,6 +235,41 @@ def test_refine_cap_is_a_give_up(monkeypatch):
     assert res.status == "failed"
     assert res.diagnostics["reason"] == ("negative optimum not certifiable "
                                          "at the finest grid")
+
+
+def test_a_refinement_reuses_the_master_solve(monkeypatch):
+    # a grid refinement changes neither the cuts nor the box, so the round
+    # after it keeps the last master and its solution: a SIP run solves its
+    # master rounds - refinements times.  gen35's second subproblem refines
+    # twice in 11 rounds; its outcome is the one that re-solving the same
+    # master in each of those rounds gave, to the last bit
+    prog = generate_instance(seed=35, p=4, n=2,
+                             planted=[simplex(0.5, 0.25, 0.25, 0.0)])
+    masters, runs = [], []
+    solve, sip_run = SIP.solve_lp, REGULARIZE.solve_sip
+
+    def counted_solve(lp, **kwargs):
+        masters.append(lp)
+        return solve(lp, **kwargs)
+
+    def counted_run(inst, cfg, *args, **kwargs):
+        before = len(masters)
+        out = sip_run(inst, cfg, *args, **kwargs)
+        h0, h = cfg.grid_h(prog.p), out.diagnostics["h"]
+        runs.append((out, round(np.log2(h0 / h)), len(masters) - before))
+        return out
+
+    monkeypatch.setattr(SIP, "solve_lp", counted_solve)
+    monkeypatch.setattr(REGULARIZE, "solve_sip", counted_run)
+    assert regularize(prog).status == "regularized"
+    for out, refinements, solved in runs:
+        assert solved == out.diagnostics["rounds"] - refinements
+    out, refinements, solved = runs[-1]
+    assert (out.kind, out.diagnostics["rounds"], refinements, solved) == ("negative", 11, 2, 9)
+    assert len(out.cuts) == 8
+    assert float(out.diagnostics["mu_star"]).hex() == "-0x1.7c7b3efb0361cp+0"
+    assert [float(v).hex() for v in out.x] == ["0x1.f400000000000p+9",
+                                               "-0x1.3c56f5d4993a8p+7"]
 
 
 def test_record_rows_are_built_once_per_instance(e2, monkeypatch):
