@@ -17,26 +17,27 @@ differently and so move pivots, which are kept bit-identical.  Dual
 multipliers follow the convention (min problem): >= rows nonnegative,
 <= rows nonpositive, == rows free.
 
-Every solve is a stack of objectives: ``solve_lp(lp, tol)`` is the stack
-of one, ``lp.objective``, and returns an ``LpSolution``;
-``solve_lp(lp, tol, objectives=C)`` solves the program once for each row
-of an (S, nvar) array and returns an ``LpStack``, whose fields are arrays
-with a leading (S,) axis.  Phase 1 does not read the objective, so it runs
-once for the stack.  Phase 2 takes the rows in chunks of at most
-``_STACK_ROWS`` (1024), and the chunk size alone picks the pivot loop: a
-one-row chunk takes the scalar ``_simplex``, and a larger chunk
-``_simplex_stack``, which pivots its rows in lockstep.  A lockstep step
-groups its rows by basis, which they mostly share, in a hash table, and
-makes three stacked ``np.linalg.solve`` calls: B x_B = b once per
-distinct basis, B' y = c_B once per row, and B d = a_enter once per
-distinct (basis, entering column) pair.  Each row keeps its own pivot choice, ties and
-degenerate-run switch.  LAPACK solves each matrix of a stack on its own,
-b is shared by every row, and the reduced costs are one matrix-vector
-product per row, so every row has the bits of its own one-row solve;
-the lockstep bookkeeping costs more than it saves on a stack of one.  A
-chunk that raises is solved again one row at a time, so a failing row
-raises the error its own solve raises.  Every solution is recovered by
-one routine, ``_stack_solutions``, for a chunk of any size, as arrays.
+Every solve is a stack of objectives: ``solve_lp(lp, tol, objectives=C)``
+solves the program once for each row of an (S, nvar) array and returns an
+``LpStack``, whose fields are arrays with a leading (S,) axis;
+``solve_lp(lp, tol)`` is the stack of one, ``lp.objective``, and returns
+its row 0 as an ``LpSolution``, a named tuple with the same fields.  Phase
+1 does not read the objective, so it runs once for the stack.  Phase 2
+takes the rows in chunks of at most ``_STACK_ROWS`` (1024), and the chunk
+size alone picks the pivot loop: a one-row chunk takes the scalar
+``_simplex``, and a larger chunk ``_simplex_stack``, which pivots its rows
+in lockstep.  A lockstep step groups its rows by basis, which they mostly
+share, in a hash table, and makes three stacked ``np.linalg.solve`` calls:
+B x_B = b once per distinct basis, B' y = c_B once per row, and B d =
+a_enter once per distinct (basis, entering column) pair.  Each row keeps
+its own pivot choice, ties and degenerate-run switch.  LAPACK solves each
+matrix of a stack on its own, b is shared by every row, and the reduced
+costs are one matrix-vector product per row, so every row has the bits of
+its own one-row solve; the lockstep bookkeeping costs more than it saves
+on a stack of one.  A chunk that raises is solved again one row at a time,
+so a failing row raises the error its own solve raises.  Every solution is
+recovered by one routine, ``_stack_solutions``, for a chunk of any size,
+as arrays.
 """
 
 from collections import namedtuple
@@ -139,22 +140,6 @@ class LinearProgram:
         return list(zip(self.A, self.rel.tolist(), self.b.tolist()))
 
 
-class LpSolution:
-    """Status plus primal/dual data; ``dual`` has one multiplier per row."""
-
-    def __init__(self, status, primal=None, dual=None, objective_value=None,
-                 basis=None, residual=None):
-        self.status = status            # "Optimal" | "Infeasible" | "Unbounded"
-        self.primal = primal
-        self.dual = dual
-        self.objective_value = objective_value
-        self.basis = basis
-        self.residual = residual
-
-    def __repr__(self):
-        return f"LpSolution({self.status}, value={self.objective_value})"
-
-
 LpStack = namedtuple("LpStack", "status objective_value primal dual basis residual")
 LpStack.__doc__ = """The solutions of an objective stack, as arrays with a leading (S,)
 axis, row i the solve with objective i: ``status`` ("Optimal", "Unbounded"
@@ -162,6 +147,10 @@ or "Infeasible"), ``objective_value``, ``primal`` (S, nvar), ``dual`` (S,
 rows), ``basis`` (S, m), the standard-form column of each basic row, and
 ``residual``.  A row that is not optimal reads NaN in the float arrays,
 and an infeasible row -1 in ``basis``."""
+
+LpSolution = namedtuple("LpSolution", LpStack._fields)
+LpSolution.__doc__ = """One solve: row 0 of the ``LpStack`` of its
+objective, the row's entries in the stack's fields."""
 
 
 class _Std:
@@ -421,55 +410,29 @@ def solve_lp(lp, tol=1e-9, objectives=None):
     each row in place of ``lp.objective`` and return an ``LpStack``, row
     i the solve of the program with row i as its objective; the error
     raised is the one the first failing row raises.  Without, solve the
-    program's own objective, the stack of one, and return an
+    program's own objective, the stack of one, and return its row 0 as an
     ``LpSolution``.
     """
-    if objectives is not None:
-        C = _checked_objective(objectives, lp.nvar, ndim=2)
-        return _as_stack(lp, C.shape[0], _solve_stack(lp, tol, C))
-    out = _solve_stack(lp, tol, lp.objective[None])
-    if out is None:
-        return LpSolution("Infeasible")
-    bases, unbounded, X, duals, values, residuals = out
-    basis = tuple(bases[0].tolist())
-    if unbounded[0]:
-        return LpSolution("Unbounded", basis=basis)
-    return LpSolution("Optimal", primal=X[0], dual=duals[0],
-                      objective_value=float(values[0]), basis=basis,
-                      residual=float(residuals[0]))
-
-
-def _as_stack(lp, S, out):
-    """The ``LpStack`` of S rows from ``_solve_stack``'s arrays."""
-    if out is None:
-        m = lp._std.A.shape[0]
-        return LpStack(np.full(S, "Infeasible"), np.full(S, np.nan),
-                       np.full((S, lp.nvar), np.nan), np.full((S, lp.b.size), np.nan),
-                       np.full((S, m), -1), np.full(S, np.nan))
-    bases, unbounded, X, duals, values, residuals = out
-    for field in (X, duals, values, residuals):
-        field[unbounded] = np.nan
-    return LpStack(np.where(unbounded, "Unbounded", "Optimal"),
-                   values, X, duals, bases, residuals)
+    if objectives is None:
+        stack = _solve_stack(lp, tol, lp.objective[None])
+        return LpSolution(*(field[0] for field in stack))
+    return _solve_stack(lp, tol, _checked_objective(objectives, lp.nvar, ndim=2))
 
 
 def _solve_stack(lp, tol, C):
-    """``solve_lp`` for the checked objective stack ``C``: one phase 1,
-    then phase 2 in chunks of at most ``_STACK_ROWS`` rows.  Returns the
-    arrays (bases, unbounded, primal, dual, value, residual), one row per
-    objective, or None when every row is infeasible: the program is, or
-    the stack is empty."""
-    if C.shape[0] == 0:
-        return None
-    std = lp._std
-    basis = _phase_one(std, tol)
-    if basis is None:
-        return None
-    costs = np.zeros((C.shape[0], std.A.shape[1]))
+    """The ``LpStack`` of the checked objective stack ``C``: one phase 1,
+    then phase 2 in chunks of at most ``_STACK_ROWS`` rows."""
+    S, std = C.shape[0], lp._std
+    basis = _phase_one(std, tol) if S else None
+    if basis is None:       # the program is infeasible, or the stack empty
+        return LpStack(np.full(S, "Infeasible"), np.full(S, np.nan),
+                       np.full((S, lp.nvar), np.nan), np.full((S, lp.b.size), np.nan),
+                       np.full((S, std.A.shape[0]), -1), np.full(S, np.nan))
+    costs = np.zeros((S, std.A.shape[1]))
     costs[:, :std.nstruct] = std.sign * C[:, std.orig]
     parts = []
-    for start in range(0, C.shape[0], _STACK_ROWS):
-        stop = min(start + _STACK_ROWS, C.shape[0])
+    for start in range(0, S, _STACK_ROWS):
+        stop = min(start + _STACK_ROWS, S)
         try:
             parts.append(_phase_two(lp, C[start:stop], costs[start:stop], basis, tol))
         except (np.linalg.LinAlgError, LpError):
@@ -480,13 +443,14 @@ def _solve_stack(lp, tol, C):
                       for i in range(start, stop)]
     if len(parts) == 1:
         return parts[0]
-    return tuple(np.concatenate(field) for field in zip(*parts))
+    return LpStack(*(np.concatenate(field) for field in zip(*parts)))
 
 
 def _phase_two(lp, C, costs, basis, tol):
-    """The solutions of the objectives, rows of ``C`` with their standard
-    costs ``costs``, from the feasible ``basis`` (not changed): the scalar
-    ``_simplex`` for one row, the lockstep ``_simplex_stack`` for more."""
+    """The ``LpStack`` of the objectives, rows of ``C`` with their
+    standard costs ``costs``, from the feasible ``basis`` (not changed):
+    the scalar ``_simplex`` for one row, the lockstep ``_simplex_stack``
+    for more."""
     std = lp._std
     if C.shape[0] == 1:
         bases = basis.copy()[None]
@@ -497,10 +461,10 @@ def _phase_two(lp, C, costs, basis, tol):
 
 
 def _stack_solutions(lp, C, bases, XB, Y, unbounded):
-    """The solutions of the objectives, rows of ``C``, from their final
-    bases and basic solutions (one row each), as the arrays (bases,
-    unbounded, primal, dual, value, residual).  Raises LpError when an
-    optimal row fails feasibility."""
+    """The ``LpStack`` of the objectives, rows of ``C``, from their final
+    bases and basic solutions (one row each); an unbounded row reads NaN
+    in the float fields.  Raises LpError when an optimal row fails
+    feasibility."""
     std = lp._std
     x_std = np.zeros((C.shape[0], std.A.shape[1]))
     x_std[np.arange(C.shape[0])[:, None], bases] = XB
@@ -513,7 +477,10 @@ def _stack_solutions(lp, C, bases, XB, Y, unbounded):
             raise LpError("optimal basis fails feasibility, residual "
                           f"{residuals[_first(bad)]:.3e}")
     values = (C[:, None, :] @ X[:, :, None])[:, 0, 0]   # one dot per row
-    return bases, unbounded, X, duals, values, residuals
+    for field in (X, duals, values, residuals):
+        field[unbounded] = np.nan
+    return LpStack(np.where(unbounded, "Unbounded", "Optimal"),
+                   values, X, duals, bases, residuals)
 
 
 def _feas_residual(lp, X):

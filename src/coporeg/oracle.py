@@ -7,11 +7,13 @@ system on each face and comparing against the vertices; it is exact for
 dimensions up to ``p_max``.  It takes a stack of matrices: the faces of one
 support size, across the whole stack, are solved as one stack of bordered
 systems (a stack that raises is solved again without its singular faces,
-which take the least-squares step), and the candidates keep the mask order.
-A single matrix is the stack of one.  The reduced-region oracle works
-on the rational grid of the simplex, one matrix per call; its certified
-lower bound is the larger of a Lipschitz bound and a per-point
-centered-gradient bound, computed, like the argmin, on first read.
+which take the least-squares step), and the candidates keep the mask order,
+as arrays with +inf where a support has none.  A single matrix is the
+stack of one, and its candidates are the stack's row 0.  The
+reduced-region oracle works on the rational grid of the simplex, one
+matrix per call; its certified lower bound is the larger of a Lipschitz
+bound and a per-point centered-gradient bound, computed, like the argmin,
+on first read.
 Per-point quantities over a grid (the gradient's row spread, the
 nearest-hull-point distance of the mask) are built one column at a time:
 a numpy reduction along a row of a few entries costs more than the row's
@@ -207,24 +209,20 @@ def stationary_candidate_stack(Ds, p_max=14):
 
 
 def stationary_candidates(D, p_max=14):
-    """All stationary points of t' D t on faces of the simplex, plus vertices.
-
-    Returns (value, coords) pairs in mask order (mask 1, 2, ..., 2^p - 1,
-    bit k for coordinate k), so the first minimum is deterministic: the
-    stack of one matrix (``stationary_candidate_stack``), with the supports
-    that have no candidate left out.  Each candidate owns its coordinates.
-    """
-    values, coords = stationary_candidate_stack(
-        np.asarray(D, dtype=float)[None], p_max)
-    keep = np.flatnonzero(values[0] != np.inf)
-    return [(float(v), t.copy()) for v, t in zip(values[0, keep], coords[0, keep])]
+    """The stationary points of t' D t on every face of the simplex: row 0
+    of ``stationary_candidate_stack`` for the stack of one matrix, so
+    ``(values, coords)`` of shapes (2^p - 1,) and (2^p - 1, p) in mask
+    order, +inf where a support has no candidate (views of the stack)."""
+    values, coords = stationary_candidate_stack(np.asarray(D, dtype=float)[None], p_max)
+    return values[0], coords[0]
 
 
 def min_quad_over_simplex(D, p_max=14):
     """Exact global minimum of t' D t over the simplex (the first minimizer
-    in the enumeration order)."""
-    val, t = min(stationary_candidates(D, p_max), key=lambda c: c[0])
-    return OracleResult(val, SimplexPoint(t), "exact")
+    in mask order)."""
+    values, coords = stationary_candidates(D, p_max)
+    i = int(np.argmin(values))
+    return OracleResult(float(values[i]), SimplexPoint(coords[i]), "exact")
 
 
 def is_copositive(D, tol_cop=1e-9, p_max=14):

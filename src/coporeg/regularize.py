@@ -238,7 +238,8 @@ def verify_ledger(entries, prog, cfg=DEFAULT, n_samples=200, seed=0):
             omega_prev = ReducedRegion([r.tau for r in prev],
                                        tol_support=cfg.tol_support,
                                        tol_feas=cfg.tol_feas)
-            region_ok = all(omega_prev.contains(t) for t, _g in cert.new_indices)
+            new = np.array([t.coords for t, _g in cert.new_indices]).reshape(-1, prog.p)
+            region_ok = bool(omega_prev.contains(new).all())
         cond1 = gamma_ok and lam_sign_ok and region_ok
 
         members = mono_viol = orth_viol = 0
@@ -306,16 +307,15 @@ def regularize(prog, cfg=DEFAULT):
     round zero already admits a negative slack, otherwise "regularized"
     with the equivalent reduced problem, the ledger, and its compressed
     core; "failed" carries the diagnostics of a typed failure instead of
-    raising it (any other exception propagates).
+    raising it (any other exception propagates), with the ledger of the
+    iterations certified before it.
     """
-    trace = []
+    trace, ledger, m = [], [], 0
     try:
         a0_cop = is_copositive(prog.A[0], cfg.tol_cop, cfg.p_max).copositive
         records = ()
         omega = None
-        ledger = []
         cap = cfg.cap_for(prog.n)
-        m = 0
         while True:
             try:
                 out = solve_sip(SipInstance(prog, records, omega), cfg,
@@ -353,9 +353,11 @@ def regularize(prog, cfg=DEFAULT):
                                   tol_support=cfg.tol_support,
                                   tol_feas=cfg.tol_feas)
     except (LpError, CapabilityError, CertificateError, LedgerError) as e:
-        return RegularizationResult(
-            "failed", diagnostics={"trace": trace, "reason": str(e),
-                                   "exception": type(e).__name__})
+        # the iterations certified before the error stay in the ledger
+        error = {"reason": str(e), "exception": type(e).__name__}
+        trace.append({"m": m, "kind": "error", **error})
+        return RegularizationResult("failed", ledger=ledger,
+                                    diagnostics={"trace": trace, **error})
 
 
 # ---------------------------------------------------------------------------

@@ -241,12 +241,12 @@ def test_witness_margin_holds_at_and_below_the_final_resolution(successful_runs)
     assert checked > 0
 
 
-def _omega_margin_all_candidates(ax, reg, h, cfg, candidates):
+def _omega_margin_all_candidates(ax, reg, h, cfg, values, coords):
     """The margin as first defined: every candidate below -tol_band is
     tested for membership, then the least is compared with the grid."""
     if reg.omega.empty:
         return np.inf
-    best = min((val for val, t in candidates
+    best = min((val for val, t in zip(values.tolist(), coords)
                 if val < -cfg.tol_band and reg.omega.contains(t)),
                default=np.inf)
     res = min_quad_over_omega(ax, reg.omega, h)
@@ -270,10 +270,10 @@ def test_omega_margin_matches_the_all_candidate_margin(e4, successful_runs):
             -2.0, 2.0, size=prog.n)) for _ in range(20)])
         values, coords = stationary_candidate_stack(AX, DEFAULT.p_max)
         for ax, got in zip(AX, _omega_margins(AX, reg, h, DEFAULT, values, coords)):
-            cands = stationary_candidates(ax, DEFAULT.p_max)
+            vals, ts = stationary_candidates(ax, DEFAULT.p_max)
             assert got == _omega_margin_all_candidates(ax, reg, h, DEFAULT,
-                                                       cands), name
-            by_candidate += got in {val for val, _t in cands}
+                                                       vals, ts), name
+            by_candidate += bool(got < np.inf and (vals == got).any())
             empty += reg.omega.empty
     # both sources of the margin and the empty region are exercised
     assert 0 < by_candidate < 20 * len(runs) and empty == 20
@@ -349,7 +349,7 @@ def test_criterion_9_lp_core():
         lp = LinearProgram(rng.normal(size=nvar), rows)
         s1 = solve_lp(lp)
         s2 = solve_lp(lp)
-        ok = ok and s1.status == "Optimal" and s1.basis == s2.basis
+        ok = ok and s1.status == "Optimal" and np.array_equal(s1.basis, s2.basis)
         dual_obj = sum(s1.dual[i] * lp.rows[i][2] for i in range(len(lp.rows)))
         ok = ok and abs(s1.objective_value - dual_obj) <= 1e-8 * (1 + abs(s1.objective_value))
         for i, (a, _rel, rhs) in enumerate(lp.rows):

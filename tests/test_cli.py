@@ -667,6 +667,32 @@ def test_failed_run_exits_1_with_its_reason(tmp_path, capsys, cmd):
     assert "Traceback" not in err
 
 
+def test_a_run_failed_by_an_error_keeps_its_certified_iterations(
+        workdir, capsys, monkeypatch):
+    # e4's first subproblem certifies (1, 0); the second raises
+    from coporeg.sip import CertificateError
+    driver = importlib.import_module("coporeg.regularize")
+    solve, calls = driver.solve_sip, []
+
+    def second_raises(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise CertificateError("certificate stationarity residual too large")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(driver, "solve_sip", second_raises)
+    out = os.path.join(workdir["dir"], "failed.json")
+    assert main(["regularize", "--problem", workdir["e4"], "--out", out]) == 1
+    report = json.load(open(out))
+    assert report["status"] == "failed" and len(report["iterations"]) == 1
+    assert report["diagnostics"]["trace"][-1] == {
+        "m": 1, "kind": "error", "exception": "CertificateError",
+        "reason": "certificate stationarity residual too large"}
+    assert main(["verify-ledger", "--problem", workdir["e4"], "--report", out,
+                 "--samples", "50"]) == 0
+    assert "ledger ok" in capsys.readouterr().out
+
+
 def test_verify_ledger_without_report_runs_the_driver(workdir, capsys):
     assert main(["verify-ledger", "--problem", workdir["e4"], "--samples", "50"]) == 0
     assert "ledger ok" in capsys.readouterr().out

@@ -89,9 +89,23 @@ def test_deterministic_bases():
     lp = _random_feasible_bounded(rng, 8, 10)
     a = solve_lp(lp)
     b = solve_lp(lp)
-    assert a.basis == b.basis
+    assert a.basis.dtype.kind == "i" and np.array_equal(a.basis, b.basis)
     assert np.all(a.primal == b.primal)
     assert np.all(a.dual == b.dual)
+
+
+@pytest.mark.parametrize("prog, status", [
+    (LinearProgram([1.0, 2.0], [([1.0, 1.0], REL_GE, 1.0)], [(0.0, np.inf)] * 2), "Optimal"),
+    (LinearProgram([-1.0], [], bounds=[(0.0, np.inf)]), "Unbounded"),
+    (LinearProgram([0.0], [([1.0], REL_GE, 1.0), ([1.0], REL_LE, 0.0)]), "Infeasible")])
+def test_a_single_solve_is_row_0_of_its_stack(prog, status):
+    sol = solve_lp(prog)
+    stack = solve_lp(prog, objectives=prog.objective[None])
+    assert type(sol) is lp_mod.LpSolution and sol._fields == stack._fields
+    assert sol.status == stack.status[0] == status
+    for got, row in zip(sol[1:], stack[1:]):
+        assert np.asarray(got).dtype == row.dtype
+        assert np.asarray(got).tobytes() == row[0].tobytes()
 
 
 def test_degenerate_instance_terminates():
@@ -357,7 +371,7 @@ def _ref_solve_lp(lp, tol=1e-9, events=None):
         if unbounded:
             raise LpError("phase-1 objective reported unbounded")
         if float(c1[basis] @ xb) > 10.0 * tol * (1.0 + float(np.max(np.abs(b), initial=0.0))):
-            return lp_mod.LpSolution("Infeasible")
+            return _ref_unsolved(lp, "Infeasible", [-1] * m)
         for row in range(m):
             if basis[row] >= n_real:
                 try:
@@ -374,7 +388,7 @@ def _ref_solve_lp(lp, tol=1e-9, events=None):
 
     xb, y, unbounded = _ref_simplex(A, b, c, basis, n_real, tol, events)
     if unbounded:
-        return lp_mod.LpSolution("Unbounded", basis=tuple(basis))
+        return _ref_unsolved(lp, "Unbounded", basis)
 
     x_std = np.zeros(ncols)
     x_std[basis] = xb
@@ -385,9 +399,18 @@ def _ref_solve_lp(lp, tol=1e-9, events=None):
     scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
     if residual > 1e-6 * scale:
         raise LpError(f"optimal basis fails feasibility, residual {residual:.3e}")
-    return lp_mod.LpSolution("Optimal", primal=x, dual=dual,
-                             objective_value=float(lp.objective @ x),
-                             basis=tuple(basis), residual=residual)
+    return _RefSolution("Optimal", float(lp.objective @ x), x, dual, basis, residual)
+
+
+# the reference's solution, with LpSolution's fields
+_RefSolution = collections.namedtuple("_RefSolution", lp_mod.LpStack._fields)
+
+
+def _ref_unsolved(lp, status, basis):
+    """The reference's solution without an optimum: NaN in every float
+    field (an infeasible one passes -1 for its basis)."""
+    return _RefSolution(status, np.nan, np.full(lp.nvar, np.nan),
+                        np.full(lp.b.size, np.nan), basis, np.nan)
 
 
 def _ref_feas_residual(lp, x):
@@ -397,10 +420,19 @@ def _ref_feas_residual(lp, x):
 
 
 def _fields(sol):
-    """Status, basis and the bytes of every float of a solution."""
-    fields = (sol.primal, sol.dual, sol.objective_value, sol.residual)
-    return (sol.status, sol.basis,
-            *(None if f is None else np.asarray(f, dtype=float).tobytes() for f in fields))
+    """Status, basis and the bytes of every float of a solution, an
+    ``LpSolution`` or a row of an ``LpStack``.  A solution that is not
+    optimal must read NaN in every float field, and an infeasible one -1
+    in its basis; both read None here."""
+    floats = (sol.primal, sol.dual, sol.objective_value, sol.residual)
+    basis = tuple(np.asarray(sol.basis, dtype=int).tolist())
+    if sol.status == "Optimal":
+        return (sol.status, basis, *(np.asarray(f, dtype=float).tobytes() for f in floats))
+    assert all(np.isnan(f).all() for f in floats)
+    if sol.status == "Infeasible":
+        assert set(basis) <= {-1}
+        basis = None
+    return (sol.status, basis, None, None, None, None)
 
 
 def _outcome(solve, prog, **kwargs):
@@ -413,25 +445,11 @@ def _outcome(solve, prog, **kwargs):
 
 
 def _stack_fields(stack):
-    """``_fields`` of each row of an ``LpStack``.  A row that is not
-    optimal must read NaN in every float field, and an infeasible row -1
-    in its basis."""
+    """``_fields`` of each row of an ``LpStack``."""
     S = stack.status.size
     assert stack.objective_value.shape == stack.residual.shape == (S,)
     assert stack.primal.shape[0] == stack.dual.shape[0] == stack.basis.shape[0] == S
-    rows = []
-    for i, status in enumerate(stack.status.tolist()):
-        floats = (stack.primal[i], stack.dual[i], stack.objective_value[i], stack.residual[i])
-        basis = tuple(stack.basis[i].tolist())
-        if status == "Optimal":
-            rows.append((status, basis, *(np.asarray(f, dtype=float).tobytes() for f in floats)))
-            continue
-        assert all(np.isnan(f).all() for f in floats)
-        if status == "Infeasible":
-            assert set(basis) <= {-1}
-            basis = None
-        rows.append((status, basis, None, None, None, None))
-    return rows
+    return [_fields(lp_mod.LpSolution(*row)) for row in zip(*stack)]
 
 
 def _assert_stack_bit_identical(prog, objectives, events=None, **kwargs):

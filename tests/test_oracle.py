@@ -137,9 +137,16 @@ def assert_same_list(got, want):
 
 
 def assert_same_candidates(D):
-    got = oracle.stationary_candidates(D)
-    assert_same_list(got, _reference_candidates(D))
-    assert all(t.base is None for _v, t in got)   # each owns its coordinates
+    """One matrix's candidates are row 0 of its stack of one, bit for bit,
+    and, without the supports that have none, the reference list."""
+    values, coords = oracle.stationary_candidates(D)
+    stack_values, stack_coords = oracle.stationary_candidate_stack(
+        np.asarray(D, dtype=float)[None])
+    assert values.tobytes() == stack_values[0].tobytes()
+    assert coords.tobytes() == stack_coords[0].tobytes()
+    found = values != np.inf
+    assert not coords[~found].any()
+    assert_same_list(list(zip(values[found], coords[found])), _reference_candidates(D))
 
 
 def assert_same_stack(Ds):
@@ -188,6 +195,19 @@ def test_mixed_singular_stack_is_retried_per_face():
     assert_same_candidates(D)
     assert_same_candidates(np.ones((3, 3)))
     assert min_quad_over_simplex(np.ones((3, 3))).value == pytest.approx(1.0)
+
+
+def test_the_minimizer_is_the_first_in_mask_order():
+    # every candidate ties: the first support, mask 1, is the vertex e_1
+    for D in (np.ones((2, 2)), np.zeros((3, 3))):
+        values, _coords = oracle.stationary_candidates(D)
+        assert (values == values[0]).all()
+        assert min_quad_over_simplex(D).argmin.coords.tolist() == [1.0] + [0.0] * (len(D) - 1)
+    # at p = 4 the four size-3 faces of the all-ones matrix round to the
+    # same value below 1; the first, mask 7 = {0, 1, 2}, wins
+    values, _coords = oracle.stationary_candidates(np.ones((4, 4)))
+    assert np.flatnonzero(values == values.min()).tolist() == [6, 10, 12, 13]
+    assert min_quad_over_simplex(np.ones((4, 4))).argmin.support_plus() == (0, 1, 2)
 
 
 _entries = st.one_of(st.integers(-4, 4).map(lambda k: k / 2.0),

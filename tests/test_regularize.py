@@ -312,18 +312,18 @@ def _equiv_one_at_a_time(prog, reg, n_samples, seed, xs, cfg=DEFAULT):
         x = reg.witness + rng.uniform(-box, box, size=prog.n)
         xs.append(x)
         ax = eval_constraint(prog, x)
-        cands = stationary_candidates(ax, cfg.p_max)
-        margin_a = min(v for v, _t in cands)
+        values, coords = stationary_candidates(ax, cfg.p_max)
+        margin_a = float(values.min())
         (eq_res,), (ineq_margin,) = row_residuals([ax], reg.records)
         omega_margin = np.inf
         if not reg.omega.empty:
             omega_margin = min_quad_over_omega(ax, reg.omega,
                                                cfg.grid_h(prog.p)).value
-            for v, t in sorted(cands, key=lambda c: c[0]):
-                if v >= min(-cfg.tol_band, omega_margin):
+            for i in np.argsort(values, kind="stable"):
+                if values[i] >= min(-cfg.tol_band, omega_margin):
                     break
-                if reg.omega.contains(t):
-                    omega_margin = v
+                if reg.omega.contains(coords[i]):
+                    omega_margin = float(values[i])
                     break
         margin_b = min(-eq_res, ineq_margin, omega_margin)
         dec_b = (eq_res <= cfg.tol_band and ineq_margin >= -cfg.tol_band
@@ -416,6 +416,32 @@ def test_verify_ledger_passes(e2, reg_e2):
     assert entry["members_sampled"] > 0
     assert entry["monotonicity_violations"] == 0
     assert entry["orthogonality_violations"] == 0
+
+
+def test_verify_ledger_tests_an_entrys_new_points_in_one_call(e4, monkeypatch):
+    # e4's second entry tests its new point against the region of the
+    # first entry's record: one contains call on the stack of its points
+    ledger = regularize(e4).ledger
+    calls = []
+    contains = ReducedRegion.contains
+
+    def counted(region, T):
+        calls.append(np.array(T).tolist())
+        return contains(region, T)
+
+    monkeypatch.setattr(ReducedRegion, "contains", counted)
+    rep = verify_ledger(ledger, e4, n_samples=100, seed=3)
+    assert rep["ok"]
+    assert [e["cond_I"]["new_points_in_region"] for e in rep["entries"]] == [True, True]
+    assert calls == [[[0.0, 1.0]]]
+    # a new point inside the region beside one outside it fails the entry
+    first, second = ledger
+    inside, _g = second.certificate.new_indices[0]
+    bad = FaceLedgerEntry(2, second.prev_records, _cert(
+        ((inside, 0.5), (simplex(1, 0), 0.5)), {}, second.certificate.Y))
+    rep = verify_ledger([first, bad], e4, n_samples=20, seed=3)
+    assert rep["entries"][1]["cond_I"]["new_points_in_region"] is False
+    assert calls[1:] == [[[0.0, 1.0], [1.0, 0.0]]]
 
 
 def test_verify_ledger_detects_corruption(e2, reg_e2):
