@@ -60,9 +60,11 @@ def as_sym_matrix(entries, tol=SYM_TOL, what="matrix"):
         raise ProblemFormatError(f"{what}: dimension must be >= 1")
     if not np.all(np.isfinite(a)):
         raise ProblemFormatError(f"{what}: entries must be finite")
-    if a.size and float(np.max(np.abs(a - a.T))) > tol:
+    with np.errstate(over="ignore"):    # an overflowing a - a.T is inf
+        asym = float(np.max(np.abs(a - a.T)))
+    if asym > tol:
         raise ProblemFormatError(f"{what}: matrix not symmetric (max asymmetry "
-                                 f"{float(np.max(np.abs(a - a.T))):.3e} > {tol:.0e})")
+                                 f"{asym:.3e} > {tol:.0e})")
     # average the asymmetric pairs only: kills representation noise, and a
     # symmetric entry near the float maximum does not overflow
     odd = a != a.T
@@ -176,13 +178,14 @@ def _coords(t):
 
 
 def eval_constraint(prog, x):
-    """A(x) = A_0 + sum_i x_i A_i."""
+    """A(x) = A_0 + sum_i x_i A_i, or its (S, p, p) stack for the rows of an
+    (S, n) x; the terms add in order of i, as in each row's own call."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (prog.n,):
-        raise DimensionError(f"x has shape {x.shape}, expected ({prog.n},)")
-    out = prog.A[0].copy()
-    for xi, Ai in zip(x, prog.A[1:]):
-        out += xi * Ai
+    if x.ndim not in (1, 2) or x.shape[-1] != prog.n:
+        raise DimensionError(f"x has shape {x.shape}, expected ({prog.n},) or (S, {prog.n})")
+    out = np.broadcast_to(prog.A[0], x.shape[:-1] + prog.A[0].shape).copy()
+    for xi, Ai in zip(np.moveaxis(x, -1, 0), prog.A[1:]):
+        out += xi[..., None, None] * Ai
     return out
 
 
@@ -254,19 +257,19 @@ def zero_row_matrix(records):
                      for row in row_functionals(rec.tau, sorted(rec.L))])
 
 
-def project_to_zero_rows(D, C):
-    """Orthogonal projection, in upper-triangle coordinates, of the
-    symmetric matrix D onto {D : C D_triu = 0}; D itself when C has no
-    rows."""
+def project_to_zero_rows(Ds, C):
+    """Orthogonal projection, in upper-triangle coordinates, of a symmetric
+    D, or of each D of an (S, p, p) stack in one least-squares solve, onto
+    {D : C D_triu = 0}; ``Ds`` itself when C has no rows."""
     if len(C) == 0:
-        return D
-    D = np.asarray(D, dtype=float)
-    iu = upper_triangle(D.shape[0])
-    vec = D[iu]
-    vec = vec - C.T @ np.linalg.lstsq(C @ C.T, C @ vec, rcond=None)[0]
-    out = np.zeros(D.shape)
-    out[iu] = vec
-    return out + out.T - np.diag(np.diag(out))
+        return Ds
+    Ds = np.asarray(Ds, dtype=float)
+    iu = upper_triangle(Ds.shape[-1])
+    vecs = np.atleast_2d(Ds[..., iu[0], iu[1]])                      # (S, k)
+    vecs = vecs - (C.T @ np.linalg.lstsq(C @ C.T, C @ vecs.T, rcond=None)[0]).T
+    out = np.zeros(Ds.shape)
+    out[..., iu[0], iu[1]] = vecs
+    return out + np.swapaxes(out, -1, -2) - out * np.eye(Ds.shape[-1])
 
 
 def row_pairs(records, p):
@@ -315,7 +318,8 @@ def shift_to_feasible(prog, y):
     y = np.asarray(y, dtype=float)
     if y.shape != (prog.n,):
         raise DimensionError(f"shift y has shape {y.shape}, expected ({prog.n},)")
-    a0 = eval_constraint(prog, y)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite A(y) is refused
+        a0 = eval_constraint(prog, y)
     return CopositiveProgram(prog.c, (a0,) + prog.A[1:])
 
 

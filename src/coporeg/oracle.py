@@ -218,8 +218,9 @@ def stationary_candidates(D, p_max=14):
 
 
 def min_quad_over_simplex(D, p_max=14):
-    """Exact global minimum of t' D t over the simplex (the first minimizer
-    in mask order)."""
+    """Exact global minimum of t' D t over the simplex, at the first
+    candidate in mask order with the least computed value (so rounding can
+    break an exact tie)."""
     values, coords = stationary_candidates(D, p_max)
     i = int(np.argmin(values))
     return OracleResult(float(values[i]), SimplexPoint(coords[i]), "exact")
@@ -318,10 +319,9 @@ class ReducedRegion:
         self._vmat = np.array([v.coords for v in self.V])            # (m, p)
         peak = 2.0 * (1.0 - float(np.min(np.max(self._vmat, axis=0))))
         self.empty = peak < self.sigma - tol_feas
-        signs = np.array([[1.0 if i >> k & 1 else -1.0 for k in range(self.p)]
-                          for i in range(1 << self.p)])              # (2^p, p)
-        self._signs = signs
-        self._sign_offsets = np.max(signs @ self._vmat.T, axis=1)    # (2^p,)
+        self._signs = np.where(   # (2^p, p): +1 at the set bits of row i
+            (np.arange(1 << self.p)[:, None] >> np.arange(self.p)) & 1, 1.0, -1.0)
+        self._sign_offsets = np.max(self._signs @ self._vmat.T, axis=1)  # (2^p,)
         self._selected = {}                                          # N -> selected_points(N)
 
     def contains(self, T):

@@ -10,8 +10,6 @@ face descriptor it exposes; the ledger can be verified, compressed to a
 linearly independent core, and rendered as the final regularized problem.
 """
 
-from itertools import islice
-
 import numpy as np
 
 from .config import DEFAULT
@@ -166,14 +164,6 @@ def sample_copositive(p, rng):
     return N + B @ B.T
 
 
-def _face_samples(p, records, n_samples, rng):
-    """Copositive samples, each odd one projected onto the records' zero rows."""
-    C = zero_row_matrix(records)
-    for s in range(n_samples):
-        D = sample_copositive(p, rng)
-        yield project_to_zero_rows(D, C) if s % 2 == 1 else D
-
-
 # candidate coordinates, b (2^p - 1) p, of one block's stacked enumeration:
 # 8 MB of coordinates, 4 samples at p = 14
 _STACK_ENTRIES = 1 << 20
@@ -184,22 +174,26 @@ def _block_size(p):
     return max(1, _STACK_ENTRIES // (p * ((1 << p) - 1)))
 
 
-def _blocks(samples, p):
-    """The samples in consecutive lists of at most ``_block_size(p)``."""
-    it = iter(samples)
-    while block := list(islice(it, _block_size(p))):
-        yield block
+def _face_samples(p, records, n_samples, rng):
+    """Copositive samples in (b, p, p) blocks of at most ``_block_size(p)``;
+    the samples of odd index in the run are projected onto the records'
+    zero rows, those of a block in one call."""
+    C, b = zero_row_matrix(records), _block_size(p)
+    for start in range(0, n_samples, b):
+        Ds = np.array([sample_copositive(p, rng)
+                       for _ in range(min(b, n_samples - start))])
+        odd = slice(1 - start % 2, None, 2)
+        Ds[odd] = project_to_zero_rows(Ds[odd], C)
+        yield Ds
 
 
-def _face_members(records, samples, p, cfg, equalities_only=False):
-    """``(Ds, sign_rows_hold)`` per block of samples: the stack of the
-    block's samples in the face of ``records``, in sample order, and
+def _face_members(records, blocks, cfg, equalities_only=False):
+    """``(Ds, sign_rows_hold)`` per (b, p, p) block of samples: the stack of
+    the block's samples in the face of ``records``, in sample order, and
     whether each one's sign rows hold.  A block's rows are tested first,
-    in one call (the equality rows alone when ``equalities_only``); its row
-    members are then tested for copositivity together, by one stacked
-    support enumeration."""
-    for block in _blocks(samples, p):
-        Ds = np.array(block)
+    in one call (the equality rows alone when ``equalities_only``), then
+    its row members' copositivity, by one stacked support enumeration."""
+    for Ds in blocks:
         eq, both = face_rows(records, Ds, cfg)
         rows = eq if equalities_only else both
         if not rows.any():
@@ -216,10 +210,10 @@ def verify_ledger(entries, prog, cfg=DEFAULT, n_samples=200, seed=0):
     Kernel membership is exact; the face chain is sampled:
     copositive samples (raw and projected onto the entry's zero rows) that
     land in entry m must satisfy the rows of entry m-1 (it is copositive
-    already) and be orthogonal to Y_m.  Membership tests the rows first;
-    the row members of each block of samples share one stacked support
-    enumeration (``_face_members``), and a block's members are tested for
-    orthogonality in one call.
+    already) and be orthogonal to Y_m.  Each (b, p, p) block of samples
+    (``_face_samples``) has its rows tested first; its row members share
+    one stacked support enumeration (``_face_members``) and are tested
+    for orthogonality in one call.
     """
     rng = np.random.default_rng(seed)
     report = {"entries": [], "ok": True}
@@ -244,8 +238,8 @@ def verify_ledger(entries, prog, cfg=DEFAULT, n_samples=200, seed=0):
 
         members = mono_viol = orth_viol = 0
         max_orth = 0.0
-        samples = _face_samples(prog.p, entry.records, n_samples, rng)
-        for Ds, _both in _face_members(entry.records, samples, prog.p, cfg):
+        blocks = _face_samples(prog.p, entry.records, n_samples, rng)
+        for Ds, _both in _face_members(entry.records, blocks, cfg):
             members += len(Ds)
             orth = np.abs(np.sum(Ds * entry.reducer, axis=(1, 2)))
             max_orth = max(max_orth, float(np.max(orth, initial=0.0)))
@@ -477,10 +471,9 @@ def face_forms_agree(records, cfg=DEFAULT, n_samples=500, seed=0):
     rows.  Each sample is decided by its equality rows first, copositivity
     second."""
     p = records[0].tau.p
-    samples = _face_samples(p, records, n_samples, np.random.default_rng(seed))
+    blocks = _face_samples(p, records, n_samples, np.random.default_rng(seed))
     members = disagreements = 0
-    for _Ds, both in _face_members(records, samples, p, cfg,
-                                   equalities_only=True):
+    for _Ds, both in _face_members(records, blocks, cfg, equalities_only=True):
         members += len(both)
         disagreements += int(np.count_nonzero(~both))
     return {"checked": n_samples, "members": members,
@@ -502,29 +495,31 @@ def feasibility_equiv_sample(prog, reg, n_samples, seed, cfg=DEFAULT):
     ``tol_band`` are excluded as ties; an accepting regularized side's
     margin leaves out its equality rows, which hold within ``tol_band``
     and so are no margin.  The samples are taken in blocks of
-    ``_block_size(p)``: one uniform draw, one stacked support enumeration
-    (a sample's row gives its direct margin) and one row test per block.
+    ``_block_size(p)``: one uniform draw, ``eval_constraint`` call, stacked
+    support enumeration (a sample's row gives its direct margin) and row
+    test per block.
     Only the samples whose record rows hold within ``tol_band``, or whose
     direct test says copositive, get a region margin, from one
     ``_omega_margins`` call per block; on every other sample both
     decisions are False, an agreement whatever the region margin.
     """
+    n_samples = int(n_samples)
     rng = np.random.default_rng(seed)
-    report = {"samples": int(n_samples), "agreements": 0, "ties": 0,
+    report = {"samples": n_samples, "agreements": 0, "ties": 0,
               "disagreements": []}
-    h = cfg.grid_h(prog.p)
-    for block in _blocks(range(int(n_samples)), prog.p):
+    h, b = cfg.grid_h(prog.p), _block_size(prog.p)
+    for start in range(0, n_samples, b):
         # one draw per block gives the stream of one draw per sample
         X = reg.witness + rng.uniform(-_EQUIV_BOX, _EQUIV_BOX,
-                                      size=(len(block), prog.n))
-        AX = np.array([eval_constraint(prog, x) for x in X])
+                                      size=(min(b, n_samples - start), prog.n))
+        AX = eval_constraint(prog, X)
         values, coords = stationary_candidate_stack(AX, cfg.p_max)
         margin_a = values.min(axis=1)
         dec_a = margin_a >= -cfg.tol_cop
         eq_res, ineq_margin = row_residuals(AX, reg.records)
         rows_hold = (eq_res <= cfg.tol_band) & (ineq_margin >= -cfg.tol_band)
         read = np.flatnonzero(rows_hold | dec_a)
-        report["agreements"] += len(block) - read.size
+        report["agreements"] += len(X) - read.size
         omega_margins = _omega_margins(AX[read], reg, h, cfg, values[read],
                                        coords[read])
         for k, omega_margin in zip(read.tolist(), omega_margins.tolist()):

@@ -8,7 +8,7 @@ import numpy as np
 from coporeg.config import DEFAULT
 from coporeg.model import eval_constraint, row_residuals
 from coporeg.oracle import stationary_candidate_stack
-from coporeg.regularize import _EQUIV_BOX, _blocks, _omega_margins
+from coporeg.regularize import _EQUIV_BOX, _block_size, _omega_margins
 
 
 def equiv_sample_all_margins(prog, reg, n_samples, seed, cfg=DEFAULT):
@@ -17,10 +17,10 @@ def equiv_sample_all_margins(prog, reg, n_samples, seed, cfg=DEFAULT):
     rng = np.random.default_rng(seed)
     report = {"samples": int(n_samples), "agreements": 0, "ties": 0,
               "disagreements": []}
-    h = cfg.grid_h(prog.p)
-    for block in _blocks(range(int(n_samples)), prog.p):
+    h, b = cfg.grid_h(prog.p), _block_size(prog.p)
+    for start in range(0, int(n_samples), b):
         X = reg.witness + rng.uniform(-_EQUIV_BOX, _EQUIV_BOX,
-                                      size=(len(block), prog.n))
+                                      size=(min(b, int(n_samples) - start), prog.n))
         AX = np.array([eval_constraint(prog, x) for x in X])
         values, coords = stationary_candidate_stack(AX, cfg.p_max)
         eq_all, ineq_all = row_residuals(AX, reg.records)

@@ -93,15 +93,21 @@ def test_check_copositive_witness(workdir, tmp_path, capsys):
 
 
 def test_check_copositive_refuses_a_matrix_that_overflows(tmp_path, capsys):
-    # each entry is finite, but 2 D in the stationarity systems is not: one
-    # error line, exit 1, and no warning from symmetrizing the matrix
-    big = tmp_path / "big.json"
-    big.write_text('{"p": 2, "D": [[1e308, 1e308], [1e308, 1e308]]}')
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["check-copositive", "--matrix", str(big)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: matrix entries must be finite") and err.count("\n") == 1
+    # each entry is finite, but 2 D in the stationarity systems is not, or
+    # D - D' is not: one error line, exit 1, and no warning from the
+    # symmetry test or from symmetrizing the matrix
+    for doc, start in (
+            ('{"p": 2, "D": [[1e308, 1e308], [1e308, 1e308]]}',
+             "error: matrix entries must be finite"),
+            ('{"p": 2, "D": [[0, 1e308], [-1e308, 0]]}',
+             "error: matrix file: D: matrix not symmetric (max asymmetry inf")):
+        big = tmp_path / "big.json"
+        big.write_text(doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check-copositive", "--matrix", str(big)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(start) and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("flag, value", [("--h", "0.1"), ("--samples", "5"),
@@ -711,12 +717,19 @@ def test_shift_moves_a0_to_the_given_point(workdir, capsys):
     assert "witness: [0.5]" in out
 
 
-@pytest.mark.parametrize("shift, needle", [
-    ("1,x", "could not convert string to float: 'x'"),
-    ("1,2", "shift y has shape (2,), expected (1,)"),
-], ids=["not-a-number", "wrong-count"])
-def test_bad_shift_names_the_flag(workdir, capsys, shift, needle):
-    rc = main(["regularize", "--problem", workdir["e2"], "--shift", shift])
+@pytest.mark.parametrize("problem, shift, needle", [
+    ("e2", "1,x", "could not convert string to float: 'x'"),
+    ("e2", "1,2", "shift y has shape (2,), expected (1,)"),
+    ("e2", "1e309", "A_0: entries must be finite"),
+    # A(y) overflows: entry (3, 3) is 1 - 1.5e308 - 0.68 * 1.5e308
+    ("two_vertex50", "1.5e308,1.5e308", "A_0: entries must be finite"),
+], ids=["not-a-number", "wrong-count", "not-finite", "overflows"])
+def test_bad_shift_names_the_flag(capsys, problem, shift, needle):
+    # one error line, and no warning from evaluating A(y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["regularize", "--problem", fixture_path(f"{problem}.json"),
+                   "--shift", shift])
     err = capsys.readouterr().err
-    assert rc == 1
+    assert rc == 1 and err.count("\n") == 1
     assert err.startswith(f"error: --shift '{shift}': ") and needle in err

@@ -24,6 +24,8 @@ def test_eval_constraint_examples(e1, e2):
 def test_eval_constraint_dimension_error(e1):
     with pytest.raises(ValueError):
         eval_constraint(e1, [1.0, 2.0])
+    with pytest.raises(ValueError):
+        eval_constraint(e1, np.zeros((3, 2)))
 
 
 def test_eval_constraint_is_affine():
@@ -36,6 +38,12 @@ def test_eval_constraint_is_affine():
         lhs = eval_constraint(prog, a * x + (1 - a) * y)
         rhs = a * eval_constraint(prog, x) + (1 - a) * eval_constraint(prog, y)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
+    # the rows of an (S, n) array: each matrix has the bits of its own call
+    X = rng.normal(size=(7, 2))
+    AX = eval_constraint(prog, X)
+    assert AX.shape == (7, 3, 3)
+    for ax, x in zip(AX, X):
+        assert ax.tobytes() == eval_constraint(prog, x).tobytes()
 
 
 def test_quad_form_examples():
@@ -94,7 +102,7 @@ def test_row_functionals_give_rows_of_d_tau():
 
 
 def test_project_to_zero_rows_is_an_idempotent_projection():
-    rng = np.random.default_rng(12)
+    rng, stack_rng = np.random.default_rng(12), np.random.default_rng(13)
     for _ in range(50):
         p = int(rng.integers(2, 7))
         recs = []
@@ -106,8 +114,32 @@ def test_project_to_zero_rows_is_an_idempotent_projection():
         assert np.array_equal(P, P.T)
         assert row_residuals([P], recs)[0][0] <= 1e-12
         assert np.max(np.abs(project_to_zero_rows(P, C) - P)) <= 1e-12
+        # a stack is projected in one solve; each row is a projection, and
+        # a stack of one has the bits of the matrix's own call
+        Ds = np.array([_random_sym(stack_rng, p)
+                       for _ in range(int(stack_rng.integers(1, 9)))])
+        Ps = project_to_zero_rows(Ds, C)
+        assert Ps.shape == Ds.shape
+        assert np.array_equal(Ps, np.swapaxes(Ps, 1, 2))
+        assert np.max(row_residuals(Ps, recs)[0]) <= 1e-12
+        assert np.max(np.abs(project_to_zero_rows(Ps, C) - Ps)) <= 1e-12
+        assert (project_to_zero_rows(Ds[:1], C)[0].tobytes()
+                == project_to_zero_rows(Ds[0], C).tobytes())
+    # with a well-conditioned C C', each row is within 1e-15 of its own
+    # call (an ill-conditioned or singular one, which some record sets above
+    # give, amplifies the rounding of either solve)
+    for p in range(2, 7):
+        half = np.zeros(p)
+        half[:2] = 0.5
+        C = zero_row_matrix([Record(SimplexPoint(np.eye(p)[0]), (0,)),
+                             Record(SimplexPoint(half), (0, 1))])
+        Ds = np.array([_random_sym(stack_rng, p) for _ in range(50)])
+        for D, P in zip(Ds, project_to_zero_rows(Ds, C)):
+            assert np.max(np.abs(P - project_to_zero_rows(D, C))) <= 1e-15
     D = _random_sym(rng, 3)
     assert project_to_zero_rows(D, zero_row_matrix([])) is D
+    Ds = np.array([D, D])
+    assert project_to_zero_rows(Ds, zero_row_matrix([])) is Ds
 
 
 def _row_residuals_one(D, records):

@@ -496,6 +496,12 @@ def test_grid_mask_matches_exact_lp():
         for i, d in enumerate(dist):
             assert near[i] == (d >= cut - relax)
             assert inside[i] == (d >= cut)
+    # the sandwich's dual sign vectors: row i is +1 at the set bits of i
+    for p in range(1, 15):
+        signs = ReducedRegion([SimplexPoint(np.eye(p)[0])], sigma=1.0)._signs
+        want = np.array([[1.0 if i >> k & 1 else -1.0 for k in range(p)]
+                         for i in range(1 << p)])
+        assert signs.shape == want.shape and signs.tobytes() == want.tobytes()
 
 
 def test_grid_mask_solves_at_most_one_lp_per_point(monkeypatch):

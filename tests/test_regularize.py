@@ -236,8 +236,10 @@ def test_memberships_match_the_copositivity_first_definition(monkeypatch):
             assert _in_face(records, D) == ref[1]
             seen.add((is_copositive(D).copositive,
                       bool(face_rows(records, [D])[1][0])))
+        # in blocks of at most 50, as _face_samples yields them
+        blocks = [np.array(samples[i:i + 50]) for i in range(0, len(samples), 50)]
         monkeypatch.setattr(REGULARIZE, "_face_samples",
-                            lambda *_a, samples=samples: iter(samples))
+                            lambda *_a, blocks=blocks: iter(blocks))
         assert face_forms_agree(records, n_samples=len(samples)) == {
             "checked": len(samples), "members": sum(a for a, _b in refs),
             "disagreements": sum(a and not b for a, b in refs)}
@@ -290,10 +292,19 @@ def test_equivalence_enumerates_each_sample_once(e2, reg_e2, monkeypatch):
     assert single == [[], []]
 
 
-def _members_one_at_a_time(records, samples, _p, cfg, equalities_only=False):
+def _samples_one_at_a_time(p, records, n_samples, rng):
+    """``_face_samples`` making each sample on its own, as a block of one:
+    a sample of odd index is projected by its own call."""
+    C = zero_row_matrix(records)
+    for s in range(n_samples):
+        D = sample_copositive(p, rng)
+        yield (project_to_zero_rows(D, C) if s % 2 == 1 else D)[None]
+
+
+def _members_one_at_a_time(records, blocks, cfg, equalities_only=False):
     """``_face_members`` deciding each sample on its own, as a stack of
     one: its rows, then ``is_copositive``."""
-    for D in samples:
+    for D in (D for Ds in blocks for D in Ds):
         (eq,), (both,) = face_rows(records, [D], cfg)
         if ((eq if equalities_only else both)
                 and is_copositive(D, cfg.tol_cop, cfg.p_max).copositive):
@@ -357,19 +368,25 @@ def test_blocked_sampling_matches_one_sample_at_a_time(e2, e4, reg_e2,
         assert REGULARIZE._block_size(prog.p) == 7
         xs, want_xs = [], []
 
-        def recorded(prog, x, xs=xs):
-            xs.append(x)
-            return eval_constraint(prog, x)
+        def recorded(prog, X, xs=xs):
+            xs.extend(X)
+            return eval_constraint(prog, X)
 
         monkeypatch.setattr(REGULARIZE, "eval_constraint", recorded)
         blocked = (feasibility_equiv_sample(prog, res.regularized, 50, seed=8),
                    verify_ledger(res.ledger, prog, n_samples=50, seed=9),
                    [face_forms_agree(f, n_samples=50, seed=10) for f in faces])
+        monkeypatch.setattr(REGULARIZE, "_face_samples", _samples_one_at_a_time)
         monkeypatch.setattr(REGULARIZE, "_face_members", _members_one_at_a_time)
         want = (_equiv_one_at_a_time(prog, res.regularized, 50, 8, want_xs),
                 verify_ledger(res.ledger, prog, n_samples=50, seed=9),
                 [face_forms_agree(f, n_samples=50, seed=10) for f in faces])
         monkeypatch.undo()
+        # a block's projections round apart from one-sample projections, so
+        # an entry's largest orthogonality residual may move by a few ulps
+        orth = [[e.pop("max_orthogonality") for e in rep["entries"]]
+                for rep in (blocked[1], want[1])]
+        assert np.max(np.abs(np.subtract(*orth)), initial=0.0) <= 1e-15, name
         assert blocked == want, name
         # the same x, bit for bit, in the same order
         assert np.array(xs).tobytes() == np.array(want_xs).tobytes(), name
@@ -385,10 +402,20 @@ def test_rows_are_tested_once_per_block(e2, reg_e2, monkeypatch):
     # blocks of 7: 50 samples make 7 blocks of 7 and one of 1
     monkeypatch.setattr(REGULARIZE, "_STACK_ENTRIES", 7 * 2 * 3)
     records = reg_e2.regularized.records
-    samples = list(REGULARIZE._face_samples(2, records, 50,
-                                            np.random.default_rng(3)))
+    projected = _count_calls(monkeypatch, REGULARIZE, "project_to_zero_rows")
+    blocks = list(REGULARIZE._face_samples(2, records, 50,
+                                           np.random.default_rng(3)))
+    assert [len(Ds) for Ds in blocks] == [7] * 7 + [1]
+    # one projection per block, of the samples of odd index in the run: a
+    # block that starts at an odd index projects its first sample
+    assert [len(args[0]) for args in projected] == [3, 4] * 3 + [3, 1]
+    Ds = np.concatenate(blocks)
+    want = np.concatenate(list(_samples_one_at_a_time(
+        2, records, 50, np.random.default_rng(3))))
+    assert Ds[::2].tobytes() == want[::2].tobytes()
+    assert np.max(np.abs(Ds[1::2] - want[1::2])) <= 1e-15
     calls = _count_calls(monkeypatch, REGULARIZE, "row_residuals")
-    members = list(REGULARIZE._face_members(records, samples, 2, DEFAULT))
+    members = list(REGULARIZE._face_members(records, blocks, DEFAULT))
     assert [len(args[0]) for args in calls] == [7] * 7 + [1]
     assert sum(len(Ds) for Ds, _both in members) > 0
     calls.clear()
@@ -403,7 +430,8 @@ def test_block_size_keeps_within_the_entry_cap():
         assert REGULARIZE._block_size(p) == b
         # the largest block within the cap
         assert b * per_sample <= cap < (b + 1) * per_sample
-    assert [len(blk) for blk in REGULARIZE._blocks(range(10), 14)] == [4, 4, 2]
+    blocks = REGULARIZE._face_samples(14, (), 10, np.random.default_rng(0))
+    assert [Ds.shape for Ds in blocks] == [(4, 14, 14), (4, 14, 14), (2, 14, 14)]
     # a dimension whose one sample exceeds the cap still makes progress
     assert REGULARIZE._block_size(20) == 1
 
