@@ -14,10 +14,13 @@ reduced-region oracle works on the rational grid of the simplex, one
 matrix per call; its certified lower bound is the larger of a Lipschitz
 bound and a per-point centered-gradient bound, computed, like the argmin,
 on first read.
-Per-point quantities over a grid (the gradient's row spread, the
-nearest-hull-point distance of the mask) are built one column at a time:
-a numpy reduction along a row of a few entries costs more than the row's
-arithmetic.
+The grid kernels stream over the cached grid itself, in contiguous row
+chunks of ``_CHUNK`` rows: the mask, the values and the bound never
+gather the selected points into a copy and never hold a grid-sized
+(M, p) product.  Per-point quantities of a chunk (the gradient's row
+spread, the nearest-hull-point distance of the mask) are built one column
+at a time: a numpy reduction along a row of a few entries costs more than
+the row's arithmetic.
 """
 
 from functools import cached_property, lru_cache
@@ -59,30 +62,37 @@ class OracleResult:
 
 class _GridResult(OracleResult):
     """A grid minimum: ``value`` is ``vals[i]``, the least value at a
-    region point among the selected points ``sel``; the bound and the
+    region point of the selection ``(points, near, outside, ring,
+    chunks, r)`` of ``ReducedRegion.selected_points``; the bound and the
     argmin are computed on first read, then kept.  It holds its own copy
-    of D and the (M,) values, and recomputes ``sel @ D`` for the bound, so
-    no (M, p) product outlives the call and a caller that changes its
-    matrix afterwards changes nothing here.  Most callers read ``value``
+    of D, the selection (a view of the cached grid, its masks and row
+    lists) and the values of the span's rows (+inf beyond r), and
+    recomputes each chunk's product with D for the bound, so no (M, p)
+    array outlives the call and a caller that changes its matrix
+    afterwards changes nothing here.  Most callers read ``value``
     alone."""
 
-    def __init__(self, D, sel, vals, i, r):
+    def __init__(self, D, selection, vals, i):
         self.value, self.kind = float(vals[i]), "grid"
-        self._D, self._sel, self._vals, self._i, self._r = D, sel, vals, i, r
+        self._D, self._selection, self._vals, self._i = D, selection, vals, i
 
     @cached_property
     def argmin(self):
-        return SimplexPoint(self._sel[self._i])
+        return SimplexPoint(self._selection[0][self._i])
 
     @cached_property
     def value_lb(self):
-        D, vals, r = self._D, self._vals, self._r
+        D, vals = self._D, self._vals
+        points, near, _outside, _ring, chunks, r = self._selection
         maxd = float(np.max(np.abs(D)))
         L = 2.0 * maxd
-        centered = 0.5 * _row_spread(self._sel @ D)
-        lb_lip = float(np.min(vals)) - L * r
-        lb_grad = float(np.min(vals - 2.0 * centered * r - maxd * r * r))
-        return max(lb_lip, lb_grad)
+        lb_lip = float(np.min(vals, where=near, initial=np.inf)) - L * r
+        lows = []
+        for rows in chunks:
+            centered = 0.5 * _row_spread(points[rows] @ D)
+            lows.append(np.min(vals[rows] - 2.0 * centered * r - maxd * r * r,
+                               where=near[rows], initial=np.inf))
+        return max(lb_lip, float(np.min(lows)))
 
 
 class CopositivityResult:
@@ -319,9 +329,10 @@ class ReducedRegion:
         self._vmat = np.array([v.coords for v in self.V])            # (m, p)
         peak = 2.0 * (1.0 - float(np.min(np.max(self._vmat, axis=0))))
         self.empty = peak < self.sigma - tol_feas
-        self._signs = np.where(   # (2^p, p): +1 at the set bits of row i
-            (np.arange(1 << self.p)[:, None] >> np.arange(self.p)) & 1, 1.0, -1.0)
-        self._sign_offsets = np.max(self._signs @ self._vmat.T, axis=1)  # (2^p,)
+        if len(self.V) > 1:   # a one-point mask never reads the sign vectors
+            self._signs = np.where(   # (2^p, p): +1 at the set bits of row i
+                (np.arange(1 << self.p)[:, None] >> np.arange(self.p)) & 1, 1.0, -1.0)
+            self._sign_offsets = np.max(self._signs @ self._vmat.T, axis=1)  # (2^p,)
         self._selected = {}                                          # N -> selected_points(N)
 
     def contains(self, T):
@@ -335,50 +346,70 @@ class ReducedRegion:
 
         Returns ``(near, inside)``: hull distance at least
         ``sigma - tol_feas - relax`` and at least ``sigma - tol_feas``.
-        Loops run over the small dimensions (sign vectors, hull points) so
-        no (M x 2^p) intermediate is materialized, and the nearest-point
-        upper bound adds one column's |t_k - v_k| at a time into an
-        M-vector, left to right, never reducing along the short axis.  A
-        one-point hull is its own nearest point: the upper bound is exact
-        and serves as the lower bound too, so no point is left undecided.
-        The undecided points go to one stacked ``l1_dist_to_hull`` call.
+        The points are read in row chunks (``_chunks``), and loops run
+        over the small dimensions (sign vectors, hull points), so no
+        (M x 2^p) intermediate is materialized and no temporary outgrows
+        a chunk; the nearest-point upper bound adds one column's
+        |t_k - v_k| at a time into a chunk-vector, left to right, never
+        reducing along the short axis.  A one-point hull is its own
+        nearest point: the upper bound is exact and serves as the lower
+        bound too, so no point is left undecided.  The undecided points of
+        all chunks go to one stacked ``l1_dist_to_hull`` call.
         """
         M = points.shape[0]
-        upper = np.full(M, np.inf)
-        for v in self._vmat:
-            dist = np.abs(points[:, 0] - v[0])
-            for k in range(1, self.p):
-                dist += np.abs(points[:, k] - v[k])
-            np.minimum(upper, dist, out=upper)
-        if len(self.V) == 1:
-            lower = upper
-        else:
-            lower = np.full(M, -np.inf)
-            for g, off in zip(self._signs, self._sign_offsets):
-                np.maximum(lower, points @ g - off, out=lower)
         cut = self.sigma - self.tol_feas
-        near, inside = lower >= cut - relax, lower >= cut
-        undecided = np.flatnonzero((~near & (upper >= cut - relax))
-                                   | (~inside & (upper >= cut)))
+        near, inside = np.empty(M, dtype=bool), np.empty(M, dtype=bool)
+        undecided = []
+        for rows in _chunks(M):
+            t = points[rows]
+            upper = np.full(t.shape[0], np.inf)
+            for v in self._vmat:
+                dist = np.abs(t[:, 0] - v[0])
+                for k in range(1, self.p):
+                    dist += np.abs(t[:, k] - v[k])
+                np.minimum(upper, dist, out=upper)
+            if len(self.V) == 1:
+                lower = upper
+            else:
+                lower = np.full(t.shape[0], -np.inf)
+                for g, off in zip(self._signs, self._sign_offsets):
+                    np.maximum(lower, t @ g - off, out=lower)
+            np.greater_equal(lower, cut - relax, out=near[rows])
+            np.greater_equal(lower, cut, out=inside[rows])
+            if len(self.V) > 1:
+                undecided.append(rows.start + np.flatnonzero(
+                    (~near[rows] & (upper >= cut - relax))
+                    | (~inside[rows] & (upper >= cut))))
+        undecided = np.concatenate(undecided) if undecided else np.empty(0, dtype=np.intp)
         if undecided.size:
             d = l1_dist_to_hull(points[undecided], self.V)
             near[undecided], inside[undecided] = d >= cut - relax, d >= cut
         return near, inside
 
     def selected_points(self, denominator):
-        """``(points, inside, r)`` at the given resolution: the grid points
-        within the covering radius r = p/(2N) (in the hull distance) of the
-        region, and which of them lie in the region itself (cached: the
-        masks do not depend on the quadratic being minimized)."""
+        """``(points, near, outside, ring, chunks, r)`` at the given
+        resolution.  ``points`` is the span of rows of ``simplex_grid(p,
+        N)`` from its first to its last point within the covering radius
+        r = p/(2N) (in the hull distance) of the region, a view of the
+        cached grid, not a copy; ``near`` marks the span's points within r
+        of the region; ``outside`` lists the span's rows that are not in
+        the region itself and ``ring`` those of them within r; ``chunks``
+        are the row slices of the span (``_chunks``).  Cached: none of it
+        depends on the quadratic being minimized."""
         N = int(denominator)
         if N not in self._selected:
             r = self.p / (2.0 * N)
             pts = simplex_grid(self.p, N)
             near, inside = self.grid_mask(pts, r)
-            sel, flags = pts[near], inside[near]
-            sel.setflags(write=False)
-            flags.setflags(write=False)
-            self._selected[N] = (sel, flags, r)
+            first = int(np.argmax(near))
+            last = pts.shape[0] - int(np.argmax(near[::-1])) if near[first] else first
+            near = near[first:last]
+            outside = np.flatnonzero(~(inside[first:last] & near))
+            ring = outside[near[outside]]
+            for a in (near, outside, ring):
+                a.setflags(write=False)
+            self._selected[N] = (pts[first:last], near, outside, ring,
+                                 _chunks(last - first), r)
         return self._selected[N]
 
 
@@ -386,29 +417,41 @@ class ReducedRegion:
 def simplex_grid(p, denominator):
     """All rational simplex points with the given denominator, in
     lexicographic order of the integer compositions; shape (M, p),
-    read-only (cached)."""
+    read-only (cached).  The compositions are built as float64 integers
+    and divided by N in place: the bits of ``int64 / float(N)``, with no
+    integer table."""
     N = int(denominator)
-    pts = _compositions(p, N) / float(N)
+    pts = _compositions(p, N)
+    pts /= N
     pts.setflags(write=False)
     return pts
 
 
 def _compositions(parts, total):
     """Integer compositions of ``total`` into ``parts`` nonnegative parts,
-    lexicographic, as an (M, parts) int array.  Built one coordinate at a
-    time: every partial row fans out over 0..remaining, vectorized."""
-    if parts == 1:
-        return np.array([[total]], dtype=np.int64)
-    rows = np.zeros((1, 0), dtype=np.int64)
-    rem = np.array([total], dtype=np.int64)
+    lexicographic, as an (M, parts) float64 array: exact below 2^53,
+    and unlike a narrow integer table it runs no numpy loop that the
+    rest of the program does not already run.  Built one
+    coordinate at a time: every row (prefix, rest) fans out into the rows
+    (prefix, k, rest - k) for k = 0..rest, written one column at a time
+    into the next table, so beside the smaller table before it no
+    temporary is larger than one of its columns."""
+    rows = np.full((1, 1), float(total))
     for _ in range(parts - 1):
-        reps = rem + 1
-        parent = np.repeat(np.arange(rem.size), reps)
-        offsets = np.repeat(np.cumsum(reps) - reps, reps)
-        k = np.arange(int(reps.sum()), dtype=np.int64) - offsets
-        rows = np.hstack([rows[parent], k[:, None]])
-        rem = rem[parent] - k
-    return np.hstack([rows, rem[:, None]])
+        rest = rows[:, -1]
+        reps = rest.astype(np.intp) + 1
+        out = np.empty((int(reps.sum()), rows.shape[1] + 1))
+        for j in range(rows.shape[1] - 1):
+            out[:, j] = np.repeat(rows[:, j], reps)
+        # k steps by 1 and drops back to 0 where a row's block starts
+        step = np.ones(out.shape[0])
+        step[0] = 0
+        step[np.cumsum(reps[:-1])] = -rest[:-1]
+        np.cumsum(step, out=out[:, -2])
+        del step
+        np.subtract(np.repeat(rest, reps), out[:, -2], out=out[:, -1])
+        rows = out
+    return rows
 
 
 def grid_point_count(p, denominator):
@@ -428,28 +471,50 @@ def _row_spread(G):
 
 
 _MAX_GRID_POINTS = 3_000_000   # larger grids raise a CapabilityError
+_CHUNK = 1 << 14               # grid rows per chunk of the streamed grid kernels:
+                               # a chunk's (C, p) product fits a 2 MB L2 up to p = 14
+
+
+def _chunks(M):
+    """Row slices of 0..M, ``_CHUNK`` rows each, a one-row tail joined to
+    the slice before it.  A one-row (1, p) @ (p, p) product takes another
+    BLAS path than the rows of a larger one, and its bits can differ,
+    while the rows of any larger product keep theirs; so a slice is one
+    row only when M is one."""
+    bounds = list(range(0, M, _CHUNK)) + [M]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return tuple(slice(a, b) for a, b in zip(bounds, bounds[1:]))
 
 
 def min_quad_over_omega(D, omega, h):
     """Grid minimum of t' D t over the reduced region, certified below.
 
-    ``D`` is one (p, p) matrix.  t' D t is evaluated once on the grid
-    points within the covering radius r = p/(2N) of the region (nearest
-    grid neighbors of region points can sit just inside the excluded
-    neighborhood); the value and argmin come from the points inside the
-    region.  The certificate combines two bounds over all selected points:
+    ``D`` is one (p, p) matrix.  t' D t is evaluated once on each row of
+    the selection's span (``ReducedRegion.selected_points``), which holds
+    every grid point within the covering radius r = p/(2N) of the region
+    (nearest grid neighbors of region points can sit just inside the
+    excluded neighborhood), chunk by chunk on the cached grid itself, as
+    ``einsum(c, c @ D)`` for each chunk c; no point is gathered into a
+    copy and no (M, p) product is held.  The value and argmin are the
+    first least value over the points inside the region, in grid order:
+    the argmin of the values with +inf at the ``outside`` rows, after
+    which the ``ring`` rows (outside the region but within r) get their
+    values back for the bound.
+    The certificate combines two bounds over the points within r:
     the Lipschitz bound grid_min - L*r with L = 2 max|D_kl|, and the
     per-point expansion
         q(t) >= q(g) - (max_k - min_k)(Dg) * r - max|D| * r^2,
     whose centered gradient (displacements on the simplex sum to zero)
     wins near flat minima.  The per-point spread is built one column of
-    Dg at a time (``_row_spread``), never reduced along the short axis;
-    max and min are exact, so the order does not change the bound.  The
-    call computes the value only: the bound and the argmin are computed
-    on their first read (``_GridResult``), bit for bit what an eager
-    computation gives.  An empty region (``omega.empty``) is answered
-    before any grid is built; a nonempty one holds a simplex vertex, and
-    so does every grid.
+    each chunk's c @ D at a time (``_row_spread``), never reduced along
+    the short axis, and both minima skip the points beyond r with
+    ``where=``; max and min are exact, so neither the order nor the
+    chunks change the bound.  The call computes the value only: the bound
+    and the argmin are computed on their first read (``_GridResult``),
+    bit for bit what an eager computation gives.  An empty region
+    (``omega.empty``) is answered before any grid is built; a nonempty
+    one holds a simplex vertex, and so does every grid.
     """
     D = np.array(D, dtype=float)
     p = D.shape[0]
@@ -464,7 +529,15 @@ def min_quad_over_omega(D, omega, h):
         raise CapabilityError(
             f"grid of {grid_point_count(p, N)} points exceeds the cap "
             f"{_MAX_GRID_POINTS} (p={p}, 1/h={N})")
-    sel, inside, r = omega.selected_points(N)
-    vals = np.einsum("ij,ij->i", sel, sel @ D)
-    i = int(np.argmin(np.where(inside, vals, np.inf)))
-    return _GridResult(D, sel, vals, i, r)
+    selection = omega.selected_points(N)
+    points, _near, outside, ring, chunks, _r = selection
+    if len(chunks) == 1:
+        vals = np.einsum("ij,ij->i", points, points @ D)
+    else:
+        vals = np.concatenate([np.einsum("ij,ij->i", c, c @ D)
+                               for c in map(points.__getitem__, chunks)])
+    kept = vals[ring]
+    vals[outside] = np.inf
+    i = int(np.argmin(vals))
+    vals[ring] = kept   # rows beyond r stay +inf; the bound skips them
+    return _GridResult(D, selection, vals, i)

@@ -1,5 +1,6 @@
 import collections
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -497,8 +498,9 @@ def test_grid_mask_matches_exact_lp():
             assert near[i] == (d >= cut - relax)
             assert inside[i] == (d >= cut)
     # the sandwich's dual sign vectors: row i is +1 at the set bits of i
+    # (a hull of two points or more: a one-point region builds no table)
     for p in range(1, 15):
-        signs = ReducedRegion([SimplexPoint(np.eye(p)[0])], sigma=1.0)._signs
+        signs = ReducedRegion([SimplexPoint(np.eye(p)[0])] * 2, sigma=1.0)._signs
         want = np.array([[1.0 if i >> k & 1 else -1.0 for k in range(p)]
                          for i in range(1 << p)])
         assert signs.shape == want.shape and signs.tobytes() == want.tobytes()
@@ -614,9 +616,13 @@ def test_omega_value_lb_is_sound():
 # the column-wise grid kernels against the row-wise ones they replaced
 
 def _reference_mask(region, points, relax):
-    """``grid_mask`` with the nearest-point distance summed along each row."""
+    """``grid_mask`` with the nearest-point distance summed along each row,
+    over all points at once, and the sign-vector lower bound for every
+    hull, from a sign table of its own."""
+    p = points.shape[1]
+    signs = np.where((np.arange(1 << p)[:, None] >> np.arange(p)) & 1, 1.0, -1.0)
     lower = np.full(points.shape[0], -np.inf)
-    for g, off in zip(region._signs, region._sign_offsets):
+    for g, off in zip(signs, np.max(signs @ region._vmat.T, axis=1)):
         np.maximum(lower, points @ g - off, out=lower)
     upper = np.full(points.shape[0], np.inf)
     for v in region._vmat:
@@ -630,14 +636,15 @@ def _reference_mask(region, points, relax):
     return near, inside
 
 
-def _reference_omega_min(D, region, h):
-    """``min_quad_over_omega`` with the gradient spread reduced along each
-    row: ``(value, value_lb, argmin coords or None, near, inside)``."""
+def _reference_omega_min(D, region, h, mask=_reference_mask):
+    """``min_quad_over_omega`` on a gathered copy of the selected points,
+    with the gradient spread reduced along each row: ``(value, value_lb,
+    argmin coords or None, near, inside)``."""
     p = D.shape[0]
     N = int(np.ceil(1.0 / h))
     r = p / (2.0 * N)
     pts = simplex_grid(p, N)
-    near, inside = _reference_mask(region, pts, r)
+    near, inside = mask(region, pts, r)
     sel, flags = pts[near], inside[near]
     if not flags.any():
         return np.inf, np.inf, None, near, inside
@@ -677,7 +684,10 @@ def omega_cases(draw):
 @settings(derandomize=True, deadline=None, database=None, max_examples=40)
 @given(omega_cases())
 def test_omega_min_matches_the_row_wise_reference(case):
-    D, V, sigma, h = case
+    _assert_omega_min_matches_the_reference(*case)
+
+
+def _assert_omega_min_matches_the_reference(D, V, sigma, h):
     calls = collections.Counter()
 
     def counting(T, hull):    # one LP per point, whether stacked or not
@@ -693,22 +703,107 @@ def test_omega_min_matches_the_row_wise_reference(case):
         res = min_quad_over_omega(D, region, h)
         res_argmin_first = min_quad_over_omega(D, region, h)
     value, value_lb, argmin, near, inside = want
-    # the region keeps grid[near] and inside[near]; inside implies near
-    N = int(np.ceil(1.0 / h))
-    sel, flags, _r = region.selected_points(N)
-    assert np.array_equal(sel, simplex_grid(D.shape[0], N)[near])
-    assert np.array_equal(flags, inside[near])
+    _assert_selection(region, int(np.ceil(1.0 / h)), near, inside)
     # an empty region is decided from its vertices and classifies no grid
     assert region.empty == (not inside.any())
     assert calls["kernel"] == (0 if region.empty else calls["reference"])
-    # a grid result computes its bound and argmin on first read: both
-    # orders of reads give the reference bits
+    _assert_result_bits(res, res_argmin_first, want)
+
+
+def _assert_selection(region, N, near, inside):
+    """The region keeps a view of the grid's rows from the first to the
+    last point of ``near`` (no copy), the span's ``near`` mask, the rows
+    of the span outside the region (inside implies near) and those of
+    them within r, and row slices that tile the span, none of one row
+    unless the span is one row."""
+    grid = simplex_grid(region.p, N)
+    points, span_near, outside, ring, chunks, _r = region.selected_points(N)
+    hits = np.flatnonzero(near)
+    first, last = (hits[0], hits[-1] + 1) if hits.size else (0, 0)
+    assert points.base is grid
+    assert np.array_equal(points, grid[first:last])
+    assert np.array_equal(span_near, near[first:last])
+    assert np.array_equal(outside, np.flatnonzero(~inside[first:last]))
+    assert np.array_equal(ring, np.flatnonzero((near & ~inside)[first:last]))
+    assert not (inside & ~near).any()
+    bounds = [(rows.start, rows.stop) for rows in chunks]
+    if first == last:
+        assert bounds == []
+    else:
+        assert bounds[0][0] == 0 and bounds[-1][1] == last - first
+        assert all(b - a >= 2 or last - first == 1 for a, b in bounds)
+        assert all(stop == start for (_, stop), (start, _) in zip(bounds, bounds[1:]))
+
+
+def _assert_result_bits(res, res_argmin_first, want):
+    """A grid result computes its bound and argmin on first read: both
+    orders of reads give the reference bits."""
+    value, value_lb, argmin, _near, _inside = want
     assert _bits(res.value) == _bits(res_argmin_first.value) == _bits(value)
     lb_first = (_bits(res.value_lb), _coord_bits(res.argmin))
     argmin_bits = _coord_bits(res_argmin_first.argmin)
     argmin_first = (_bits(res_argmin_first.value_lb), argmin_bits)
     want_bits = (_bits(value_lb), None if argmin is None else argmin.tobytes())
     assert lb_first == argmin_first == want_bits
+
+
+# (D seed, hull points, sigma, p, N): each grid's length M = 15, 29, 253
+# or 561 leaves a one-row tail at chunks of 2 and of 7, and so does each
+# selection's span: the whole grid, which ends at a vertex, or for the
+# region around e_1 the first 225 rows, which end at (2/3, 1/3, 0); the
+# two- and three-point hulls at N = 32 leave points undecided for the
+# stacked hull call
+CHUNK_CASES = [
+    (0, [(1 / 3, 1 / 3, 1 / 3)], 0.3, 3, 4),
+    (5, [(1.0, 0.0, 0.0)], 0.7, 3, 21),
+    (1, [(0.6, 0.2, 0.2), (0.2, 0.7, 0.1)], 0.3, 3, 32),
+    (2, [(0.5, 0.25, 0.25), (0.25, 0.5, 0.25), (0.25, 0.25, 0.5)], 0.3, 3, 32),
+    (3, [(0.5, 0.5)], 0.5, 2, 28),
+    (4, [(0.2, 0.2, 0.2, 0.2, 0.2), (0.5, 0.5, 0.0, 0.0, 0.0)], 0.3, 5, 2),
+]
+
+
+@pytest.mark.parametrize("chunk", [2, 7])
+@pytest.mark.parametrize("case", CHUNK_CASES)
+def test_omega_min_matches_the_reference_across_chunks(monkeypatch, chunk, case):
+    seed, hull, sigma, p, N = case
+    assert oracle.grid_point_count(p, N) % chunk == 1
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    rng = np.random.default_rng(seed)
+    V = [SimplexPoint(v) for v in hull]
+    assert len(ReducedRegion(V, sigma=sigma).selected_points(N)[0]) % chunk == 1
+    for _ in range(4):
+        _assert_omega_min_matches_the_reference(random_sym(rng, p), V, sigma, 1 / N)
+    lps = _assert_mask_matches_the_reference(V, sigma, N)
+    assert (lps > 0) == (N == 32)
+
+
+@pytest.mark.parametrize("chunk", [2, 7, oracle._CHUNK])
+def test_one_non_vertex_point_selection_is_its_own_one_row_product(monkeypatch, chunk):
+    # a hull distance is convex, so it peaks at a vertex, and a region's
+    # selection holds a vertex; a mask that selects one interior grid point
+    # alone shows that such a selection keeps the one-row product's bits
+    # (at 1/h = 7 the coordinates are not dyadic, so the products round)
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    p, N = 4, 7
+    pts = simplex_grid(p, N)
+    j = int(np.flatnonzero((pts > 0.0).all(axis=1))[3])
+
+    def one_point(region, points, relax):
+        near = np.zeros(points.shape[0], dtype=bool)
+        near[j] = True
+        return near, near.copy()
+
+    monkeypatch.setattr(ReducedRegion, "grid_mask", one_point)
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        D = random_sym(rng, p)
+        region = ReducedRegion([simplex(1, 0, 0, 0)], sigma=0.5)
+        want = _reference_omega_min(D, region, 1 / N, mask=one_point)
+        res = min_quad_over_omega(D, region, 1 / N)
+        res_argmin_first = min_quad_over_omega(D, region, 1 / N)
+        assert region.selected_points(N)[0].shape == (1, p)
+        _assert_result_bits(res, res_argmin_first, want)
 
 
 def _bits(x):
@@ -752,13 +847,21 @@ def one_point_regions(draw):
 @given(one_point_regions())
 def test_one_point_mask_matches_the_reference_without_lps(case):
     v, sigma, N = case
-    calls = collections.Counter()
+    _assert_mask_matches_the_reference([v], sigma, N)
 
-    def counting(t, hull):
+
+def _assert_mask_matches_the_reference(V, sigma, N):
+    """Both cuts of ``grid_mask`` are the reference's, from one stacked
+    hull call per mask with one row per point the reference sends to an
+    LP, and none for a one-point region; returns that number of rows."""
+    calls, rows = collections.Counter(), collections.Counter()
+
+    def counting(T, hull):
         calls[side] += 1
-        return l1_dist_to_hull(t, hull)
+        rows[side] += len(np.atleast_2d(T))
+        return l1_dist_to_hull(T, hull)
 
-    region = ReducedRegion([v], sigma=sigma)
+    region = ReducedRegion(V, sigma=sigma)
     pts = simplex_grid(region.p, N)
     for relax in (0.0, region.p / (2.0 * N)):
         with pytest.MonkeyPatch.context() as mp:
@@ -769,7 +872,9 @@ def test_one_point_mask_matches_the_reference_without_lps(case):
             want = _reference_mask(region, pts, relax)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
-    assert calls["kernel"] == 0
+    assert calls["kernel"] <= 2 and rows["kernel"] == rows["reference"]
+    assert rows["kernel"] == 0 or len(V) > 1
+    return rows["kernel"]
 
 
 def test_row_spread_is_the_row_range():
@@ -779,6 +884,61 @@ def test_row_spread_is_the_row_range():
                   rng.integers(-2, 3, size=(50, p)).astype(float)):
             G.setflags(write=False)
             assert np.array_equal(oracle._row_spread(G), np.ptp(G, axis=1))
+
+
+def _listed_compositions(parts, total):
+    """The compositions of ``total`` into ``parts`` parts, lexicographic,
+    one Python list at a time."""
+    if parts == 1:
+        return [[total]]
+    return [[k] + rest for k in range(total + 1)
+            for rest in _listed_compositions(parts - 1, total - k)]
+
+
+@pytest.mark.parametrize("p", range(1, 8))
+def test_simplex_grid_bytes_are_the_int64_division(p):
+    # compositions built as float64 integers and divided in place give the
+    # bytes of the int64 table divided by float(N)
+    for N in (1, 2, 3, 5, 8, 13, 127, 128, 200, 1000):
+        if oracle.grid_point_count(p, N) > 30_000:
+            continue
+        want = np.array(_listed_compositions(p, N), dtype=np.int64) / float(N)
+        got = simplex_grid.__wrapped__(p, N)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (p, N)
+        assert not got.flags.writeable
+
+
+def _traced_peak(fn):
+    """(fn(), the peak of traced allocations while it runs, in bytes)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simplex_grid_build_peaks_below_one_and_a_half_grids():
+    pts, peak = _traced_peak(lambda: simplex_grid.__wrapped__(4, 128))
+    assert pts.shape == (oracle.grid_point_count(4, 128), 4)
+    assert peak <= 1.5 * pts.nbytes
+
+
+def test_a_grid_query_adds_at_most_one_grid_of_memory():
+    # selection, value and bound on the 366,145-point grid of a one-point
+    # region hold no copy of the selected points and no (M, p) product
+    grid = simplex_grid(4, 128)
+    region = ReducedRegion([simplex(0.5, 0.25, 0.25, 0.0)])
+    D = random_sym(np.random.default_rng(35), 4)
+
+    def query():
+        region.selected_points(128)
+        res = min_quad_over_omega(D, region, 1 / 128)
+        return res.value_lb
+
+    _, peak = _traced_peak(query)
+    assert peak <= grid.nbytes
 
 
 def test_grid_point_budget():
