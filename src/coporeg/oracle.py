@@ -62,15 +62,14 @@ class OracleResult:
 
 class _GridResult(OracleResult):
     """A grid minimum: ``value`` is ``vals[i]``, the least value at a
-    region point of the selection ``(points, near, outside, ring,
-    chunks, r)`` of ``ReducedRegion.selected_points``; the bound and the
-    argmin are computed on first read, then kept.  It holds its own copy
-    of D, the selection (a view of the cached grid, its masks and row
-    lists) and the values of the span's rows (+inf beyond r), and
-    recomputes each chunk's product with D for the bound, so no (M, p)
-    array outlives the call and a caller that changes its matrix
-    afterwards changes nothing here.  Most callers read ``value``
-    alone."""
+    region point of the selection ``(points, near, outside, chunks, r)``
+    of ``ReducedRegion.selected_points``; the bound and the argmin are
+    computed on first read, then kept.  It holds its own copy of D, the
+    selection (a view of the cached grid, its mask and row list) and the
+    values of the span's rows, and recomputes each chunk's product with D
+    for the bound, so no (M, p) array outlives the call and a caller that
+    changes its matrix afterwards changes nothing here.  Most callers
+    read ``value`` alone."""
 
     def __init__(self, D, selection, vals, i):
         self.value, self.kind = float(vals[i]), "grid"
@@ -83,7 +82,7 @@ class _GridResult(OracleResult):
     @cached_property
     def value_lb(self):
         D, vals = self._D, self._vals
-        points, near, _outside, _ring, chunks, r = self._selection
+        points, near, _outside, chunks, r = self._selection
         maxd = float(np.max(np.abs(D)))
         L = 2.0 * maxd
         lb_lip = float(np.min(vals, where=near, initial=np.inf)) - L * r
@@ -387,15 +386,14 @@ class ReducedRegion:
         return near, inside
 
     def selected_points(self, denominator):
-        """``(points, near, outside, ring, chunks, r)`` at the given
-        resolution.  ``points`` is the span of rows of ``simplex_grid(p,
-        N)`` from its first to its last point within the covering radius
-        r = p/(2N) (in the hull distance) of the region, a view of the
-        cached grid, not a copy; ``near`` marks the span's points within r
-        of the region; ``outside`` lists the span's rows that are not in
-        the region itself and ``ring`` those of them within r; ``chunks``
-        are the row slices of the span (``_chunks``).  Cached: none of it
-        depends on the quadratic being minimized."""
+        """``(points, near, outside, chunks, r)`` at the given resolution.
+        ``points`` is the span of rows of ``simplex_grid(p, N)`` from its
+        first to its last point within the covering radius r = p/(2N) (in
+        the hull distance) of the region, a view of the cached grid, not a
+        copy; ``near`` marks the span's points within r of the region;
+        ``outside`` lists the span's rows that are not in the region
+        itself; ``chunks`` are the row slices of the span (``_chunks``).
+        Cached: none of it depends on the quadratic being minimized."""
         N = int(denominator)
         if N not in self._selected:
             r = self.p / (2.0 * N)
@@ -405,10 +403,9 @@ class ReducedRegion:
             last = pts.shape[0] - int(np.argmax(near[::-1])) if near[first] else first
             near = near[first:last]
             outside = np.flatnonzero(~(inside[first:last] & near))
-            ring = outside[near[outside]]
-            for a in (near, outside, ring):
-                a.setflags(write=False)
-            self._selected[N] = (pts[first:last], near, outside, ring,
+            near.setflags(write=False)
+            outside.setflags(write=False)
+            self._selected[N] = (pts[first:last], near, outside,
                                  _chunks(last - first), r)
         return self._selected[N]
 
@@ -498,9 +495,8 @@ def min_quad_over_omega(D, omega, h):
     ``einsum(c, c @ D)`` for each chunk c; no point is gathered into a
     copy and no (M, p) product is held.  The value and argmin are the
     first least value over the points inside the region, in grid order:
-    the argmin of the values with +inf at the ``outside`` rows, after
-    which the ``ring`` rows (outside the region but within r) get their
-    values back for the bound.
+    the argmin with +inf written at the ``outside`` rows, whose values are
+    then put back for the bound.
     The certificate combines two bounds over the points within r:
     the Lipschitz bound grid_min - L*r with L = 2 max|D_kl|, and the
     per-point expansion
@@ -530,14 +526,12 @@ def min_quad_over_omega(D, omega, h):
             f"grid of {grid_point_count(p, N)} points exceeds the cap "
             f"{_MAX_GRID_POINTS} (p={p}, 1/h={N})")
     selection = omega.selected_points(N)
-    points, _near, outside, ring, chunks, _r = selection
-    if len(chunks) == 1:
-        vals = np.einsum("ij,ij->i", points, points @ D)
-    else:
-        vals = np.concatenate([np.einsum("ij,ij->i", c, c @ D)
-                               for c in map(points.__getitem__, chunks)])
-    kept = vals[ring]
+    points, _near, outside, chunks, _r = selection
+    vals = np.empty(len(points))
+    for rows in chunks:
+        np.einsum("ij,ij->i", points[rows], points[rows] @ D, out=vals[rows])
+    kept = vals[outside]
     vals[outside] = np.inf
     i = int(np.argmin(vals))
-    vals[ring] = kept   # rows beyond r stay +inf; the bound skips them
+    vals[outside] = kept
     return _GridResult(D, selection, vals, i)
