@@ -1,9 +1,10 @@
 """Self-contained dense LP engine with primal and dual extraction.
 
-Two-phase simplex on a standard form built from arrays: free variables are
-split, lower-bounded variables shifted, upper bounds become internal rows.
-A program builds its standard form once, from its rows and bounds, and
-keeps it read-only; a solve builds only its cost vectors.
+Two-phase simplex on a standard form built from arrays, the rows A x (rel)
+b and the bounds of a program: free variables are split, lower-bounded
+variables shifted, upper bounds become internal rows.  A program builds
+its standard form once and keeps it read-only; a solve builds only its
+cost vectors.
 
 Pivoting is Dantzig's rule with deterministic lowest-index tie-breaking,
 falling back to Bland's rule once a run of degenerate pivots trips the
@@ -90,31 +91,29 @@ def _checked_objective(objective, nvar=None, ndim=1):
 
 
 class LinearProgram:
-    """min objective . x subject to rows (coeffs, relation, rhs) and bounds.
+    """min objective . x subject to the rows A x (rel) b and bounds: ``A``
+    (m, nvar), the m relations ``rel`` and the m right-hand sides ``b``.
 
     ``bounds[j] = (lo, hi)`` with ``lo < +inf`` and ``hi > -inf``; variables
     default to free.  The objective, the coefficients and the right-hand
-    sides must be finite.  The rows are stacked into ``A``, ``rel`` and
-    ``b``; ``rows`` gives them back as (coeffs, relation, rhs) tuples.
-    Every array is read-only, and the standard form is built here, once.
+    sides must be finite.  ``A``, ``rel`` and ``b`` are read-only copies;
+    ``rows`` gives them back as (coeffs, relation, rhs) tuples.
     """
 
-    def __init__(self, objective, rows, bounds=None):
+    def __init__(self, objective, A, rel, b, bounds=None):
         self.objective = _checked_objective(objective)
         nvar = self.objective.size
-        A, rel, b = [], [], []
-        for i, (coeffs, r, rhs) in enumerate(rows):
-            a = np.asarray(coeffs, dtype=float)
-            if a.shape != (nvar,):
-                raise ValueError(f"row {i} has {a.size} coefficients, expected {nvar}")
-            if r not in (REL_LE, REL_EQ, REL_GE):
-                raise ValueError(f"row {i} has unknown relation {r!r}")
-            A.append(a)
-            rel.append(r)
-            b.append(float(rhs))
-        self.A = np.array(A, dtype=float).reshape(len(A), nvar)
-        self.rel = np.array(rel, dtype="<U2")
-        self.b = np.array(b, dtype=float)
+        self.A, self.b = np.array(A, dtype=float), np.array(b, dtype=float)
+        rel = np.asarray(rel)
+        m = self.b.shape[0] if self.b.ndim == 1 else -1
+        if self.A.shape != (m, nvar) or rel.shape != (m,):
+            raise ValueError(f"A, rel and b have shapes {self.A.shape}, {rel.shape} and "
+                             f"{self.b.shape}, expected (m, {nvar}), (m,) and (m,)")
+        known = (rel == REL_LE) | (rel == REL_EQ) | (rel == REL_GE)
+        if not known.all():
+            i = _first(~known)
+            raise ValueError(f"row {i} has unknown relation {rel[i].item()!r}")
+        self.rel = rel.astype("<U2")
         finite = np.isfinite(self.A).all(axis=1)
         if not finite.all():
             raise ValueError(f"row {_first(~finite)} has a non-finite coefficient")

@@ -268,11 +268,12 @@ def l1_dist_to_hull(T, V):
     p = tc.shape[-1]
     if any(v.size != p for v in pts):
         raise DimensionError("hull points must match the dimension of t")
-    # variables g (p) then s; minimize s - g.t
-    rows = [(np.append(v, -1.0), REL_LE, 0.0) for v in pts]
+    # variables g (p) then s; minimize s - g.t subject to [V | -1] (g, s) <= 0
+    A = np.column_stack([pts, -np.ones(len(pts))])
     bounds = [(-1.0, 1.0)] * p + [(-np.inf, np.inf)]
     C = np.column_stack([-tc.reshape(-1, p), np.ones(tc.size // p)])
-    sols = solve_lp(LinearProgram(np.zeros(p + 1), rows, bounds), objectives=C)
+    sols = solve_lp(LinearProgram(np.zeros(p + 1), A, [REL_LE] * len(A), np.zeros(len(A)),
+                                  bounds), objectives=C)
     failed = sols.status != "Optimal"
     if failed.any():
         raise LpError(f"hull-distance LP reported {sols.status[failed.argmax()]}; "

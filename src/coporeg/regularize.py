@@ -22,7 +22,7 @@ from .model import (SimplexPoint, eval_constraint, kernel_dimension,
 from .oracle import (CapabilityError, ReducedRegion, is_copositive,
                      min_quad_over_omega, stationary_candidate_stack,
                      stationary_candidates)  # noqa: F401
-from .sip import (CertificateError, SipError, SipInstance, linear_row_data,
+from .sip import (CertificateError, SipError, SipInstance, record_rows,
                   solve_sip)
 
 
@@ -445,9 +445,9 @@ def forced_zero_rows(prog, t_j, reg, cfg=DEFAULT):
     # the box must hold a neighbourhood of the witness, where P and F agree;
     # witnesses of `regularize` often sit on the master's box |x_j| <= box_r
     r = max(cfg.box_r, 2.0 * float(np.max(np.abs(reg.witness), initial=0.0)))
-    rows_lp = LinearProgram(np.zeros(prog.n), reg.rows, [(-r, r)] * prog.n)
-    coefs, rhs = zip(*(linear_row_data(prog, t_j, k) for k in range(prog.p)))
-    sols = solve_lp(rows_lp, tol=cfg.tol_lp, objectives=-np.array(coefs))
+    rows_lp = LinearProgram(np.zeros(prog.n), *reg.rows, [(-r, r)] * prog.n)
+    coefs, _rel, rhs = record_rows(prog, (Record(t_j, ()),))
+    sols = solve_lp(rows_lp, tol=cfg.tol_lp, objectives=-coefs)
     failed = sols.status != "Optimal"
     if failed.any():
         raise LpError(f"row maximization LP reported {sols.status[failed.argmax()]}")

@@ -31,9 +31,9 @@ class SipError(RuntimeError):
 
 
 class SipInstance:
-    """One subproblem: the LP rows of ``records`` (``rows``, built once for
-    every master round and for ``forced_zero_rows``) plus a quadratic
-    constraint over ``omega`` (None means the full simplex)."""
+    """One subproblem: the LP rows of ``records`` (``rows``, one (A, rel, b)
+    block built once for every master round and ``forced_zero_rows``) plus
+    a quadratic constraint over ``omega`` (None means the full simplex)."""
 
     def __init__(self, prog, records, omega=None):
         self.prog = prog
@@ -82,51 +82,43 @@ class SipOutcome:
                 f"diag={self.diagnostics})")
 
 
-def linear_row_data(prog, tau, k):
-    """Coefficients and rhs of the row  e_k' A(x) tau  (relation supplied
-    by the caller): coefficients over x, rhs moved from the constant A_0."""
-    t = tau.coords
-    coefs = np.array([float(Aj[k] @ t) for Aj in prog.A[1:]])
-    rhs = -float(prog.A[0][k] @ t)
-    return coefs, rhs
-
-
 def record_rows(prog, records):
-    """LP rows over x of a record set: (coefs, relation, rhs) of the rows
-    e_k' A(x) tau, equalities (k in L) first, then inequalities (>= 0),
-    each in ``row_pairs`` order."""
+    """LP rows over x of a record set, as arrays (A, rel, b): the rows
+    e_k' A(x) tau == or >= 0, the constant A_0 moved to b, equalities (k in
+    L) first, then inequalities, each in ``row_pairs`` order."""
     eq, ineq = row_pairs(records, prog.p)
-    rows = []
-    for rel, pairs in ((REL_EQ, eq), (REL_GE, ineq)):
-        for i, k in pairs:
-            coefs, rhs = linear_row_data(prog, records[i].tau, k)
-            rows.append((coefs, rel, rhs))
-    return rows
+    A, b = np.empty((len(eq) + len(ineq), prog.n)), np.empty(len(eq) + len(ineq))
+    for r, (i, k) in enumerate(eq + ineq):
+        t = records[i].tau.coords
+        A[r] = [float(Aj[k] @ t) for Aj in prog.A[1:]]
+        b[r] = -float(prog.A[0][k] @ t)
+    return A, np.array([REL_EQ] * len(eq) + [REL_GE] * len(ineq), dtype="<U2"), b
 
 
 def cut_row(prog, t):
-    """The master row of the cut at t:  t' A(x) t + mu >= 0, as (coefs over
-    (x, mu), relation, rhs moved from the constant A_0)."""
+    """The master row of the cut at t,  t' A(x) t + mu >= 0, as (coefs over
+    (x, mu), rhs moved from the constant A_0)."""
     tc = t.coords
     coefs = [float(tc @ Aj @ tc) for Aj in prog.A[1:]]
-    return np.array(coefs + [1.0]), REL_GE, -float(tc @ prog.A[0] @ tc)
+    return np.array(coefs + [1.0]), -float(tc @ prog.A[0] @ tc)
 
 
 def _build_master(inst, cut_rows, box_r):
-    """Master LP over (x, mu).  Its rows, whose duals ``solve_sip`` and
-    ``extract_certificate`` read by position: the record equalities and
-    inequalities (zero mu coefficient), 2(n+1) box rows on x and mu, then
-    ``cut_rows``, one row per cut (``cut_row``)."""
-    nvar = inst.prog.n + 1
-    rows = [(np.append(coefs, 0.0), rel, rhs) for coefs, rel, rhs in inst.rows]
-    box = np.empty((2 * nvar, nvar))   # box: var_j >= -R and -var_j >= -R
-    box[0::2] = np.eye(nvar)
-    box[1::2] = -np.eye(nvar)
-    rows += [(e, REL_GE, -box_r) for e in box]
-    rows += cut_rows
-    objective = np.zeros(nvar)
-    objective[-1] = 1.0
-    return LinearProgram(objective, rows)
+    """Master LP over (x, mu), filled from three blocks of rows whose duals
+    ``solve_sip`` and ``extract_certificate`` read by position: the record
+    rows (zero mu coefficient), 2(n+1) box rows on x and mu, then one >=
+    row per (coefs, rhs) pair of ``cut_rows`` (``cut_row``)."""
+    rec_A, rec_rel, rec_b = inst.rows
+    m, nvar = rec_b.size, inst.prog.n + 1
+    A = np.zeros((m + 2 * nvar + len(cut_rows), nvar))
+    A[:m, :-1] = rec_A
+    A[m:m + 2 * nvar:2] = np.eye(nvar)
+    A[m + 1:m + 2 * nvar:2] = -np.eye(nvar)
+    A[m + 2 * nvar:] = np.reshape([coefs for coefs, _rhs in cut_rows], (-1, nvar))
+    rel = np.concatenate([rec_rel, np.full(2 * nvar + len(cut_rows), REL_GE)])
+    b = np.concatenate([rec_b, np.full(2 * nvar, -box_r),
+                        [rhs for _coefs, rhs in cut_rows]])
+    return LinearProgram(np.eye(nvar)[-1], A, rel, b)     # minimize mu
 
 
 _CUT_ROUNDS = 300     # cutting-plane rounds per SIP solve
@@ -151,11 +143,17 @@ def solve_sip(inst, cfg, a0_copositive=False):
         if sol is None:
             master = _build_master(inst, cut_rows, box_r)
             # with A_0 copositive, (x=0, mu=0) satisfies every master row
-            if a0_copositive and np.any(np.where(
-                    master.rel == REL_EQ, np.abs(master.b), master.b) > cfg.tol_feas):
-                raise SipError(
-                    "A_0 was flagged copositive but (x=0, mu=0) violates the "
-                    "master; the flag or the record data is wrong", mu_star, rounds)
+            if a0_copositive:
+                viol = np.where(master.rel == REL_EQ, np.abs(master.b), master.b)
+                r = int(np.argmax(viol > cfg.tol_feas))    # no box row is violated
+                if viol[r] > cfg.tol_feas:
+                    pairs = inst.eq_rows + inst.ineq_rows
+                    row = (f"record {pairs[r][0] + 1} row {pairs[r][1] + 1}"
+                           if r < len(pairs) else f"cut {r - len(viol) + len(cuts) + 1}")
+                    raise SipError(
+                        "A_0 was flagged copositive but (x=0, mu=0) violates the "
+                        f"master at {row} by {viol[r]:.3e}; the flag or the record "
+                        "data is wrong", mu_star, rounds)
             sol = solve_lp(master, tol=cfg.tol_lp)
             if sol.status == "Infeasible":
                 # the box rows bound mu too: a cut that needs mu > box_r, or

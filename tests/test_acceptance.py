@@ -17,7 +17,6 @@ from coporeg import (DEFAULT, DualCertificate, FaceLedgerEntry,
 from coporeg.lp import REL_GE, REL_LE
 from coporeg.oracle import stationary_candidate_stack, stationary_candidates
 from coporeg.regularize import _omega_margins
-from coporeg.sip import linear_row_data
 
 from conftest import simplex
 from equiv_reference import equiv_sample_all_margins
@@ -88,7 +87,8 @@ def test_criterion_1_analytic_recovery(analytic_runs):
         rec = res2.regularized.records[0]
         ok2 = (np.max(np.abs(rec.tau.coords - [1.0, 0.0])) <= 1e-6
                and rec.L == frozenset({0}))
-        coefs, rhs = linear_row_data(prog2, rec.tau, 1)
+        A, _rel, b = res2.regularized.rows     # row 1: (0, 1), an inequality
+        coefs, rhs = A[1], b[1]
         ok2 = ok2 and coefs[0] > 1e-6 and abs(rhs / coefs[0]) <= 1e-9
     detail.append(f"e2 {res2.status} m*={res2.m_star} in {dt2:.2f}s")
 
@@ -340,13 +340,11 @@ def test_criterion_9_lp_core():
         A = rng.normal(size=(nrow, nvar))
         x0 = rng.uniform(0.0, 1.0, size=nvar)
         b = A @ x0 + rng.uniform(0.1, 1.0, size=nrow)
-        rows = [(A[i], REL_LE, float(b[i])) for i in range(nrow)]
-        for j in range(nvar):
-            e = np.zeros(nvar)
-            e[j] = 1.0
-            rows.append((e, REL_GE, 0.0))
-            rows.append((e.copy(), REL_LE, 10.0))
-        lp = LinearProgram(rng.normal(size=nvar), rows)
+        # then 0 <= x_j <= 10 as a >= and a <= row for each j
+        A = np.vstack([A, np.repeat(np.eye(nvar), 2, axis=0)])
+        rel = [REL_LE] * nrow + [REL_GE, REL_LE] * nvar
+        b = np.concatenate([b, np.tile([0.0, 10.0], nvar)])
+        lp = LinearProgram(rng.normal(size=nvar), A, rel, b)
         s1 = solve_lp(lp)
         s2 = solve_lp(lp)
         ok = ok and s1.status == "Optimal" and np.array_equal(s1.basis, s2.basis)

@@ -1,4 +1,5 @@
 import collections
+import re
 import sys
 
 import numpy as np
@@ -12,7 +13,7 @@ from coporeg.lp import REL_EQ, REL_GE, REL_LE
 
 
 def test_simple_lower_bound():
-    lp = LinearProgram([1.0], [([1.0], REL_GE, 3.0)])
+    lp = LinearProgram([1.0], [[1.0]], [REL_GE], [3.0])
     sol = solve_lp(lp)
     assert sol.status == "Optimal"
     assert sol.primal[0] == pytest.approx(3.0)
@@ -21,20 +22,19 @@ def test_simple_lower_bound():
 
 
 def test_unbounded_ray():
-    lp = LinearProgram([-1.0], [], bounds=[(0.0, np.inf)])
+    lp = LinearProgram([-1.0], np.empty((0, 1)), [], [], bounds=[(0.0, np.inf)])
     sol = solve_lp(lp)
     assert sol.status == "Unbounded"
 
 
 def test_infeasible():
-    lp = LinearProgram([0.0], [([1.0], REL_GE, 1.0), ([1.0], REL_LE, 0.0)])
+    lp = LinearProgram([0.0], [[1.0], [1.0]], [REL_GE, REL_LE], [1.0, 0.0])
     assert solve_lp(lp).status == "Infeasible"
 
 
 def test_equality_and_bounds():
     # min x + y st x + y == 2, 0 <= x <= 1.5, y free via rows
-    lp = LinearProgram([1.0, 1.0],
-                       [([1.0, 1.0], REL_EQ, 2.0), ([0.0, 1.0], REL_GE, 0.3)],
+    lp = LinearProgram([1.0, 1.0], [[1.0, 1.0], [0.0, 1.0]], [REL_EQ, REL_GE], [2.0, 0.3],
                        bounds=[(0.0, 1.5), (-np.inf, np.inf)])
     sol = solve_lp(lp)
     assert sol.status == "Optimal"
@@ -44,8 +44,7 @@ def test_equality_and_bounds():
 
 def test_upper_bounded_negated_variable():
     # lo = -inf, hi finite exercises the negated column mode
-    lp = LinearProgram([-1.0], [([1.0], REL_GE, -5.0)],
-                       bounds=[(-np.inf, 2.0)])
+    lp = LinearProgram([-1.0], [[1.0]], [REL_GE], [-5.0], bounds=[(-np.inf, 2.0)])
     sol = solve_lp(lp)
     assert sol.status == "Optimal"
     assert sol.primal[0] == pytest.approx(2.0)
@@ -55,14 +54,12 @@ def _random_feasible_bounded(rng, nvar, nrow):
     A = rng.normal(size=(nrow, nvar))
     x0 = rng.uniform(0.0, 1.0, size=nvar)
     b = A @ x0 + rng.uniform(0.1, 1.0, size=nrow)
-    rows = [(A[i], REL_LE, float(b[i])) for i in range(nrow)]
-    for j in range(nvar):
-        e = np.zeros(nvar)
-        e[j] = 1.0
-        rows.append((e, REL_GE, 0.0))
-        rows.append((e.copy(), REL_LE, 10.0))
+    # then 0 <= x_j <= 10 as a >= and a <= row for each j
+    A = np.vstack([A, np.repeat(np.eye(nvar), 2, axis=0)])
+    rel = [REL_LE] * nrow + [REL_GE, REL_LE] * nvar
+    b = np.concatenate([b, np.tile([0.0, 10.0], nvar)])
     c = rng.normal(size=nvar)
-    return LinearProgram(c, rows)
+    return LinearProgram(c, A, rel, b)
 
 
 def test_strong_duality_and_complementarity():
@@ -95,9 +92,10 @@ def test_deterministic_bases():
 
 
 @pytest.mark.parametrize("prog, status", [
-    (LinearProgram([1.0, 2.0], [([1.0, 1.0], REL_GE, 1.0)], [(0.0, np.inf)] * 2), "Optimal"),
-    (LinearProgram([-1.0], [], bounds=[(0.0, np.inf)]), "Unbounded"),
-    (LinearProgram([0.0], [([1.0], REL_GE, 1.0), ([1.0], REL_LE, 0.0)]), "Infeasible")])
+    (LinearProgram([1.0, 2.0], [[1.0, 1.0]], [REL_GE], [1.0], [(0.0, np.inf)] * 2),
+     "Optimal"),
+    (LinearProgram([-1.0], np.empty((0, 1)), [], [], bounds=[(0.0, np.inf)]), "Unbounded"),
+    (LinearProgram([0.0], [[1.0], [1.0]], [REL_GE, REL_LE], [1.0, 0.0]), "Infeasible")])
 def test_a_single_solve_is_row_0_of_its_stack(prog, status):
     sol = solve_lp(prog)
     stack = solve_lp(prog, objectives=prog.objective[None])
@@ -110,9 +108,9 @@ def test_a_single_solve_is_row_0_of_its_stack(prog, status):
 
 def test_degenerate_instance_terminates():
     # classic degenerate vertex: several rows active at the optimum
-    rows = [([1.0, 0.0], REL_LE, 1.0), ([0.0, 1.0], REL_LE, 1.0),
-            ([1.0, 1.0], REL_LE, 2.0), ([1.0, -1.0], REL_LE, 0.0)]
-    lp = LinearProgram([-1.0, -1.0], rows, bounds=[(0.0, np.inf)] * 2)
+    A = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]]
+    lp = LinearProgram([-1.0, -1.0], A, [REL_LE] * 4, [1.0, 1.0, 2.0, 0.0],
+                       bounds=[(0.0, np.inf)] * 2)
     sol = solve_lp(lp)
     assert sol.status == "Optimal"
     assert sol.objective_value == pytest.approx(-2.0)
@@ -120,10 +118,8 @@ def test_degenerate_instance_terminates():
 
 def _beale():
     # Beale's LP, on which Dantzig's rule cycles at the degenerate origin
-    rows = [([0.25, -60.0, -0.04, 9.0], REL_LE, 0.0),
-            ([0.5, -90.0, -0.02, 3.0], REL_LE, 0.0),
-            ([0.0, 0.0, 1.0, 0.0], REL_LE, 1.0)]
-    return LinearProgram([-0.75, 150.0, -0.02, 6.0], rows,
+    A = [[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0], [0.0, 0.0, 1.0, 0.0]]
+    return LinearProgram([-0.75, 150.0, -0.02, 6.0], A, [REL_LE] * 3, [0.0, 0.0, 1.0],
                          bounds=[(0.0, np.inf)] * 4)
 
 
@@ -139,27 +135,39 @@ def test_bland_rule_breaks_beales_cycle(monkeypatch):
         solve_lp(_beale())
 
 
-@pytest.mark.parametrize("objective, rows, bounds, needle", [
-    ([np.nan], [], None, "variable 0"),
-    ([1.0, np.inf], [], None, "variable 1"),
-    ([1.0], [([np.nan], REL_GE, 1.0)], [(0.0, np.inf)], "row 0"),
-    ([1.0], [([1.0], REL_LE, 2.0), ([np.inf], REL_GE, 1.0)], None, "row 1"),
-    ([1.0], [([1.0], REL_LE, 2.0), ([np.inf], REL_GE, 1.0), ([np.nan], REL_LE, 1.0)],
+@pytest.mark.parametrize("objective, A, rel, b, bounds, needle", [
+    ([np.nan], np.empty((0, 1)), [], [], None, "variable 0"),
+    ([1.0, np.inf], np.empty((0, 2)), [], [], None, "variable 1"),
+    ([1.0], [[np.nan]], [REL_GE], [1.0], [(0.0, np.inf)], "row 0"),
+    ([1.0], [[1.0], [np.inf]], [REL_LE, REL_GE], [2.0, 1.0], None, "row 1"),
+    ([1.0], [[1.0], [np.inf], [np.nan]], [REL_LE, REL_GE, REL_LE], [2.0, 1.0, 1.0],
      None, "row 1 has"),
-    ([1.0], [([1.0], REL_LE, 2.0), ([1.0], REL_GE, np.inf), ([1.0], REL_LE, np.nan)],
+    ([1.0], [[1.0], [1.0], [1.0]], [REL_LE, REL_GE, REL_LE], [2.0, np.inf, np.nan],
      None, "row 1 rhs"),
-    ([1.0], [([1.0], REL_GE, np.nan)], None, "row 0"),
-    ([1.0], [], [(np.nan, 1.0)], "variable 0"),
-    ([1.0, 1.0], [], [(0.0, 1.0), (0.0, np.nan)], "variable 1"),
-    ([1.0], [], [(np.inf, np.inf)], "variable 0"),
-    ([1.0], [], [(-np.inf, -np.inf)], "variable 0"),
-    ([1.0], [], [(2.0, 1.0)], "variable 0"),
+    ([1.0], [[1.0]], [REL_GE], [np.nan], None, "row 0"),
+    ([1.0], np.empty((0, 1)), [], [], [(np.nan, 1.0)], "variable 0"),
+    ([1.0, 1.0], np.empty((0, 2)), [], [], [(0.0, 1.0), (0.0, np.nan)], "variable 1"),
+    ([1.0], np.empty((0, 1)), [], [], [(np.inf, np.inf)], "variable 0"),
+    ([1.0], np.empty((0, 1)), [], [], [(-np.inf, -np.inf)], "variable 0"),
+    ([1.0], np.empty((0, 1)), [], [], [(2.0, 1.0)], "variable 0"),
+    ([1.0], [[1.0], [1.0]], [REL_LE, "=<"], [1.0, 1.0], None,
+     "row 1 has unknown relation '=<'"),
+    ([1.0], [[1.0]], ["<=="], [1.0], None, "row 0 has unknown relation '<=='"),
+    ([1.0], [[1.0, 2.0]], [REL_LE], [1.0], None,
+     "A, rel and b have shapes (1, 2), (1,) and (1,), expected (m, 1), (m,) and (m,)"),
+    ([1.0], [[1.0], [2.0]], [REL_LE], [1.0, 2.0], None,
+     "A, rel and b have shapes (2, 1), (1,) and (2,), expected (m, 1)"),
+    ([1.0], [[1.0], [2.0]], [REL_LE, REL_GE], [1.0, 2.0, 3.0], None,
+     "A, rel and b have shapes (2, 1), (2,) and (3,), expected (m, 1)"),
+    ([1.0], [], [], [], None,
+     "A, rel and b have shapes (0,), (0,) and (0,), expected (m, 1)"),
 ], ids=["nan-objective", "inf-objective", "nan-coefficient", "inf-coefficient",
         "two-bad-rows", "two-bad-rhs", "nan-rhs", "nan-lower", "nan-upper",
-        "lower-plus-inf", "upper-minus-inf", "empty-interval"])
-def test_non_finite_data_is_rejected(objective, rows, bounds, needle):
-    with pytest.raises(ValueError, match=needle):
-        LinearProgram(objective, rows, bounds)
+        "lower-plus-inf", "upper-minus-inf", "empty-interval", "unknown-relation",
+        "long-relation", "wrong-columns", "short-rel", "long-b", "empty-1d-A"])
+def test_non_finite_data_is_rejected(objective, A, rel, b, bounds, needle):
+    with pytest.raises(ValueError, match=re.escape(needle)):
+        LinearProgram(objective, A, rel, b, bounds)
 
 
 # --- differential test against HiGHS -----------------------------------------
@@ -213,7 +221,7 @@ def _unbounded_lp(rng):
 
 
 def _solve_both(linprog, c, A, rels, b, bounds):
-    ours = solve_lp(LinearProgram(c, list(zip(A, rels, b)), bounds))
+    ours = solve_lp(LinearProgram(c, A, rels, b, bounds))
     le, ge, eq = rels == REL_LE, rels == REL_GE, rels == REL_EQ
     A_ub = np.vstack([A[le], -A[ge]])
     b_ub = np.concatenate([b[le], -b[ge]])
@@ -460,7 +468,7 @@ def _assert_stack_bit_identical(prog, objectives, events=None, **kwargs):
     want = []
     bounds = list(zip(prog.lo, prog.hi))
     for c in objectives:
-        out = _outcome(_ref_solve_lp, LinearProgram(c, prog.rows, bounds),
+        out = _outcome(_ref_solve_lp, LinearProgram(c, prog.A, prog.rel, prog.b, bounds),
                        events=events, **kwargs)
         if out[0] == "LpError":
             want = out
@@ -475,7 +483,8 @@ def _assert_stack_bit_identical(prog, objectives, events=None, **kwargs):
 
 
 def _rebuilt(prog):
-    return LinearProgram(prog.objective, prog.rows, list(zip(prog.lo, prog.hi)))
+    return LinearProgram(prog.objective, prog.A, prog.rel, prog.b,
+                         list(zip(prog.lo, prog.hi)))
 
 
 def _assert_bit_identical(prog, events=None, **kwargs):
@@ -533,7 +542,7 @@ _MODES = ("free", "lower", "upper", "boxed", "fixed")
 def small_lps(draw):
     """Small integer LPs over every bound mode and relation, with negative
     right-hand sides, degenerate and redundant rows: (objective, another
-    objective, rows, bounds, modes)."""
+    objective, A, rel, b, bounds, modes)."""
     nvar = draw(st.integers(1, 4))
     small = st.integers(-2, 2).map(float)
     modes = draw(st.lists(st.sampled_from(_MODES), min_size=nvar, max_size=nvar))
@@ -546,7 +555,9 @@ def small_lps(draw):
     vector = st.lists(small, min_size=nvar, max_size=nvar)
     rows = draw(st.lists(st.tuples(vector, st.sampled_from(_RELS),
                                    st.integers(-3, 3).map(float)), max_size=5))
-    return draw(vector), draw(vector), rows, bounds, modes
+    A = np.array([a for a, _rel, _rhs in rows]).reshape(len(rows), nvar)
+    rel, b = [r for _a, r, _rhs in rows], [rhs for _a, _r, rhs in rows]
+    return draw(vector), draw(vector), A, rel, b, bounds, modes
 
 
 _BRANCHES = {"free", "lower", "upper", "boxed", "fixed", REL_LE, REL_EQ, REL_GE,
@@ -560,8 +571,8 @@ def test_generated_lps_are_bit_identical_on_every_branch():
     @settings(derandomize=True, deadline=None, database=None, max_examples=400)
     @given(small_lps())
     def check(case):
-        objective, other, rows, bounds, modes = case
-        prog = LinearProgram(objective, rows, bounds)
+        objective, other, A, rel, b, bounds, modes = case
+        prog = LinearProgram(objective, A, rel, b, bounds)
         events = collections.Counter()
         want = _assert_bit_identical(prog, events=events)
         _assert_stack_bit_identical(prog, np.array([objective]))
@@ -572,7 +583,7 @@ def test_generated_lps_are_bit_identical_on_every_branch():
         assert std.row_flip.tobytes() == ref.row_flip.tobytes()
         assert std.basis.tolist() == ref.basis
         seen.update(events.keys())
-        seen.update(set(modes) | {rel for _, rel, _ in rows} | {want[0]})
+        seen.update(set(modes) | set(rel) | {want[0]})
         if (ref.row_flip < 0.0).any():
             seen["negative rhs"] += 1
 
@@ -673,7 +684,7 @@ def test_a_singular_stack_is_solved_one_row_at_a_time(monkeypatch):
 
     rng = np.random.default_rng(22)
     c, A, rels, b, bounds = _random_lp(rng)
-    prog = LinearProgram(c, list(zip(A, rels, b)), bounds)
+    prog = LinearProgram(c, A, rels, b, bounds)
     objectives = np.array([c, -c, c + rng.normal(size=c.size)])
     monkeypatch.setattr(np.linalg, "solve", singular_stacks)
     _assert_stack_bit_identical(prog, objectives)
@@ -706,7 +717,7 @@ def test_a_stack_over_many_bases_and_entering_columns_is_bit_identical(monkeypat
     events, statuses = collections.Counter(), collections.Counter()
     for _ in range(4):
         c, A, rels, b, bounds = _random_lp(rng, degenerate=True)
-        prog = LinearProgram(c, list(zip(A, rels, b)), bounds)
+        prog = LinearProgram(c, A, rels, b, bounds)
         want = _assert_stack_bit_identical(prog, rng.normal(size=(300, c.size)),
                                            events=events)
         assert want[0] != "LpError"
@@ -835,9 +846,9 @@ def test_stacked_basis_solve_matches_two_solves_bitwise():
 def test_program_arrays_are_read_only_and_shared():
     # every solve of a program, whatever its objectives, reads the one
     # standard form its constructor built
-    prog = LinearProgram([1.0, -1.0, 0.5],
-                         [([1.0, 1.0, 0.0], REL_LE, 2.0), ([1.0, -1.0, 1.0], REL_GE, -1.0),
-                          ([0.0, 1.0, 1.0], REL_EQ, 1.0)],
+    A = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 1.0], [0.0, 1.0, 1.0]])
+    rel, b = np.array([REL_LE, REL_GE, REL_EQ]), np.array([2.0, -1.0, 1.0])
+    prog = LinearProgram([1.0, -1.0, 0.5], A, rel, b,
                          [(0.0, 1.0), (-np.inf, np.inf), (-np.inf, 3.0)])
     std = prog._std
     arrays = [prog.objective, prog.A, prog.rel, prog.b, prog.lo, prog.hi, std.A, std.b,
@@ -858,9 +869,9 @@ def test_program_arrays_are_read_only_and_shared():
 @pytest.mark.parametrize("objective, first", [
     ([np.nan, 1.0, 2.0], 0), ([1.0, np.inf, -np.inf], 1), ([1.0, 2.0, np.nan], 2)])
 def test_an_objective_stack_rejects_a_non_finite_objective(objective, first):
-    prog = LinearProgram([0.0] * 3, [([1.0, 1.0, 1.0], REL_LE, 1.0)])
+    prog = LinearProgram([0.0] * 3, [[1.0, 1.0, 1.0]], [REL_LE], [1.0])
     with pytest.raises(ValueError) as built:
-        LinearProgram(objective, prog.rows)
+        LinearProgram(objective, prog.A, prog.rel, prog.b)
     assert str(built.value) == f"objective coefficient of variable {first} is not finite"
     with pytest.raises(ValueError, match=f"^objective 0 coefficient of variable {first} "):
         solve_lp(prog, objectives=[objective])
@@ -869,12 +880,12 @@ def test_an_objective_stack_rejects_a_non_finite_objective(objective, first):
 
 
 def test_an_objective_stack_rejects_a_wrong_shape():
-    prog = LinearProgram([0.0] * 3, [([1.0, 1.0, 1.0], REL_LE, 1.0)])
+    prog = LinearProgram([0.0] * 3, [[1.0, 1.0, 1.0]], [REL_LE], [1.0])
     with pytest.raises(ValueError, match="objective has 2 coefficients, expected 3"):
         solve_lp(prog, objectives=[[1.0, 2.0]])
     with pytest.raises(ValueError, match=r"objectives must be an \(S, nvar\) array"):
         solve_lp(prog, objectives=[[[1.0, 2.0, 3.0]]])
     with pytest.raises(ValueError, match="objective must be a vector"):
-        LinearProgram([[1.0, 2.0, 3.0]], prog.rows)
+        LinearProgram([[1.0, 2.0, 3.0]], prog.A, prog.rel, prog.b)
     with pytest.raises(ValueError, match=r"objectives must be an \(S, nvar\) array"):
         solve_lp(prog, objectives=[1.0, 2.0, 3.0])

@@ -11,7 +11,7 @@ from coporeg import (CapabilityError, ReducedRegion, SimplexPoint,
                      min_quad_over_omega, min_quad_over_simplex, quad_form,
                      simplex_grid)
 from coporeg import lp, oracle
-from coporeg.lp import REL_EQ, REL_GE, LinearProgram, solve_lp
+from coporeg.lp import REL_EQ, REL_GE, REL_LE, LinearProgram, solve_lp
 
 from conftest import simplex
 from grid_reference import grid_min_full
@@ -364,10 +364,10 @@ def _reference_hull_distance(t, V):
     rhs = np.empty(2 * p)
     rhs[0::2] = tc
     rhs[1::2] = -tc
-    rows = [(a, REL_GE, r) for a, r in zip(coefs, rhs)]
     objective = np.concatenate([np.zeros(m), np.ones(p)])
-    rows.append((1.0 - objective, REL_EQ, 1.0))
-    sol = solve_lp(LinearProgram(objective, rows, [(0.0, np.inf)] * (m + p)))
+    A = np.vstack([coefs, 1.0 - objective])         # and sum w == 1
+    rel, b = [REL_GE] * (2 * p) + [REL_EQ], np.append(rhs, 1.0)
+    sol = solve_lp(LinearProgram(objective, A, rel, b, [(0.0, np.inf)] * (m + p)))
     assert sol.status == "Optimal"
     return max(0.0, float(sol.objective_value))
 
@@ -436,6 +436,30 @@ def test_hull_distance_matches_highs():
         want = _highs_hull_distance(linprog, t, V)
         assert l1_dist_to_hull(t, V) == pytest.approx(want, abs=1e-9)
         assert _reference_hull_distance(t, V) == pytest.approx(want, abs=1e-9)
+
+
+def test_hull_program_matches_the_row_built_program_bitwise(monkeypatch):
+    # a 3-point hull: its rows [v | -1] <= 0 against the program stacked
+    # from one (coeffs, relation, rhs) tuple per hull point
+    programs = []
+    solve = oracle.solve_lp
+
+    def recorded(prog, **kwargs):
+        programs.append(prog)
+        return solve(prog, **kwargs)
+
+    monkeypatch.setattr(oracle, "solve_lp", recorded)
+    V = [simplex(0.5, 0.5, 0), simplex(0, 0.25, 0.75), simplex(0.2, 0.3, 0.5)]
+    l1_dist_to_hull(simplex(1, 0, 0), V)
+    (prog,) = programs
+    rows = [(np.append(v.coords, -1.0), REL_LE, 0.0) for v in V]
+    A, rel, b = (np.array(col) for col in zip(*rows))
+    want = LinearProgram(np.zeros(4), A, rel, b, [(-1.0, 1.0)] * 3 + [(-np.inf, np.inf)])
+    assert [a.tobytes() for a in (prog.A, prog.rel, prog.b)] == [
+        a.tobytes() for a in (A, rel, b)]
+    std, ref = prog._std, want._std
+    assert [a.tobytes() for a in (std.A, std.b, std.basis)] == [
+        a.tobytes() for a in (ref.A, ref.b, ref.basis)]
 
 
 def test_hull_distance_needs_no_phase_one_on_the_simplex(monkeypatch):

@@ -1,4 +1,5 @@
 import importlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from coporeg.model import (SimplexPoint, certificate_matrix, kernel_residual,
                            zero_row_matrix)
 from coporeg.oracle import is_copositive
 from coporeg.regularize import face_rows
-from coporeg.sip import _build_master, record_rows
+from coporeg.sip import _build_master, cut_row, record_rows, solve_sip
 
 from conftest import simplex
 
@@ -54,9 +55,9 @@ def test_e2_regularized(reg_e2):
 
 def test_e2_inequality_row_is_x_nonneg(e2, reg_e2):
     # the single inequality row must read  a*x >= b  with a > 0, b/a = 0
-    from coporeg.sip import linear_row_data
     rec = reg_e2.regularized.records[0]
-    coefs, rhs = linear_row_data(e2, rec.tau, 1)
+    A, _rel, b = record_rows(e2, (Record(rec.tau, ()),))
+    coefs, rhs = A[1], b[1]
     assert coefs[0] > 1e-6
     assert rhs / coefs[0] == pytest.approx(0.0, abs=1e-9)
 
@@ -598,8 +599,8 @@ def test_forced_zero_rows_e2(e2, reg_e2):
 
 def test_forced_zero_rows_row_lp_failure_is_typed(e2, reg_e2, monkeypatch):
     # the same objectives on a program with no feasible point
-    empty = LinearProgram(np.zeros(e2.n), [(np.ones(e2.n), REL_GE, 1.0),
-                                           (np.ones(e2.n), REL_LE, 0.0)])
+    empty = LinearProgram(np.zeros(e2.n), np.ones((2, e2.n)), [REL_GE, REL_LE],
+                          [1.0, 0.0])
     monkeypatch.setattr(REGULARIZE, "solve_lp", lambda lp, **kw: solve_lp(empty, **kw))
     with pytest.raises(LpError, match="row maximization LP reported Infeasible"):
         forced_zero_rows(e2, simplex(1, 0), reg_e2.regularized)
@@ -661,24 +662,56 @@ def _pairwise_rows(prog, records):
     return rows
 
 
-def _bits(rows):
-    return [(np.asarray(a, dtype=float).tobytes(), rel,
-             np.float64(b).tobytes()) for a, rel, b in rows]
+def _row_built_master(prog, records, cuts, box_r):
+    """The master's (A, rel, b) as it was built one row at a time and
+    stacked: the pairwise record rows with a zero mu coefficient, an
+    ``np.eye`` and a ``-np.eye`` row per variable (x, mu) against -box_r,
+    and a >= row per cut with coefficients t' A_j t."""
+    nvar = prog.n + 1
+    eye = np.eye(nvar)
+    rows = [(np.append(a, 0.0), rel, b) for a, rel, b in _pairwise_rows(prog, records)]
+    for j in range(nvar):
+        rows += [(eye[j], REL_GE, -box_r), (-eye[j], REL_GE, -box_r)]
+    for t in cuts:
+        tc = t.coords
+        coefs = [float(tc @ Aj @ tc) for Aj in prog.A[1:]]
+        rows.append((np.array(coefs + [1.0]), REL_GE, -float(tc @ prog.A[0] @ tc)))
+    A, rel, b = zip(*rows)
+    return np.array(A), np.array(rel), np.array(b, dtype=float)
+
+
+def _bytes(*arrays):
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
 
 
 @pytest.mark.parametrize("name", ["e2", "e4", "gen36", "planting50"])
 def test_record_rows_match_the_pairwise_rows_bitwise(face_cases, name):
     prog, reg = face_cases[name]
+    # the cuts of the round-zero and of the final subproblem, solved at the
+    # default box and at an escalated one
+    cuts = []
+    for inst in (SipInstance(prog, ()), SipInstance(prog, reg.records, reg.omega)):
+        for box_r in (DEFAULT.box_r, 10.0 * DEFAULT.box_r):
+            cuts += solve_sip(inst, replace(DEFAULT, box_r=box_r)).cuts
+    assert cuts
     # the final records, and each point alone with all-inequality rows
     record_sets = [reg.records] + [(Record(r.tau, ()),) for r in reg.records]
     for records in record_sets:
         ref = _pairwise_rows(prog, records)
         assert len(ref) == len(records) * prog.p
-        assert _bits(record_rows(prog, records)) == _bits(ref)
-        # the master puts them first, with a zero mu coefficient
-        master = _build_master(SipInstance(prog, records), [], DEFAULT.box_r)
-        assert _bits(master.rows[:len(ref)]) == _bits(
-            (np.append(a, 0.0), rel, b) for a, rel, b in ref)
+        A, rel, b = zip(*ref)
+        assert _bytes(*record_rows(prog, records)) == _bytes(
+            np.array(A), np.array(rel), np.array(b, dtype=float))
+        # the master puts them first, then the box rows, then the cuts
+        for box_r in (DEFAULT.box_r, 10.0 * DEFAULT.box_r):
+            for some in (cuts[:0], cuts[:1], cuts):
+                master = _build_master(SipInstance(prog, records),
+                                       [cut_row(prog, t) for t in some], box_r)
+                want = _row_built_master(prog, records, some, box_r)
+                assert _bytes(master.A, master.rel, master.b) == _bytes(*want)
+                std = LinearProgram(master.objective, *want)._std
+                assert _bytes(master._std.A, master._std.b, master._std.basis) == \
+                    _bytes(std.A, std.b, std.basis)
 
 
 @pytest.mark.parametrize("name", ["e2", "e4", "gen36", "planting50"])

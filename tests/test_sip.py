@@ -108,9 +108,9 @@ def test_zero_optimum_not_an_artifact_of_origin(e2):
     for direction, dist in ((1.0, 0.01), (-1.0, 0.01)):
         master = _build_master(inst, [cut_row(e2, t) for t in out.cuts],
                                DEFAULT.box_r)
-        rows = list(master.rows)
-        rows.append((np.array([direction, 0.0]), REL_GE, dist))
-        sol = solve_lp(LinearProgram(master.objective, rows))
+        A = np.vstack([master.A, [direction, 0.0]])
+        rel, b = np.append(master.rel, REL_GE), np.append(master.b, dist)
+        sol = solve_lp(LinearProgram(master.objective, A, rel, b))
         assert sol.status == "Optimal"
         assert sol.primal[-1] >= -DEFAULT.tol_zero
 
@@ -187,18 +187,24 @@ def test_empty_region_reduces_to_lp():
 
 
 def test_a0_flag_check_fires():
-    # A_0 not copositive: the (0, 0) feasibility check must trip
+    # A_0 not copositive: the (0, 0) feasibility check must trip, on the
+    # first record row: (A_0 tau)_1 = -1/2, so 0 >= 1/2 fails by 1/2
     prog = CopositiveProgram([1.0], [[[0, -1], [-1, 0]], [[0, 1], [1, 0]]])
     tau = simplex(0.5, 0.5)
     inst = SipInstance(prog, (Record(tau, set()),), ReducedRegion([tau]))
-    with pytest.raises(SipError, match="flagged copositive"):
+    with pytest.raises(SipError, match="flagged copositive") as info:
         solve_sip(inst, DEFAULT, a0_copositive=True)
+    assert "violates the master at record 1 row 1 by 5.000e-01;" in info.value.reason
+    # with no records, the first cut, at tau, fails by -tau' A_0 tau = 1/2
+    with pytest.raises(SipError, match="flagged copositive") as info:
+        solve_sip(SipInstance(prog, ()), DEFAULT, a0_copositive=True)
+    assert "violates the master at cut 1 by 5.000e-01;" in info.value.reason
 
 
 def test_row_data_shapes(e2):
-    coefs, rel, rhs = cut_row(e2, simplex(0.5, 0.5))
+    coefs, rhs = cut_row(e2, simplex(0.5, 0.5))
     # t' A_1 t = 2 t1 t2 = 1/2, mu has coefficient 1 and rhs = -t' A_0 t = -1/4
-    assert coefs.tolist() == [0.5, 1.0] and rel == REL_GE
+    assert coefs.tolist() == [0.5, 1.0]
     assert rhs == pytest.approx(-0.25)
 
 
