@@ -6,17 +6,26 @@ variables shifted, upper bounds become internal rows.  A program builds
 its standard form once and keeps it read-only; a solve builds only its
 cost vectors.
 
+``with_row`` grows a program by one row: the new program's standard form
+is block copies of the old one's plus the row's slack and artificial
+columns, byte for byte the standard form a fresh build would make, so a
+solve of it keeps every pivot's bits.
+
 Pivoting is Dantzig's rule with deterministic lowest-index tie-breaking,
 falling back to Bland's rule once a run of degenerate pivots trips the
-cycling heuristic.  A scalar pivot makes two ``np.linalg.solve`` calls:
-one over the stack (B, B') gives the basic solution and the duals, and
-one gives the entering column.  LAPACK still factorises each matrix of
-the stack on its own (one ``gesv`` with one right-hand side each), so the
-results are the bits of separate solves, and B is factorised three times
-per pivot.  Solving all three against one factorisation would round
-differently and so move pivots, which are kept bit-identical.  Dual
-multipliers follow the convention (min problem): >= rows nonnegative,
-<= rows nonpositive, == rows free.
+cycling heuristic.  The pivot loops call LAPACK through the gufuncs that
+``np.linalg.solve`` wraps (``numpy.linalg._umath_linalg.solve`` and
+``solve1``, signature "dd->d"), whose output is its bits, and enter
+``np.linalg.solve``'s floating-point state once per loop, not once per
+solve: a singular basis raises LinAlgError("Singular matrix").  A scalar
+pivot makes two solves: one over the stack (B, B') gives the basic
+solution and the duals, and one gives the entering column.  LAPACK still
+factorises each matrix of the stack on its own (one ``gesv`` with one
+right-hand side each), so the results are the bits of separate solves,
+and B is factorised three times per pivot.  Solving all three against
+one factorisation would round differently and so move pivots, which are
+kept bit-identical.  Dual multipliers follow the convention (min
+problem): >= rows nonnegative, <= rows nonpositive, == rows free.
 
 Every solve is a stack of objectives: ``solve_lp(lp, tol, objectives=C)``
 solves the program once for each row of an (S, nvar) array and returns an
@@ -28,7 +37,7 @@ takes the rows in chunks of at most ``_STACK_ROWS`` (1024), and the chunk
 size alone picks the pivot loop: a one-row chunk takes the scalar
 ``_simplex``, and a larger chunk ``_simplex_stack``, which pivots its rows
 in lockstep.  A lockstep step groups its rows by basis, which they mostly
-share, in a hash table, and makes three stacked ``np.linalg.solve`` calls:
+share, in a hash table, and makes three stacked solves:
 B x_B = b once per distinct basis, B' y = c_B once per row, and B d =
 a_enter once per distinct (basis, entering column) pair.  Each row keeps
 its own pivot choice, ties and degenerate-run switch.  LAPACK solves each
@@ -41,9 +50,11 @@ recovered by one routine, ``_stack_solutions``, for a chunk of any size,
 as arrays.
 """
 
+import math
 from collections import namedtuple
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .grouping import key_groups, row_groups
 
@@ -56,9 +67,26 @@ _DEGENERATE_RUN = 50
 _MAX_ITERS = 20000
 _STACK_ROWS = 1024       # objectives pivoted in lockstep at a time
 
+# the gufuncs that np.linalg.solve wraps, for a stack of right-hand-side
+# matrices and for one right-hand-side vector; called with
+# signature="dd->d" inside _lapack_state(), they give its bits
+_solve, _solve1 = _umath_linalg.solve, _umath_linalg.solve1
+
 
 class LpError(RuntimeError):
     """Numerical failure inside the simplex engine."""
+
+
+def _raise_singular(_err, _flag):
+    raise LinAlgError("Singular matrix")
+
+
+def _lapack_state():
+    """np.linalg.solve's floating-point state: LAPACK's invalid flag on a
+    singular matrix raises LinAlgError("Singular matrix"), and overflow,
+    division by zero and underflow are ignored."""
+    return np.errstate(call=_raise_singular, invalid="call", over="ignore",
+                       divide="ignore", under="ignore")
 
 
 def _first(mask):
@@ -134,6 +162,31 @@ class LinearProgram:
         self.nvar = nvar
         self._std = _Std(self)
 
+    def with_row(self, coefs, rel, rhs):
+        """This program with one more row, ``coefs . x (rel) rhs``, after
+        its rows: a new program that shares the objective and the bounds
+        and validates only the new row.  Its standard form grows from this
+        one's (``_Std.with_row``) and equals a fresh build's byte for byte."""
+        i = self.b.size
+        coefs = np.array(coefs, dtype=float)
+        if coefs.shape != (self.nvar,):
+            raise ValueError(f"row {i} has shape {coefs.shape}, expected ({self.nvar},)")
+        if not (rel == REL_LE or rel == REL_EQ or rel == REL_GE):
+            raise ValueError(f"row {i} has unknown relation {rel!r}")
+        if not np.isfinite(coefs).all():
+            raise ValueError(f"row {i} has a non-finite coefficient")
+        rhs = float(rhs)
+        if not math.isfinite(rhs):
+            raise ValueError(f"row {i} rhs must be finite")
+        new = object.__new__(LinearProgram)
+        new.objective, new.lo, new.hi, new.nvar = self.objective, self.lo, self.hi, self.nvar
+        new.A = np.concatenate((self.A, coefs[None]))
+        new.rel = np.append(self.rel, rel)
+        new.b = np.append(self.b, rhs)
+        _read_only(new.A, new.rel, new.b)
+        new._std = self._std.with_row(coefs, rel, rhs)
+        return new
+
     @property
     def rows(self):
         return list(zip(self.A, self.rel.tolist(), self.b.tolist()))
@@ -183,8 +236,9 @@ class _Std:
         m = m_user + ub.size
         b = np.empty(m)
         b[:m_user] = lp.b
-        for j in (shift != 0.0).nonzero()[0]:   # b_i - a_i1 s_1 - a_i2 s_2 - ..., in turn
-            b[:m_user] -= lp.A[:, j] * shift[j]
+        self._shifts = [(j, shift[j]) for j in (shift != 0.0).nonzero()[0].tolist()]
+        for j, s in self._shifts:   # b_i - a_i1 s_1 - a_i2 s_2 - ..., in turn
+            b[:m_user] -= lp.A[:, j] * s
         b[m_user:] = (hi - lo)[orig[ub]]
         sense = np.ones(m)                       # slack sign; 0 for ==
         sense[:m_user] = np.where(lp.rel == REL_LE, 1.0,
@@ -209,12 +263,60 @@ class _Std:
         basis[slack] = nstruct + np.arange(slack.size)
         basis[art] = n_real + np.arange(art.size)   # >= rows too
         self.basis = basis
-        self.scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
+        self._b_max = float(np.max(np.abs(b), initial=0.0))
+        self.scale = 1.0 + self._b_max
         # a user row's violation is |v| on == rows, v on <= rows, -v on >= rows
         self.eq_rows = lp.rel == REL_EQ
         self.row_sign = np.where(lp.rel == REL_LE, 1.0, -1.0)
         _read_only(self.orig, self.sign, self.shift, self.row_flip, A, b, basis,
                    self.eq_rows, self.row_sign)
+
+    def with_row(self, coefs, rel, rhs):
+        """The standard form of the program with one more user row, ``coefs
+        . x (rel) rhs`` (checked), from this one's arrays by block copies.
+        The row goes after the user rows, before the upper-bound rows; its
+        slack column, if it has one, after the user rows' slack columns,
+        and its artificial column, if it needs one, last.  Every array
+        equals a fresh build's byte for byte; the column arrays are shared."""
+        new = object.__new__(_Std)
+        new.orig, new.sign, new.shift, new._shifts = self.orig, self.sign, self.shift, self._shifts
+        nstruct = new.nstruct = self.nstruct
+        new.nvar = self.nvar
+        for j, s in self._shifts:
+            rhs -= coefs[j] * s
+        sense = 1.0 if rel == REL_LE else -1.0 if rel == REL_GE else 0.0
+        flip = rhs < 0.0
+        if flip:
+            rhs, sense = -rhs, -sense
+        slack, art = int(sense != 0.0), int(sense <= 0.0)
+        m_user = self.row_flip.size
+        (m, ncols), n_real = self.A.shape, self.n_real_cols
+        cut = n_real - (m - m_user)                 # the upper-bound rows' slacks follow
+        A = np.zeros((m + 1, ncols + slack + art))
+        A[:m_user, :cut] = self.A[:m_user, :cut]
+        A[m_user + 1:, :cut] = self.A[m_user:, :cut]
+        A[:m_user, cut + slack:ncols + slack] = self.A[:m_user, cut:]
+        A[m_user + 1:, cut + slack:ncols + slack] = self.A[m_user:, cut:]
+        row = A[m_user]
+        row[:nstruct] = coefs[self.orig] * self.sign + 0.0
+        if flip:
+            row[:nstruct] = -row[:nstruct]
+        if slack:
+            row[cut] = sense
+        if art:
+            row[-1] = 1.0
+        new.A, new.n_real_cols = A, n_real + slack
+        new.b = np.concatenate((self.b[:m_user], [rhs], self.b[m_user:]))
+        basis = self.basis + (self.basis >= cut) * slack
+        new.basis = np.concatenate((basis[:m_user], [ncols + slack if art else cut],
+                                    basis[m_user:]))
+        new._b_max = float(max(self._b_max, abs(rhs)))
+        new.scale = 1.0 + new._b_max
+        new.row_flip = np.append(self.row_flip, -1.0 if flip else 1.0)
+        new.eq_rows = np.append(self.eq_rows, rel == REL_EQ)
+        new.row_sign = np.append(self.row_sign, 1.0 if rel == REL_LE else -1.0)
+        _read_only(new.row_flip, A, new.b, new.basis, new.eq_rows, new.row_sign)
+        return new
 
     def to_original(self, V):
         """Original-variable points of the standard-form points, rows of
@@ -237,6 +339,12 @@ def _simplex(A, b, c, basis, n_allow, tol):
     """Iterate to optimality, pricing the columns ``0 .. n_allow - 1``;
     ``basis`` (an int array) is updated in place.
 
+    A pivot makes two LAPACK solves, the gufuncs that ``np.linalg.solve``
+    wraps: one over the stack (B, B') for the basic solution and the
+    duals, and one for the entering column.  The loop runs in one
+    ``_lapack_state()``, ``np.linalg.solve``'s floating-point state, so
+    the loop's other arithmetic runs under it too.
+
     Returns (xb, y, unbounded).
     """
     m = A.shape[0]
@@ -253,52 +361,54 @@ def _simplex(A, b, c, basis, n_allow, tol):
     B = stack[0]
     rhs = np.empty((2, m, 1))
     rhs[0, :, 0] = b
-    for _ in range(_MAX_ITERS):
-        A.take(basis, axis=1, out=B)
-        stack[1] = B.T
-        c.take(basis, out=rhs[1, :, 0])
-        try:
-            xy = np.linalg.solve(stack, rhs)   # LAPACK solves B and B' apart
-        except np.linalg.LinAlgError as e:
-            raise LpError(f"singular basis {tuple(basis.tolist())}: {e}") from e
-        xb, y = xy[0, :, 0], xy[1, :, 0]
-        reduced = c_priced - priced_t @ y
-        cand = (~basic_priced & (reduced < -tol)).nonzero()[0]
-        if cand.size == 0:
-            return xb, y, False
-        if use_bland:
-            enter = int(cand[0])
-        else:
-            enter = int(cand[reduced[cand].argmin()])
-        try:
-            d = np.linalg.solve(B, A[:, enter])
-        except np.linalg.LinAlgError as e:
-            raise LpError(f"singular basis on pivot: {e}") from e
-        pos = (d > _PIV_TOL).nonzero()[0]
-        if pos.size == 0:
-            return xb, y, True
-        ratios = xb[pos] / d[pos]
-        best = float(ratios.min())
-        ties = pos[ratios <= best + _PIV_TOL * (1.0 + abs(best))]
-        leave_row = int(ties[basis[ties].argmin()])
-        if best <= _PIV_TOL:
-            degenerate_run += 1
-            if degenerate_run >= _DEGENERATE_RUN:
-                use_bland = True
-        else:
-            degenerate_run = 0
-        in_basis[basis[leave_row]] = False
-        in_basis[enter] = True
-        basis[leave_row] = enter
+    with _lapack_state():
+        for _ in range(_MAX_ITERS):
+            A.take(basis, axis=1, out=B)
+            stack[1] = B.T
+            c.take(basis, out=rhs[1, :, 0])
+            try:   # LAPACK solves B and B' apart
+                xy = _solve(stack, rhs, signature="dd->d")
+            except LinAlgError as e:
+                raise LpError(f"singular basis {tuple(basis.tolist())}: {e}") from e
+            xb, y = xy[0, :, 0], xy[1, :, 0]
+            reduced = c_priced - priced_t @ y
+            cand = (~basic_priced & (reduced < -tol)).nonzero()[0]
+            if cand.size == 0:
+                return xb, y, False
+            if use_bland:
+                enter = int(cand[0])
+            else:
+                enter = int(cand[reduced[cand].argmin()])
+            try:
+                d = _solve1(B, A[:, enter], signature="dd->d")
+            except LinAlgError as e:
+                raise LpError(f"singular basis on pivot: {e}") from e
+            pos = (d > _PIV_TOL).nonzero()[0]
+            if pos.size == 0:
+                return xb, y, True
+            ratios = xb[pos] / d[pos]
+            best = float(ratios.min())
+            ties = pos[ratios <= best + _PIV_TOL * (1.0 + abs(best))]
+            leave_row = int(ties[basis[ties].argmin()])
+            if best <= _PIV_TOL:
+                degenerate_run += 1
+                if degenerate_run >= _DEGENERATE_RUN:
+                    use_bland = True
+            else:
+                degenerate_run = 0
+            in_basis[basis[leave_row]] = False
+            in_basis[enter] = True
+            basis[leave_row] = enter
     raise LpError("simplex iteration cap exceeded")
 
 
 def _entering_columns(B, At, group, enter):
     """The solution d of B d = a for each row's basis ``B[group]`` and
     entering column a = ``At[enter]``: one stacked solve, one system per
-    distinct (basis, column) pair."""
+    distinct (basis, column) pair, in the caller's ``_lapack_state()``."""
     pair, first = key_groups(group * At.shape[0] + enter)
-    return np.linalg.solve(B[group[first]], At[enter[first]][:, :, None])[pair, :, 0]
+    return _solve(B[group[first]], At[enter[first]][:, :, None],
+                  signature="dd->d")[pair, :, 0]
 
 
 def _simplex_stack(A, b, C, basis, n_allow, tol):
@@ -308,9 +418,11 @@ def _simplex_stack(A, b, C, basis, n_allow, tol):
 
     A step groups the rows by basis (``row_groups``) and solves
     B x_B = b once per distinct basis, B' y = c_B once per row, and
-    B d = a_enter once per distinct (basis, entering column) pair: each a
-    stacked ``np.linalg.solve`` in which LAPACK solves every matrix on its
-    own, so each row gets the bits of its own solve.
+    B d = a_enter once per distinct (basis, entering column) pair: each
+    one stacked call of the gufunc that ``np.linalg.solve`` wraps, in
+    which LAPACK solves every matrix on its own, so each row gets the bits
+    of its own solve.  As in ``_simplex``, the loop runs in one
+    ``_lapack_state()``, and its other arithmetic under it too.
 
     Returns (bases, XB, Y, unbounded), one row per cost vector (XB and Y
     are zero on an unbounded row).  Raises LpError at the iteration cap;
@@ -333,41 +445,42 @@ def _simplex_stack(A, b, C, basis, n_allow, tol):
     degenerate_run = np.zeros(S, dtype=int)
     use_bland = np.zeros(S, dtype=bool)
     live = np.arange(S)                            # the rows still pivoting
-    for _ in range(_MAX_ITERS):
-        live_bases = bases[live]
-        group, first = row_groups(live_bases, ncols)
-        Bt = At[live_bases[first]]                 # the distinct bases, transposed
-        B = Bt.transpose(0, 2, 1)
-        xb = np.linalg.solve(B, b_col)[group, :, 0]
-        cb = np.take_along_axis(C[live], live_bases, axis=1)
-        y = np.linalg.solve(Bt[group], cb[:, :, None])[..., 0]
-        reduced = _stacked_reduced_costs(C[live, :n_allow], priced_t, y)
-        eligible = ~in_basis[live, :n_allow] & (reduced < -tol)
-        go = eligible.any(axis=1)
-        XB[live[~go]], Y[live[~go]] = xb[~go], y[~go]
-        live, group, xb = live[go], group[go], xb[go]
-        if live.size == 0:
-            return bases, XB, Y, unbounded
-        eligible, reduced = eligible[go], reduced[go]
-        enter = np.where(use_bland[live], eligible.argmax(axis=1),
-                         np.where(eligible, reduced, np.inf).argmin(axis=1))
-        d = _entering_columns(B, At, group, enter)
-        pos = d > _PIV_TOL
-        ray = ~pos.any(axis=1)
-        unbounded[live[ray]] = True
-        live, xb, d, pos, enter = live[~ray], xb[~ray], d[~ray], pos[~ray], enter[~ray]
-        if live.size == 0:
-            return bases, XB, Y, unbounded
-        ratios = np.divide(xb, d, out=np.full(d.shape, np.inf), where=pos)
-        best = ratios.min(axis=1)
-        ties = pos & (ratios <= (best + _PIV_TOL * (1.0 + np.abs(best)))[:, None])
-        leave = np.where(ties, bases[live], ncols).argmin(axis=1)
-        run = np.where(best <= _PIV_TOL, degenerate_run[live] + 1, 0)
-        degenerate_run[live] = run
-        use_bland[live] |= run >= _DEGENERATE_RUN
-        in_basis[live, bases[live, leave]] = False
-        in_basis[live, enter] = True
-        bases[live, leave] = enter
+    with _lapack_state():
+        for _ in range(_MAX_ITERS):
+            live_bases = bases[live]
+            group, first = row_groups(live_bases, ncols)
+            Bt = At[live_bases[first]]                 # the distinct bases, transposed
+            B = Bt.transpose(0, 2, 1)
+            xb = _solve(B, b_col, signature="dd->d")[group, :, 0]
+            cb = np.take_along_axis(C[live], live_bases, axis=1)
+            y = _solve(Bt[group], cb[:, :, None], signature="dd->d")[..., 0]
+            reduced = _stacked_reduced_costs(C[live, :n_allow], priced_t, y)
+            eligible = ~in_basis[live, :n_allow] & (reduced < -tol)
+            go = eligible.any(axis=1)
+            XB[live[~go]], Y[live[~go]] = xb[~go], y[~go]
+            live, group, xb = live[go], group[go], xb[go]
+            if live.size == 0:
+                return bases, XB, Y, unbounded
+            eligible, reduced = eligible[go], reduced[go]
+            enter = np.where(use_bland[live], eligible.argmax(axis=1),
+                             np.where(eligible, reduced, np.inf).argmin(axis=1))
+            d = _entering_columns(B, At, group, enter)
+            pos = d > _PIV_TOL
+            ray = ~pos.any(axis=1)
+            unbounded[live[ray]] = True
+            live, xb, d, pos, enter = live[~ray], xb[~ray], d[~ray], pos[~ray], enter[~ray]
+            if live.size == 0:
+                return bases, XB, Y, unbounded
+            ratios = np.divide(xb, d, out=np.full(d.shape, np.inf), where=pos)
+            best = ratios.min(axis=1)
+            ties = pos & (ratios <= (best + _PIV_TOL * (1.0 + np.abs(best)))[:, None])
+            leave = np.where(ties, bases[live], ncols).argmin(axis=1)
+            run = np.where(best <= _PIV_TOL, degenerate_run[live] + 1, 0)
+            degenerate_run[live] = run
+            use_bland[live] |= run >= _DEGENERATE_RUN
+            in_basis[live, bases[live, leave]] = False
+            in_basis[live, enter] = True
+            bases[live, leave] = enter
     raise LpError("simplex iteration cap exceeded")
 
 
@@ -392,7 +505,7 @@ def _phase_one(std, tol):
                 # pivot the artificial out on the first usable real column
                 try:
                     binv_row = np.linalg.solve(A[:, basis].T, np.eye(m)[row])
-                except np.linalg.LinAlgError as e:
+                except LinAlgError as e:
                     raise LpError(f"singular basis after phase 1: {e}") from e
                 usable = np.abs(binv_row @ A[:, :n_real]) > _PIV_TOL
                 usable[basis[basis < n_real]] = False
@@ -434,7 +547,7 @@ def _solve_stack(lp, tol, C):
         stop = min(start + _STACK_ROWS, S)
         try:
             parts.append(_phase_two(lp, C[start:stop], costs[start:stop], basis, tol))
-        except (np.linalg.LinAlgError, LpError):
+        except (LinAlgError, LpError):
             if stop - start == 1:
                 raise
             # one row at a time: the first failing row raises its own error

@@ -107,7 +107,10 @@ def _build_master(inst, cut_rows, box_r):
     """Master LP over (x, mu), filled from three blocks of rows whose duals
     ``solve_sip`` and ``extract_certificate`` read by position: the record
     rows (zero mu coefficient), 2(n+1) box rows on x and mu, then one >=
-    row per (coefs, rhs) pair of ``cut_rows`` (``cut_row``)."""
+    row per (coefs, rhs) pair of ``cut_rows`` (``cut_row``).  ``solve_sip``
+    builds the first master of a solve and the master after a box
+    escalation with it, and grows it by ``LinearProgram.with_row`` for each
+    new cut, which keeps these bits."""
     rec_A, rec_rel, rec_b = inst.rows
     m, nvar = rec_b.size, inst.prog.n + 1
     A = np.zeros((m + 2 * nvar + len(cut_rows), nvar))
@@ -134,14 +137,16 @@ def solve_sip(inst, cfg, a0_copositive=False):
     refinements = 0
     escalations = 0
     cuts, cut_rows = [], []   # each cut's master row is built once
+    points = np.empty((0, prog.p))   # the cut points, one row each
     mu_star = None
+    master = _build_master(inst, cut_rows, box_r)
     sol = None                # the master's solution, None after it changed
 
     for rounds in range(1, _CUT_ROUNDS + 1):
-        # only a new cut or a box escalation changes the master; a grid
-        # refinement keeps the last round's master and its solution
+        # a new cut grows the master by its row, a box escalation builds it
+        # again; a grid refinement keeps the last round's master and its
+        # solution
         if sol is None:
-            master = _build_master(inst, cut_rows, box_r)
             # with A_0 copositive, (x=0, mu=0) satisfies every master row
             if a0_copositive:
                 viol = np.where(master.rel == REL_EQ, np.abs(master.b), master.b)
@@ -186,10 +191,13 @@ def solve_sip(inst, cfg, a0_copositive=False):
         # a branch that neither returns, continues nor raises names its
         # reason for the shared refine-or-give-up tail
         if res.value + mu_star < -cfg.tol_feas:
-            if not any(np.max(np.abs(res.argmin.coords - t.coords)) <= 1e-12
-                       for t in cuts):
+            t = res.argmin.coords
+            if not (np.max(np.abs(points - t), axis=1) <= 1e-12).any():
                 cuts.append(res.argmin)
-                cut_rows.append(cut_row(prog, res.argmin))
+                points = np.concatenate((points, t[None]))
+                coefs, rhs = cut_row(prog, res.argmin)
+                cut_rows.append((coefs, rhs))
+                master = master.with_row(coefs, REL_GE, rhs)
                 sol = None
                 continue
             # repeated cut: the grid cannot separate further at this h
@@ -220,6 +228,7 @@ def solve_sip(inst, cfg, a0_copositive=False):
                 if escalations < 2:
                     escalations += 1
                     box_r *= 10.0
+                    master = _build_master(inst, cut_rows, box_r)
                     sol = None
                     continue
                 raise SipError("zero optimum supported on the box after "

@@ -13,6 +13,29 @@ def fixture_path(name):
     return os.path.join(FIXTURES, name)
 
 
+def _field_bytes(value):
+    """A field of a program or of its standard form as comparable bytes:
+    an array's dtype, shape, bytes and write flag; a float's bytes, so
+    that -0.0 and 0.0 differ."""
+    if isinstance(value, np.ndarray):
+        return ("array", value.dtype.str, value.shape, value.tobytes(), value.flags.writeable)
+    if isinstance(value, (list, tuple)):
+        return tuple(_field_bytes(v) for v in value)
+    if isinstance(value, float):
+        return ("float", np.float64(value).tobytes())
+    return (type(value).__name__, value)
+
+
+def assert_same_program(got, want):
+    """Every field of the two ``LinearProgram`` objects, and of their
+    standard forms, is equal byte for byte."""
+    for a, b in ((got, want), (got._std, want._std)):
+        fields = sorted(set(vars(b)) - {"_std"})
+        assert sorted(set(vars(a)) - {"_std"}) == fields
+        for name in fields:
+            assert _field_bytes(getattr(a, name)) == _field_bytes(getattr(b, name)), name
+
+
 @pytest.fixture(scope="session")
 def e1():
     # A(x) = [[1, x], [x, 1]]; strictly feasible at x = 0

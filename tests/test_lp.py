@@ -11,6 +11,8 @@ from coporeg import (LinearProgram, LpError, SimplexPoint, generate_instance,
 from coporeg import grouping, lp as lp_mod
 from coporeg.lp import REL_EQ, REL_GE, REL_LE
 
+from conftest import assert_same_program
+
 
 def test_simple_lower_bound():
     lp = LinearProgram([1.0], [[1.0]], [REL_GE], [3.0])
@@ -591,6 +593,80 @@ def test_generated_lps_are_bit_identical_on_every_branch():
     assert _BRANCHES <= set(seen), _BRANCHES - set(seen)
 
 
+# 31.3 and 31.7 exceed every other |b| of the drawn programs, and
+# (1 + x) - 1 != x for both: the scale must keep max |b|, not undo 1 + max |b|
+_GROWN_RHS = {"negative": -31.7, "-0.0": -0.0, "zero": 0.0, "positive": 31.3}
+
+
+@st.composite
+def grown_lps(draw):
+    """A ``small_lps`` program and 1-4 rows to append to it, over every
+    relation, with coefficients including -0.0 and right-hand sides
+    negative, zero, -0.0 and positive: (objective, A, rel, b, bounds,
+    modes, rows), each row (coefs, relation, name of its rhs)."""
+    objective, _other, A, rel, b, bounds, modes = draw(small_lps())
+    coefs = st.lists(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0]),
+                     min_size=len(objective), max_size=len(objective))
+    rows = draw(st.lists(st.tuples(coefs, st.sampled_from(_RELS),
+                                   st.sampled_from(sorted(_GROWN_RHS))),
+                         min_size=1, max_size=4))
+    return objective, A, rel, b, bounds, modes, rows
+
+
+_GROWN_BRANCHES = ({"free", "lower", "upper", "boxed", "flipped row", "artificial row",
+                    "upper-bound rows", "Optimal", "Infeasible", "Unbounded"}
+                   | set(_RELS) | set(_GROWN_RHS))
+
+
+def test_a_grown_program_is_the_fresh_program_bitwise():
+    # with_row's standard form comes from block copies of its parent's:
+    # every field must be a fresh build's, signed zeros and the running
+    # max |b| of the scale included, and so must every solve's bits
+    seen = collections.Counter()
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @given(grown_lps())
+    def check(case):
+        objective, A, rel, b, bounds, modes, rows = case
+        prog = LinearProgram(objective, A, rel, b, bounds)
+        objectives = np.array([objective, -np.asarray(objective)])
+        seen.update(modes)
+        for k, (coefs, r, rhs) in enumerate(rows, start=1):
+            prog = prog.with_row(coefs, r, _GROWN_RHS[rhs])
+            fresh = LinearProgram(objective, np.vstack([A] + [c for c, _r, _b in rows[:k]]),
+                                  list(rel) + [r for _c, r, _b in rows[:k]],
+                                  list(b) + [_GROWN_RHS[name] for _c, _r, name in rows[:k]],
+                                  bounds)
+            assert_same_program(prog, fresh)
+            want = _outcome(solve_lp, fresh)
+            assert _outcome(solve_lp, prog) == want
+            assert _stack_fields(solve_lp(prog, objectives=objectives)) == \
+                _stack_fields(solve_lp(fresh, objectives=objectives))
+            seen.update({r, rhs, want[0]})
+            std = prog._std
+            if std.row_flip[-1] < 0.0:
+                seen["flipped row"] += 1
+            if std.basis[prog.b.size - 1] >= std.n_real_cols:
+                seen["artificial row"] += 1
+            if std.A.shape[0] > prog.b.size:
+                seen["upper-bound rows"] += 1
+
+    check()
+    assert _GROWN_BRANCHES <= set(seen), _GROWN_BRANCHES - set(seen)
+
+
+@pytest.mark.parametrize("bad, needle", [
+    (([1.0, 2.0, 3.0], REL_GE, 0.0), "row 1 has shape (3,), expected (2,)"),
+    (([1.0, 2.0], "=>", 0.0), "row 1 has unknown relation '=>'"),
+    (([1.0, np.nan], REL_LE, 0.0), "row 1 has a non-finite coefficient"),
+    (([1.0, 2.0], REL_EQ, np.inf), "row 1 rhs must be finite"),
+], ids=["shape", "relation", "coefficient", "rhs"])
+def test_a_grown_row_is_validated(bad, needle):
+    prog = LinearProgram([1.0, 1.0], [[1.0, -1.0]], [REL_LE], [2.0])
+    with pytest.raises(ValueError, match=re.escape(needle)):
+        prog.with_row(*bad)
+
+
 def _hull_stack(monkeypatch, V, points):
     """The program and objective stack of ``oracle.l1_dist_to_hull``'s one
     ``solve_lp`` call for the points, rows of ``points``."""
@@ -673,20 +749,20 @@ def test_a_singular_stack_is_solved_one_row_at_a_time(monkeypatch):
     # the lockstep loop's grouped solve of B x_B = b, a stack of bases
     # against the one right-hand side b, is made to raise; the three rows
     # all start on one basis
-    solve = np.linalg.solve
+    solve = lp_mod._solve
     stacks = []
 
-    def singular_stacks(a, b):
+    def singular_stacks(a, b, **kwargs):
         if a.ndim == 3 and b.ndim == 2:
             stacks.append(a.shape[0])
             raise np.linalg.LinAlgError("Singular matrix")
-        return solve(a, b)
+        return solve(a, b, **kwargs)
 
     rng = np.random.default_rng(22)
     c, A, rels, b, bounds = _random_lp(rng)
     prog = LinearProgram(c, A, rels, b, bounds)
     objectives = np.array([c, -c, c + rng.normal(size=c.size)])
-    monkeypatch.setattr(np.linalg, "solve", singular_stacks)
+    monkeypatch.setattr(lp_mod, "_solve", singular_stacks)
     _assert_stack_bit_identical(prog, objectives)
     assert stacks == [1]
 
@@ -733,19 +809,19 @@ def test_a_lockstep_step_solves_each_distinct_basis_once(monkeypatch):
     hull, objectives = _hull_stack(monkeypatch, np.eye(3)[:2], oracle.simplex_grid(3, 64))
     m = hull._std.A.shape[0]
     calls = []
-    grouped, solve = lp_mod.row_groups, np.linalg.solve
+    grouped, solve = lp_mod.row_groups, lp_mod._solve
 
     def counted_bases(live_bases, ncols):
         calls.append(("bases", live_bases.shape[0],
                       len({tuple(r) for r in live_bases.tolist()})))
         return grouped(live_bases, ncols)
 
-    def counted_solve(a, b):
+    def counted_solve(a, b, **kwargs):
         calls.append(("solve", a.shape, b.shape))
-        return solve(a, b)
+        return solve(a, b, **kwargs)
 
     monkeypatch.setattr(lp_mod, "row_groups", counted_bases)
-    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(lp_mod, "_solve", counted_solve)
     solve_lp(hull, objectives=objectives)
     monkeypatch.undo()
     steps = [i for i, call in enumerate(calls) if call[0] == "bases"]
@@ -778,6 +854,71 @@ def test_row_groups_are_the_equal_rows(monkeypatch, multiplier):
             assert first.size == distinct
         else:
             assert first.size > distinct
+
+
+def _fp_state():
+    return np.geterr(), np.geterrcall()
+
+
+def test_the_lapack_calls_give_the_bits_of_np_linalg_solve():
+    # the pivot loops call the gufuncs that np.linalg.solve wraps, on (2, m,
+    # m) stacks with (2, m, 1) right-hand sides and on one matrix with a
+    # strided column as its 1-D right-hand side
+    rng = np.random.default_rng(37)
+    state = _fp_state()
+    for m in range(1, 31):
+        for _ in range(10):
+            stack, rhs = rng.normal(size=(2, m, m)), rng.normal(size=(2, m, 1))
+            column = rng.normal(size=(m, 3))[:, 1]
+            with lp_mod._lapack_state():
+                got = lp_mod._solve(stack, rhs, signature="dd->d")
+                got1 = lp_mod._solve1(stack[0], column, signature="dd->d")
+            assert got.tobytes() == np.linalg.solve(stack, rhs).tobytes()
+            assert got1.tobytes() == np.linalg.solve(stack[0], column).tobytes()
+    assert _fp_state() == state
+
+
+def _split_free_program():
+    """One free variable in two rows: its two standard-form columns are a
+    and -a, so the basis of both is singular."""
+    return LinearProgram([1.0], [[1.0], [1.0]], [REL_GE, REL_LE], [0.0, 2.0])
+
+
+def test_a_singular_basis_raises_lp_error_and_keeps_the_fp_state():
+    prog = _split_free_program()
+    std = prog._std
+    state = _fp_state()
+    solve_lp(prog)
+    solve_lp(prog, objectives=np.array([[1.0], [-1.0]]))
+    assert _fp_state() == state
+    with pytest.raises(LpError, match=re.escape("singular basis (0, 1): Singular matrix")):
+        lp_mod._simplex(std.A, std.b, np.zeros(std.A.shape[1]), np.array([0, 1]),
+                        std.n_real_cols, 1e-9)
+    assert _fp_state() == state
+
+
+def test_a_singular_stack_retries_each_row_and_raises_its_error(monkeypatch):
+    # a real singular basis, not a patched solve: the lockstep loop's
+    # LinAlgError sends the stack to one row at a time, and the first row's
+    # scalar solve raises the LpError
+    prog = _split_free_program()
+    loops = []
+    stacked, one_row = lp_mod._simplex_stack, lp_mod._simplex
+
+    def counted(name, loop):
+        def run(*args):
+            loops.append(name)
+            return loop(*args)
+        return run
+
+    monkeypatch.setattr(lp_mod, "_phase_one", lambda std, tol: np.array([0, 1]))
+    monkeypatch.setattr(lp_mod, "_simplex_stack", counted("stack", stacked))
+    monkeypatch.setattr(lp_mod, "_simplex", counted("row", one_row))
+    state = _fp_state()
+    with pytest.raises(LpError, match=re.escape("singular basis (0, 1): Singular matrix")):
+        solve_lp(prog, objectives=np.array([[1.0], [-1.0]]))
+    assert loops == ["stack", "row"]
+    assert _fp_state() == state
 
 
 # --- the assumptions the bit identity rests on -------------------------------

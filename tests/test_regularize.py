@@ -22,7 +22,7 @@ from coporeg.oracle import is_copositive
 from coporeg.regularize import face_rows
 from coporeg.sip import _build_master, cut_row, record_rows, solve_sip
 
-from conftest import simplex
+from conftest import assert_same_program, simplex
 
 REGULARIZE = importlib.import_module("coporeg.regularize")
 
@@ -712,6 +712,40 @@ def test_record_rows_match_the_pairwise_rows_bitwise(face_cases, name):
                 std = LinearProgram(master.objective, *want)._std
                 assert _bytes(master._std.A, master._std.b, master._std.basis) == \
                     _bytes(std.A, std.b, std.basis)
+
+
+@pytest.mark.parametrize("name", ["e2", "e4", "gen36", "planting50"])
+def test_grown_masters_are_the_fresh_masters_bitwise(face_cases, name, monkeypatch):
+    # solve_sip builds the first master of a solve and grows it by one row
+    # per cut: every master it solves must be, field for field and byte
+    # for byte, _build_master's from the cuts so far
+    prog, reg = face_cases[name]
+    masters, builds = [], []
+    sip_mod = importlib.import_module("coporeg.sip")
+    solve, build = sip_mod.solve_lp, sip_mod._build_master
+
+    def recorded_solve(lp, **kwargs):
+        masters.append(lp)
+        return solve(lp, **kwargs)
+
+    def recorded_build(inst, cut_rows, box_r):
+        builds.append(len(cut_rows))
+        return build(inst, cut_rows, box_r)
+
+    monkeypatch.setattr(sip_mod, "solve_lp", recorded_solve)
+    monkeypatch.setattr(sip_mod, "_build_master", recorded_build)
+    for inst in (SipInstance(prog, ()), SipInstance(prog, reg.records, reg.omega)):
+        for box_r in (DEFAULT.box_r, 10.0 * DEFAULT.box_r):
+            del masters[:], builds[:]
+            cuts = solve_sip(inst, replace(DEFAULT, box_r=box_r)).cuts
+            assert builds == [0] and masters and len(masters) <= len(cuts) + 1
+            rec_rows = inst.rows[2].size
+            for master in masters:
+                k = master.b.size - rec_rows - 2 * (prog.n + 1)
+                want = _build_master(inst, [cut_row(prog, t) for t in cuts[:k]],
+                                     -master.b[rec_rows])
+                assert_same_program(master, want)
+            assert master.b.size - rec_rows - 2 * (prog.n + 1) == len(cuts)
 
 
 @pytest.mark.parametrize("name", ["e2", "e4", "gen36", "planting50"])

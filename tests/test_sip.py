@@ -280,26 +280,30 @@ def test_a_refinement_reuses_the_master_solve(monkeypatch):
 
 def test_record_rows_are_built_once_per_instance(e2, monkeypatch):
     # the master of every round and forced_zero_rows read the instance's
-    # rows; only constructing an instance builds them
-    sip_mod = importlib.import_module("coporeg.sip")
+    # rows; only constructing an instance builds them.  Both bindings of
+    # record_rows are watched: forced_zero_rows builds its objective rows,
+    # those of its point alone with no row in L, through regularize's, and
+    # any other call there would rebuild an instance's rows
     calls = []
-    orig = sip_mod.record_rows
+    for name in ("sip", "regularize"):
+        mod = importlib.import_module(f"coporeg.{name}")
 
-    def counting(prog, records):
-        calls.append(len(records))
-        return orig(prog, records)
+        def counting(prog, records, name=name, orig=mod.record_rows):
+            objective = len(records) == 1 and not records[0].L
+            calls.append((name, "objective rows" if objective else len(records)))
+            return orig(prog, records)
 
-    monkeypatch.setattr(sip_mod, "record_rows", counting)
+        monkeypatch.setattr(mod, "record_rows", counting)
     tau = simplex(1, 0)
     inst = SipInstance(e2, (Record(tau, {0}),), ReducedRegion([tau]))
-    assert calls == [1]
+    assert calls == [("sip", 1)]
     out = solve_sip(inst, DEFAULT, a0_copositive=True)
     assert out.kind == "negative" and out.diagnostics["rounds"] > 1
-    assert calls == [1]
+    assert calls == [("sip", 1)]
     reg = RegularizedProblem(e2, inst.records, inst.omega, out.x, -out.mu)
-    assert calls == [1, 1]
+    assert calls == [("sip", 1)] * 2
     assert forced_zero_rows(e2, tau, reg) == (0,)
-    assert calls == [1, 1]
+    assert calls == [("sip", 1)] * 2 + [("regularize", "objective rows")]
 
 
 def test_positive_optimum_fails_the_driver():
