@@ -593,8 +593,8 @@ def test_generated_lps_are_bit_identical_on_every_branch():
     assert _BRANCHES <= set(seen), _BRANCHES - set(seen)
 
 
-# 31.3 and 31.7 exceed every other |b| of the drawn programs, and
-# (1 + x) - 1 != x for both: the scale must keep max |b|, not undo 1 + max |b|
+# 31.3 and 31.7 exceed every |b| that small_lps draws, and (1 + x) - 1 != x
+# for both: the scale must keep max |b|, not undo 1 + max |b|
 _GROWN_RHS = {"negative": -31.7, "-0.0": -0.0, "zero": 0.0, "positive": 31.3}
 
 
