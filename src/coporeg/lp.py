@@ -37,13 +37,13 @@ takes the rows in chunks of at most ``_STACK_ROWS`` (1024), and the chunk
 size alone picks the pivot loop: a one-row chunk takes the scalar
 ``_simplex``, and a larger chunk ``_simplex_stack``, which pivots its rows
 in lockstep.  A lockstep step groups its rows by basis, which they mostly
-share, in a hash table, and makes three stacked solves:
-B x_B = b once per distinct basis, B' y = c_B once per row, and B d =
-a_enter once per distinct (basis, entering column) pair.  Each row keeps
-its own pivot choice, ties and degenerate-run switch.  LAPACK solves each
-matrix of a stack on its own, b is shared by every row, and the reduced
-costs are one matrix-vector product per row, so every row has the bits of
-its own one-row solve; the lockstep bookkeeping costs more than it saves
+share, with ``np.unique`` over one integer key per row, and makes three
+stacked solves: B x_B = b once per distinct basis, B' y = c_B once per
+row, and B d = a_enter once per distinct (basis, entering column) pair.
+Each row keeps its own pivot choice, ties and degenerate-run switch.
+LAPACK solves each matrix of a stack on its own, b is shared by every row,
+and the reduced costs are one matrix-vector product per row, so every row
+has the bits of its own one-row solve; the lockstep bookkeeping costs more than it saves
 on a stack of one.  A chunk that raises is solved again one row at a time,
 so a failing row raises the error its own solve raises.  Every solution is
 recovered by one routine, ``_stack_solutions``, for a chunk of any size,
@@ -55,8 +55,6 @@ from collections import namedtuple
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
-
-from .grouping import key_groups, row_groups
 
 REL_LE = "<="
 REL_EQ = "=="
@@ -402,11 +400,30 @@ def _simplex(A, b, c, basis, n_allow, tol):
     raise LpError("simplex iteration cap exceeded")
 
 
+def _groups(key):
+    """The group of each entry of the 1-D int array ``key``, numbered in
+    sorted key order, and the first entry of each group."""
+    _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    return group, first
+
+
+def row_groups(rows, bound):
+    """``_groups`` of the rows of the int array ``rows``, whose entries lie
+    in [0, bound): a row is read as one integer key, an entry per digit,
+    when it fits in 63 bits; longer rows are compared as rows."""
+    k = rows.shape[1]
+    digit = max(bound - 1, 1).bit_length()
+    if k * digit <= 63:
+        return _groups(rows @ (1 << digit * np.arange(k)))
+    _, first, group = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    return group.reshape(-1), first          # numpy 2.0.0 returns it 2-D
+
+
 def _entering_columns(B, At, group, enter):
     """The solution d of B d = a for each row's basis ``B[group]`` and
     entering column a = ``At[enter]``: one stacked solve, one system per
     distinct (basis, column) pair, in the caller's ``_lapack_state()``."""
-    pair, first = key_groups(group * At.shape[0] + enter)
+    pair, first = _groups(group * At.shape[0] + enter)
     return _solve(B[group[first]], At[enter[first]][:, :, None],
                   signature="dd->d")[pair, :, 0]
 
@@ -420,9 +437,11 @@ def _simplex_stack(A, b, C, basis, n_allow, tol):
     B x_B = b once per distinct basis, B' y = c_B once per row, and
     B d = a_enter once per distinct (basis, entering column) pair: each
     one stacked call of the gufunc that ``np.linalg.solve`` wraps, in
-    which LAPACK solves every matrix on its own, so each row gets the bits
-    of its own solve.  As in ``_simplex``, the loop runs in one
-    ``_lapack_state()``, and its other arithmetic under it too.
+    which LAPACK solves every matrix on its own.  A row gathers its
+    results through its group, so the order of the groups moves no bit,
+    and each row gets the bits of its own solve.  As in ``_simplex``, the
+    loop runs in one ``_lapack_state()``, and its other arithmetic under
+    it too.
 
     Returns (bases, XB, Y, unbounded), one row per cost vector (XB and Y
     are zero on an unbounded row).  Raises LpError at the iteration cap;

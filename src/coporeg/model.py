@@ -302,8 +302,13 @@ def kernel_dimension(prog, tol_rank=1e-10):
 
     Computed as p(p+1)/2 minus the rank of the n+1 functionals, counting
     singular values above ``tol_rank`` times the largest entry (at least 1).
+    An A_j with an entry above half the float maximum, whose doubled
+    off-diagonal entries would overflow, is halved first: its row keeps
+    its span.
     """
-    rows = np.array([sym_functional_row(Aj) for Aj in prog.A])
+    half_max = np.finfo(float).max / 2
+    rows = np.array([sym_functional_row(Aj / 2 if np.abs(Aj).max() > half_max else Aj)
+                     for Aj in prog.A])
     tol = tol_rank * max(1.0, float(np.max(np.abs(rows))))
     rank = int(np.linalg.matrix_rank(rows, tol=tol))
     return prog.p * (prog.p + 1) // 2 - rank

@@ -110,6 +110,19 @@ def test_check_copositive_refuses_a_matrix_that_overflows(tmp_path, capsys):
         assert err.startswith(start) and err.count("\n") == 1
 
 
+def test_regularize_takes_entries_near_the_float_maximum(tmp_path, capsys):
+    # a finite A_1 whose doubled off-diagonal entries would overflow: the
+    # kernel dimension is read without a warning
+    big = tmp_path / "big.json"
+    big.write_text('{"n": 1, "p": 2, "c": [1], '
+                   '"A": [[[0, 0], [0, 1]], [[0, 1e308], [1e308, 0]]]}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["regularize", "--problem", str(big),
+                     "--out", str(tmp_path / "rep.json")]) == 0
+    assert "status: regularized" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("flag, value", [("--h", "0.1"), ("--samples", "5"),
                                          ("--tol-feas", "1e-9")])
 def test_check_copositive_takes_only_the_flags_it_reads(workdir, capsys,

@@ -1,11 +1,13 @@
 """Every corpus run reproduces its line of the stored digest, within the
-comparator's tolerances (``tests/corpus.py``)."""
+comparator's tolerances (``tests/corpus.py``), and the gate runs' LPs
+reproduce their stored pivot digest (``tests/lp_digest.py``)."""
 
 import copy
 
 import pytest
 
 import corpus
+import lp_digest
 
 STORED = corpus.load_digest()
 
@@ -18,6 +20,14 @@ def test_the_digest_holds_the_corpus():
 @pytest.mark.parametrize("name", list(corpus.CORPUS))
 def test_a_corpus_run_reproduces_its_digest_line(name):
     assert corpus.compare(corpus.digest_line(name), STORED[name]) == []
+
+
+def test_the_gate_runs_reproduce_their_stored_lp_pivots():
+    # every LP of the gate runs ends on its stored statuses and bases
+    stored = lp_digest.load_stored()
+    assert stored["runs"] == lp_digest.GATE
+    solves, _bytes, pivot = lp_digest.digests(lp_digest.GATE)
+    assert (solves, pivot) == (stored["solves"], stored["pivot"])
 
 
 def _changed(name, edit):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from coporeg import (LinearProgram, LpError, SimplexPoint, generate_instance,
                      oracle, regularize, sip, solve_lp)
-from coporeg import grouping, lp as lp_mod
+from coporeg import lp as lp_mod
 from coporeg.lp import REL_EQ, REL_GE, REL_LE
 
 from conftest import assert_same_program
@@ -833,27 +833,49 @@ def test_a_lockstep_step_solves_each_distinct_basis_once(monkeypatch):
     assert row_steps > 5000 and basis_solves < row_steps / 50
 
 
-@pytest.mark.parametrize("multiplier", ["golden", "one"])
-def test_row_groups_are_the_equal_rows(monkeypatch, multiplier):
-    # rows read as integers (5 entries below 10) and hashed rows (12 below
-    # 100); a multiplier of 1 makes every slot collide and, for hashed rows,
-    # makes the hash a row sum, so rows with equal sums clash
-    if multiplier == "one":
-        monkeypatch.setattr(grouping, "GOLDEN", np.uint64(1))
+def test_row_groups_are_the_equal_rows():
+    # rows read as one integer key (5 entries below 10, 20 bits) and rows
+    # compared as rows (12 entries below 100, 84 bits): two rows share a
+    # group exactly when they are equal.  Each pool row comes with a copy
+    # whose first two entries are swapped and one that differs in one
+    # entry, in each column in turn
     rng = np.random.default_rng(27)
     for m, ncols in ((5, 10), (12, 100)):
-        pool = rng.integers(0, ncols, size=(60, m))
-        pool[1::2] = pool[::2]
-        pool[1::2, :2] = pool[::2, 1::-1]           # two entries swapped
+        pool = np.repeat(rng.integers(0, ncols, size=(20, m)), 3, axis=0)
+        pool[1::3, :2] = pool[::3, 1::-1]
+        col = np.arange(20) % m
+        pool[2::3][np.arange(20), col] = (pool[::3][np.arange(20), col] + 1) % ncols
         rows = pool[rng.integers(0, 60, size=500)]
-        group, first = grouping.row_groups(rows, ncols)
-        assert (rows == rows[first[group]]).all()
-        assert sorted(group[first].tolist()) == list(range(first.size))
-        distinct = len({tuple(r) for r in rows.tolist()})
-        if multiplier == "golden" or m == 5:
-            assert first.size == distinct
-        else:
-            assert first.size > distinct
+        group, first = lp_mod.row_groups(rows, ncols)
+        assert group.shape == (500,)
+        assert group[first].tolist() == list(range(first.size))
+        equal = (rows[:, None] == rows[None]).all(axis=2)
+        assert (equal == (group[:, None] == group[None])).all()
+        assert first.size == len({tuple(r) for r in rows.tolist()})
+
+
+def test_a_lockstep_stack_of_long_basis_rows_is_bit_identical(monkeypatch):
+    # the hull stack of e_1 and the centroid at p = 12: its bases have 14
+    # entries below 28, 70 bits, too long for one integer key, so the
+    # lockstep steps group them as rows
+    points = np.random.default_rng(38).dirichlet(np.ones(12), size=200)
+    hull, objectives = _hull_stack(monkeypatch, [np.eye(12)[0], np.full(12, 1 / 12)], points)
+    assert hull._std.A.shape == (14, 28)
+    row_axes = []
+    unique = np.unique
+
+    def counted_unique(ar, *args, **kwargs):
+        row_axes.append(kwargs.get("axis"))
+        return unique(ar, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted_unique)
+    chunks = _counted_pivot_loops(monkeypatch)
+    want = _assert_stack_bit_identical(hull, objectives)
+    assert {out[0] for out in want} == {"Optimal"}
+    # one lockstep run, with no one-row retry (and, the points lying in the
+    # simplex, no phase 1)
+    assert chunks == {"_simplex": [], "_simplex_stack": [200]}
+    assert 0 in row_axes
 
 
 def _fp_state():

@@ -79,6 +79,16 @@ def test_kernel_dimension_scale_invariant(e2):
     assert kernel_dimension(scaled) == kernel_dimension(e2)
 
 
+def test_kernel_dimension_of_entries_near_the_float_maximum():
+    # the functional doubles off-diagonal entries: 2e308 would overflow to
+    # inf, and a rank-0 row would read dimension 3
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    e22 = [[0.0, 0.0], [0.0, 1.0]]
+    big = CopositiveProgram([1.0], [e22, 1e308 * swap])
+    halved = CopositiveProgram([1.0], [e22, 5e307 * swap])
+    assert kernel_dimension(big) == kernel_dimension(halved) == 2
+
+
 def _random_point(rng, p):
     raw = rng.uniform(size=p) * (rng.uniform(size=p) < 0.7)
     raw[rng.integers(p)] += 0.1
