@@ -157,11 +157,22 @@ def face_rows(records, Ds, cfg=DEFAULT):
 
 
 def sample_copositive(p, rng):
-    """Nonnegative part plus a Gram part; every such matrix is copositive."""
-    U = rng.uniform(0.0, 1.0, size=(p, p))
-    N = 0.5 * (U + U.T)
-    B = rng.normal(scale=1.0 / np.sqrt(p), size=(p, p))
-    return N + B @ B.T
+    """Nonnegative part plus a Gram part; every such matrix is copositive.
+    Row 0 of a block of one (``_copositive_block``)."""
+    return _copositive_block(p, 1, rng)[0]
+
+
+def _copositive_block(p, b, rng):
+    """b samples 0.5 (U + U') + Z Z' as one (b, p, p) array: U and Z drawn
+    sample by sample, in stream order, with the bits of ``uniform(0, 1)``
+    and ``normal(scale=1/sqrt(p))``; each sample of the stacked Gram
+    product keeps the bits of its own ``Z @ Z.T``."""
+    U, Z = np.empty((b, p, p)), np.empty((b, p, p))
+    for u, z in zip(U, Z):
+        rng.random(out=u)
+        rng.standard_normal(out=z)
+    Z *= 1.0 / np.sqrt(p)
+    return 0.5 * (U + U.transpose(0, 2, 1)) + Z @ Z.transpose(0, 2, 1)
 
 
 # candidate coordinates, b (2^p - 1) p, of one block's stacked enumeration:
@@ -175,13 +186,13 @@ def _block_size(p):
 
 
 def _face_samples(p, records, n_samples, rng):
-    """Copositive samples in (b, p, p) blocks of at most ``_block_size(p)``;
-    the samples of odd index in the run are projected onto the records'
-    zero rows, those of a block in one call."""
+    """Copositive samples in (b, p, p) blocks of at most ``_block_size(p)``,
+    each drawn as one array (``_copositive_block``); the samples of odd
+    index in the run are projected onto the records' zero rows, those of
+    a block in one call."""
     C, b = zero_row_matrix(records), _block_size(p)
     for start in range(0, n_samples, b):
-        Ds = np.array([sample_copositive(p, rng)
-                       for _ in range(min(b, n_samples - start))])
+        Ds = _copositive_block(p, min(b, n_samples - start), rng)
         odd = slice(1 - start % 2, None, 2)
         Ds[odd] = project_to_zero_rows(Ds[odd], C)
         yield Ds
@@ -489,19 +500,25 @@ _EQUIV_BOX = 2.0
 def feasibility_equiv_sample(prog, reg, n_samples, seed, cfg=DEFAULT):
     """Compare direct copositivity of A(x) against the regularized rows
     plus the reduced-region grid check on x sampled uniformly from the box
-    of half-width ``_EQUIV_BOX`` around the witness.
+    of half-width ``_EQUIV_BOX`` around the witness, in blocks of
+    ``_block_size(p)``: one uniform draw, ``eval_constraint`` call, stacked
+    support enumeration (a sample's row gives its direct margin m_a), row
+    test and ``_omega_margins`` call per block.
 
     Samples where the two decisions differ but either margin falls inside
-    ``tol_band`` are excluded as ties; an accepting regularized side's
-    margin leaves out its equality rows, which hold within ``tol_band``
-    and so are no margin.  The samples are taken in blocks of
-    ``_block_size(p)``: one uniform draw, ``eval_constraint`` call, stacked
-    support enumeration (a sample's row gives its direct margin) and row
-    test per block.
-    Only the samples whose record rows hold within ``tol_band``, or whose
-    direct test says copositive, get a region margin, from one
-    ``_omega_margins`` call per block; on every other sample both
-    decisions are False, an agreement whatever the region margin.
+    ``tol_band`` are ties; an accepting regularized side's margin leaves
+    out its equality rows, which hold within ``tol_band`` and so are no
+    margin.  A region margin is computed only where it can change the
+    report: not where the rows fail and m_a rejects (both decisions are
+    False), nor on a settled sample, m_a - 2 eps >= -tol_band, with eps =
+    (2p + 4) 2^-53 max|A(x)| a rounding bound of one computed t'Dt on the
+    simplex (two length-p dot products; coordinates summing to one within
+    rounding).  There a grid value is >= min over the simplex - eps >=
+    m_a - 2 eps and a candidate's value >= m_a, so the margin is >=
+    -tol_band and dec_b is whether the rows hold.  Where they fail,
+    margin_b = min(-eq_res, ineq_margin) < -tol_band, which the margin
+    cannot lower; where they hold and m_a rejects, |m_a| <= tol_band makes
+    a tie.  So +inf stands in for these margins.
     """
     n_samples = int(n_samples)
     rng = np.random.default_rng(seed)
@@ -518,37 +535,37 @@ def feasibility_equiv_sample(prog, reg, n_samples, seed, cfg=DEFAULT):
         dec_a = margin_a >= -cfg.tol_cop
         eq_res, ineq_margin = row_residuals(AX, reg.records)
         rows_hold = (eq_res <= cfg.tol_band) & (ineq_margin >= -cfg.tol_band)
-        read = np.flatnonzero(rows_hold | dec_a)
-        report["agreements"] += len(X) - read.size
-        omega_margins = _omega_margins(AX[read], reg, h, cfg, values[read],
-                                       coords[read])
-        for k, omega_margin in zip(read.tolist(), omega_margins.tolist()):
-            dec_b = bool(rows_hold[k]) and omega_margin >= -cfg.tol_band
-            if dec_a[k] == dec_b:
-                report["agreements"] += 1
-                continue
-            margin_b = (min(float(ineq_margin[k]), omega_margin) if dec_b else
-                        min(-float(eq_res[k]), float(ineq_margin[k]), omega_margin))
-            if min(abs(float(margin_a[k])), abs(margin_b)) <= cfg.tol_band:
-                report["ties"] += 1
-            else:
-                report["disagreements"].append(
-                    {"x": X[k].tolist(), "margin_direct": float(margin_a[k]),
-                     "margin_regularized": margin_b})
+        eps = (2 * prog.p + 4) * 2.0 ** -53 * np.max(np.abs(AX), axis=(1, 2))
+        need = (rows_hold | dec_a) & (margin_a - 2.0 * eps < -cfg.tol_band)
+        omega_margin = np.full(len(X), np.inf)
+        omega_margin[need] = _omega_margins(AX[need], reg, h, cfg, values[need],
+                                            coords[need])
+        dec_b = rows_hold & (omega_margin >= -cfg.tol_band)
+        margin_b = np.minimum(ineq_margin, omega_margin)
+        np.minimum(margin_b, -eq_res, out=margin_b, where=~dec_b)
+        differ = dec_a != dec_b
+        tie = np.minimum(np.abs(margin_a), np.abs(margin_b)) <= cfg.tol_band
+        report["agreements"] += int(np.count_nonzero(~differ))
+        report["ties"] += int(np.count_nonzero(differ & tie))
+        report["disagreements"] += [
+            {"x": X[k].tolist(), "margin_direct": float(margin_a[k]),
+             "margin_regularized": float(margin_b[k])}
+            for k in np.flatnonzero(differ & ~tie)]
     report["n_disagreements"] = len(report["disagreements"])
     return report
 
 
 def _omega_margins(AX, reg, h, cfg, values, coords):
     """min t'(ax)t over the region for each matrix ax of the (S, p, p)
-    stack ``AX``: the grid value (one ``min_quad_over_omega`` call per
-    matrix, which computes the value alone), lowered by the least
-    stationary candidate inside the region below -tol_band (an exact
-    violation).  ``values`` and ``coords`` are the stack's
-    ``stationary_candidate_stack``.  Only a candidate below min(-tol_band,
-    grid value) can lower a margin (a support without a candidate is
-    +inf); those of the whole stack are tested in one ``contains`` call,
-    and none is made when there are none."""
+    stack ``AX`` (in ``feasibility_equiv_sample``, the samples of a block
+    that are read and not settled): the grid value (one
+    ``min_quad_over_omega`` call per matrix, which computes the value
+    alone), lowered by the least stationary candidate inside the region
+    below -tol_band (an exact violation).  ``values`` and ``coords`` are
+    the stack's ``stationary_candidate_stack``.  Only a candidate below
+    min(-tol_band, grid value) can lower a margin (a support without a
+    candidate is +inf); those of the whole stack are tested in one
+    ``contains`` call, and none is made when there are none."""
     if reg.omega.empty:
         return np.full(len(AX), np.inf)
     best = np.array([min_quad_over_omega(ax, reg.omega, h).value for ax in AX])

@@ -1,7 +1,10 @@
 """Feasible-set equivalence sampling with a region margin for every
 sample: a reference for the acceptance tests, which no part of the
 pipeline calls.  ``feasibility_equiv_sample`` computes the margin only on
-the samples whose report it can change; its reports must equal these."""
+the samples whose report it can change: not where the record rows fail
+and the direct test rejects, and not on a sample that its direct margin
+settles, whose region margin is at least -tol_band.  Its reports must
+equal these, on every sample."""
 
 import numpy as np
 

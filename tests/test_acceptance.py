@@ -1,13 +1,15 @@
 """Acceptance gate: every criterion at its stated tolerance, one printed
 pass/fail line each (run with -s to see the lines on success)."""
 
+import collections
+import importlib
 import time
 import zlib
 
 import numpy as np
 import pytest
 
-from coporeg import (DEFAULT, DualCertificate, FaceLedgerEntry,
+from coporeg import (DEFAULT, CopositiveProgram, DualCertificate, FaceLedgerEntry,
                      ReducedRegion, RegularizedProblem, compress_ledger,
                      face_forms_agree, feasibility_equiv_sample,
                      generate_instance, is_copositive,
@@ -21,6 +23,8 @@ from coporeg.regularize import _omega_margins
 from conftest import simplex
 from equiv_reference import equiv_sample_all_margins
 from grid_reference import grid_min_full
+
+REGULARIZE = importlib.import_module("coporeg.regularize")
 
 
 def _report(criterion, ok, detail):
@@ -279,34 +283,70 @@ def test_omega_margin_matches_the_all_candidate_margin(e4, successful_runs):
     assert 0 < by_candidate < 20 * len(runs) and empty == 20
 
 
-def test_equivalence_reports_match_the_all_margin_reference(successful_runs):
+def test_equivalence_reports_match_the_all_margin_reference(successful_runs,
+                                                           monkeypatch):
     # the report reads a region margin only where the record rows hold or
-    # the direct test says copositive; the reference computes every one.
-    # Beside each certified problem: its first record dropped (the region
-    # kept), its radius halved, and its records and region on a program
-    # they do not belong to, whose Slater point makes many disagreements
+    # the direct test says copositive, and not on a sample its direct
+    # margin settles; the reference computes every one.  Beside each
+    # certified problem: its first record dropped (the region kept), its
+    # radius halved, its records and region on a program they do not
+    # belong to, whose Slater point makes many disagreements, and the
+    # problem itself at tol_cop = 1e-4, above tol_band, where a direct
+    # accept alone settles nothing.  The first problem also comes with
+    # every A_k scaled by 1e9, where the rounding bound of the direct
+    # margin keeps accepts at a zero minimum unsettled
+    loose = DEFAULT.replace(tol_cop=1e-4)
     problems = []
     for name, prog, res in successful_runs:
         reg = res.regularized
         other = generate_instance(seed=7, p=prog.p, n=prog.n)
         problems += [
-            (name, prog, reg),
+            (name, prog, reg, DEFAULT),
             (name + "/dropped", prog, RegularizedProblem(
-                prog, reg.records[1:], reg.omega, reg.witness, reg.margin)),
+                prog, reg.records[1:], reg.omega, reg.witness, reg.margin), DEFAULT),
             (name + "/shrunk", prog, RegularizedProblem(
                 prog, reg.records, ReducedRegion(reg.omega.V,
                                                  sigma=0.5 * reg.omega.sigma),
-                reg.witness, reg.margin)),
+                reg.witness, reg.margin), DEFAULT),
             (name + "/foreign", other, RegularizedProblem(
-                other, reg.records, reg.omega, np.zeros(prog.n), 1.0))]
+                other, reg.records, reg.omega, np.zeros(prog.n), 1.0), DEFAULT),
+            (name + "/tol_cop", prog, reg, loose)]
+    name, prog, res = successful_runs[0]
+    scaled = CopositiveProgram(prog.c, [1e9 * a for a in prog.A])
+    reg = res.regularized
+    problems.append((name + "/scaled", scaled, RegularizedProblem(
+        scaled, reg.records, reg.omega, reg.witness, reg.margin), DEFAULT))
+    stacks = []
+    enumerate_stack = REGULARIZE.stationary_candidate_stack
+
+    def recorded(AX, p_max):
+        values, coords = enumerate_stack(AX, p_max)
+        stacks.append((AX, values.min(axis=1)))
+        return values, coords
+
+    monkeypatch.setattr(REGULARIZE, "stationary_candidate_stack", recorded)
     disagreements = ties = 0
-    for name, prog, reg in problems:
-        rep = feasibility_equiv_sample(prog, reg, 300, seed=11)
-        assert rep == equiv_sample_all_margins(prog, reg, 300, seed=11), name
+    accepts = collections.Counter()
+    for name, prog, reg, cfg in problems:
+        stacks.clear()
+        rep = feasibility_equiv_sample(prog, reg, 300, seed=11, cfg=cfg)
+        assert rep == equiv_sample_all_margins(prog, reg, 300, seed=11, cfg=cfg), name
         disagreements += rep["n_disagreements"]
         ties += rep["ties"]
-    # every margin_regularized of a disagreement is compared, and ties too
+        for AX, margin_a in stacks:
+            eps = (2 * prog.p + 4) * 2.0 ** -53 * np.max(np.abs(AX), axis=(1, 2))
+            accepted = margin_a >= -cfg.tol_cop
+            accepts["settled"] += np.count_nonzero(
+                accepted & (margin_a - 2.0 * eps >= -cfg.tol_band))
+            accepts["below the band"] += np.count_nonzero(
+                accepted & (margin_a < -cfg.tol_band))
+            accepts["within rounding"] += np.count_nonzero(
+                accepted & (margin_a >= -cfg.tol_band)
+                & (margin_a - 2.0 * eps < -cfg.tol_band))
+    # every margin_regularized of a disagreement is compared, and ties too;
+    # accepts are seen settled, and unsettled for both reasons
     assert disagreements > 0 and ties > 0
+    assert min(accepts.values()) > 0 and len(accepts) == 3, accepts
 
 
 def test_equivalence_sees_a_regularized_set_that_is_too_large(successful_runs):

@@ -694,6 +694,27 @@ def _counted_pivot_loops(monkeypatch):
     return chunks
 
 
+def _checked_row_groups(monkeypatch):
+    """Wrap ``row_groups`` so that each lockstep step's grouping must give
+    every live row its own basis (the first row of a row's group equals
+    it).  A grouping that serves a row another basis can still give that
+    row its own bits at a degenerate vertex, so the bits alone do not show
+    it.  Returns, per step, whether its bases are short (one integer key
+    of at most 63 bits) and how many distinct bases it has."""
+    steps = []
+    grouped = lp_mod.row_groups
+
+    def checked(live_bases, ncols):
+        group, first = grouped(live_bases, ncols)
+        assert np.array_equal(live_bases[first][group], live_bases)
+        short = live_bases.shape[1] * max(ncols - 1, 1).bit_length() <= 63
+        steps.append((short, first.size))
+        return group, first
+
+    monkeypatch.setattr(lp_mod, "row_groups", checked)
+    return steps
+
+
 def test_a_stack_across_chunks_is_bit_identical(monkeypatch):
     # 2,145 hull LPs: at least two full chunks and a partial one; the
     # points lie in the simplex, so there is no phase 1
@@ -701,7 +722,9 @@ def test_a_stack_across_chunks_is_bit_identical(monkeypatch):
     full, tail = divmod(len(objectives), lp_mod._STACK_ROWS)
     assert full >= 2 and tail >= 2
     chunks = _counted_pivot_loops(monkeypatch)
+    steps = _checked_row_groups(monkeypatch)
     _assert_stack_bit_identical(hull, objectives)
+    assert max(n for short, n in steps if short) > 1
     assert chunks == {"_simplex": [], "_simplex_stack": [lp_mod._STACK_ROWS] * full + [tail]}
 
 
@@ -776,22 +799,20 @@ def test_a_stack_over_many_bases_and_entering_columns_is_bit_identical(monkeypat
     # solve
     monkeypatch.setattr(lp_mod, "_DEGENERATE_RUN", 2)
     monkeypatch.setattr(sys.modules[__name__], "_REF_DEGENERATE_RUN", 2)
-    bases, pairs = [], []
-    grouped, entering = lp_mod.row_groups, lp_mod._entering_columns
-
-    def counted_bases(live_bases, ncols):
-        bases.append(len({tuple(r) for r in live_bases.tolist()}))
-        return grouped(live_bases, ncols)
+    pairs = []
+    entering = lp_mod._entering_columns
 
     def counted_pairs(B, At, group, enter):
         pairs.append((B.shape[0], len(set(zip(group.tolist(), enter.tolist())))))
         return entering(B, At, group, enter)
 
-    monkeypatch.setattr(lp_mod, "row_groups", counted_bases)
+    steps = _checked_row_groups(monkeypatch)
     monkeypatch.setattr(lp_mod, "_entering_columns", counted_pairs)
     rng = np.random.default_rng(27)
     events, statuses = collections.Counter(), collections.Counter()
-    for _ in range(4):
+    # six programs: the bases of the fourth are long, those of the fifth
+    # and sixth short, and each kind spreads over several bases
+    for _ in range(6):
         c, A, rels, b, bounds = _random_lp(rng, degenerate=True)
         prog = LinearProgram(c, A, rels, b, bounds)
         want = _assert_stack_bit_identical(prog, rng.normal(size=(300, c.size)),
@@ -799,7 +820,7 @@ def test_a_stack_over_many_bases_and_entering_columns_is_bit_identical(monkeypat
         assert want[0] != "LpError"
         statuses.update(out[0] for out in want)
     assert events["Bland's rule"] > 0 and statuses["Optimal"] > 0
-    assert max(bases) > 1
+    assert {short for short, n in steps if n > 1} == {True, False}
     assert any(n_pairs > n_bases for n_bases, n_pairs in pairs)
 
 

@@ -437,6 +437,25 @@ def test_block_size_keeps_within_the_entry_cap():
     assert REGULARIZE._block_size(20) == 1
 
 
+def test_a_block_of_samples_is_the_one_at_a_time_draws():
+    # a block is drawn as one array, but each sample keeps the bits of its
+    # own sample_copositive call, and the stream ends where those calls
+    # leave it; sample_copositive has the bits of uniform(0, 1), then
+    # normal(scale=1/sqrt(p)), then 0.5 (U + U') + B @ B.T
+    for p in range(2, 15):
+        for b in (1, 2, 7, REGULARIZE._block_size(p)):
+            one, block = np.random.default_rng(p), np.random.default_rng(p)
+            want = np.array([sample_copositive(p, one) for _ in range(b)])
+            got = REGULARIZE._copositive_block(p, b, block)
+            assert got.tobytes() == want.tobytes(), (p, b)
+            assert block.bit_generator.state == one.bit_generator.state, (p, b)
+        rng, old = np.random.default_rng(p), np.random.default_rng(p)
+        U = old.uniform(0.0, 1.0, size=(p, p))
+        B = old.normal(scale=1.0 / np.sqrt(p), size=(p, p))
+        want = 0.5 * (U + U.T) + B @ B.T
+        assert sample_copositive(p, rng).tobytes() == want.tobytes(), p
+
+
 def test_verify_ledger_passes(e2, reg_e2):
     rep = verify_ledger(reg_e2.ledger, e2, n_samples=200, seed=3)
     assert rep["ok"]
