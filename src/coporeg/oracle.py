@@ -8,8 +8,13 @@ dimensions up to ``p_max``.  It takes a stack of matrices: the faces of one
 support size, across the whole stack, are solved as one stack of bordered
 systems (a stack that raises is solved again without its singular faces,
 which take the least-squares step), and the candidates keep the mask order,
-as arrays with +inf where a support has none.  A single matrix is the
-stack of one, and its candidates are the stack's row 0.  The
+as arrays with +inf where a support has none.  The systems of one size
+are one gather of each matrix's row (2 D.ravel(), -1, 1, 0) through a
+cached index table, and one call of the LAPACK gufunc that
+``np.linalg.solve`` wraps, with its bits; their weights are tested one
+column at a time and scattered through the table's flat positions.  A
+single matrix is the stack of one, and its candidates are the stack's
+row 0.  The
 reduced-region oracle works on the rational grid of the simplex, one
 matrix per call; its certified lower bound is the larger of a Lipschitz
 bound and a per-point centered-gradient bound, computed, like the argmin,
@@ -27,7 +32,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .lp import REL_LE, LinearProgram, LpError, solve_lp
+from .lp import REL_LE, LinearProgram, LpError, _lapack_state, _solve1, solve_lp
 from .model import DimensionError, SimplexPoint, _coords
 
 
@@ -109,22 +114,35 @@ class CopositivityResult:
 
 @lru_cache(maxsize=16)
 def _support_groups(p):
-    """The nonempty supports of {0..p-1}, grouped by size: one
-    ``(s, positions, cols)`` per size s, where ``positions`` are the
-    supports' places in mask order (mask 1, 2, ..., 2^p - 1; bit k is
-    coordinate k) and row i of the (F, s) array ``cols`` lists the
-    coordinates of support ``positions[i]`` in ascending order (read-only,
-    cached)."""
+    """The nonempty supports of {0..p-1}, grouped by size, with the index
+    table of their enumeration: one ``(s, positions, bordered, places)``
+    per size s, where ``positions`` are the supports' places in mask order
+    (mask 1, 2, ..., 2^p - 1; bit k is coordinate k), ``bordered`` (F,
+    s+1, s+1) indexes the bordered stationarity system of each support
+    in a matrix's flat row (2 D.ravel(), -1, 1, 0), and ``places`` (F, s)
+    holds the flat positions of each support's coordinates, in ascending
+    order, in a (2^p - 1) p candidate row.  ``bordered`` takes the
+    smallest unsigned type that holds p^2 + 2, uint8 up to p = 15: fancy
+    indexing reads it through a buffered cast, with no intp copy, about
+    as fast as an intp table eight times its size.  At p = 14 the whole
+    table is 1.7 MB.  Read-only, cached."""
     masks = np.arange(1, 1 << p)
     bits = (masks[:, None] >> np.arange(p)) & 1
     sizes = bits.sum(axis=1)
+    border = p * p          # the flat row's entries -1, 1 and 0
     groups = []
     for s in range(1, p + 1):
         positions = np.flatnonzero(sizes == s)
         cols = np.nonzero(bits[positions])[1].reshape(-1, s)
-        positions.setflags(write=False)
-        cols.setflags(write=False)
-        groups.append((s, positions, cols))
+        bordered = np.empty((len(cols), s + 1, s + 1), dtype=np.min_scalar_type(border + 2))
+        bordered[:, :s, :s] = cols[:, :, None] * p + cols[:, None, :]
+        bordered[:, :s, s] = border
+        bordered[:, s, :s] = border + 1
+        bordered[:, s, s] = border + 2
+        places = (positions[:, None] * p + cols).astype(np.uint32)
+        for a in (positions, bordered, places):
+            a.setflags(write=False)
+        groups.append((s, positions, bordered, places))
     return tuple(groups)
 
 
@@ -133,25 +151,34 @@ def _solve_faces(K, scale):
 
     ``K`` is (S, F, m, m) and ``scale`` holds one entry per face (shape
     (S, F)).  Returns ``(z, solved)``: ``solved`` is False where a face has
-    no stationary point.  One LAPACK call covers the stack.  Only when it
-    raises, one ``slogdet`` (the same LU) marks the faces with an exact
-    zero pivot, and the others are solved again as one stack.  A face that
-    is singular or has a non-finite solution takes the least-squares
-    solution when its residual is within ``1e-9 (1 + scale)``.
+    no stationary point.  One call of the gufunc that ``np.linalg.solve``
+    wraps (``solve1``, under ``lp._lapack_state()``, with one broadcast
+    e_last) covers the stack, with the bits of ``np.linalg.solve``.  Only
+    when it raises, one ``slogdet`` (the same LU) marks the faces with an
+    exact zero pivot, and the others are solved again as one stack.  A
+    face that is singular or has a non-finite solution takes the
+    least-squares solution when its residual is within ``1e-9 (1 + scale)``;
+    the finite test runs one column of z at a time.
     """
-    B = np.zeros(K.shape[:-1] + (1,))
-    B[..., -1, 0] = 1.0
+    m = K.shape[-1]
+    e_last = np.zeros(m)
+    e_last[-1] = 1.0
     try:
-        z = np.linalg.solve(K, B)[..., 0]
+        with _lapack_state():
+            z = _solve1(K, e_last, signature="dd->d")
     except np.linalg.LinAlgError:
         regular = np.linalg.slogdet(K)[0] != 0.0
         z = np.full(K.shape[:-1], np.nan)
-        z[regular] = np.linalg.solve(K[regular], B[regular])[..., 0]
+        with _lapack_state():
+            z[regular] = _solve1(K[regular], e_last, signature="dd->d")
+    finite = np.isfinite(z[..., 0])
+    for j in range(1, m):
+        finite &= np.isfinite(z[..., j])
     solved = np.ones(K.shape[:-2], dtype=bool)
-    for f in zip(*np.nonzero(~np.isfinite(z).all(axis=-1))):
-        k, b = K[f], B[f][:, 0]
-        z[f], *_ = np.linalg.lstsq(k, b, rcond=None)
-        solved[f] = float(np.max(np.abs(k @ z[f] - b))) <= 1e-9 * (1.0 + scale[f])
+    for f in zip(*np.nonzero(~finite)):
+        k = K[f]
+        z[f], *_ = np.linalg.lstsq(k, e_last, rcond=None)
+        solved[f] = float(np.max(np.abs(k @ z[f] - e_last))) <= 1e-9 * (1.0 + scale[f])
     return z, solved
 
 
@@ -167,16 +194,21 @@ def stationary_candidate_stack(Ds, p_max=14):
     2^p - 1, bit k for coordinate k).  A vertex always has a candidate,
     with value D_kk; a larger support has one where its bordered
     stationarity system is solvable with nonnegative weights, and
-    otherwise value +inf and zero coordinates.  The faces of each support
-    size s are solved together, as one (S, F, s+1, s+1) stack of bordered
-    systems, one ``np.linalg.solve`` call per size; a stack with a
-    singular face is split once, and only its singular or non-finite faces
-    take the least-squares step, one at a time.  Faces whose stationarity
-    system is inconsistent contribute nothing: their minima live on smaller
-    faces, which are enumerated separately (p <= p_max; the largest stack
-    per matrix, at p = 14, is C(14, 7) = 3,432 systems of 8 x 8).  The
-    values are one stacked ``matmul``, (t' D) t per candidate, bit for bit
-    the values ``t @ D @ t``.
+    otherwise value +inf and zero coordinates.  Each matrix's row
+    (2 D.ravel(), -1, 1, 0) is formed once (doubling is exact), and the
+    faces of support size s, across the whole stack, are one gather of
+    it through the cached index table (``_support_groups``): one
+    (S, F, s+1, s+1) stack of bordered systems and one LAPACK call per
+    size (``_solve_faces``); a stack with a singular face is split once,
+    and only its singular or non-finite faces take the least-squares
+    step, one at a time.  The face-membership test u >= -1e-10 runs one
+    column at a time, and the weights are scattered into the candidate
+    rows through the table's flat positions.  Faces whose stationarity
+    system is inconsistent contribute nothing: their minima live on
+    smaller faces, which are enumerated separately (p <= p_max; the
+    largest stack per matrix, at p = 14, is C(14, 7) = 3,432 systems of
+    8 x 8).  The values are one stacked ``matmul``, (t' D) t per
+    candidate, bit for bit the values ``t @ D @ t``.
     """
     Ds = np.asarray(Ds, dtype=float)
     S, p = Ds.shape[0], Ds.shape[-1]
@@ -190,30 +222,35 @@ def stationary_candidate_stack(Ds, p_max=14):
         raise ValueError(f"matrix entries must be finite and at most {_HALF_MAX:.6g} "
                          "in magnitude, so that the stationarity systems' 2 D is finite")
     scale = np.maximum(1.0, largest)
-    (_s, vertices, k), *groups = _support_groups(p)
-    coords = np.zeros((S, (1 << p) - 1, p))
-    coords[:, vertices, k[:, 0]] = 1.0
-    found = np.zeros((S, (1 << p) - 1), dtype=bool)
-    for s, positions, cols in groups:
+    (_s, vertices, _b, corners), *groups = _support_groups(p)
+    R = (1 << p) - 1
+    coords = np.zeros((S, R, p))
+    flat_coords = coords.reshape(S, R * p)
+    flat_coords[:, corners[:, 0]] = 1.0
+    found = np.zeros((S, R), dtype=bool)
+    flat = np.empty((S, p * p + 3))
+    np.multiply(Ds.reshape(S, p * p), 2.0, out=flat[:, :-3])
+    flat[:, -3:] = (-1.0, 1.0, 0.0)
+    for s, positions, bordered, places in groups:
         F = positions.size
-        K = np.zeros((S, F, s + 1, s + 1))
-        K[:, :, :s, :s] = 2.0 * Ds[:, cols[:, :, None], cols[:, None, :]]
-        K[:, :, :s, s] = -1.0
-        K[:, :, s, :s] = 1.0
-        z, solved = _solve_faces(K, np.broadcast_to(scale[:, None], (S, F)))
-        u = z.reshape(S * F, s + 1)[:, :s]
+        z, solved = _solve_faces(flat[:, bordered],
+                                 np.broadcast_to(scale[:, None], (S, F)))
+        u = z.reshape(S * F, s + 1)
         # a stationary point with a negative weight lies outside the face
-        rows = np.flatnonzero(solved.ravel() & (np.min(u, axis=1) >= -1e-10))
-        u = np.clip(u[rows], 0.0, None)
-        total = np.sum(u, axis=1)
+        inside = solved.ravel()
+        for j in range(s):
+            inside &= u[:, j] >= -1e-10
+        rows = np.flatnonzero(inside)
+        u = np.maximum(u[rows, :s], 0.0)
+        total = np.sum(u, axis=1)   # numpy's pairwise order, not a column loop's
         nonzero = total > 0.0
         rows, u = rows[nonzero], u[nonzero] / total[nonzero, None]
         i, f = np.divmod(rows, F)
-        coords[i[:, None], positions[f][:, None], cols[f]] = u
+        flat_coords[i[:, None], places[f]] = u
         found[i, positions[f]] = True
     values = ((coords[:, :, None, :] @ Ds[:, None]) @ coords[..., None])[..., 0, 0]
     values[~found] = np.inf
-    values[:, vertices] = Ds[:, k[:, 0], k[:, 0]]
+    values[:, vertices] = np.diagonal(Ds, axis1=1, axis2=2)
     return values, coords
 
 

@@ -12,6 +12,7 @@ from coporeg import (CapabilityError, ReducedRegion, SimplexPoint,
                      simplex_grid)
 from coporeg import lp, oracle
 from coporeg.lp import REL_EQ, REL_GE, REL_LE, LinearProgram, solve_lp
+from coporeg.regularize import sample_copositive
 
 from conftest import simplex
 from grid_reference import grid_min_full
@@ -186,13 +187,9 @@ def test_mixed_singular_stack_is_retried_per_face():
     rng = np.random.default_rng(31)
     idx = [0, 0, 1, 2]
     D = random_sym(rng, 3)[np.ix_(idx, idx)]
-    s, _positions, cols = oracle._support_groups(4)[1]
-    K = np.zeros((len(cols), s + 1, s + 1))
-    K[:, :s, :s] = 2.0 * D[cols[:, :, None], cols[:, None, :]]
-    K[:, :s, s] = -1.0
-    K[:, s, :s] = 1.0
+    K = np.array([_bordered(D, cols) for cols in _faces(4, 2)])
     with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(K, np.ones((len(cols), s + 1, 1)))
+        np.linalg.solve(K, np.ones((len(K), 3, 1)))
     assert_same_candidates(D)
     assert_same_candidates(np.ones((3, 3)))
     assert min_quad_over_simplex(np.ones((3, 3))).value == pytest.approx(1.0)
@@ -986,6 +983,87 @@ def test_candidate_stack_matches_the_scalar_reference_property(Ds):
     assert_same_stack(Ds)
 
 
+def test_candidate_stack_at_p_one_and_of_no_matrix_matches_the_reference():
+    # p = 1 has no face of two or more coordinates, and a stack of no
+    # matrix has no row; both keep the enumeration's shapes
+    for d in (2.5, -1.0, 0.0):
+        assert_same_candidates(np.array([[d]]))
+    assert_same_stack(np.array([[[2.5]], [[-1.0]]]))
+    for p in (1, 2, 5):
+        assert_same_stack(np.zeros((0, p, p)))
+
+
+@pytest.mark.parametrize("p", [12, 13])
+def test_candidate_stack_at_p_12_and_13_matches_the_reference(p):
+    # a copositive sample, and the same sample pushed negative along a
+    # simplex point v (v'Dv = -0.1), as one stack of two and as two stacks
+    # of one
+    rng = np.random.default_rng(41 + p)
+    C = sample_copositive(p, rng)
+    v = rng.uniform(0.0, 1.0, size=p)
+    v /= v.sum()
+    N = C - (float(v @ C @ v) + 0.1) / float(v @ v) ** 2 * np.outer(v, v)
+    Ds = np.array([C, N])
+    assert_same_stack(Ds)
+    values, coords = oracle.stationary_candidate_stack(Ds)
+    for D, vals, ts in zip(Ds, values, coords):
+        one_values, one_coords = oracle.stationary_candidates(D)
+        assert one_values.tobytes() == vals.tobytes()
+        assert one_coords.tobytes() == ts.tobytes()
+    assert values[0].min() >= 0.0 > values[1].min()
+
+
+def test_candidate_index_table_gathers_each_bordered_system():
+    # the cached table of p = 2..8 against the faces listed one by one: a
+    # gather of the flat row (2 D.ravel(), -1, 1, 0) is each face's
+    # bordered system, bit for bit, and the flat positions are the face's
+    # coordinates in a candidate row
+    rng = np.random.default_rng(43)
+    for p in range(2, 9):
+        D = random_sym(rng, p)
+        flat = np.concatenate([2.0 * D.ravel(), [-1.0, 1.0, 0.0]])[None]
+        groups = oracle._support_groups(p)
+        assert [g[0] for g in groups] == list(range(1, p + 1))
+        for s, positions, bordered, places in groups:
+            faces = _faces(p, s)
+            assert positions.tolist() == [sum(1 << k for k in cols) - 1 for cols in faces]
+            assert places.tolist() == [[pos * p + k for k in cols]
+                                       for pos, cols in zip(positions.tolist(), faces)]
+            for K, cols in zip(flat[:, bordered][0], faces):
+                assert K.tobytes() == _bordered(D, cols).tobytes()
+            assert not any(a.flags.writeable for a in (positions, bordered, places))
+            assert bordered.dtype == np.uint8
+    # past p = 15 the flat row's last entries need uint16 (built uncached)
+    table = oracle._support_groups.__wrapped__(16)
+    D = random_sym(rng, 16)
+    flat = np.concatenate([2.0 * D.ravel(), [-1.0, 1.0, 0.0]])[None]
+    for s in (2, 16):
+        bordered = table[s - 1][2]
+        assert bordered.dtype == np.uint16
+        for K, cols in zip(flat[:, bordered][0], _faces(16, s)):
+            assert K.tobytes() == _bordered(D, cols).tobytes()
+
+
+def test_candidate_enumeration_at_p_14_has_a_small_table_and_peak():
+    # the index table at p = 14 (2.2 MB in uint16 and 8.8 MB in intp for
+    # the bordered systems alone), and the traced peak of one enumeration
+    # once it is cached: 7.1 MB when each size's systems were zero-filled
+    # and written block by block
+    table = oracle._support_groups(14)
+    assert sum(bordered.nbytes + places.nbytes
+               for _s, _positions, bordered, places in table) <= 2.5e6
+    D = random_sym(np.random.default_rng(47), 14)
+    _, peak = _traced_peak(lambda: oracle.stationary_candidates(D))
+    assert peak <= 5.0e6
+
+
+def _faces(p, s):
+    """The supports of size s of {0..p-1} in mask order, each as its
+    coordinates in ascending order."""
+    return [[k for k in range(p) if mask >> k & 1] for mask in range(1, 1 << p)
+            if bin(mask).count("1") == s]
+
+
 def _bordered(D, cols):
     """The bordered stationarity system of D on the support ``cols``."""
     s = len(cols)
@@ -1000,8 +1078,8 @@ def _singular_faces(D):
     """The bordered systems of D whose own solve raises (an exact zero
     pivot), in the oracle's face order."""
     out = []
-    for _s, _pos, group in oracle._support_groups(D.shape[0])[1:]:
-        for cols in group:
+    for s in range(2, D.shape[0] + 1):
+        for cols in _faces(D.shape[0], s):
             K = _bordered(D, cols)
             try:
                 np.linalg.solve(K, np.eye(len(K))[-1])
@@ -1011,21 +1089,22 @@ def _singular_faces(D):
 
 
 def _record_solves(monkeypatch, Ds):
-    """Run the stack with ``np.linalg.solve`` and ``np.linalg.lstsq``
-    recorded: the dimension of each matrix ``solve`` is called with, and
-    the bytes of each matrix ``lstsq`` is called with."""
+    """Run the stack with its LAPACK solve (the ``solve1`` gufunc that the
+    oracle calls) and ``np.linalg.lstsq`` recorded: the dimension of each
+    array of matrices the gufunc is called with, and the bytes of each
+    matrix ``lstsq`` is called with."""
     calls = {"solve": [], "lstsq": []}
-    solve, lstsq = np.linalg.solve, np.linalg.lstsq
+    solve1, lstsq = oracle._solve1, np.linalg.lstsq
 
-    def recording_solve(K, B):
+    def recording_solve1(K, b, **kwargs):
         calls["solve"].append(K.ndim)
-        return solve(K, B)
+        return solve1(K, b, **kwargs)
 
     def recording_lstsq(K, b, rcond=None):
         calls["lstsq"].append(K.tobytes())
         return lstsq(K, b, rcond=rcond)
 
-    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    monkeypatch.setattr(oracle, "_solve1", recording_solve1)
     monkeypatch.setattr(np.linalg, "lstsq", recording_lstsq)
     oracle.stationary_candidate_stack(Ds)
     monkeypatch.undo()
@@ -1044,7 +1123,7 @@ def test_only_singular_faces_reach_lstsq(monkeypatch):
     singular = _singular_faces(Ds[1])
     assert singular and not _singular_faces(Ds[0]) and not _singular_faces(Ds[2])
     calls = _record_solves(monkeypatch, Ds)
-    assert 2 not in calls["solve"]   # no face is solved alone
+    assert calls["solve"] and 2 not in calls["solve"]   # no face is solved alone
     assert sorted(calls["lstsq"]) == sorted(singular)
     assert_same_stack(Ds)
 
@@ -1063,7 +1142,7 @@ def test_non_finite_face_takes_lstsq_next_to_a_singular_face(monkeypatch):
         calls = _record_solves(monkeypatch, Ds)
         singular = _singular_faces(flat) if len(Ds) > 1 else []
         assert sorted(calls["lstsq"]) == sorted([overflow.tobytes()] + singular)
-        assert 2 not in calls["solve"]
+        assert calls["solve"] and 2 not in calls["solve"]
         assert_same_stack(Ds)
 
 
@@ -1077,8 +1156,9 @@ def test_an_entry_that_overflows_two_d_is_refused_before_lapack(monkeypatch, ent
 
     Ds = np.ones((2, 3, 3))
     Ds[1, 0, 2] = Ds[1, 2, 0] = entry
-    monkeypatch.setattr(np.linalg, "solve", no_lapack)
-    monkeypatch.setattr(np.linalg, "lstsq", no_lapack)
+    monkeypatch.setattr(oracle, "_solve1", no_lapack)
+    for name in ("solve", "slogdet", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, no_lapack)
     with pytest.raises(ValueError, match="2 D is finite"):
         oracle.stationary_candidate_stack(Ds)
     # the largest entry that keeps 2 D finite is still solved
