@@ -6,18 +6,19 @@ variables shifted, upper bounds become internal rows.  A program builds
 its standard form once and keeps it read-only; a solve builds only its
 cost vectors.
 
-``with_row`` grows a program by one row: the new program's standard form
-is block copies of the old one's plus the row's slack and artificial
-columns, byte for byte the standard form a fresh build would make, so a
-solve of it keeps every pivot's bits.
+``with_row`` grows a program by one row: the new program shares its
+parent's standard-form columns and lays out its rows with the routine a
+fresh build runs (``_Std.lay_out_rows``), so its standard form is a fresh
+build's byte for byte and a solve of it keeps every pivot's bits.
 
 Pivoting is Dantzig's rule with deterministic lowest-index tie-breaking,
 falling back to Bland's rule once a run of degenerate pivots trips the
-cycling heuristic.  The pivot loops call LAPACK through the gufuncs that
-``np.linalg.solve`` wraps (``numpy.linalg._umath_linalg.solve`` and
-``solve1``, signature "dd->d"), whose output is its bits, and enter
-``np.linalg.solve``'s floating-point state once per loop, not once per
-solve: a singular basis raises LinAlgError("Singular matrix").  A scalar
+cycling heuristic.  The pivot loops and phase 1's artificial pivot-out
+call LAPACK through the gufuncs that ``np.linalg.solve`` wraps
+(``numpy.linalg._umath_linalg.solve`` and ``solve1``, signature
+"dd->d"), whose output is its bits, and enter ``np.linalg.solve``'s
+floating-point state once per loop, not once per solve: a singular basis
+raises LinAlgError("Singular matrix").  A scalar
 pivot makes two solves: one over the stack (B, B') gives the basic
 solution and the duals, and one gives the entering column.  LAPACK still
 factorises each matrix of the stack on its own (one ``gesv`` with one
@@ -50,6 +51,7 @@ recovered by one routine, ``_stack_solutions``, for a chunk of any size,
 as arrays.
 """
 
+import copy
 import math
 from collections import namedtuple
 
@@ -163,8 +165,9 @@ class LinearProgram:
     def with_row(self, coefs, rel, rhs):
         """This program with one more row, ``coefs . x (rel) rhs``, after
         its rows: a new program that shares the objective and the bounds
-        and validates only the new row.  Its standard form grows from this
-        one's (``_Std.with_row``) and equals a fresh build's byte for byte."""
+        and validates only the new row.  Its standard form shares this
+        one's column arrays and lays out the grown rows with the fresh
+        build's ``_Std.lay_out_rows``, a fresh build's byte for byte."""
         i = self.b.size
         coefs = np.array(coefs, dtype=float)
         if coefs.shape != (self.nvar,):
@@ -182,7 +185,8 @@ class LinearProgram:
         new.rel = np.append(self.rel, rel)
         new.b = np.append(self.b, rhs)
         _read_only(new.A, new.rel, new.b)
-        new._std = self._std.with_row(coefs, rel, rhs)
+        new._std = copy.copy(self._std)        # the parent's column arrays
+        new._std.lay_out_rows(new)
         return new
 
     @property
@@ -215,6 +219,10 @@ class _Std:
     with a negative right-hand side is flipped: its structural entries,
     its right-hand side and its slack sign are negated.  Only the rows and
     bounds enter; the arrays are read-only.
+
+    The bounds give the columns and the upper-bound rows (``ub``, ``ub_b``);
+    ``lay_out_rows`` lays out the rest, for a fresh build and for a grown
+    program (``LinearProgram.with_row``), which shares its parent's columns.
     """
 
     def __init__(self, lp):
@@ -224,20 +232,28 @@ class _Std:
         self.orig = orig = np.repeat(np.arange(lp.nvar), np.where(free, 2, 1))
         self.sign = sign = np.where(upper_only, -1.0, 1.0)[orig]
         sign[1:][orig[1:] == orig[:-1]] = -1.0              # second halves
-        shift = np.where(upper_only, hi, np.where(free, 0.0, lo))
-        self.shift = shift[orig]
-        self.nstruct = nstruct = orig.size
+        self.shift = np.where(upper_only, hi, np.where(free, 0.0, lo))[orig]
+        self.nstruct = orig.size
         self.nvar = lp.nvar
+        self.ub = (np.isfinite(lo[orig]) & np.isfinite(hi[orig])).nonzero()[0]
+        self.ub_b = (hi - lo)[orig[self.ub]]
+        _read_only(self.orig, self.sign, self.shift, self.ub, self.ub_b)
+        self.lay_out_rows(lp)
 
+    def lay_out_rows(self, lp):
+        """Set the row arrays for the rows of ``lp``, a program over this
+        standard form's columns: ``A``, ``b``, ``basis``, ``n_real_cols``,
+        ``scale`` and the user rows' ``row_flip``, ``eq_rows`` and
+        ``row_sign``."""
+        orig, sign, nstruct, ub = self.orig, self.sign, self.nstruct, self.ub
         m_user = lp.b.size
-        ub = (np.isfinite(lo[orig]) & np.isfinite(hi[orig])).nonzero()[0]
         m = m_user + ub.size
         b = np.empty(m)
         b[:m_user] = lp.b
-        self._shifts = [(j, shift[j]) for j in (shift != 0.0).nonzero()[0].tolist()]
-        for j, s in self._shifts:   # b_i - a_i1 s_1 - a_i2 s_2 - ..., in turn
-            b[:m_user] -= lp.A[:, j] * s
-        b[m_user:] = (hi - lo)[orig[ub]]
+        # b_i - a_i1 s_1 - a_i2 s_2 - ..., in turn (one shifted column per variable)
+        for pos in self.shift.nonzero()[0].tolist():
+            b[:m_user] -= lp.A[:, orig[pos]] * self.shift[pos]
+        b[m_user:] = self.ub_b
         sense = np.ones(m)                       # slack sign; 0 for ==
         sense[:m_user] = np.where(lp.rel == REL_LE, 1.0,
                                   np.where(lp.rel == REL_GE, -1.0, 0.0))
@@ -261,60 +277,11 @@ class _Std:
         basis[slack] = nstruct + np.arange(slack.size)
         basis[art] = n_real + np.arange(art.size)   # >= rows too
         self.basis = basis
-        self._b_max = float(np.max(np.abs(b), initial=0.0))
-        self.scale = 1.0 + self._b_max
+        self.scale = 1.0 + float(b.max(initial=0.0))   # b >= 0 after the flips
         # a user row's violation is |v| on == rows, v on <= rows, -v on >= rows
         self.eq_rows = lp.rel == REL_EQ
         self.row_sign = np.where(lp.rel == REL_LE, 1.0, -1.0)
-        _read_only(self.orig, self.sign, self.shift, self.row_flip, A, b, basis,
-                   self.eq_rows, self.row_sign)
-
-    def with_row(self, coefs, rel, rhs):
-        """The standard form of the program with one more user row, ``coefs
-        . x (rel) rhs`` (checked), from this one's arrays by block copies.
-        The row goes after the user rows, before the upper-bound rows; its
-        slack column, if it has one, after the user rows' slack columns,
-        and its artificial column, if it needs one, last.  Every array
-        equals a fresh build's byte for byte; the column arrays are shared."""
-        new = object.__new__(_Std)
-        new.orig, new.sign, new.shift, new._shifts = self.orig, self.sign, self.shift, self._shifts
-        nstruct = new.nstruct = self.nstruct
-        new.nvar = self.nvar
-        for j, s in self._shifts:
-            rhs -= coefs[j] * s
-        sense = 1.0 if rel == REL_LE else -1.0 if rel == REL_GE else 0.0
-        flip = rhs < 0.0
-        if flip:
-            rhs, sense = -rhs, -sense
-        slack, art = int(sense != 0.0), int(sense <= 0.0)
-        m_user = self.row_flip.size
-        (m, ncols), n_real = self.A.shape, self.n_real_cols
-        cut = n_real - (m - m_user)                 # the upper-bound rows' slacks follow
-        A = np.zeros((m + 1, ncols + slack + art))
-        A[:m_user, :cut] = self.A[:m_user, :cut]
-        A[m_user + 1:, :cut] = self.A[m_user:, :cut]
-        A[:m_user, cut + slack:ncols + slack] = self.A[:m_user, cut:]
-        A[m_user + 1:, cut + slack:ncols + slack] = self.A[m_user:, cut:]
-        row = A[m_user]
-        row[:nstruct] = coefs[self.orig] * self.sign + 0.0
-        if flip:
-            row[:nstruct] = -row[:nstruct]
-        if slack:
-            row[cut] = sense
-        if art:
-            row[-1] = 1.0
-        new.A, new.n_real_cols = A, n_real + slack
-        new.b = np.concatenate((self.b[:m_user], [rhs], self.b[m_user:]))
-        basis = self.basis + (self.basis >= cut) * slack
-        new.basis = np.concatenate((basis[:m_user], [ncols + slack if art else cut],
-                                    basis[m_user:]))
-        new._b_max = float(max(self._b_max, abs(rhs)))
-        new.scale = 1.0 + new._b_max
-        new.row_flip = np.append(self.row_flip, -1.0 if flip else 1.0)
-        new.eq_rows = np.append(self.eq_rows, rel == REL_EQ)
-        new.row_sign = np.append(self.row_sign, 1.0 if rel == REL_LE else -1.0)
-        _read_only(new.row_flip, A, new.b, new.basis, new.eq_rows, new.row_sign)
-        return new
+        _read_only(self.row_flip, A, b, basis, self.eq_rows, self.row_sign)
 
     def to_original(self, V):
         """Original-variable points of the standard-form points, rows of
@@ -519,11 +486,13 @@ def _phase_one(std, tol):
             raise LpError("phase-1 objective reported unbounded")
         if float(c1[basis] @ xb) > 10.0 * tol * std.scale:
             return None
-        for row in range(m):
-            if basis[row] >= n_real:
+        with _lapack_state():
+            for row in (basis >= n_real).nonzero()[0].tolist():
                 # pivot the artificial out on the first usable real column
+                unit = np.zeros(m)
+                unit[row] = 1.0
                 try:
-                    binv_row = np.linalg.solve(A[:, basis].T, np.eye(m)[row])
+                    binv_row = _solve1(A[:, basis].T, unit, signature="dd->d")
                 except LinAlgError as e:
                     raise LpError(f"singular basis after phase 1: {e}") from e
                 usable = np.abs(binv_row @ A[:, :n_real]) > _PIV_TOL

@@ -110,7 +110,8 @@ def _build_master(inst, cut_rows, box_r):
     row per (coefs, rhs) pair of ``cut_rows`` (``cut_row``).  ``solve_sip``
     builds the first master of a solve and the master after a box
     escalation with it, and grows it by ``LinearProgram.with_row`` for each
-    new cut, which keeps these bits."""
+    new cut, which shares the parent's standard-form columns and lays out
+    the grown rows with the fresh build's routine, so keeps these bits."""
     rec_A, rec_rel, rec_b = inst.rows
     m, nvar = rec_b.size, inst.prog.n + 1
     A = np.zeros((m + 2 * nvar + len(cut_rows), nvar))

@@ -4,9 +4,9 @@ call that the corpus runs make (``corpus.digest_line``).
 Two digests cover the calls in order:
 
 - the *bytes* digest hashes, per call, the program's objective, A, rel, b,
-  lo and hi; its standard form's A, b, basis, orig, sign, shift and
-  row_flip; tol; the objective stack; and the six fields of the returned
-  ``LpStack``.  Each array's dtype and shape go in before its bytes.  It
+  lo and hi; its standard form's A, b, basis, orig, sign, shift,
+  row_flip, n_real_cols, scale, eq_rows and row_sign; tol; the objective
+  stack; and the six fields of the returned ``LpStack``.  Each array's dtype and shape go in before its bytes.  It
   moves with any bit of any LP, so it is for comparing two trees on one
   machine;
 - the *pivot* digest hashes, per call, the shape of the program's A, the
@@ -77,7 +77,8 @@ def digests(runs):
         std = lp._std
         for a in (lp.objective, lp.A, lp.rel, lp.b, lp.lo, lp.hi,
                   std.A, std.b, std.basis, std.orig, std.sign, std.shift,
-                  std.row_flip, np.float64(tol), C, *out):
+                  std.row_flip, np.int64(std.n_real_cols), np.float64(std.scale),
+                  std.eq_rows, std.row_sign, np.float64(tol), C, *out):
             _hash_array(full, a)
         pivots.update(json.dumps([list(lp.A.shape), out.status.tolist(),
                                   out.basis.tolist()]).encode())

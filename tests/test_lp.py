@@ -567,6 +567,16 @@ _BRANCHES = {"free", "lower", "upper", "boxed", "fixed", REL_LE, REL_EQ, REL_GE,
              "Optimal", "Infeasible", "Unbounded"}
 
 
+def _assert_reference_std(prog):
+    """The program's standard form is the reference's, signed zeros
+    included; returns the reference."""
+    ref, std = _RefStd(prog), prog._std
+    assert std.A.tobytes() == ref.A.tobytes() and std.b.tobytes() == ref.b.tobytes()
+    assert std.row_flip.tobytes() == ref.row_flip.tobytes()
+    assert std.basis.tolist() == ref.basis
+    return ref
+
+
 def test_generated_lps_are_bit_identical_on_every_branch():
     seen = collections.Counter()
 
@@ -579,11 +589,7 @@ def test_generated_lps_are_bit_identical_on_every_branch():
         want = _assert_bit_identical(prog, events=events)
         _assert_stack_bit_identical(prog, np.array([objective]))
         _assert_stack_bit_identical(prog, np.array([objective, other]))
-        # the standard form itself, signed zeros included
-        ref, std = _RefStd(prog), prog._std
-        assert std.A.tobytes() == ref.A.tobytes() and std.b.tobytes() == ref.b.tobytes()
-        assert std.row_flip.tobytes() == ref.row_flip.tobytes()
-        assert std.basis.tolist() == ref.basis
+        ref = _assert_reference_std(prog)
         seen.update(events.keys())
         seen.update(set(modes) | set(rel) | {want[0]})
         if (ref.row_flip < 0.0).any():
@@ -593,8 +599,8 @@ def test_generated_lps_are_bit_identical_on_every_branch():
     assert _BRANCHES <= set(seen), _BRANCHES - set(seen)
 
 
-# 31.3 and 31.7 exceed every |b| that small_lps draws, and (1 + x) - 1 != x
-# for both: the scale must keep max |b|, not undo 1 + max |b|
+# 31.3 and 31.7 exceed every |b| that small_lps draws, so a grown row with
+# either sets the scale's max |b|
 _GROWN_RHS = {"negative": -31.7, "-0.0": -0.0, "zero": 0.0, "positive": 31.3}
 
 
@@ -619,9 +625,10 @@ _GROWN_BRANCHES = ({"free", "lower", "upper", "boxed", "flipped row", "artificia
 
 
 def test_a_grown_program_is_the_fresh_program_bitwise():
-    # with_row's standard form comes from block copies of its parent's:
-    # every field must be a fresh build's, signed zeros and the running
-    # max |b| of the scale included, and so must every solve's bits
+    # every field of a grown program must be a fresh build's, signed
+    # zeros and the scale's max |b| included, and so must every solve's
+    # bits.  Both lay out their rows with one routine, so the grown
+    # standard form is also checked against the independent reference
     seen = collections.Counter()
 
     @settings(derandomize=True, deadline=None, database=None, max_examples=300)
@@ -638,6 +645,7 @@ def test_a_grown_program_is_the_fresh_program_bitwise():
                                   list(b) + [_GROWN_RHS[name] for _c, _r, name in rows[:k]],
                                   bounds)
             assert_same_program(prog, fresh)
+            _assert_reference_std(prog)
             want = _outcome(solve_lp, fresh)
             assert _outcome(solve_lp, prog) == want
             assert _stack_fields(solve_lp(prog, objectives=objectives)) == \
