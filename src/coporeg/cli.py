@@ -247,8 +247,7 @@ def _write_json(doc, path):
     if path:
         try:
             with open(path, "w", encoding="utf-8") as fh:
-                json.dump(_jsonable(doc), fh, indent=2)
-                fh.write("\n")
+                fh.write(json.dumps(_jsonable(doc), indent=2) + "\n")
         except OSError as e:
             raise _out_error(path, e) from e
 

@@ -183,9 +183,10 @@ def eval_constraint(prog, x):
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != prog.n:
         raise DimensionError(f"x has shape {x.shape}, expected ({prog.n},) or (S, {prog.n})")
-    out = np.broadcast_to(prog.A[0], x.shape[:-1] + prog.A[0].shape).copy()
-    for xi, Ai in zip(np.moveaxis(x, -1, 0), prog.A[1:]):
-        out += xi[..., None, None] * Ai
+    out = np.empty(x.shape[:-1] + prog.A[0].shape)
+    out[...] = prog.A[0]
+    for k, Ak in enumerate(prog.A[1:]):
+        out += x[..., k, None, None] * Ak
     return out
 
 

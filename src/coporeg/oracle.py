@@ -73,8 +73,11 @@ class _GridResult(OracleResult):
     selection (a view of the cached grid, its mask and row list) and the
     values of the span's rows, and recomputes each chunk's product with D
     for the bound, so no (M, p) array outlives the call and a caller that
-    changes its matrix afterwards changes nothing here.  Most callers
-    read ``value`` alone."""
+    changes its matrix afterwards changes nothing here.  The bound is
+    built in each chunk's spread array, one operation at a time in the
+    order of the expression, so beside the cached grid, the selection and
+    its one value array it holds only one chunk's temporaries.  Most
+    callers read ``value`` alone."""
 
     def __init__(self, D, selection, vals, i):
         self.value, self.kind = float(vals[i]), "grid"
@@ -93,9 +96,16 @@ class _GridResult(OracleResult):
         lb_lip = float(np.min(vals, where=near, initial=np.inf)) - L * r
         lows = []
         for rows in chunks:
-            centered = 0.5 * _row_spread(points[rows] @ D)
-            lows.append(np.min(vals[rows] - 2.0 * centered * r - maxd * r * r,
-                               where=near[rows], initial=np.inf))
+            # vals - 2 (0.5 spread) r - maxd r r, one operation at a time in
+            # the spread's own array: the bits of the expression, no more
+            # chunk-sized temporaries than the product and its spread
+            low = _row_spread(points[rows] @ D)
+            low *= 0.5
+            low *= 2.0
+            low *= r
+            np.subtract(vals[rows], low, out=low)
+            low -= maxd * r * r
+            lows.append(np.min(low, where=near[rows], initial=np.inf))
         return max(lb_lip, float(np.min(lows)))
 
 
@@ -431,7 +441,10 @@ class ReducedRegion:
         copy; ``near`` marks the span's points within r of the region;
         ``outside`` lists the span's rows that are not in the region
         itself; ``chunks`` are the row slices of the span (``_chunks``).
-        Cached: none of it depends on the quadratic being minimized."""
+        Cached: none of it depends on the quadratic being minimized.
+        ``near`` is a copy of the span's rows, so no grid-sized mask
+        outlives the call, and ``outside`` is built in the mask of the
+        region itself, with no grid-sized temporary."""
         N = int(denominator)
         if N not in self._selected:
             r = self.p / (2.0 * N)
@@ -439,8 +452,11 @@ class ReducedRegion:
             near, inside = self.grid_mask(pts, r)
             first = int(np.argmax(near))
             last = pts.shape[0] - int(np.argmax(near[::-1])) if near[first] else first
-            near = near[first:last]
-            outside = np.flatnonzero(~(inside[first:last] & near))
+            # the rows not in the region itself, built in the inside mask
+            np.logical_and(inside, near, out=inside)
+            np.logical_not(inside, out=inside)
+            outside = np.flatnonzero(inside[first:last])
+            near = near[first:last].copy()
             near.setflags(write=False)
             outside.setflags(write=False)
             self._selected[N] = (pts[first:last], near, outside,
@@ -546,7 +562,11 @@ def min_quad_over_omega(D, omega, h):
     ``where=``; max and min are exact, so neither the order nor the
     chunks change the bound.  The call computes the value only: the bound
     and the argmin are computed on their first read (``_GridResult``),
-    bit for bit what an eager computation gives.  An empty region
+    bit for bit what an eager computation gives.  The working set is the
+    cached grid, the cached selection, the one value array of the span
+    (M 8 bytes) that the result keeps, and one chunk's temporaries; a
+    caller that drops each result before its next call, as ``solve_sip``
+    does, never holds two value arrays.  An empty region
     (``omega.empty``) is answered before any grid is built; a nonempty
     one holds a simplex vertex, and so does every grid.
     """

@@ -130,7 +130,11 @@ _REFINE_ROUNDS = 4    # grid halvings before giving up
 
 
 def solve_sip(inst, cfg, a0_copositive=False):
-    """Run the cutting-plane loop to a SipOutcome, or raise a SipError."""
+    """Run the cutting-plane loop to a SipOutcome, or raise a SipError.
+
+    A round drops the last round's oracle result before its own oracle
+    call, so a grid round holds one value array of the selection's span,
+    never the last round's beside the new one."""
     prog = inst.prog
     n = prog.n
     h_cur = cfg.grid_h(prog.p)
@@ -176,6 +180,7 @@ def solve_sip(inst, cfg, a0_copositive=False):
             mu_star = float(sol.primal[n])
 
         ax = eval_constraint(prog, x_star)
+        res = None   # the last round's grid values go before this call's
         if inst.omega is None:
             res = min_quad_over_simplex(ax, p_max=cfg.p_max)
         else:

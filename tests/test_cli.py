@@ -1,5 +1,6 @@
 import argparse
 import importlib
+import io
 import json
 import os
 import warnings
@@ -12,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 from coporeg import (CopositiveProgram, ProblemFormatError, generate_instance,
                      parse_problem, regularize, serialize_matrix,
                      serialize_problem)
-from coporeg.cli import build_parser, build_report, ledger_from_report, main
+from coporeg.cli import (_jsonable, _write_json, build_parser, build_report,
+                         ledger_from_report, main)
 from coporeg.config import DEFAULT, RunConfig
 from coporeg.model import _load_json
 from coporeg.regularize import verify_ledger
@@ -529,6 +531,22 @@ def test_out_check_leaves_no_file_and_truncates_none(workdir, capsys):
         assert "problem file" in capsys.readouterr().err
     assert not os.path.exists(new)
     assert open(old).read() == "kept"
+
+
+def test_written_json_is_the_streamed_dump_plus_a_newline(workdir, e4):
+    # one write of json.dumps gives the bytes that json.dump to the file
+    # handle gives, chunk by chunk, followed by a newline
+    docs = [build_report(regularize(e4), e4, DEFAULT),
+            {"sigma": "σ", "margin": -np.inf, "nan": float("nan"), "empty": [[], {}],
+             "scalars": (np.float64(0.1), np.int64(3), True),
+             "array": np.arange(6.0).reshape(2, 3) / 7.0, 1: None}]
+    out = os.path.join(workdir["dir"], "doc.json")
+    for doc in docs:
+        _write_json(doc, out)
+        want = io.StringIO()
+        json.dump(_jsonable(doc), want, indent=2)
+        with open(out, "rb") as fh:
+            assert fh.read() == (want.getvalue() + "\n").encode("utf-8")
 
 
 def test_build_report_failed_status(e2):

@@ -44,6 +44,13 @@ def test_eval_constraint_is_affine():
     assert AX.shape == (7, 3, 3)
     for ax, x in zip(AX, X):
         assert ax.tobytes() == eval_constraint(prog, x).tobytes()
+    # both have the bytes of the explicit sum A_0 + x_1 A_1 + x_2 A_2, left
+    # to right
+    A0, A1, A2 = prog.A
+    x = rng.normal(size=2)
+    assert eval_constraint(prog, x).tobytes() == (A0 + x[0] * A1 + x[1] * A2).tobytes()
+    want = A0 + X[:, 0, None, None] * A1 + X[:, 1, None, None] * A2
+    assert AX.tobytes() == want.tobytes()
 
 
 def test_quad_form_examples():

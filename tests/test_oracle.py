@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coporeg import (CapabilityError, ReducedRegion, SimplexPoint,
-                     exclusion_radius, is_copositive, l1_dist_to_hull,
-                     min_quad_over_omega, min_quad_over_simplex, quad_form,
+                     exclusion_radius, generate_instance, is_copositive,
+                     l1_dist_to_hull, min_quad_over_omega,
+                     min_quad_over_simplex, quad_form, regularize,
                      simplex_grid)
 from coporeg import lp, oracle
 from coporeg.lp import REL_EQ, REL_GE, REL_LE, LinearProgram, solve_lp
@@ -962,6 +963,22 @@ def test_a_grid_query_adds_at_most_one_grid_of_memory():
 
     _, peak = _traced_peak(query)
     assert peak <= grid.nbytes
+
+
+def test_a_regularize_run_holds_one_grid_value_array_at_a_time():
+    # gen35 of the acceptance gate refines its second subproblem's grid to
+    # 1/h = 128, whose selection spans the whole 366,145-point grid.  With
+    # the grids cached, the run holds the masks, one value array and one
+    # chunk's temporaries: each SIP round drops the last round's values
+    # before its grid call allocates new ones
+    prog = generate_instance(seed=35, p=4, n=2,
+                             planted=[simplex(0.5, 0.25, 0.25, 0.0)])
+    regularize(prog)
+    res, peak = _traced_peak(lambda: regularize(prog))
+    assert res.status == "regularized"
+    omega = res.regularized.omega
+    assert sorted(omega._selected) == [32, 64, 128]
+    assert peak < 2 * 8 * len(omega.selected_points(128)[0])
 
 
 def test_grid_point_budget():
