@@ -84,14 +84,15 @@ def _regularized_doc(reg):
 
 
 def _jsonable(obj):
+    """``obj`` as strict JSON values: numpy scalars and arrays become Python
+    values first, dict keys become strings, and a non-finite float becomes
+    the string "inf", "-inf" or "nan"."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        obj = obj.tolist()      # a numpy scalar's tolist() is its item()
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     if isinstance(obj, float) and not np.isfinite(obj):
         return repr(obj)
     return obj

@@ -69,7 +69,8 @@ _STACK_ROWS = 1024       # objectives pivoted in lockstep at a time
 
 # the gufuncs that np.linalg.solve wraps, for a stack of right-hand-side
 # matrices and for one right-hand-side vector; called with
-# signature="dd->d" inside _lapack_state(), they give its bits
+# signature="dd->d" they give its bits, and inside _lapack_state() a
+# singular matrix raises as it does there
 _solve, _solve1 = _umath_linalg.solve, _umath_linalg.solve1
 
 

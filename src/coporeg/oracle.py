@@ -6,19 +6,18 @@ The exact oracle enumerates all nonempty supports, solving the stationarity
 system on each face and comparing against the vertices; it is exact for
 dimensions up to ``p_max``.  It takes a stack of matrices: the faces of one
 support size, across the whole stack, are solved as one stack of bordered
-systems (a stack that raises is solved again without its singular faces,
-which take the least-squares step), and the candidates keep the mask order,
-as arrays with +inf where a support has none.  The systems of one size
-are one gather of each matrix's row (2 D.ravel(), -1, 1, 0) through a
-cached index table, and one call of the LAPACK gufunc that
-``np.linalg.solve`` wraps, with its bits; their weights are tested one
-column at a time and scattered through the table's flat positions.  A
-single matrix is the stack of one, and its candidates are the stack's
-row 0.  The
-reduced-region oracle works on the rational grid of the simplex, one
-matrix per call; its certified lower bound is the larger of a Lipschitz
-bound and a per-point centered-gradient bound, computed, like the argmin,
-on first read.
+systems (a singular face comes back as NaN and takes the least-squares
+step), and the candidates keep the mask order, as arrays with +inf where
+a support has none.  The systems of one size are one gather of each
+matrix's row (2 D.ravel(), -1, 1, 0) through a cached index table, and
+one call of the LAPACK gufunc that ``np.linalg.solve`` wraps, with its
+bits; their weights are tested one column at a time and scattered
+through the table's flat positions.  A single matrix is the stack of
+one, and its candidates are the stack's row 0.  The reduced-region
+oracle works on the rational grid of the simplex, one matrix per call;
+its certified lower bound is the larger of a Lipschitz bound and a
+per-point centered-gradient bound, computed, like the argmin, on first
+read.
 The grid kernels stream over the cached grid itself, in contiguous row
 chunks of ``_CHUNK`` rows: the mask, the values and the bound never
 gather the selected points into a copy and never hold a grid-sized
@@ -32,7 +31,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .lp import REL_LE, LinearProgram, LpError, _lapack_state, _solve1, solve_lp
+from .lp import REL_LE, LinearProgram, LpError, _solve1, solve_lp
 from .model import DimensionError, SimplexPoint, _coords
 
 
@@ -159,28 +158,21 @@ def _support_groups(p):
 def _solve_faces(K, scale):
     """Solve the stack of bordered systems K z = e_last, one per face.
 
-    ``K`` is (S, F, m, m) and ``scale`` holds one entry per face (shape
-    (S, F)).  Returns ``(z, solved)``: ``solved`` is False where a face has
+    ``K`` is (S, F, m, m) and ``scale`` holds one entry per matrix (shape
+    (S,)).  Returns ``(z, solved)``: ``solved`` is False where a face has
     no stationary point.  One call of the gufunc that ``np.linalg.solve``
-    wraps (``solve1``, under ``lp._lapack_state()``, with one broadcast
-    e_last) covers the stack, with the bits of ``np.linalg.solve``.  Only
-    when it raises, one ``slogdet`` (the same LU) marks the faces with an
-    exact zero pivot, and the others are solved again as one stack.  A
-    face that is singular or has a non-finite solution takes the
-    least-squares solution when its residual is within ``1e-9 (1 + scale)``;
-    the finite test runs one column of z at a time.
+    wraps (``solve1``, with one broadcast e_last) covers the stack, with
+    the bits of ``np.linalg.solve``: LAPACK factorises each face on its
+    own, and under ``np.errstate(all="ignore")`` a face with an exact zero
+    pivot comes back as NaN.  A face that is singular or has a non-finite
+    solution takes the least-squares solution when its residual is within
+    ``1e-9 (1 + scale)``; the finite test runs one column of z at a time.
     """
     m = K.shape[-1]
     e_last = np.zeros(m)
     e_last[-1] = 1.0
-    try:
-        with _lapack_state():
-            z = _solve1(K, e_last, signature="dd->d")
-    except np.linalg.LinAlgError:
-        regular = np.linalg.slogdet(K)[0] != 0.0
-        z = np.full(K.shape[:-1], np.nan)
-        with _lapack_state():
-            z[regular] = _solve1(K[regular], e_last, signature="dd->d")
+    with np.errstate(all="ignore"):
+        z = _solve1(K, e_last, signature="dd->d")
     finite = np.isfinite(z[..., 0])
     for j in range(1, m):
         finite &= np.isfinite(z[..., j])
@@ -188,7 +180,7 @@ def _solve_faces(K, scale):
     for f in zip(*np.nonzero(~finite)):
         k = K[f]
         z[f], *_ = np.linalg.lstsq(k, e_last, rcond=None)
-        solved[f] = float(np.max(np.abs(k @ z[f] - e_last))) <= 1e-9 * (1.0 + scale[f])
+        solved[f] = float(np.max(np.abs(k @ z[f] - e_last))) <= 1e-9 * (1.0 + scale[f[0]])
     return z, solved
 
 
@@ -209,9 +201,9 @@ def stationary_candidate_stack(Ds, p_max=14):
     faces of support size s, across the whole stack, are one gather of
     it through the cached index table (``_support_groups``): one
     (S, F, s+1, s+1) stack of bordered systems and one LAPACK call per
-    size (``_solve_faces``); a stack with a singular face is split once,
-    and only its singular or non-finite faces take the least-squares
-    step, one at a time.  The face-membership test u >= -1e-10 runs one
+    size (``_solve_faces``), where a singular face comes back as NaN;
+    only the singular or non-finite faces take the least-squares step,
+    one at a time.  The face-membership test u >= -1e-10 runs one
     column at a time, and the weights are scattered into the candidate
     rows through the table's flat positions.  Faces whose stationarity
     system is inconsistent contribute nothing: their minima live on
@@ -243,8 +235,7 @@ def stationary_candidate_stack(Ds, p_max=14):
     flat[:, -3:] = (-1.0, 1.0, 0.0)
     for s, positions, bordered, places in groups:
         F = positions.size
-        z, solved = _solve_faces(flat[:, bordered],
-                                 np.broadcast_to(scale[:, None], (S, F)))
+        z, solved = _solve_faces(flat[:, bordered], scale)
         u = z.reshape(S * F, s + 1)
         # a stationary point with a negative weight lies outside the face
         inside = solved.ravel()

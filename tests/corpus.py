@@ -46,7 +46,7 @@ _SWAP = [[0.0, 1.0], [1.0, 0.0]]
 _ZERO = np.zeros((2, 2))
 
 # the acceptance gate's settings: (instance seed, p, n, planted point)
-_GATE = [
+GATE = [
     (30, 3, 1, (1.0, 0.0, 0.0)),
     (31, 3, 2, (0.5, 0.5, 0.0)),
     (32, 3, 2, (1 / 3, 1 / 3, 1 / 3)),
@@ -70,11 +70,11 @@ CORPUS = {
     "e3": CopositiveProgram([1.0], [_ZERO, [[1.0, -1.0], [-1.0, 1.0]]]),
     "e4": CopositiveProgram([1.0], [_ZERO, _SWAP]),
     # workload seed w permutes gate slot i by default_rng(1000 w + 300 + i)
-    **{f"g0-{s}": Generated(s, p, n, (t,), None) for s, p, n, t in _GATE},
+    **{f"g0-{s}": Generated(s, p, n, (t,), None) for s, p, n, t in GATE},
     **{f"g1-{s}": Generated(s, p, n, (t,), 1300 + slot)
-       for slot, (s, p, n, t) in enumerate(_GATE)},
-    **{f"k3-{s}": Generated(s + 300, p, n, (t,), None) for s, p, n, t in _GATE},
-    **{f"k9-{s}": Generated(s + 900, p, n, (t,), None) for s, p, n, t in _GATE},
+       for slot, (s, p, n, t) in enumerate(GATE)},
+    **{f"k3-{s}": Generated(s + 300, p, n, (t,), None) for s, p, n, t in GATE},
+    **{f"k9-{s}": Generated(s + 900, p, n, (t,), None) for s, p, n, t in GATE},
     **{f"mv{s}": Generated(s, 3, 2, (_e(3, 0), _e(3, 1)), None)
        for s in range(50, 56)},
     "c60": Generated(60, 4, 2, (_e(4, 0), _e(4, 1)), None),

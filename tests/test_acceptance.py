@@ -21,6 +21,7 @@ from coporeg.oracle import stationary_candidate_stack, stationary_candidates
 from coporeg.regularize import _omega_margins
 
 from conftest import simplex
+from corpus import GATE
 from equiv_reference import equiv_sample_all_margins
 from grid_reference import grid_min_full
 
@@ -31,20 +32,6 @@ def _report(criterion, ok, detail):
     line = f"criterion {criterion}: {'PASS' if ok else 'FAIL'} - {detail}"
     print(line)
     assert ok, line
-
-
-GENERATED = [
-    (30, 3, 1, (1.0, 0.0, 0.0)),
-    (31, 3, 2, (0.5, 0.5, 0.0)),
-    (32, 3, 2, (1 / 3, 1 / 3, 1 / 3)),
-    (33, 3, 3, (0.25, 0.75, 0.0)),
-    (34, 4, 2, (1.0, 0.0, 0.0, 0.0)),
-    (35, 4, 2, (0.5, 0.25, 0.25, 0.0)),
-    (36, 4, 3, (0.5, 0.5, 0.0, 0.0)),
-    (37, 5, 2, (0.5, 0.5, 0.0, 0.0, 0.0)),
-    (38, 5, 3, (0.5, 0.0, 0.5, 0.0, 0.0)),
-    (39, 5, 2, (1.0, 0.0, 0.0, 0.0, 0.0)),
-]
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +47,7 @@ def analytic_runs(e1, e2, e3):
 @pytest.fixture(scope="module")
 def generated_runs():
     out = []
-    for seed, p, n, tv in GENERATED:
+    for seed, p, n, tv in GATE:
         planted = SimplexPoint(list(tv))
         prog = generate_instance(seed=seed, p=p, n=n, planted=[planted])
         res = regularize(prog)

@@ -549,6 +549,25 @@ def test_written_json_is_the_streamed_dump_plus_a_newline(workdir, e4):
             assert fh.read() == (want.getvalue() + "\n").encode("utf-8")
 
 
+def test_numpy_values_write_the_bytes_of_their_python_twin(workdir):
+    # a numpy bool, a numpy inf and an array holding nan are written as the
+    # Python values are: strict JSON, with non-finite floats as strings
+    def no_constant(name):
+        raise ValueError(f"non-strict JSON constant {name}")
+
+    doc = {"ok": np.bool_(True), "margin": np.float64(np.inf),
+           "values": np.array([np.nan, 1.0])}
+    twin = {"ok": True, "margin": float("inf"), "values": [float("nan"), 1.0]}
+    out, twin_out = (os.path.join(workdir["dir"], name) for name in ("np.json", "py.json"))
+    _write_json(doc, out)
+    _write_json(twin, twin_out)
+    with open(out, "rb") as fh, open(twin_out, "rb") as twin_fh:
+        written = fh.read()
+        assert written == twin_fh.read()
+    assert json.loads(written, parse_constant=no_constant) == {
+        "ok": True, "margin": "inf", "values": ["nan", 1.0]}
+
+
 def test_build_report_failed_status(e2):
     from coporeg import RegularizationResult
     res = RegularizationResult("failed", diagnostics={"reason": "test"})

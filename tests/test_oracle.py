@@ -182,9 +182,10 @@ def test_candidates_match_the_scalar_reference(horn, e1, e2, e3, e4):
         assert_same_candidates(D)
 
 
-def test_mixed_singular_stack_is_retried_per_face():
+def test_mixed_singular_stack_matches_the_face_by_face_reference():
     # a duplicated coordinate makes face {0, 1} singular while the other
-    # size-2 faces are not, so the size-2 stack fails as a whole
+    # size-2 faces are not, so np.linalg.solve fails on the size-2 stack as
+    # a whole; the oracle's one stacked solve keeps the regular faces
     rng = np.random.default_rng(31)
     idx = [0, 0, 1, 2]
     D = random_sym(rng, 3)[np.ix_(idx, idx)]
@@ -1128,21 +1129,57 @@ def _record_solves(monkeypatch, Ds):
     return calls
 
 
-def test_only_singular_faces_reach_lstsq(monkeypatch):
-    # matrix 1 repeats coordinate 0, so some of its faces holding
-    # coordinates 0 and 1 are singular and every stack of sizes 2-4 raises;
-    # matrices 0 and 2 are nonsingular.  No face is solved alone, and only
-    # the singular faces take the least-squares step.
+def _mixed_singular_stack():
+    """Three 4 x 4 matrices: matrix 1 repeats coordinate 0, so some of its
+    faces holding coordinates 0 and 1 are singular, at every support size
+    2-4; matrices 0 and 2 are nonsingular."""
     rng = np.random.default_rng(37)
     idx = [0, 0, 1, 2]
-    Ds = np.array([random_sym(rng, 4), random_sym(rng, 3)[np.ix_(idx, idx)],
-                   random_sym(rng, 4)])
+    return np.array([random_sym(rng, 4), random_sym(rng, 3)[np.ix_(idx, idx)],
+                     random_sym(rng, 4)])
+
+
+def test_only_singular_faces_reach_lstsq(monkeypatch):
+    # no face is solved alone, and only the singular faces take the
+    # least-squares step
+    Ds = _mixed_singular_stack()
     singular = _singular_faces(Ds[1])
     assert singular and not _singular_faces(Ds[0]) and not _singular_faces(Ds[2])
     calls = _record_solves(monkeypatch, Ds)
     assert calls["solve"] and 2 not in calls["solve"]   # no face is solved alone
     assert sorted(calls["lstsq"]) == sorted(singular)
     assert_same_stack(Ds)
+
+
+def test_each_support_size_is_one_stacked_solve(monkeypatch):
+    # every support size 2-4 holds a singular face of matrix 1, and each is
+    # still one solve1 call on the whole (S, F, s+1, s+1) stack: no second
+    # solve of the regular faces
+    Ds = _mixed_singular_stack()
+    calls = _record_solves(monkeypatch, Ds)
+    assert calls["solve"] == [4, 4, 4]
+    assert sorted(calls["lstsq"]) == sorted(_singular_faces(Ds[1]))
+
+
+def test_solve1_gives_nan_for_a_singular_matrix_of_a_stack():
+    # the property the oracle's one stacked solve rests on: LAPACK
+    # factorises each matrix of the stack on its own, so with the
+    # floating-point errors ignored an exactly singular matrix comes back
+    # as NaN and every other matrix keeps the bits of its own solve
+    rng = np.random.default_rng(43)
+    idx = [0, 0, 1, 2]
+    D = random_sym(rng, 3)[np.ix_(idx, idx)]
+    K = np.array([_bordered(D, cols) for cols in _faces(4, 2)])
+    singular = [f for f, k in enumerate(K) if k.tobytes() in _singular_faces(D)]
+    assert len(singular) == 1
+    e_last = np.eye(3)[-1]
+    with np.errstate(all="ignore"):
+        z = oracle._solve1(K, e_last, signature="dd->d")
+    for f, k in enumerate(K):
+        if f in singular:
+            assert np.isnan(z[f]).all()
+        else:
+            assert z[f].tobytes() == np.linalg.solve(k, e_last).tobytes()
 
 
 def test_non_finite_face_takes_lstsq_next_to_a_singular_face(monkeypatch):
@@ -1155,7 +1192,7 @@ def test_non_finite_face_takes_lstsq_next_to_a_singular_face(monkeypatch):
     assert not _singular_faces(big)
     flat = np.ones((3, 3))
     for Ds in (big[None], np.array([big, flat]), np.array([flat, big])):
-        # the stacked solve succeeds on the first stack, raises on the others
+        # the flat matrix's faces are singular: NaN in the stacked solve
         calls = _record_solves(monkeypatch, Ds)
         singular = _singular_faces(flat) if len(Ds) > 1 else []
         assert sorted(calls["lstsq"]) == sorted([overflow.tobytes()] + singular)
